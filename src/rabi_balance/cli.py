@@ -33,7 +33,7 @@ from .balance import (
 from .errors import ConfigError, NotConverged, OptimizerStalled, RabiError
 from .fock import FockRep
 from .model import ModelParams
-from .solver import GroundSolution, convergence_table, solve_rabi_ground
+from .solver import MAX_DIM, GroundSolution, convergence_table, solve_rabi_ground
 from .variational import OptimizerOptions, VariationalResult, minimize_energy
 
 SWEEP_COLUMNS = [
@@ -57,6 +57,8 @@ class AxisRange:
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError(f"range count must be >= 1, got {self.count}")
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            raise ConfigError(f"range bounds must be finite, got {self.min}:{self.max}")
         if self.min > self.max:
             raise ConfigError(f"range min {self.min} exceeds max {self.max}")
 
@@ -316,7 +318,7 @@ def cmd_variational(cfg: RunConfig) -> int:
 
 def cmd_converge(cfg: RunConfig) -> int:
     params = _require_scalar(cfg, "converge")
-    max_dim = cfg.dim if cfg.dim is not None else 256
+    max_dim = cfg.dim if cfg.dim is not None else MAX_DIM
     rows, ok = convergence_table(params, tol=cfg.tol, max_dim=max_dim)
     buf = io.StringIO()
     buf.write("dim,e_exact,delta\n")

@@ -279,15 +279,3 @@ def variance(state: QuantumState, obs: Observable) -> float:
     second = np.vdot(w, w).real  # <M psi | M psi> = <M^2> for Hermitian M
     return float(second - mean * mean)
 
-
-def covariance(state: QuantumState, obs_a: Observable, obs_b: Observable) -> float:
-    """Symmetrized covariance <{A, B}>/2 - <A><B> for Hermitian A, B."""
-    if not (obs_a.hermitian and obs_b.hermitian):
-        raise NonHermitian("covariance requires Hermitian observables")
-    _check_dims(state, obs_a)
-    _check_dims(state, obs_b)
-    v = state.amplitudes
-    av = obs_a.matrix @ v
-    bv = obs_b.matrix @ v
-    sym = np.vdot(av, bv).real
-    return float(sym - np.vdot(v, av).real * np.vdot(v, bv).real)

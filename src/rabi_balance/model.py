@@ -25,6 +25,7 @@ so that F0 q = lam (a + a^dag) identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,9 @@ class ModelParams:
             raise ValueError(f"omega0 must be >= 0, got {self.omega0}")
         if not self.mass > 0.0:
             raise ValueError(f"mass must be > 0, got {self.mass}")
+        for name in ("omega", "lam", "omega0", "mass"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def f0(self) -> float:
@@ -98,12 +102,22 @@ def build_parity_operator(rep: FockRep) -> Observable:
     return Observable(-np.kron(par, SIGMA_Z))
 
 
+def sector_matrix(dim: int, params: ModelParams, sector: int) -> np.ndarray:
+    """Real symmetric tridiagonal matrix of H_p on Fock levels 0..dim-1.
+
+    The number operator enters as the product sqrt(n) sqrt(n), as in
+    ``fock``, so every entry equals that of the complex ladder algebra.
+    """
+    p = check_sector(sector)
+    root = np.sqrt(np.arange(1, dim))
+    num = np.concatenate(([0.0], root * root))
+    diag = params.omega * num - 0.5 * params.omega0 * p * (-1.0) ** np.arange(dim)
+    return np.diag(diag) + np.diag(params.lam * root, 1) + np.diag(params.lam * root, -1)
+
+
 def build_reduced_hamiltonian(rep: FockRep, params: ModelParams, sector: int) -> Observable:
     """Boson-only Hamiltonian of the parity sector ``sector``."""
-    p = check_sector(sector)
-    ann, cre, num, par = _ladder_matrices(rep.dim)
-    h = params.omega * num + params.lam * (ann + cre) - 0.5 * params.omega0 * p * par
-    return Observable(h)
+    return Observable(sector_matrix(rep.dim, params, sector))
 
 
 def _spin_index(n: int, sector: int) -> int:

@@ -1,21 +1,26 @@
-"""Dense exact diagonalization of the Rabi model with truncation control.
+"""Exact diagonalization of the Rabi model with truncation control.
 
-The ground state is found per parity sector (two N x N boson problems
-instead of one 2N x 2N problem), doubling the Fock dimension from 16
-until the global minimum moves by less than ``tol``.  The winning
-sector's eigenvector is lifted back to the spin-boson space.
+The ground state is found per parity sector: each sector is the real
+symmetric N x N chain ``model.sector_matrix``, diagonalized with dense
+real ``eigh`` (two N x N problems instead of one complex 2N x 2N one).
+One doubling ladder solves both sectors at Fock dimension 16, 32, ...
+until the global minimum moves by less than ``tol``; a fixed ``dim`` is
+the same ladder over ``dim // 2`` and ``dim``.  Every level is solved
+once, and the winning sector's eigenvector at the last level is lifted
+back to the spin-boson space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.linalg
 
 from .errors import EigDecompositionFailure, NonHermitian, NotConverged
-from .fock import BOSON, SPIN_BOSON, FockRep, Observable, QuantumState
-from .model import ModelParams, build_reduced_hamiltonian, embed_reduced_state
+from .fock import BOSON, Observable, QuantumState
+from .model import ModelParams, embed_reduced_state, sector_matrix
 
 START_DIM = 16
 MAX_DIM = 256
@@ -51,6 +56,14 @@ def _phase_fixed(vec: np.ndarray) -> np.ndarray:
     return vec * np.conj(phase)
 
 
+def _lowest_pair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+    try:
+        w, v = scipy.linalg.eigh(matrix)
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise EigDecompositionFailure(str(exc)) from exc
+    return float(w[0]), _phase_fixed(v[:, 0])
+
+
 def ground_state(obs: Observable, kind: str = BOSON) -> tuple[float, QuantumState]:
     """Lowest eigenpair of a Hermitian observable.
 
@@ -59,38 +72,41 @@ def ground_state(obs: Observable, kind: str = BOSON) -> tuple[float, QuantumStat
     """
     if not obs.hermitian:
         raise NonHermitian("ground_state requires a Hermitian observable")
-    try:
-        w, v = scipy.linalg.eigh(obs.matrix)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigDecompositionFailure(str(exc)) from exc
-    vec = _phase_fixed(v[:, 0])
-    return float(w[0]), QuantumState(vec, kind)
+    energy, vec = _lowest_pair(obs.matrix)
+    return energy, QuantumState(vec, kind)
 
 
-def spectrum_head(obs: Observable, k: int) -> np.ndarray:
-    """The k smallest eigenvalues, ascending."""
-    if not obs.hermitian:
-        raise NonHermitian("spectrum_head requires a Hermitian observable")
-    if not 1 <= k <= obs.dim:
-        raise ValueError(f"k must be in 1..{obs.dim}, got {k}")
-    try:
-        w = scipy.linalg.eigh(obs.matrix, eigvals_only=True)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigDecompositionFailure(str(exc)) from exc
-    return w[:k]
+def _doubling(params: ModelParams, tol: float, dims: Iterable[int]):
+    """Solve both sectors at each of ``dims`` until the energy moves < ``tol``.
+
+    Returns the rows (dim, energy, delta) of the levels solved, where
+    energy is the lower sector energy and delta is nan on the first row;
+    the two sector ground pairs of the last level; and whether it
+    converged.
+    """
+    rows: list[tuple[int, float, float]] = []
+    sectors: dict[int, tuple[float, np.ndarray]] = {}
+    previous = np.nan
+    for dim in dims:
+        sectors = {p: _lowest_pair(sector_matrix(dim, params, p)) for p in (+1, -1)}
+        energy = min(e for e, _ in sectors.values())
+        rows.append((dim, energy, energy - previous))
+        if abs(energy - previous) < tol:
+            return rows, sectors, True
+        previous = energy
+    return rows, sectors, False
 
 
-def _sector_grounds(params: ModelParams, dim: int):
-    out = {}
-    for p in (+1, -1):
-        rep = FockRep(dim)
-        energy, phi = ground_state(build_reduced_hamiltonian(rep, params, p), BOSON)
-        out[p] = (energy, phi)
-    return out
+def _doubled_dims(max_dim: int) -> Iterator[int]:
+    """16, 32, 64, ... up to ``max_dim``."""
+    dim = START_DIM
+    while dim <= max_dim:
+        yield dim
+        dim *= 2
 
 
-def _assemble(params: ModelParams, dim: int, delta: float, converged: bool) -> GroundSolution:
-    sectors = _sector_grounds(params, dim)
+def _solution(rows, sectors, converged: bool) -> GroundSolution:
+    dim, _, delta = rows[-1]
     e_plus, phi_plus = sectors[+1]
     e_minus, phi_minus = sectors[-1]
     gap = e_minus - e_plus
@@ -104,10 +120,11 @@ def _assemble(params: ModelParams, dim: int, delta: float, converged: bool) -> G
     else:
         parity, label = -1, "-1"
         energy, phi = e_minus, phi_minus
+    boson_state = QuantumState(phi, BOSON)
     return GroundSolution(
         energy=float(energy),
-        state=embed_reduced_state(phi, parity),
-        boson_state=phi,
+        state=embed_reduced_state(boson_state, parity),
+        boson_state=boson_state,
         parity=parity,
         parity_label=label,
         sector_gap=float(gap),
@@ -136,37 +153,24 @@ def solve_rabi_ground(
     if dim is not None:
         if dim < 4:
             raise ValueError(f"fixed dim must be >= 4, got {dim}")
-        e_half = min(e for e, _ in _sector_grounds(params, dim // 2).values())
-        sol = _assemble(params, dim, delta=np.nan, converged=False)
-        delta = sol.energy - e_half
-        sol = _assemble(params, dim, delta=delta, converged=abs(delta) < tol)
+        sol = _solution(*_doubling(params, tol, (dim // 2, dim)))
         if not sol.converged:
             raise NotConverged(
-                f"energy moved by {delta:.3e} between dim {dim // 2} and {dim}",
+                f"energy moved by {sol.energy_delta:.3e} between dim {dim // 2} and {dim}",
                 solution=sol,
             )
         return sol
 
     if max_dim < START_DIM:
         raise ValueError(f"max_dim must be >= {START_DIM}, got {max_dim}")
-    previous = None
-    current_dim = START_DIM
-    delta = np.nan
-    while True:
-        energy = min(e for e, _ in _sector_grounds(params, current_dim).values())
-        if previous is not None:
-            delta = energy - previous
-            if abs(delta) < tol:
-                return _assemble(params, current_dim, delta=delta, converged=True)
-        if 2 * current_dim > max_dim:
-            sol = _assemble(params, current_dim, delta=delta, converged=False)
-            raise NotConverged(
-                f"not converged to {tol:.1e} within max_dim {max_dim} "
-                f"(last delta {delta:.3e})",
-                solution=sol,
-            )
-        previous = energy
-        current_dim *= 2
+    sol = _solution(*_doubling(params, tol, _doubled_dims(max_dim)))
+    if not sol.converged:
+        raise NotConverged(
+            f"not converged to {tol:.1e} within max_dim {max_dim} "
+            f"(last delta {sol.energy_delta:.3e})",
+            solution=sol,
+        )
+    return sol
 
 
 def convergence_table(
@@ -179,15 +183,5 @@ def convergence_table(
     The first row has delta = nan.  Doubling stops at the first delta
     below ``tol`` or once ``max_dim`` is exceeded.
     """
-    rows: list[tuple[int, float, float]] = []
-    previous = None
-    current_dim = START_DIM
-    while current_dim <= max_dim:
-        energy = min(e for e, _ in _sector_grounds(params, current_dim).values())
-        delta = np.nan if previous is None else energy - previous
-        rows.append((current_dim, float(energy), float(delta)))
-        if previous is not None and abs(delta) < tol:
-            return rows, True
-        previous = energy
-        current_dim *= 2
-    return rows, False
+    rows, _, converged = _doubling(params, tol, _doubled_dims(max_dim))
+    return rows, converged

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rabi_balance
 from rabi_balance import solve_rabi_ground, ModelParams
 from rabi_balance.cli import SWEEP_COLUMNS, main
 
@@ -35,6 +38,28 @@ def test_missing_required_flag_is_usage_error(capsys):
 def test_bad_range_syntax_is_usage_error():
     assert run_cli(["solve", "--lambda", "0:1", "--omega0", "1"]) == 1
     assert run_cli(["solve", "--lambda", "zebra", "--omega0", "1"]) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--lambda", "nan", "--omega0", "1"],
+    ["solve", "--lambda", "inf", "--omega0", "1"],
+    ["solve", "--lambda", "1", "--omega0", "1", "--omega", "inf"],
+    ["solve", "--lambda", "1", "--omega0", "inf"],
+    ["solve", "--lambda", "1", "--omega0", "nan"],
+    ["converge", "--lambda", "nan", "--omega0", "1"],
+    ["converge", "--lambda", "inf", "--omega0", "1"],
+    ["converge", "--lambda", "1", "--omega0", "1", "--omega", "inf"],
+    ["converge", "--lambda", "1", "--omega0", "inf"],
+    ["sweep", "--lambda", "nan:1:2", "--omega0", "1", "--jobs", "1"],
+    ["sweep", "--lambda", "0:inf:2", "--omega0", "1", "--jobs", "1"],
+    ["sweep", "--lambda", "0:1:2", "--omega0", "0:inf:2", "--jobs", "1"],
+])
+def test_non_finite_input_is_usage_error(capsys, args):
+    assert run_cli(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_single_point_command_rejects_ranges():
@@ -181,10 +206,14 @@ def test_solve_out_file(tmp_path):
 
 
 def test_console_script_entry_point():
+    # the child imports the package under test, installed or not
+    src = str(Path(rabi_balance.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "rabi_balance.cli", "solve",
          "--lambda", "0", "--omega0", "1"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "energy = -0.5" in proc.stdout

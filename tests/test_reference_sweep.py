@@ -1,0 +1,56 @@
+"""Sweep output against a stored reference, with tolerance on floats.
+
+``tests/data/reference-sweep.csv`` was written by
+
+    rabi-balance sweep --lambda 0:3:4 --omega0 0:2:3 --jobs 1
+
+before the sector solver was moved to real dtype.  The grid covers the
+degenerate omega0 = 0 line, weak coupling and Fock dimensions 32-128.
+Byte identity holds across runs and ``--jobs`` (criterion 12), but not
+across eigensolver changes, which move state-derived columns by
+round-off; this test bounds that drift.
+"""
+
+import csv
+import math
+from pathlib import Path
+
+from rabi_balance.cli import SWEEP_COLUMNS, main
+
+REFERENCE = Path(__file__).parent / "data" / "reference-sweep.csv"
+ARGS = ["sweep", "--lambda", "0:3:4", "--omega0", "0:2:3", "--jobs", "1"]
+
+EXACT = ("omega", "lambda", "omega0", "dim_used", "parity_label",
+         *(c for c in SWEEP_COLUMNS if c.endswith("_ok")))
+RESIDUALS = ("res_b1", "res_b7", "res_force")
+REL_TOL = 1e-12
+# Values that are sums of O(1) terms cancelling to near zero (a sector
+# gap of 1e-8 between energies of 9, w00 of 3e-8) carry absolute
+# round-off, so relative closeness is required only above this floor.
+ABS_FLOOR = 1e-12
+RESIDUAL_BOUND = 1e-7  # times max(1, |e_exact|), as in balance.report_passes
+
+
+def _rows(text):
+    reader = csv.DictReader(text.splitlines())
+    assert reader.fieldnames == SWEEP_COLUMNS
+    return list(reader)
+
+
+def test_sweep_matches_reference(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(ARGS + ["--out", str(out)]) == 0
+    got, want = _rows(out.read_text()), _rows(REFERENCE.read_text())
+    assert len(got) == len(want) == 12
+    for new, ref in zip(got, want):
+        where = f"lambda={ref['lambda']} omega0={ref['omega0']}"
+        for col in EXACT:
+            assert new[col] == ref[col], f"{where}: {col}"
+        scale = max(1.0, abs(float(new["e_exact"])))
+        for col in RESIDUALS:
+            assert float(new[col]) < RESIDUAL_BOUND * scale, f"{where}: {col}"
+        for col in set(SWEEP_COLUMNS) - set(EXACT) - set(RESIDUALS):
+            a, b = float(new[col]), float(ref[col])
+            assert math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_FLOOR), (
+                f"{where}: {col} {a!r} vs {b!r}"
+            )

@@ -10,11 +10,12 @@ from rabi_balance import (
     Observable,
     build_full_hamiltonian,
     build_parity_operator,
+    build_reduced_hamiltonian,
     convergence_table,
     expectation,
     solve_rabi_ground,
-    spectrum_head,
 )
+from rabi_balance import solver
 from rabi_balance.solver import ground_state
 
 
@@ -94,13 +95,6 @@ def test_fixed_dim_half_delta_check():
     assert abs(sol.energy_delta) < 1e-10
 
 
-def test_spectrum_head_uncoupled():
-    rep = FockRep(40)
-    h = build_full_hamiltonian(rep, ModelParams(omega=1.0, lam=0.0, omega0=1.0))
-    head = spectrum_head(h, 5)
-    np.testing.assert_allclose(head, [-0.5, 0.5, 0.5, 1.5, 1.5], atol=1e-12)
-
-
 def test_convergence_table_shape_and_flags():
     p = ModelParams(omega=1.0, lam=1.0, omega0=1.0)
     rows, ok = convergence_table(p, tol=1e-10, max_dim=128)
@@ -110,3 +104,33 @@ def test_convergence_table_shape_and_flags():
     dims = [r[0] for r in rows]
     assert dims == sorted(dims)
     assert abs(rows[-1][2]) < 1e-10
+
+
+@pytest.mark.parametrize("lam, dim, solves", [
+    (0.5, None, 4),  # levels 16 and 32, two sectors each
+    (6.0, None, 10),  # levels 16 to 256
+    (0.5, 64, 4),  # fixed dim: dim // 2 and dim
+])
+def test_each_level_is_solved_once(monkeypatch, lam, dim, solves):
+    dtypes = []
+    eigh = solver.scipy.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        dtypes.append(args[0].dtype)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(solver.scipy.linalg, "eigh", counting_eigh)
+    sol = solve_rabi_ground(ModelParams(omega=1.0, lam=lam, omega0=1.0), dim=dim)
+    assert sol.converged
+    assert dtypes == [np.float64] * solves  # real sector chains only
+
+
+@pytest.mark.parametrize("lam, omega0", [(0.7, 0.0), (0.5, 1.0), (6.0, 1.0)])
+def test_solution_matches_dense_sector_oracle(lam, omega0):
+    params = ModelParams(omega=1.0, lam=lam, omega0=omega0)
+    sol = solve_rabi_ground(params)
+    rep = FockRep(sol.dim_used)
+    energy, phi = ground_state(build_reduced_hamiltonian(rep, params, sol.parity))
+    assert abs(sol.energy - energy) < 1e-12
+    overlap = np.vdot(phi.amplitudes, sol.boson_state.amplitudes)
+    assert abs(abs(overlap) - 1.0) < 1e-12
