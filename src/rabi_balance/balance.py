@@ -52,15 +52,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sparse
 
-from .errors import DimensionMismatch, DisplacementTooLarge, SectorRequired
+from .errors import DimensionMismatch, DisplacementTooLarge
 from .fock import (
     BOSON,
     SPIN_BOSON,
     FockRep,
     Observable,
     QuantumState,
-    build_quadratures,
+    _quadrature_pair,
+    _sparse_ladder,
+    _spin_boson,
     expectation,
     variance,
 )
@@ -70,11 +73,11 @@ from .model import (
     SIGMA_Y,
     SIGMA_Z,
     ModelParams,
-    _ladder_matrices,
-    build_full_hamiltonian,
     check_sector,
     extract_reduced_state,
     infer_sector,
+    sector_chain,
+    sparse_full_hamiltonian,
 )
 
 BOUND_MARGIN = 1e-9
@@ -126,23 +129,35 @@ class BalanceReport:
 
 
 def standard_observables(rep: FockRep, params: ModelParams) -> dict[str, Observable]:
-    """The spin-boson observables used by the residual grid."""
-    ann, cre, num, _ = _ladder_matrices(rep.dim)
-    q_b, p_b = (o.matrix for o in build_quadratures(rep, params))
-    eye_b = np.eye(rep.dim)
+    """The observable bundle of one (dim, params): sparse CSR, O(N) non-zeros each.
+
+    The spin-boson observables of the residual grid, the full
+    Hamiltonian under ``"hamiltonian"``, and the boson-space position
+    under ``"q_boson"`` (for b6).  ``full_report`` builds the bundle once
+    and hands it to every check.
+    """
+    ann, cre, num, par = _sparse_ladder(rep.dim)
+    q_b, p_b = _quadrature_pair(ann, cre, params)
+    eye_b = sparse.eye_array(rep.dim)
+
+    def spin_boson(boson, spin) -> Observable:
+        return Observable(_spin_boson(boson, spin))
+
     return {
-        "q": Observable(np.kron(q_b, IDENTITY_2)),
-        "p": Observable(np.kron(p_b, IDENTITY_2)),
-        "num": Observable(np.kron(num, IDENTITY_2)),
-        "q_sigma_x": Observable(np.kron(q_b, SIGMA_X)),
-        "p_sigma_x": Observable(np.kron(p_b, SIGMA_X)),
-        "p_sigma_y": Observable(np.kron(p_b, SIGMA_Y)),
-        "sigma_x": Observable(np.kron(eye_b, SIGMA_X)),
-        "sigma_y": Observable(np.kron(eye_b, SIGMA_Y)),
-        "sigma_z": Observable(np.kron(eye_b, SIGMA_Z)),
-        "parity_boson": Observable(np.kron(_ladder_matrices(rep.dim)[3], IDENTITY_2)),
-        "num_parity": Observable(np.kron(num @ _ladder_matrices(rep.dim)[3], IDENTITY_2)),
-        "num_sigma_z": Observable(np.kron(num, SIGMA_Z)),
+        "q": spin_boson(q_b, IDENTITY_2),
+        "p": spin_boson(p_b, IDENTITY_2),
+        "num": spin_boson(num, IDENTITY_2),
+        "q_sigma_x": spin_boson(q_b, SIGMA_X),
+        "p_sigma_x": spin_boson(p_b, SIGMA_X),
+        "p_sigma_y": spin_boson(p_b, SIGMA_Y),
+        "sigma_x": spin_boson(eye_b, SIGMA_X),
+        "sigma_y": spin_boson(eye_b, SIGMA_Y),
+        "sigma_z": spin_boson(eye_b, SIGMA_Z),
+        "parity_boson": spin_boson(par, IDENTITY_2),
+        "num_parity": spin_boson(num @ par, IDENTITY_2),
+        "num_sigma_z": spin_boson(num, SIGMA_Z),
+        "hamiltonian": Observable(sparse_full_hamiltonian(rep.dim, params)),
+        "q_boson": Observable(q_b),
     }
 
 
@@ -175,23 +190,33 @@ def second_order_residual(hamiltonian: Observable, observable: Observable,
     return float(abs(hha - 2.0 * hah + ahh))
 
 
-def force_terms(state: QuantumState, rep: FockRep, params: ModelParams) -> tuple[float, float]:
-    """(<F_q>, <F_e>) with F_q = -m omega^2 q, F_e = -F0 sigma_x."""
-    obs = standard_observables(rep, params)
+# The checks below come in pairs: a private ``_name(state, obs, ...)`` that
+# reads a prebuilt bundle, and the public ``name(state, rep, params, ...)``
+# that builds the bundle for a single check.
+
+
+def _force_terms(state: QuantumState, obs: dict, params: ModelParams) -> tuple[float, float]:
     f_q = -params.mass * params.omega**2 * expectation(state, obs["q"]).real
     f_e = -params.f0 * expectation(state, obs["sigma_x"]).real
     return float(f_q), float(f_e)
 
 
-def force_balance(state: QuantumState, rep: FockRep, params: ModelParams) -> float:
-    """|<F_q> + <F_e>|, the mean of dp/dt; zero on eigenstates."""
-    f_q, f_e = force_terms(state, rep, params)
+def force_terms(state: QuantumState, rep: FockRep, params: ModelParams) -> tuple[float, float]:
+    """(<F_q>, <F_e>) with F_q = -m omega^2 q, F_e = -F0 sigma_x."""
+    return _force_terms(state, standard_observables(rep, params), params)
+
+
+def _force_balance(state: QuantumState, obs: dict, params: ModelParams) -> float:
+    f_q, f_e = _force_terms(state, obs, params)
     return abs(f_q + f_e)
 
 
-def b1_kinetic_balance(state: QuantumState, rep: FockRep, params: ModelParams) -> float:
-    """|<p^2/2m> - (F0/2) <q sigma_x> - <m omega^2 q^2 / 2>|."""
-    obs = standard_observables(rep, params)
+def force_balance(state: QuantumState, rep: FockRep, params: ModelParams) -> float:
+    """|<F_q> + <F_e>|, the mean of dp/dt; zero on eigenstates."""
+    return _force_balance(state, standard_observables(rep, params), params)
+
+
+def _b1(state: QuantumState, obs: dict, params: ModelParams) -> float:
     m = params.mass
     kinetic = variance(state, obs["p"]) + expectation(state, obs["p"]).real ** 2
     kinetic /= 2.0 * m
@@ -201,6 +226,18 @@ def b1_kinetic_balance(state: QuantumState, rep: FockRep, params: ModelParams) -
     return abs(kinetic - 0.5 * params.f0 * q_sx - potential)
 
 
+def b1_kinetic_balance(state: QuantumState, rep: FockRep, params: ModelParams) -> float:
+    """|<p^2/2m> - (F0/2) <q sigma_x> - <m omega^2 q^2 / 2>|."""
+    return _b1(state, standard_observables(rep, params), params)
+
+
+def _b7_terms(state: QuantumState, obs: dict, params: ModelParams) -> dict[str, float]:
+    f0 = params.f0
+    fq_fe = params.mass * params.omega**2 * f0 * expectation(state, obs["q_sigma_x"]).real
+    p_dfe = f0 * params.omega0 * expectation(state, obs["p_sigma_y"]).real
+    return {"fq_fe": float(fq_fe), "p_dfe": float(p_dfe), "f0_sq": float(f0 * f0)}
+
+
 def b7_terms(state: QuantumState, rep: FockRep, params: ModelParams) -> dict[str, float]:
     """The three force-covariance pieces; they sum to zero on eigenstates.
 
@@ -208,17 +245,17 @@ def b7_terms(state: QuantumState, rep: FockRep, params: ModelParams) -> dict[str
     are already Hermitian (the factors act on different subsystems, so
     symmetrized ordering changes nothing).
     """
-    obs = standard_observables(rep, params)
-    f0 = params.f0
-    fq_fe = params.mass * params.omega**2 * f0 * expectation(state, obs["q_sigma_x"]).real
-    p_dfe = f0 * params.omega0 * expectation(state, obs["p_sigma_y"]).real
-    return {"fq_fe": float(fq_fe), "p_dfe": float(p_dfe), "f0_sq": float(f0 * f0)}
+    return _b7_terms(state, standard_observables(rep, params), params)
+
+
+def _b7(state: QuantumState, obs: dict, params: ModelParams) -> float:
+    terms = _b7_terms(state, obs, params)
+    return abs(terms["fq_fe"] + terms["p_dfe"] + terms["f0_sq"])
 
 
 def b7_covariance_balance(state: QuantumState, rep: FockRep, params: ModelParams) -> float:
     """|<F_q F_e> + <p dF_e/dt> + F0^2|."""
-    terms = b7_terms(state, rep, params)
-    return abs(terms["fq_fe"] + terms["p_dfe"] + terms["f0_sq"])
+    return _b7(state, standard_observables(rep, params), params)
 
 
 def _resolve_sector(state: QuantumState, sector: int | None) -> int:
@@ -227,9 +264,8 @@ def _resolve_sector(state: QuantumState, sector: int | None) -> int:
     return check_sector(sector)
 
 
-def _state_energy(state: QuantumState, rep: FockRep, params: ModelParams) -> float:
-    h = build_full_hamiltonian(rep, params)
-    return expectation(state, h).real
+def _state_energy(state: QuantumState, obs: dict) -> float:
+    return expectation(state, obs["hamiltonian"]).real
 
 
 def property_checks(
@@ -249,9 +285,14 @@ def property_checks(
     if state.kind != SPIN_BOSON:
         raise DimensionMismatch("property checks expect a spin_boson state")
     p = _resolve_sector(state, sector)
-    if energy is None:
-        energy = _state_energy(state, rep, params)
     obs = standard_observables(rep, params)
+    if energy is None:
+        energy = _state_energy(state, obs)
+    return _property_checks(state, obs, params, p, energy, paper_literal)
+
+
+def _property_checks(state: QuantumState, obs: dict, params: ModelParams, p: int,
+                     energy: float, paper_literal: bool) -> dict[str, BoundCheck]:
     omega, lam, omega0 = params.omega, params.lam, params.omega0
 
     sz = expectation(state, obs["sigma_z"]).real
@@ -298,7 +339,10 @@ def b2_variance_bounds(
     if state.kind != SPIN_BOSON:
         raise DimensionMismatch("b2 expects a spin_boson state")
     _resolve_sector(state, sector)  # enforce definite parity up front
-    obs = standard_observables(rep, params)
+    return _b2(state, standard_observables(rep, params), params, paper_literal)
+
+
+def _b2(state: QuantumState, obs: dict, params: ModelParams, paper_literal: bool) -> BoundCheck:
     m, omega, lam = params.mass, params.omega, params.lam
     var_qsx = variance(state, obs["q_sigma_x"])
     sz = expectation(state, obs["sigma_z"]).real
@@ -317,19 +361,28 @@ def b6_reduced_variance_gap(
 ) -> float:
     """Var(q sigma_x) on the full state minus Var(q) on the reduced state."""
     p = _resolve_sector(state, sector)
+    return _b6(state, standard_observables(rep, params), p)
+
+
+def _b6(state: QuantumState, obs: dict, p: int) -> float:
     phi = extract_reduced_state(state, p)
-    obs = standard_observables(rep, params)
-    q_b, _ = build_quadratures(rep, params)
-    return float(variance(state, obs["q_sigma_x"]) - variance(phi, q_b))
+    return float(variance(state, obs["q_sigma_x"]) - variance(phi, obs["q_boson"]))
+
+
+def _chain_apply(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Symmetric tridiagonal (``diag``, ``off``) times ``v``, in O(N)."""
+    out = diag * v
+    out[:-1] += off * v[1:]
+    out[1:] += off * v[:-1]
+    return out
 
 
 def wigner_origin(state: QuantumState) -> float:
     """W(0, 0) = 2 <cos(pi a^dag a)> of a boson state; lies in [-2, 2]."""
     if state.kind != BOSON:
         raise DimensionMismatch("wigner_origin expects a boson-space state")
-    par = _ladder_matrices(state.dim)[3]
     v = state.amplitudes
-    return float(2.0 * np.vdot(v, par @ v).real)
+    return float(2.0 * np.vdot(v, (-1.0) ** np.arange(v.size) * v).real)
 
 
 def displaced_number(state: QuantumState, params: ModelParams) -> float:
@@ -341,11 +394,12 @@ def displaced_number(state: QuantumState, params: ModelParams) -> float:
     """
     if state.kind != BOSON:
         raise DimensionMismatch("displaced_number expects a boson-space state")
-    ann, cre, num, _ = _ladder_matrices(state.dim)
     v = state.amplitudes
+    root = np.sqrt(np.arange(1, v.size))
+    num = np.concatenate(([0.0], root * root))
     ratio = params.lam / params.omega
-    n_mean = np.vdot(v, num @ v).real
-    x_mean = np.vdot(v, (ann + cre) @ v).real
+    n_mean = np.vdot(v, num * v).real
+    x_mean = np.vdot(v, _chain_apply(np.zeros(v.size), root, v)).real
     return float(n_mean + ratio * x_mean + ratio**2)
 
 
@@ -369,10 +423,8 @@ def wigner_energy_bounds(
         raise DisplacementTooLarge(
             f"(lam/omega)^2 = {ratio**2:.3g} exceeds working_dim/4"
         )
-    from .model import build_reduced_hamiltonian
-
-    h_plus = build_reduced_hamiltonian(FockRep(state.dim), params, +1)
-    energy = expectation(state, h_plus).real
+    v = state.amplitudes
+    energy = np.vdot(v, _chain_apply(*sector_chain(v.size, params, +1), v)).real
     value = energy - params.omega * displaced_number(state, params)
     shift = (2.0 if paper_literal else 1.0) * params.lam**2 / params.omega
     lo = -0.5 * params.omega0 - shift
@@ -392,36 +444,34 @@ def full_report(
     boson_state: QuantumState | None = None,
     paper_literal: bool = False,
 ) -> BalanceReport:
-    """Run the whole suite on one spin-boson state."""
+    """Run the whole suite on one spin-boson state, on one observable bundle."""
+    if state.kind != SPIN_BOSON:
+        raise DimensionMismatch("full_report expects a spin_boson state")
     p = _resolve_sector(state, sector)
+    obs = standard_observables(rep, params)
     if energy is None:
-        energy = _state_energy(state, rep, params)
+        energy = _state_energy(state, obs)
     if boson_state is None:
         boson_state = extract_reduced_state(state, p)
-    obs = standard_observables(rep, params)
-    h = build_full_hamiltonian(rep, params)
+    h = obs["hamiltonian"]
 
     first = {name: first_order_residual(h, obs[name], state) for name in FIRST_ORDER_SET}
-    first["force"] = force_balance(state, rep, params)
+    first["force"] = _force_balance(state, obs, params)
 
     num_scaled = Observable(params.omega * obs["num"].matrix)
     second = {
         "q_sigma_x": second_order_residual(h, obs["q_sigma_x"], state),
         "omega_num": second_order_residual(h, num_scaled, state),
-        "b1": b1_kinetic_balance(state, rep, params),
-        "b7": b7_covariance_balance(state, rep, params),
+        "b1": _b1(state, obs, params),
+        "b7": _b7(state, obs, params),
     }
 
-    props = property_checks(
-        state, rep, params, sector=p, energy=energy, paper_literal=paper_literal
-    )
-    props["b2"] = b2_variance_bounds(state, rep, params, sector=p)
-    props["b6_identity"] = _identity(b6_reduced_variance_gap(state, rep, params, sector=p))
+    props = _property_checks(state, obs, params, p, energy, paper_literal)
+    props["b2"] = _b2(state, obs, params, paper_literal=False)
+    props["b6_identity"] = _identity(_b6(state, obs, p))
     props["wigner_energy"] = wigner_energy_bounds(boson_state, rep, params)
     if paper_literal:
-        props["b2_literal"] = b2_variance_bounds(
-            state, rep, params, sector=p, paper_literal=True
-        )
+        props["b2_literal"] = _b2(state, obs, params, paper_literal=True)
         props["wigner_energy_literal"] = wigner_energy_bounds(
             boson_state, rep, params, paper_literal=True
         )

@@ -161,8 +161,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         tol = float(tol_raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"tol: expected a number, got {tol_raw!r}") from exc
-    if tol <= 0.0:
-        raise ConfigError(f"tol: must be > 0, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"tol: must be finite and > 0, got {tol}")
 
     fmt = pick(args.fmt, "format", "csv")
     if fmt not in ("csv", "json"):
@@ -410,28 +410,42 @@ def _render_sweep(rows: list[dict], fmt: str) -> str:
     return buf.getvalue()
 
 
+def _fmt_short(x: float) -> str:
+    return np.format_float_positional(x, trim="-")
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
     for name, val in zip(AXIS_NAMES, (cfg.omega, cfg.lam, cfg.omega0)):
-        if not isinstance(val, AxisRange):
-            try:  # validate scalars eagerly so bad points fail as config errors
+        # validate every axis value before any point runs, so bad input
+        # fails as a config error rather than as a numerical one
+        for v in val.values() if isinstance(val, AxisRange) else [val]:
+            try:
                 _ = ModelParams(
-                    omega=val if name == "omega" else 1.0,
-                    lam=val if name == "lambda" else 0.0,
-                    omega0=val if name == "omega0" else 0.0,
+                    omega=v if name == "omega" else 1.0,
+                    lam=v if name == "lambda" else 0.0,
+                    omega0=v if name == "omega0" else 0.0,
                 )
             except ValueError as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
     grid = _sweep_grid(cfg)
     tasks = [(omega, lam, omega0, cfg.dim, cfg.tol) for omega, lam, omega0 in grid]
     jobs = cfg.jobs if cfg.jobs is not None else (os.cpu_count() or 1)
+    rows: list[dict] = []
     try:
         if jobs == 1 or len(tasks) <= 1:
-            rows = [_sweep_point(t) for t in tasks]
+            for row in map(_sweep_point, tasks):
+                rows.append(row)
         else:
             with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_sweep_point, tasks))
+                for row in pool.map(_sweep_point, tasks):
+                    rows.append(row)
     except (NotConverged, OptimizerStalled, ValueError) as exc:
-        sys.stderr.write(f"sweep failed: {exc}\n")
+        # both maps yield in grid order, so the point that raised is the next one
+        omega, lam, omega0 = grid[len(rows)]
+        sys.stderr.write(
+            f"sweep failed at omega={_fmt_short(omega)} lambda={_fmt_short(lam)} "
+            f"omega0={_fmt_short(omega0)}: {exc}\n"
+        )
         return 2
     _emit(_render_sweep(rows, cfg.output_format), cfg.output_path)
     return 0

@@ -12,14 +12,26 @@ Conventions used throughout the package:
   gamma > 0 stretches the position spread: ``Var(q)`` on ``S(gamma)|0>``
   is ``exp(2 gamma) / (2 m omega)``.
 
-Unitaries are built in the larger ``working_dim`` space (where the
-truncated generator is still exactly anti-Hermitian, so the exponential
-is exactly unitary) and then cut back to ``dim``.  In the working space
-the columns form an exact isometry; the cut matrix is reliable only on
-its leading columns, and how many depends on the argument (a displaced
-column n spreads by about 2 |beta| sqrt(n) levels, a squeezed one by a
-factor e^{2 |gamma|}).  At beta = 1 the leading half block of a dim-40
-cut is clean to 1e-8; at gamma = 0.3 the leading quarter block is.
+Trial states (``variational.trial_state``) are vector-only:
+``scipy.sparse.linalg.expm_multiply`` of the sparse generator
+(``_generator``) acts on a vector in the larger ``working_dim`` space,
+where the truncated generator is still exactly anti-Hermitian, and the
+result is cut back to ``dim``.  No unitary matrix is formed on that
+path, and nothing is cached.
+
+The dense unitaries ``displacement`` and ``squeeze`` remain as the
+tests' oracle.  They are the exponential of the same generator, built
+uncached by eigendecomposition in ``working_dim`` (exactly unitary
+there) and then cut to ``dim``.  In the working space the columns form
+an exact isometry; the cut matrix is reliable only on its leading
+columns, and how many depends on the argument (a displaced column n
+spreads by about 2 |beta| sqrt(n) levels, a squeezed one by a factor
+e^{2 |gamma|}).  At beta = 1 the leading half block of a dim-40 cut is
+clean to 1e-8; at gamma = 0.3 the leading quarter block is.
+
+Operators on the sweep path are ``scipy.sparse`` CSR matrices with O(N)
+non-zeros (``_sparse_ladder``); the dense ladder (``build_ladder``)
+serves the tests and the dense oracles.
 
 Composite (spin-boson) vectors are indexed ``i = 2 n + s`` where ``n``
 is the Fock index and ``s = 0`` is the sigma_z = +1 spin component.
@@ -32,6 +44,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .errors import (
     AmplitudeTooLarge,
@@ -79,27 +92,43 @@ class FockRep:
             )
 
 
+def _hermiticity_defect(m) -> float:
+    """max|M - M^dag|; O(nnz) on a CSR matrix."""
+    if not sparse.issparse(m):
+        return float(np.max(np.abs(m - m.conj().T)))
+    mt = m.T.tocsr()
+    if np.array_equal(mt.indptr, m.indptr) and np.array_equal(mt.indices, m.indices):
+        # symmetric sparsity pattern, the usual case: compare stored values
+        return float(np.max(np.abs(m.data - mt.data.conj()), initial=0.0))
+    return float(abs(m - mt.conj()).max())
+
+
 @dataclass(frozen=True)
 class Observable:
-    """Dense matrix with an explicit hermiticity promise.
+    """Dense or sparse matrix with an explicit hermiticity promise.
 
-    When ``hermitian`` is True the constructor enforces
-    ``max|M - M^dag| < 1e-12``; operators like displacements set it to
+    A dense input is stored as a read-only complex array, a
+    ``scipy.sparse`` input as a complex CSR array.  When ``hermitian``
+    is True the constructor enforces ``max|M - M^dag| < 1e-12`` (on a
+    sparse matrix in O(nnz)); operators like displacements set it to
     False and skip the check.
     """
 
-    matrix: np.ndarray
+    matrix: np.ndarray | sparse.csr_array
     hermitian: bool = True
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        if sparse.issparse(self.matrix):
+            m = sparse.csr_array(self.matrix, dtype=complex)
+        else:
+            m = _frozen(np.array(self.matrix, dtype=complex))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if self.hermitian:
-            defect = np.max(np.abs(m - m.conj().T))
+            defect = _hermiticity_defect(m)
             if defect >= HERMITICITY_TOL:
                 raise NonHermitian(f"hermiticity defect {defect:.3e}")
-        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
@@ -181,41 +210,77 @@ def build_ladder(rep: FockRep):
     )
 
 
+def _sparse_ladder(dim: int):
+    """(annihilation, creation, number, boson parity) as CSR arrays.
+
+    Each has O(dim) non-zeros; the entries equal those of the dense
+    ladder (the number diagonal is the product sqrt(n) sqrt(n)).
+    """
+    root = np.sqrt(np.arange(1, dim))
+    ann = sparse.diags_array(root, offsets=1, shape=(dim, dim), format="csr")
+    cre = sparse.diags_array(root, offsets=-1, shape=(dim, dim), format="csr")
+    num = sparse.diags_array(np.concatenate(([0.0], root * root)), format="csr")
+    par = sparse.diags_array((-1.0) ** np.arange(dim), format="csr")
+    return ann, cre, num, par
+
+
+def _spin_boson(boson: sparse.csr_array, spin: np.ndarray) -> sparse.csr_array:
+    """kron(boson, spin) on the composite index i = 2 n + s, as CSR.
+
+    Each stored boson entry becomes one 2 x 2 spin block, so the result
+    has at most 4 nnz(boson) entries (zeros of ``spin`` stay stored).
+    """
+    boson = sparse.csr_array(boson)
+    boson.sum_duplicates()  # canonical: sorted indices, as block rows need
+    n = boson.shape[0]
+    blocks = boson.data[:, None, None] * spin
+    return sparse.bsr_array(
+        (blocks, boson.indices, boson.indptr), shape=(2 * n, 2 * n)
+    ).tocsr()
+
+
+def _quadrature_pair(ann, cre, params: "ModelParams"):
+    m, omega = float(params.mass), float(params.omega)
+    if m <= 0.0 or omega <= 0.0:
+        raise ValueError(f"need mass > 0 and omega > 0, got m={m}, omega={omega}")
+    q = (ann + cre) / np.sqrt(2.0 * m * omega)
+    p = 1j * np.sqrt(m * omega / 2.0) * (cre - ann)
+    return q, p
+
+
 def build_quadratures(rep: FockRep, params: "ModelParams"):
     """Position/momentum pair for oscillator mass ``m`` and frequency ``omega``.
 
     ``[q, p] = i`` holds on the leading (N-1) block; the last row and
     column are polluted by truncation.
     """
-    m, omega = float(params.mass), float(params.omega)
-    if m <= 0.0 or omega <= 0.0:
-        raise ValueError(f"need mass > 0 and omega > 0, got m={m}, omega={omega}")
     ann, cre, _, _ = _ladder_matrices(rep.dim)
-    q = (ann + cre) / np.sqrt(2.0 * m * omega)
-    p = 1j * np.sqrt(m * omega / 2.0) * (cre - ann)
+    q, p = _quadrature_pair(ann, cre, params)
     return Observable(q), Observable(p)
 
 
-@lru_cache(maxsize=None)
-def _unitary_from_generator(dim: int, kind: str, par1: float, par2: float):
-    """exp(G) for anti-Hermitian G, via eigh of the Hermitian i*G.
+def _generator(dim: int, kind: str, par1: float, par2: float = 0.0) -> sparse.csr_array:
+    """Sparse anti-Hermitian generator G at ``dim``, so that exp(G) is D or S.
 
-    ``kind`` selects the generator family; par1/par2 are its (real)
-    parameters.  The result is unitary to machine precision at ``dim``.
+    ``kind`` "displace": G = beta a^dag - conj(beta) a, beta = par1 + i par2;
+    ``kind`` "squeeze": G = gamma (a^dag^2 - a^2) / 2, gamma = par1.
     """
-    n_vals = np.arange(dim)
-    ann = np.zeros((dim, dim), dtype=complex)
-    ann[n_vals[:-1], n_vals[1:]] = np.sqrt(n_vals[1:])
-    cre = ann.conj().T
+    ann, cre, _, _ = _sparse_ladder(dim)
     if kind == "displace":
-        beta = par1 + 1j * par2
-        gen = beta * cre - np.conj(beta) * ann
-    elif kind == "squeeze":
-        gamma = par1
-        gen = 0.5 * gamma * (cre @ cre - ann @ ann)
-    else:
-        raise ValueError(kind)
-    herm = 1j * gen
+        beta = complex(par1, par2) if par2 else par1  # real beta keeps G real
+        return beta * cre - np.conj(beta) * ann
+    if kind == "squeeze":
+        return 0.5 * par1 * (cre @ cre - ann @ ann)
+    raise ValueError(kind)
+
+
+def _unitary_from_generator(dim: int, kind: str, par1: float, par2: float):
+    """Dense exp(G) of ``_generator``, via eigh of the Hermitian i*G.
+
+    The result is unitary to machine precision at ``dim``.  It is the
+    oracle behind ``displacement`` and ``squeeze``; nothing caches it.
+    """
+    herm = 1j * _generator(dim, kind, par1, par2).toarray()
     w, v = np.linalg.eigh(herm)
     u = (v * np.exp(-1j * w)) @ v.conj().T
     return _frozen(u)

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .errors import DimensionMismatch, SectorRequired
 from .fock import (
@@ -38,6 +39,8 @@ from .fock import (
     Observable,
     QuantumState,
     _ladder_matrices,
+    _sparse_ladder,
+    _spin_boson,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -85,15 +88,23 @@ def check_sector(sector: int) -> int:
     return int(sector)
 
 
-def build_full_hamiltonian(rep: FockRep, params: ModelParams) -> Observable:
-    """H on the 2N spin-boson space, ordering i = 2 n + s."""
-    ann, cre, num, _ = _ladder_matrices(rep.dim)
-    h = (
-        params.omega * np.kron(num, IDENTITY_2)
-        + params.lam * np.kron(ann + cre, SIGMA_X)
-        + 0.5 * params.omega0 * np.kron(np.eye(rep.dim), SIGMA_Z)
+def sparse_full_hamiltonian(dim: int, params: ModelParams) -> sparse.csr_array:
+    """H on the 2N spin-boson space as CSR, ordering i = 2 n + s; O(N) non-zeros."""
+    ann, cre, num, _ = _sparse_ladder(dim)
+    return (
+        params.omega * _spin_boson(num, IDENTITY_2)
+        + params.lam * _spin_boson(ann + cre, SIGMA_X)
+        + 0.5 * params.omega0 * _spin_boson(sparse.eye_array(dim), SIGMA_Z)
     )
-    return Observable(h)
+
+
+def build_full_hamiltonian(rep: FockRep, params: ModelParams) -> Observable:
+    """Dense H on the 2N spin-boson space, ordering i = 2 n + s.
+
+    The ``eigvalsh`` oracle of the tests and the benchmark checks; the
+    balance layer uses ``sparse_full_hamiltonian``.
+    """
+    return Observable(sparse_full_hamiltonian(rep.dim, params).toarray())
 
 
 def build_parity_operator(rep: FockRep) -> Observable:
@@ -102,8 +113,8 @@ def build_parity_operator(rep: FockRep) -> Observable:
     return Observable(-np.kron(par, SIGMA_Z))
 
 
-def sector_matrix(dim: int, params: ModelParams, sector: int) -> np.ndarray:
-    """Real symmetric tridiagonal matrix of H_p on Fock levels 0..dim-1.
+def sector_chain(dim: int, params: ModelParams, sector: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the real symmetric chain H_p on levels 0..dim-1.
 
     The number operator enters as the product sqrt(n) sqrt(n), as in
     ``fock``, so every entry equals that of the complex ladder algebra.
@@ -112,7 +123,13 @@ def sector_matrix(dim: int, params: ModelParams, sector: int) -> np.ndarray:
     root = np.sqrt(np.arange(1, dim))
     num = np.concatenate(([0.0], root * root))
     diag = params.omega * num - 0.5 * params.omega0 * p * (-1.0) ** np.arange(dim)
-    return np.diag(diag) + np.diag(params.lam * root, 1) + np.diag(params.lam * root, -1)
+    return diag, params.lam * root
+
+
+def sector_matrix(dim: int, params: ModelParams, sector: int) -> np.ndarray:
+    """Real symmetric tridiagonal matrix of H_p on Fock levels 0..dim-1."""
+    diag, off = sector_chain(dim, params, sector)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def build_reduced_hamiltonian(rep: FockRep, params: ModelParams, sector: int) -> Observable:

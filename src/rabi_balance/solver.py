@@ -148,8 +148,8 @@ def solve_rabi_ground(
     compares against ``dim // 2``.  Raises NotConverged (carrying the
     best-effort solution) when the budget is exhausted.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if dim is not None:
         if dim < 4:
             raise ValueError(f"fixed dim must be >= 4, got {dim}")

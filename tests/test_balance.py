@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from rabi_balance import (
     ModelParams,
     QuantumState,
     SPIN_BOSON,
+    TrialParams,
     b1_kinetic_balance,
+    balance_residuals,
     b2_variance_bounds,
     b7_covariance_balance,
     displaced_number,
@@ -281,3 +285,50 @@ def test_full_report_literal_keys_do_not_gate_passing():
     )
     assert not rep_obj.properties["b2_literal"].satisfied
     assert report_passes(rep_obj)  # literal diagnostics are informational
+
+
+def test_report_and_trial_residuals_build_the_bundle_once(monkeypatch):
+    # one observable bundle per full_report and per balance_residuals;
+    # the counter replaces the builder in every module that imported it
+    original = standard_observables
+    built = []
+
+    def counting(rep, params):
+        built.append(rep.dim)
+        return original(rep, params)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rabi_balance") and getattr(
+            module, "standard_observables", None
+        ) is original:
+            monkeypatch.setattr(module, "standard_observables", counting)
+
+    p, sol, rep = _solved(lam=1.0, omega0=2.0)
+    full_report(
+        sol.state, rep, p, sector=sol.parity, energy=sol.energy,
+        boson_state=sol.boson_state,
+    )
+    assert built == [rep.dim]
+    built.clear()
+    balance_residuals(TrialParams(-0.3, 0.2), p)
+    assert built == [120]
+
+
+def test_observable_bundle_is_sparse_and_linear_in_dim():
+    p = ModelParams(omega=1.3, lam=0.7, omega0=0.9, mass=2.3)
+    for dim in (16, 256):
+        obs = standard_observables(FockRep(dim), p)
+        for name, o in obs.items():
+            assert o.matrix.nnz <= 4 * o.dim, name
+    # the sparse H equals the dense np.kron construction entry by entry
+    from rabi_balance.model import IDENTITY_2, SIGMA_X, SIGMA_Z
+    from rabi_balance.fock import _ladder_matrices
+
+    ann, cre, num, _ = _ladder_matrices(16)
+    dense = (
+        p.omega * np.kron(num, IDENTITY_2)
+        + p.lam * np.kron(ann + cre, SIGMA_X)
+        + 0.5 * p.omega0 * np.kron(np.eye(16), SIGMA_Z)
+    )
+    sparse_h = standard_observables(FockRep(16), p)["hamiltonian"].matrix
+    np.testing.assert_array_equal(sparse_h.toarray(), dense)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import rabi_balance
-from rabi_balance import solve_rabi_ground, ModelParams
+from rabi_balance import cli, solve_rabi_ground, ModelParams
 from rabi_balance.cli import SWEEP_COLUMNS, main
 
 
@@ -53,6 +53,8 @@ def test_bad_range_syntax_is_usage_error():
     ["sweep", "--lambda", "nan:1:2", "--omega0", "1", "--jobs", "1"],
     ["sweep", "--lambda", "0:inf:2", "--omega0", "1", "--jobs", "1"],
     ["sweep", "--lambda", "0:1:2", "--omega0", "0:inf:2", "--jobs", "1"],
+    ["solve", "--lambda", "0.5", "--omega0", "1", "--tol", "nan"],
+    ["solve", "--lambda", "0.5", "--omega0", "1", "--tol", "inf"],
 ])
 def test_non_finite_input_is_usage_error(capsys, args):
     assert run_cli(args) == 1
@@ -176,6 +178,38 @@ def test_sweep_failure_leaves_no_file(tmp_path):
                     "--dim", "8", "--jobs", "1", "--out", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("lambda", "-1:1:2"),
+    ("omega0", "-2:2:3"),
+    ("omega", "0:1:2"),
+])
+def test_sweep_range_values_are_validated_before_any_point(monkeypatch, capsys,
+                                                          axis, values):
+    def no_point(task):
+        raise AssertionError(f"grid point {task} ran before validation")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_point)
+    args = {"omega": "1", "lambda": "0.5", "omega0": "1", axis: values}
+    argv = ["sweep", "--jobs", "1"]
+    for name, val in args.items():
+        argv.append(f"--{name}={val}")
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {axis}: ")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_failure_names_the_grid_point(tmp_path, capsys, jobs):
+    out = tmp_path / "fail.csv"
+    code = run_cli(["sweep", "--lambda", "0:20:3", "--omega0", "1",
+                    "--jobs", jobs, "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("sweep failed at omega=1 lambda=10 omega0=1: not converged")
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -86,6 +86,12 @@ def test_auto_mode_respects_max_dim():
     assert abs(sol.energy_delta) > 1e-10
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+def test_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError):
+        solve_rabi_ground(ModelParams(omega=1.0, lam=0.5, omega0=1.0), tol=tol)
+
+
 def test_fixed_dim_half_delta_check():
     p = ModelParams(omega=1.0, lam=2.0, omega0=1.0)
     with pytest.raises(NotConverged):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rabi_balance
 from rabi_balance import (
     AmplitudeTooLarge,
     FockRep,
@@ -201,3 +207,48 @@ def test_variational_bound_against_exact(rng):
         )
         res = minimize_energy(p)
         assert res.gap >= -1e-9
+
+
+_RSS_CHILD = """
+import numpy as np
+from rabi_balance import FockRep, ModelParams, TrialParams, balance_residuals, trial_state
+
+def peak_mb():
+    # VmHWM is the peak RSS of this process image; ru_maxrss would start
+    # at the RSS of the process that spawned it (Linux keeps it over exec)
+    with open("/proc/self/status", encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError("no VmHWM line")
+
+rep = FockRep(120)  # working_dim 260
+params = ModelParams(omega=1.0, lam=0.8, omega0=1.2)
+trials = [TrialParams(float(b), float(g))
+          for b, g in zip(np.linspace(-2.0, 2.0, 100), np.linspace(-0.9, 0.9, 100))]
+trial_state(rep, TrialParams(0.05, 0.05))  # warm-up: lazy imports, first allocations
+balance_residuals(TrialParams(0.05, 0.05), params)
+start = peak_mb()
+for t in trials:
+    trial_state(rep, t)
+for t in trials[::5]:
+    balance_residuals(t, params)
+print(peak_mb() - start)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="peak RSS of a process image is read from /proc")
+def test_trial_evaluations_do_not_grow_memory():
+    # 100 distinct trial states and 20 residual evaluations in a fresh
+    # interpreter: its peak RSS may not grow with the number of evaluations
+    src = str(Path(rabi_balance.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_CHILD],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    growth_mb = float(proc.stdout.strip().splitlines()[-1])
+    assert growth_mb < 20.0
