@@ -106,7 +106,7 @@ class BoundCheck:
 
 def _bound(value: float, lower: float | None, upper: float | None,
            margin: float = BOUND_MARGIN) -> BoundCheck:
-    ok = True
+    ok = not np.isnan(value)  # NaN compares false against either edge
     if lower is not None and value < lower - margin:
         ok = False
     if upper is not None and value > upper + margin:
@@ -195,20 +195,10 @@ def second_order_residual(hamiltonian: Observable, observable: Observable,
 # that builds the bundle for a single check.
 
 
-def _force_terms(state: QuantumState, obs: dict, params: ModelParams) -> tuple[float, float]:
+def _force_balance(state: QuantumState, obs: dict, params: ModelParams) -> float:
     f_q = -params.mass * params.omega**2 * expectation(state, obs["q"]).real
     f_e = -params.f0 * expectation(state, obs["sigma_x"]).real
-    return float(f_q), float(f_e)
-
-
-def force_terms(state: QuantumState, rep: FockRep, params: ModelParams) -> tuple[float, float]:
-    """(<F_q>, <F_e>) with F_q = -m omega^2 q, F_e = -F0 sigma_x."""
-    return _force_terms(state, standard_observables(rep, params), params)
-
-
-def _force_balance(state: QuantumState, obs: dict, params: ModelParams) -> float:
-    f_q, f_e = _force_terms(state, obs, params)
-    return abs(f_q + f_e)
+    return float(abs(f_q + f_e))
 
 
 def force_balance(state: QuantumState, rep: FockRep, params: ModelParams) -> float:

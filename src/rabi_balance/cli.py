@@ -16,6 +16,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -34,7 +35,7 @@ from .errors import ConfigError, NotConverged, OptimizerStalled, RabiError
 from .fock import FockRep
 from .model import ModelParams
 from .solver import MAX_DIM, GroundSolution, convergence_table, solve_rabi_ground
-from .variational import OptimizerOptions, VariationalResult, minimize_energy
+from .variational import minimize_energy, stationarity_equals_balance
 
 SWEEP_COLUMNS = [
     "omega", "lambda", "omega0", "dim_used", "e_exact", "parity_label",
@@ -80,7 +81,6 @@ class RunConfig:
     output_format: str = "csv"
     output_path: str | None = None
     jobs: int | None = None
-    seed: int | None = None  # recorded; current commands are deterministic
     paper_literal: bool = False
 
 
@@ -120,7 +120,7 @@ def _parse_dim(raw) -> int | None:
 
 _CONFIG_KEYS = {
     "omega", "lambda", "omega0", "dim", "tol", "format", "out", "jobs",
-    "seed", "paper_literal",
+    "paper_literal",
 }
 
 
@@ -178,14 +178,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if jobs < 1:
             raise ConfigError(f"jobs: must be >= 1, got {jobs}")
 
-    seed_raw = pick(args.seed, "seed")
-    seed = None
-    if seed_raw is not None:
-        try:
-            seed = int(seed_raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"seed: expected an integer, got {seed_raw!r}") from exc
-
     paper_literal = bool(args.paper_literal or file_vals.get("paper_literal", False))
 
     return RunConfig(
@@ -197,7 +189,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         output_format=fmt,
         output_path=pick(args.out, "out"),
         jobs=jobs,
-        seed=seed,
         paper_literal=paper_literal,
     )
 
@@ -311,7 +302,16 @@ def cmd_variational(cfg: RunConfig) -> int:
         code = 2
     if result.gap < -1e-9:
         code = 2  # trial energy below the exact floor: truncation trouble
-    payload = {"params": _clean(params), "result": _clean(result)}
+    grad, b1_res, b7_res = stationarity_equals_balance(params, result.trial)
+    payload = {
+        "params": _clean(params),
+        "result": {
+            **_clean(result),
+            "grad_norm": float(np.linalg.norm(grad)),
+            "b1_residual": b1_res,
+            "b7_residual": b7_res,
+        },
+    }
     _emit(json.dumps(_clean(payload), indent=2, sort_keys=True) + "\n", cfg.output_path)
     return code
 
@@ -410,6 +410,32 @@ def _render_sweep(rows: list[dict], fmt: str) -> str:
     return buf.getvalue()
 
 
+def _pool_map(tasks: list, jobs: int):
+    """``map(_sweep_point, tasks)`` on ``jobs`` worker processes.
+
+    Results come in grid order, at most ``jobs`` points run at a time,
+    and once a point has raised no further point starts: a failing
+    sweep ends when the points already running finish.
+    """
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        todo = iter(enumerate(tasks))
+        running: dict = {}  # future -> grid index
+        done: dict = {}  # grid index -> finished future
+        failed = False
+        for head in range(len(tasks)):
+            while head not in done:
+                if not failed:
+                    for i, task in itertools.islice(todo, jobs - len(running)):
+                        running[pool.submit(_sweep_point, task)] = i
+                finished, _ = concurrent.futures.wait(
+                    running, return_when=concurrent.futures.FIRST_COMPLETED
+                )
+                for fut in finished:
+                    done[running.pop(fut)] = fut
+                    failed = failed or fut.exception() is not None
+            yield done.pop(head).result()
+
+
 def _fmt_short(x: float) -> str:
     return np.format_float_positional(x, trim="-")
 
@@ -432,14 +458,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     jobs = cfg.jobs if cfg.jobs is not None else (os.cpu_count() or 1)
     rows: list[dict] = []
     try:
-        if jobs == 1 or len(tasks) <= 1:
-            for row in map(_sweep_point, tasks):
-                rows.append(row)
-        else:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                for row in pool.map(_sweep_point, tasks):
-                    rows.append(row)
-    except (NotConverged, OptimizerStalled, ValueError) as exc:
+        serial = jobs == 1 or len(tasks) <= 1
+        for row in map(_sweep_point, tasks) if serial else _pool_map(tasks, jobs):
+            rows.append(row)
+    except (RabiError, ValueError) as exc:
         # both maps yield in grid order, so the point that raised is the next one
         omega, lam, omega0 = grid[len(rows)]
         sys.stderr.write(
@@ -477,7 +499,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", help="write output to this path instead of stdout")
         p.add_argument("--config", help="flat JSON config file; flags override it")
         p.add_argument("--jobs", help="sweep worker processes (default: all cores)")
-        p.add_argument("--seed", help="seed recorded in the run config")
         p.add_argument("--paper-literal", dest="paper_literal", action="store_true",
                        help="also report legacy printed coefficient variants")
     return parser
@@ -500,9 +521,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (NotConverged, OptimizerStalled) as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return 2
     except RabiError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2

@@ -287,6 +287,15 @@ def test_full_report_literal_keys_do_not_gate_passing():
     assert report_passes(rep_obj)  # literal diagnostics are informational
 
 
+def test_nan_satisfies_no_bound():
+    from rabi_balance.balance import _bound, _identity
+
+    assert not _identity(float("nan")).satisfied
+    assert not _bound(float("nan"), -1.0, 1.0).satisfied
+    assert not _bound(float("nan"), None, None).satisfied
+    assert _identity(5e-9).satisfied and not _identity(2e-8).satisfied
+
+
 def test_report_and_trial_residuals_build_the_bundle_once(monkeypatch):
     # one observable bundle per full_report and per balance_residuals;
     # the counter replaces the builder in every module that imported it

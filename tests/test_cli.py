@@ -1,13 +1,15 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import rabi_balance
-from rabi_balance import cli, solve_rabi_ground, ModelParams
+from rabi_balance import ModelParams, NotConverged, balance, cli, solve_rabi_ground, variational
 from rabi_balance.cli import SWEEP_COLUMNS, main
 
 
@@ -68,9 +70,14 @@ def test_single_point_command_rejects_ranges():
     assert run_cli(["solve", "--lambda", "0:1:3", "--omega0", "1"]) == 1
 
 
-def test_unknown_format_is_usage_error():
+def test_unknown_format_is_usage_error(capsys):
     assert run_cli(["solve", "--lambda", "0.5", "--omega0", "1",
                     "--format", "xml"]) == 1
+    capsys.readouterr()
+    assert run_cli(["solve", "--lambda", "0.5", "--omega0", "1",
+                    "--seed", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_nonconverged_solve_exits_2(capsys):
@@ -212,6 +219,53 @@ def test_sweep_failure_names_the_grid_point(tmp_path, capsys, jobs):
     assert err[0].startswith("sweep failed at omega=1 lambda=10 omega0=1: not converged")
 
 
+def _marking_point(task):
+    # a stand-in grid point that leaves a marker when it starts; the
+    # point at omega = RABI_TEST_FAILING fails at once, every other one
+    # takes a while
+    omega = task[0]
+    (Path(os.environ["RABI_TEST_MARKERS"]) / f"{omega:g}").touch()
+    if omega == float(os.environ["RABI_TEST_FAILING"]):
+        raise NotConverged("not converged (stand-in)")
+    time.sleep(0.5)
+    return {}
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() == "forkserver",
+                    reason="a fork server started before the test lacks its environment")
+@pytest.mark.parametrize("failing", ["1", "2"])
+def test_pooled_sweep_starts_no_point_after_a_failure(tmp_path, monkeypatch, capsys,
+                                                     failing):
+    # failing = 2: the point after the first fails while the first still runs
+    monkeypatch.setenv("RABI_TEST_MARKERS", str(tmp_path))
+    monkeypatch.setenv("RABI_TEST_FAILING", failing)
+    monkeypatch.setattr(cli, "_sweep_point", _marking_point)
+    assert run_cli(["sweep", "--omega", "1:5:5", "--lambda", "0.5",
+                    "--omega0", "1", "--jobs", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"sweep failed at omega={failing} lambda=0.5 omega0=1: "
+                   "not converged (stand-in)"]
+    started = sorted(p.name for p in tmp_path.iterdir())
+    assert len(started) < 5
+    assert started == ["1", "2"]  # the two points that were running
+
+
+def test_sweep_point_builds_one_bundle_and_no_trial_state(monkeypatch):
+    # the counters replace the builders in every module that imported them
+    calls = []
+    for fn in (balance.standard_observables, variational.trial_state):
+        def counting(*args, _fn=fn):
+            calls.append(_fn.__name__)
+            return _fn(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rabi_balance") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting)
+
+    cli._sweep_point((1.0, 2.0, 1.0, None, 1e-10))
+    assert calls == ["standard_observables"]
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"lambda": 0.5, "omega0": 5.0, "format": "json"}))
@@ -223,6 +277,8 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 def test_config_file_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"lambda": 0.5, "omega0": 1.0, "lambda_max": 2}))
+    assert run_cli(["solve", "--config", str(cfg)]) == 1
+    cfg.write_text(json.dumps({"lambda": 0.5, "omega0": 1.0, "seed": 1}))
     assert run_cli(["solve", "--config", str(cfg)]) == 1
 
 
