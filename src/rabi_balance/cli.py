@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import io
 import itertools
@@ -21,6 +22,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +182,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     paper_literal = bool(args.paper_literal or file_vals.get("paper_literal", False))
 
+    out = pick(args.out, "out")
+    if out is not None:
+        if not isinstance(out, str):
+            raise ConfigError(f"out: expected a path, got {out!r}")
+        if not os.path.isdir(os.path.dirname(out) or "."):
+            raise ConfigError(f"out: directory of {out} does not exist")
+
     return RunConfig(
         omega=_parse_axis("omega", omega_raw),
         lam=_parse_axis("lambda", lam_raw),
@@ -187,7 +196,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         dim=_parse_dim(pick(args.dim, "dim")),
         tol=tol,
         output_format=fmt,
-        output_path=pick(args.out, "out"),
+        output_path=out,
         jobs=jobs,
         paper_literal=paper_literal,
     )
@@ -236,9 +245,14 @@ def _emit(text: str, out_path: str | None):
             sys.stdout.write("\n")
         return
     tmp = out_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, out_path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, out_path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise ConfigError(f"out: cannot write {out_path}: {exc}") from exc
 
 
 def _solve(cfg: RunConfig, params: ModelParams) -> tuple[GroundSolution, int]:
@@ -440,6 +454,14 @@ def _fmt_short(x: float) -> str:
     return np.format_float_positional(x, trim="-")
 
 
+def _failure_text(exc: Exception) -> str:
+    if isinstance(exc, BrokenProcessPool):
+        return "a worker process died"
+    if isinstance(exc, ArithmeticError):  # e.g. a Python float overflowing
+        return f"{type(exc).__name__}: {exc}"
+    return str(exc)
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
     for name, val in zip(AXIS_NAMES, (cfg.omega, cfg.lam, cfg.omega0)):
         # validate every axis value before any point runs, so bad input
@@ -461,12 +483,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
         serial = jobs == 1 or len(tasks) <= 1
         for row in map(_sweep_point, tasks) if serial else _pool_map(tasks, jobs):
             rows.append(row)
-    except (RabiError, ValueError) as exc:
-        # both maps yield in grid order, so the point that raised is the next one
+    except (RabiError, ValueError, ArithmeticError, BrokenProcessPool) as exc:
+        # both maps yield in grid order, so the point that raised is the
+        # next one; a dead worker fails every point not yet finished, and
+        # the first of those in grid order is named
         omega, lam, omega0 = grid[len(rows)]
         sys.stderr.write(
             f"sweep failed at omega={_fmt_short(omega)} lambda={_fmt_short(lam)} "
-            f"omega0={_fmt_short(omega0)}: {exc}\n"
+            f"omega0={_fmt_short(omega0)}: {_failure_text(exc)}\n"
         )
         return 2
     _emit(_render_sweep(rows, cfg.output_format), cfg.output_path)
@@ -521,8 +545,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except RabiError as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
+    except (RabiError, ArithmeticError) as exc:
+        sys.stderr.write(f"numerical failure: {_failure_text(exc)}\n")
         return 2
 
 

@@ -21,14 +21,19 @@ relations of :mod:`rabi_balance.balance`:
 so a vanishing gradient is equivalent (for lam > 0) to vanishing
 kinetic-balance and force-covariance residuals of the embedded state.
 ``stationarity_equals_balance`` evaluates both sides at a trial point.
+
+``minimize_energy`` searches the closed form with the package's own
+bounded Nelder-Mead simplex, which takes step for step the path of
+scipy's ``minimize(method="Nelder-Mead", bounds=...)`` and so returns
+the same optimum bit for bit, without importing ``scipy.optimize``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.sparse.linalg import expm_multiply
 
 from .errors import AmplitudeTooLarge, OptimizerStalled, SqueezeTooLarge
@@ -165,6 +170,108 @@ def balance_residuals(trial: TrialParams, params: ModelParams) -> tuple[float, f
     return _b1(psi, obs, params), _b7(psi, obs, params)
 
 
+class _BudgetSpent(Exception):
+    """The simplex asked for an evaluation beyond its ``maxfev``."""
+
+
+def _nelder_mead(func, x0, bounds, xatol, fatol, maxfev):
+    """Bounded Nelder-Mead minimum of ``func`` over two variables: (x, fun, nit, success).
+
+    Operation for operation scipy 1.17's ``_minimize_neldermead`` without
+    ``adaptive`` or ``maxiter``, so every iterate, and the returned x, fun,
+    nit and success, equal those of ``scipy.optimize.minimize(func, x0,
+    method="Nelder-Mead", bounds=bounds, options={"xatol": xatol,
+    "fatol": fatol, "maxfev": maxfev})``: the same initial simplex, a clip
+    of every trial point into the (nonzero) bounds, the same branch tests
+    and a stable sort of the three vertices (numpy's argsort of more than
+    three values is not stable on every CPU, hence two variables only).
+    The budget is checked before each evaluation; running out
+    mid-iteration leaves the simplex as it stands, half-shrunk included,
+    and does not count the iteration.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    lower, upper = zip(*bounds)
+    nfev = 0
+
+    def clip(x):
+        return [min(max(v, lo), hi) for v, lo, hi in zip(x, lower, upper)]
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return func(x)
+
+    def by_value(sim, fsim):  # as numpy's argsort: stable, NaN last
+        order = sorted(range(3), key=lambda k: (fsim[k] != fsim[k], fsim[k]))
+        return [sim[k] for k in order], [fsim[k] for k in order]
+
+    start = clip(x0)
+    sim = [start]
+    for k in range(2):
+        y = list(start)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    # a vertex above an upper bound is reflected inside before the clip
+    sim = [clip([2 * hi - v if v > hi else v for v, hi in zip(y, upper)]) for y in sim]
+    fsim = [math.inf] * 3
+    try:
+        for k in range(3):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    sim, fsim = by_value(sim, fsim)
+
+    nit = 1
+    while nfev < maxfev:
+        try:
+            if (all(abs(v - b) <= xatol for y in sim[1:] for v, b in zip(y, sim[0]))
+                    and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])):
+                break
+            # (a + b) / 2 as numpy's add.reduce; sum() would start from
+            # 0.0 and turn a -0.0 into 0.0
+            xbar = [(a + b) / 2 for a, b in zip(sim[0], sim[1])]
+            worst = sim[2]
+            xr = clip([(1 + rho) * a - rho * w for a, w in zip(xbar, worst)])
+            fxr = f(xr)
+            shrink = False
+            if fxr < fsim[0]:
+                xe = clip([(1 + rho * chi) * a - rho * chi * w for a, w in zip(xbar, worst)])
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[2], fsim[2] = xe, fxe
+                else:
+                    sim[2], fsim[2] = xr, fxr
+            elif fxr < fsim[1]:
+                sim[2], fsim[2] = xr, fxr
+            elif fxr < fsim[2]:  # outside contraction
+                xc = clip([(1 + psi * rho) * a - psi * rho * w for a, w in zip(xbar, worst)])
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[2], fsim[2] = xc, fxc
+                else:
+                    shrink = True
+            else:  # inside contraction
+                xcc = clip([(1 - psi) * a + psi * w for a, w in zip(xbar, worst)])
+                fxcc = f(xcc)
+                if fxcc < fsim[2]:
+                    sim[2], fsim[2] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in (1, 2):
+                    sim[j] = clip([b + sigma * (v - b) for v, b in zip(sim[j], sim[0])])
+                    fsim[j] = f(sim[j])
+            nit += 1
+        except _BudgetSpent:
+            pass
+        sim, fsim = by_value(sim, fsim)
+
+    fun = fsim[0] if fsim[2] == fsim[2] else fsim[2]  # as np.min: a NaN (sorted last) wins
+    return sim[0], fun, nit, nfev < maxfev
+
+
 START_OFFSETS = (0.0, 0.3, -0.3)
 
 
@@ -183,30 +290,24 @@ def minimize_energy(
     opts = options or OptimizerOptions()
     beta_guess = float(np.clip(-params.lam / params.omega, -BETA_MAX, BETA_MAX))
     starts = [(0.0, 0.0)] + [(beta_guess, g) for g in START_OFFSETS]
+    bounds = ((-BETA_MAX, BETA_MAX), (-GAMMA_MAX, GAMMA_MAX))
 
     best = None
     any_converged = False
     total_nit = 0
     for x0 in starts:
-        res = minimize(
+        x, fun, nit, success = _nelder_mead(
             lambda x: _energy_formula(x[0], x[1], params),
-            np.asarray(x0, dtype=float),
-            method="Nelder-Mead",
-            bounds=[(-BETA_MAX, BETA_MAX), (-GAMMA_MAX, GAMMA_MAX)],
-            options={
-                "xatol": opts.xatol,
-                "fatol": opts.fatol,
-                "maxfev": opts.maxfev,
-            },
+            x0, bounds, opts.xatol, opts.fatol, opts.maxfev,
         )
-        total_nit += int(res.nit)
-        any_converged = any_converged or bool(res.success)
-        if best is None or res.fun < best.fun:
-            best = res
+        total_nit += nit
+        any_converged = any_converged or success
+        if best is None or fun < best[1]:
+            best = (x, fun)
 
-    trial = TrialParams(float(best.x[0]), float(best.x[1]))
+    trial = TrialParams(float(best[0][0]), float(best[0][1]))
     solution = exact if exact is not None else solve_rabi_ground(params)
-    energy = float(best.fun)
+    energy = float(best[1])
     result = VariationalResult(
         trial=trial,
         energy=energy,

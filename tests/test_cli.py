@@ -250,6 +250,33 @@ def test_pooled_sweep_starts_no_point_after_a_failure(tmp_path, monkeypatch, cap
     assert started == ["1", "2"]  # the two points that were running
 
 
+def _dying_point(task):
+    # a stand-in grid point whose worker process dies at the point with
+    # omega = 1 (the first); every other point leaves a marker and waits
+    if task[0] == 1.0:
+        os._exit(1)
+    (Path(os.environ["RABI_TEST_MARKERS"]) / f"{task[0]:g}").touch()
+    time.sleep(0.5)
+    return {}
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() == "forkserver",
+                    reason="a fork server started before the test lacks its environment")
+def test_pooled_sweep_reports_a_dead_worker(tmp_path, monkeypatch, capsys):
+    markers = tmp_path / "markers"
+    markers.mkdir()
+    out = tmp_path / "sweep.csv"
+    monkeypatch.setenv("RABI_TEST_MARKERS", str(markers))
+    monkeypatch.setattr(cli, "_sweep_point", _dying_point)
+    assert run_cli(["sweep", "--omega", "1:5:5", "--lambda", "0.5",
+                    "--omega0", "1", "--jobs", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["sweep failed at omega=1 lambda=0.5 omega0=1: "
+                   "a worker process died"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["markers"]
+    assert len(list(markers.iterdir())) < 4  # the pool stopped early
+
+
 def test_sweep_point_builds_one_bundle_and_no_trial_state(monkeypatch):
     # the counters replace the builders in every module that imported them
     calls = []
@@ -288,6 +315,60 @@ def test_config_file_invalid_json_rejected(tmp_path):
     assert run_cli(["solve", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_out_into_missing_directory_is_usage_error(tmp_path, monkeypatch, capsys,
+                                                   command):
+    def no_point(task):
+        raise AssertionError(f"grid point {task} ran before --out was checked")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_point)
+    out = tmp_path / "missing" / "x.csv"
+    assert run_cli([command, "--lambda", "1", "--omega0", "1", "--jobs", "1",
+                    "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_unwritable_out_is_usage_error_and_leaves_no_tmp(tmp_path, capsys, command):
+    target = tmp_path / "taken"
+    target.mkdir()  # a directory where the output file should go
+    assert run_cli([command, "--lambda", "0", "--omega0", "1", "--jobs", "1",
+                    "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out: cannot write ")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list(target.iterdir()) == []
+
+
+def test_config_out_must_be_a_path(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"lambda": 0.5, "omega0": 1.0, "out": 5}))
+    assert run_cli(["solve", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out: ")
+
+
+@pytest.mark.parametrize("args, prefix", [
+    # lam**2 and omega**2 on Python floats overflow in the balance report
+    (["balance", "--lambda", "1e200", "--omega0", "1"], "numerical failure: "),
+    (["sweep", "--lambda", "0", "--omega0", "1e300", "--omega", "1e300",
+      "--jobs", "1"], "sweep failed at omega=1"),
+], ids=["balance", "sweep"])
+def test_huge_finite_input_is_numerical_failure(tmp_path, capsys, args, prefix):
+    out = tmp_path / "out.txt"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix)
+    assert "OverflowError: " in err[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_out_file(tmp_path):
     out = tmp_path / "solve.txt"
     assert run_cli(["solve", "--lambda", "0", "--omega0", "1",
@@ -307,3 +388,18 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "energy = -0.5" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # scipy.optimize costs about a third of the start-up of every command
+    src = str(Path(rabi_balance.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rabi_balance.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import rabi_balance
 from rabi_balance import (
@@ -26,7 +27,14 @@ from rabi_balance import (
     wigner_origin,
 )
 from rabi_balance.fock import _unitary_from_generator, BOSON, QuantumState
-from rabi_balance.variational import energy_gradient
+from rabi_balance.variational import (
+    BETA_MAX,
+    GAMMA_MAX,
+    START_OFFSETS,
+    _energy_formula,
+    _nelder_mead,
+    energy_gradient,
+)
 
 from conftest import coherent_vector
 
@@ -200,6 +208,53 @@ def test_trial_compliance_at_optimum_and_off_optimum():
         assert comp2[name].satisfied, name
     for name in ("p1", "p3", "b2"):
         assert not comp2[name].satisfied, name
+
+
+_BOX = ((-BETA_MAX, BETA_MAX), (-GAMMA_MAX, GAMMA_MAX))
+
+
+def _scipy_nelder_mead(func, x0, maxfev):
+    res = minimize(func, np.asarray(x0, dtype=float), method="Nelder-Mead",
+                   bounds=_BOX, options={"xatol": 1e-8, "fatol": 1e-10, "maxfev": maxfev})
+    return [float(v) for v in res.x], float(res.fun), int(res.nit), bool(res.success)
+
+
+def _same_run(func, x0, maxfev):
+    # repr equality is bit equality of the floats, -0.0 and NaN included
+    ours = _nelder_mead(func, x0, _BOX, 1e-8, 1e-10, maxfev)
+    ref = _scipy_nelder_mead(func, x0, maxfev)
+    assert repr(ours) == repr(ref), (x0, maxfev)
+
+
+def test_nelder_mead_matches_scipy_on_the_trial_energy():
+    # the starts of minimize_energy; lam = 0 and omega0 = 0 make vertex
+    # energies tie, and maxfev 1, 7 and 40 end the search mid-iteration
+    for omega in (0.5, 1.0, 2.0):
+        for lam in np.linspace(0.0, 8.0, 6):
+            for omega0 in np.linspace(0.0, 6.0, 5):
+                p = ModelParams(omega=omega, lam=float(lam), omega0=float(omega0))
+                beta_guess = float(np.clip(-p.lam / p.omega, -BETA_MAX, BETA_MAX))
+                starts = [(0.0, 0.0)] + [(beta_guess, g) for g in START_OFFSETS]
+                for x0 in starts:
+                    for maxfev in (1, 7, 40, 2000):
+                        _same_run(lambda x: _energy_formula(x[0], x[1], p), x0, maxfev)
+
+
+def test_nelder_mead_matches_scipy_at_the_box_edges_and_on_nan():
+    # starts on an upper bound make the initial simplex reflect inward;
+    # outside a disc the second objective is NaN, which sorts last
+    p = ModelParams(omega=0.8, lam=1.3, omega0=2.0)
+
+    def energy(x):
+        return _energy_formula(x[0], x[1], p)
+
+    def holed(x):
+        return energy(x) if x[0] ** 2 + x[1] ** 2 < 1.0 else float("nan")
+
+    for func in (energy, holed):
+        for x0 in [(6.0, 2.0), (5.9, 1.99), (6.0, 0.0), (-6.0, -2.0), (-0.0, -0.0), (0.9, -0.3)]:
+            for maxfev in (1, 2, 3, 4, 5, 13, 2000):
+                _same_run(func, x0, maxfev)
 
 
 def test_optimizer_stall_carries_best_effort():
