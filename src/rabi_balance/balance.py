@@ -52,18 +52,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import DimensionMismatch, DisplacementTooLarge
 from .fock import (
     BOSON,
     SPIN_BOSON,
+    BandOperator,
     FockRep,
-    Observable,
+    Operator,
     QuantumState,
-    _quadrature_pair,
-    _sparse_ladder,
-    _spin_boson,
+    _ladder_bands,
     expectation,
     variance,
 )
@@ -77,7 +75,6 @@ from .model import (
     extract_reduced_state,
     infer_sector,
     sector_chain,
-    sparse_full_hamiltonian,
 )
 
 BOUND_MARGIN = 1e-9
@@ -128,40 +125,47 @@ class BalanceReport:
     properties: dict = field(default_factory=dict)
 
 
-def standard_observables(rep: FockRep, params: ModelParams) -> dict[str, Observable]:
-    """The observable bundle of one (dim, params): sparse CSR, O(N) non-zeros each.
+def standard_observables(rep: FockRep, params: ModelParams) -> dict[str, BandOperator]:
+    """The observable bundle of one (dim, params): ``BandOperator``s, O(N) each.
 
     The spin-boson observables of the residual grid, the full
     Hamiltonian under ``"hamiltonian"``, and the boson-space position
-    under ``"q_boson"`` (for b6).  ``full_report`` builds the bundle once
-    and hands it to every check.
+    under ``"q_boson"`` (for b6); each a sum of (boson band, Pauli
+    matrix) terms.  ``full_report`` builds the bundle once and hands it
+    to every check.
     """
-    ann, cre, num, par = _sparse_ladder(rep.dim)
-    q_b, p_b = _quadrature_pair(ann, cre, params)
-    eye_b = sparse.eye_array(rep.dim)
+    root, num = _ladder_bands(rep.dim)  # root is the upper band of a; a^dag has none
+    q = (None, root * (1.0 / np.sqrt(2.0 * params.mass * params.omega)))
+    p = (None, 1j * np.sqrt(params.mass * params.omega / 2.0) * -root)
+    eye, par = (np.ones(rep.dim), None), ((-1.0) ** np.arange(rep.dim), None)
 
-    def spin_boson(boson, spin) -> Observable:
-        return Observable(_spin_boson(boson, spin))
+    def spin_boson(*terms) -> BandOperator:
+        return BandOperator(rep.dim, terms)
 
     return {
-        "q": spin_boson(q_b, IDENTITY_2),
-        "p": spin_boson(p_b, IDENTITY_2),
-        "num": spin_boson(num, IDENTITY_2),
-        "q_sigma_x": spin_boson(q_b, SIGMA_X),
-        "p_sigma_x": spin_boson(p_b, SIGMA_X),
-        "p_sigma_y": spin_boson(p_b, SIGMA_Y),
-        "sigma_x": spin_boson(eye_b, SIGMA_X),
-        "sigma_y": spin_boson(eye_b, SIGMA_Y),
-        "sigma_z": spin_boson(eye_b, SIGMA_Z),
-        "parity_boson": spin_boson(par, IDENTITY_2),
-        "num_parity": spin_boson(num @ par, IDENTITY_2),
-        "num_sigma_z": spin_boson(num, SIGMA_Z),
-        "hamiltonian": Observable(sparse_full_hamiltonian(rep.dim, params)),
-        "q_boson": Observable(q_b),
+        "q": spin_boson((q, IDENTITY_2)),
+        "p": spin_boson((p, IDENTITY_2)),
+        "num": spin_boson(((num, None), IDENTITY_2)),
+        "omega_num": spin_boson(((params.omega * num, None), IDENTITY_2)),
+        "q_sigma_x": spin_boson((q, SIGMA_X)),
+        "p_sigma_x": spin_boson((p, SIGMA_X)),
+        "p_sigma_y": spin_boson((p, SIGMA_Y)),
+        "sigma_x": spin_boson((eye, SIGMA_X)),
+        "sigma_y": spin_boson((eye, SIGMA_Y)),
+        "sigma_z": spin_boson((eye, SIGMA_Z)),
+        "parity_boson": spin_boson((par, IDENTITY_2)),
+        "num_parity": spin_boson(((num * par[0], None), IDENTITY_2)),
+        "num_sigma_z": spin_boson(((num, None), SIGMA_Z)),
+        "hamiltonian": spin_boson(
+            ((params.omega * num, None), IDENTITY_2),
+            ((None, params.lam * root), SIGMA_X),
+            ((0.5 * params.omega0 * eye[0], None), SIGMA_Z),
+        ),
+        "q_boson": BandOperator(rep.dim, [(q, np.eye(1))]),
     }
 
 
-def first_order_residual(hamiltonian: Observable, observable: Observable,
+def first_order_residual(hamiltonian: Operator, observable: Operator,
                          state: QuantumState) -> float:
     """|<i [H, A]>|; zero on eigenstates of H."""
     if hamiltonian.dim != observable.dim:
@@ -169,12 +173,12 @@ def first_order_residual(hamiltonian: Observable, observable: Observable,
     v = state.amplitudes
     if v.size != hamiltonian.dim:
         raise DimensionMismatch("state incompatible with H")
-    h, a = hamiltonian.matrix, observable.matrix
-    val = np.vdot(v, h @ (a @ v)) - np.vdot(v, a @ (h @ v))
+    h, a = hamiltonian.apply, observable.apply
+    val = np.vdot(v, h(a(v))) - np.vdot(v, a(h(v)))
     return float(abs(val))
 
 
-def second_order_residual(hamiltonian: Observable, observable: Observable,
+def second_order_residual(hamiltonian: Operator, observable: Operator,
                           state: QuantumState) -> float:
     """|<[H, [H, A]]>|; zero on eigenstates of H."""
     if hamiltonian.dim != observable.dim:
@@ -182,11 +186,11 @@ def second_order_residual(hamiltonian: Observable, observable: Observable,
     v = state.amplitudes
     if v.size != hamiltonian.dim:
         raise DimensionMismatch("state incompatible with H")
-    h, a = hamiltonian.matrix, observable.matrix
-    hv = h @ v
-    hha = np.vdot(v, h @ (h @ (a @ v)))
-    hah = np.vdot(v, h @ (a @ hv))
-    ahh = np.vdot(v, a @ (h @ hv))
+    h, a = hamiltonian.apply, observable.apply
+    hv = h(v)
+    hha = np.vdot(v, h(h(a(v))))
+    hah = np.vdot(v, h(a(hv)))
+    ahh = np.vdot(v, a(h(hv)))
     return float(abs(hha - 2.0 * hah + ahh))
 
 
@@ -385,8 +389,7 @@ def displaced_number(state: QuantumState, params: ModelParams) -> float:
     if state.kind != BOSON:
         raise DimensionMismatch("displaced_number expects a boson-space state")
     v = state.amplitudes
-    root = np.sqrt(np.arange(1, v.size))
-    num = np.concatenate(([0.0], root * root))
+    root, num = _ladder_bands(v.size)
     ratio = params.lam / params.omega
     n_mean = np.vdot(v, num * v).real
     x_mean = np.vdot(v, _chain_apply(np.zeros(v.size), root, v)).real
@@ -448,10 +451,9 @@ def full_report(
     first = {name: first_order_residual(h, obs[name], state) for name in FIRST_ORDER_SET}
     first["force"] = _force_balance(state, obs, params)
 
-    num_scaled = Observable(params.omega * obs["num"].matrix)
     second = {
         "q_sigma_x": second_order_residual(h, obs["q_sigma_x"], state),
-        "omega_num": second_order_residual(h, num_scaled, state),
+        "omega_num": second_order_residual(h, obs["omega_num"], state),
         "b1": _b1(state, obs, params),
         "b7": _b7(state, obs, params),
     }

@@ -451,7 +451,8 @@ def _pool_map(tasks: list, jobs: int):
 
 
 def _fmt_short(x: float) -> str:
-    return np.format_float_positional(x, trim="-")
+    # shortest round-trip digits, positional only from 1e-4 to 1e16: 1e+300 stays short
+    return repr(float(x)).removesuffix(".0")
 
 
 def _failure_text(exc: Exception) -> str:

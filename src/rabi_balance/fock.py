@@ -12,26 +12,18 @@ Conventions used throughout the package:
   gamma > 0 stretches the position spread: ``Var(q)`` on ``S(gamma)|0>``
   is ``exp(2 gamma) / (2 m omega)``.
 
-Trial states (``variational.trial_state``) are vector-only:
-``scipy.sparse.linalg.expm_multiply`` of the sparse generator
-(``_generator``) acts on a vector in the larger ``working_dim`` space,
-where the truncated generator is still exactly anti-Hermitian, and the
-result is cut back to ``dim``.  No unitary matrix is formed on that
-path, and nothing is cached.
+Trial states (``variational.trial_state``) come from the recurrence of
+their Fock amplitudes.  The dense unitaries ``displacement`` and
+``squeeze`` are the tests' oracle: the exponential of the dense
+generator (``_generator``) by eigendecomposition in ``working_dim``
+(exactly unitary there), cut to ``dim``.  Only the leading columns of
+the cut are reliable: a displaced column n spreads by about
+2 |beta| sqrt(n) levels, a squeezed one by a factor e^{2 |gamma|}.  At
+beta = 1 the leading half block of a dim-40 cut is clean to 1e-8; at
+gamma = 0.3 the leading quarter block is.
 
-The dense unitaries ``displacement`` and ``squeeze`` remain as the
-tests' oracle.  They are the exponential of the same generator, built
-uncached by eigendecomposition in ``working_dim`` (exactly unitary
-there) and then cut to ``dim``.  In the working space the columns form
-an exact isometry; the cut matrix is reliable only on its leading
-columns, and how many depends on the argument (a displaced column n
-spreads by about 2 |beta| sqrt(n) levels, a squeezed one by a factor
-e^{2 |gamma|}).  At beta = 1 the leading half block of a dim-40 cut is
-clean to 1e-8; at gamma = 0.3 the leading quarter block is.
-
-Operators on the sweep path are ``scipy.sparse`` CSR matrices with O(N)
-non-zeros (``_sparse_ladder``); the dense ladder (``build_ladder``)
-serves the tests and the dense oracles.
+Operators on the sweep path are ``BandOperator``s, applied in O(N); the
+dense ``build_ladder`` and ``Observable`` serve the tests and oracles.
 
 Composite (spin-boson) vectors are indexed ``i = 2 n + s`` where ``n``
 is the Fock index and ``s = 0`` is the sigma_z = +1 spin component.
@@ -44,7 +36,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import (
     AmplitudeTooLarge,
@@ -92,40 +83,25 @@ class FockRep:
             )
 
 
-def _hermiticity_defect(m) -> float:
-    """max|M - M^dag|; O(nnz) on a CSR matrix."""
-    if not sparse.issparse(m):
-        return float(np.max(np.abs(m - m.conj().T)))
-    mt = m.T.tocsr()
-    if np.array_equal(mt.indptr, m.indptr) and np.array_equal(mt.indices, m.indices):
-        # symmetric sparsity pattern, the usual case: compare stored values
-        return float(np.max(np.abs(m.data - mt.data.conj()), initial=0.0))
-    return float(abs(m - mt.conj()).max())
-
-
 @dataclass(frozen=True)
 class Observable:
-    """Dense or sparse matrix with an explicit hermiticity promise.
+    """Dense matrix with an explicit hermiticity promise.
 
-    A dense input is stored as a read-only complex array, a
-    ``scipy.sparse`` input as a complex CSR array.  When ``hermitian``
-    is True the constructor enforces ``max|M - M^dag| < 1e-12`` (on a
-    sparse matrix in O(nnz)); operators like displacements set it to
+    The input is stored as a read-only complex array.  When
+    ``hermitian`` is True the constructor enforces
+    ``max|M - M^dag| < 1e-12``; operators like displacements set it to
     False and skip the check.
     """
 
-    matrix: np.ndarray | sparse.csr_array
+    matrix: np.ndarray
     hermitian: bool = True
 
     def __post_init__(self):
-        if sparse.issparse(self.matrix):
-            m = sparse.csr_array(self.matrix, dtype=complex)
-        else:
-            m = _frozen(np.array(self.matrix, dtype=complex))
+        m = _frozen(np.array(self.matrix, dtype=complex))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if self.hermitian:
-            defect = _hermiticity_defect(m)
+            defect = float(np.max(np.abs(m - m.conj().T)))
             if defect >= HERMITICITY_TOL:
                 raise NonHermitian(f"hermiticity defect {defect:.3e}")
         object.__setattr__(self, "matrix", m)
@@ -133,6 +109,59 @@ class Observable:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """M v."""
+        return self.matrix @ v
+
+
+class BandOperator:
+    """Hermitian sum of (boson band) x (spin matrix) terms, applied in O(N).
+
+    A term is ``((diag, upper), spin)``.  The real ``diag`` and the
+    entries [n, n + 1] in ``upper`` (either may be None) make a band whose
+    lower entries are conj(upper); ``spin`` is the identity or a Pauli
+    matrix (width 2) or [[1]] (width 1, the boson space).  A vector is a
+    (levels, width) array, index i = width n + s.  Terms merge into
+    stripes ``(offset, swap, coef)``, each adding ``coef[n, s] v[n +
+    offset, s ^ swap]`` to entry [n, s], in ascending offset: the column
+    order of a matrix product.
+    """
+
+    hermitian = True
+
+    def __init__(self, levels: int, terms):
+        merged: dict[tuple[int, bool], np.ndarray] = {}
+        for (diag, upper), spin in terms:
+            cols = np.argmax(np.abs(spin), axis=1)
+            factor = spin[np.arange(len(spin)), cols]
+            lower = None if upper is None else np.conj(upper)
+            for offset, band in ((-1, lower), (0, diag), (1, upper)):
+                if band is not None:
+                    coef = np.asarray(band)[:, None] * factor
+                    key = (offset, bool(cols[0]))
+                    merged[key] = merged[key] + coef if key in merged else coef
+        self.levels, self.width, self.dim = levels, len(factor), levels * len(factor)
+        self.stripes = [(k, s, c) for (k, s), c in sorted(merged.items())]  # keys are unique
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """M v; inf and NaN propagate silently, as through a matrix product."""
+        x = v.reshape(self.levels, self.width)
+        out = np.zeros(x.shape, dtype=complex)
+        with np.errstate(all="ignore"):
+            for offset, swap, coef in self.stripes:
+                w = x[:, ::-1] if swap else x
+                lo, hi = max(0, -offset), self.levels - max(0, offset)
+                out[lo:hi] += coef * w[lo + offset:hi + offset]
+        return out.reshape(-1)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, column by column, on each access; for oracles and tests."""
+        return _frozen(np.stack([self.apply(e) for e in np.eye(self.dim, dtype=complex)], 1))
+
+
+Operator = Observable | BandOperator
 
 
 @dataclass(frozen=True)
@@ -210,42 +239,10 @@ def build_ladder(rep: FockRep):
     )
 
 
-def _sparse_ladder(dim: int):
-    """(annihilation, creation, number, boson parity) as CSR arrays.
-
-    Each has O(dim) non-zeros; the entries equal those of the dense
-    ladder (the number diagonal is the product sqrt(n) sqrt(n)).
-    """
+def _ladder_bands(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bands of a (sqrt(n), n = 1..dim-1) and of a^dag a (as sqrt(n) sqrt(n))."""
     root = np.sqrt(np.arange(1, dim))
-    ann = sparse.diags_array(root, offsets=1, shape=(dim, dim), format="csr")
-    cre = sparse.diags_array(root, offsets=-1, shape=(dim, dim), format="csr")
-    num = sparse.diags_array(np.concatenate(([0.0], root * root)), format="csr")
-    par = sparse.diags_array((-1.0) ** np.arange(dim), format="csr")
-    return ann, cre, num, par
-
-
-def _spin_boson(boson: sparse.csr_array, spin: np.ndarray) -> sparse.csr_array:
-    """kron(boson, spin) on the composite index i = 2 n + s, as CSR.
-
-    Each stored boson entry becomes one 2 x 2 spin block, so the result
-    has at most 4 nnz(boson) entries (zeros of ``spin`` stay stored).
-    """
-    boson = sparse.csr_array(boson)
-    boson.sum_duplicates()  # canonical: sorted indices, as block rows need
-    n = boson.shape[0]
-    blocks = boson.data[:, None, None] * spin
-    return sparse.bsr_array(
-        (blocks, boson.indices, boson.indptr), shape=(2 * n, 2 * n)
-    ).tocsr()
-
-
-def _quadrature_pair(ann, cre, params: "ModelParams"):
-    m, omega = float(params.mass), float(params.omega)
-    if m <= 0.0 or omega <= 0.0:
-        raise ValueError(f"need mass > 0 and omega > 0, got m={m}, omega={omega}")
-    q = (ann + cre) / np.sqrt(2.0 * m * omega)
-    p = 1j * np.sqrt(m * omega / 2.0) * (cre - ann)
-    return q, p
+    return root, np.concatenate(([0.0], root * root))
 
 
 def build_quadratures(rep: FockRep, params: "ModelParams"):
@@ -254,18 +251,22 @@ def build_quadratures(rep: FockRep, params: "ModelParams"):
     ``[q, p] = i`` holds on the leading (N-1) block; the last row and
     column are polluted by truncation.
     """
+    m, omega = float(params.mass), float(params.omega)
+    if m <= 0.0 or omega <= 0.0:
+        raise ValueError(f"need mass > 0 and omega > 0, got m={m}, omega={omega}")
     ann, cre, _, _ = _ladder_matrices(rep.dim)
-    q, p = _quadrature_pair(ann, cre, params)
+    q = (ann + cre) / np.sqrt(2.0 * m * omega)
+    p = 1j * np.sqrt(m * omega / 2.0) * (cre - ann)
     return Observable(q), Observable(p)
 
 
-def _generator(dim: int, kind: str, par1: float, par2: float = 0.0) -> sparse.csr_array:
-    """Sparse anti-Hermitian generator G at ``dim``, so that exp(G) is D or S.
+def _generator(dim: int, kind: str, par1: float, par2: float = 0.0) -> np.ndarray:
+    """Dense anti-Hermitian generator G at ``dim``, so that exp(G) is D or S.
 
     ``kind`` "displace": G = beta a^dag - conj(beta) a, beta = par1 + i par2;
     ``kind`` "squeeze": G = gamma (a^dag^2 - a^2) / 2, gamma = par1.
     """
-    ann, cre, _, _ = _sparse_ladder(dim)
+    ann, cre, _, _ = _ladder_matrices(dim)
     if kind == "displace":
         beta = complex(par1, par2) if par2 else par1  # real beta keeps G real
         return beta * cre - np.conj(beta) * ann
@@ -278,9 +279,10 @@ def _unitary_from_generator(dim: int, kind: str, par1: float, par2: float):
     """Dense exp(G) of ``_generator``, via eigh of the Hermitian i*G.
 
     The result is unitary to machine precision at ``dim``.  It is the
-    oracle behind ``displacement`` and ``squeeze``; nothing caches it.
+    oracle behind ``displacement`` and ``squeeze`` and the trial-state
+    tests; nothing caches it.
     """
-    herm = 1j * _generator(dim, kind, par1, par2).toarray()
+    herm = 1j * _generator(dim, kind, par1, par2)
     w, v = np.linalg.eigh(herm)
     u = (v * np.exp(-1j * w)) @ v.conj().T
     return _frozen(u)
@@ -319,27 +321,27 @@ def squeeze(rep: FockRep, gamma: float) -> Observable:
     return Observable(u[: rep.dim, : rep.dim], hermitian=False)
 
 
-def _check_dims(state: QuantumState, obs: Observable):
+def _check_dims(state: QuantumState, obs: Operator):
     if state.dim != obs.dim:
         raise DimensionMismatch(
             f"state dim {state.dim} vs operator dim {obs.dim}"
         )
 
 
-def expectation(state: QuantumState, obs: Observable) -> complex:
+def expectation(state: QuantumState, obs: Operator) -> complex:
     """<psi| M |psi>.  Real up to ~1e-16 scale when M is Hermitian."""
     _check_dims(state, obs)
     v = state.amplitudes
-    return complex(np.vdot(v, obs.matrix @ v))
+    return complex(np.vdot(v, obs.apply(v)))
 
 
-def variance(state: QuantumState, obs: Observable) -> float:
+def variance(state: QuantumState, obs: Operator) -> float:
     """<M^2> - <M>^2 for Hermitian M; nonnegative by construction."""
     if not obs.hermitian:
         raise NonHermitian("variance requires a Hermitian observable")
     _check_dims(state, obs)
     v = state.amplitudes
-    w = obs.matrix @ v
+    w = obs.apply(v)
     mean = np.vdot(v, w).real
     second = np.vdot(w, w).real  # <M psi | M psi> = <M^2> for Hermitian M
     return float(second - mean * mean)

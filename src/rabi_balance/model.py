@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import DimensionMismatch, SectorRequired
 from .fock import (
@@ -38,9 +37,8 @@ from .fock import (
     FockRep,
     Observable,
     QuantumState,
+    _ladder_bands,
     _ladder_matrices,
-    _sparse_ladder,
-    _spin_boson,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -88,23 +86,18 @@ def check_sector(sector: int) -> int:
     return int(sector)
 
 
-def sparse_full_hamiltonian(dim: int, params: ModelParams) -> sparse.csr_array:
-    """H on the 2N spin-boson space as CSR, ordering i = 2 n + s; O(N) non-zeros."""
-    ann, cre, num, _ = _sparse_ladder(dim)
-    return (
-        params.omega * _spin_boson(num, IDENTITY_2)
-        + params.lam * _spin_boson(ann + cre, SIGMA_X)
-        + 0.5 * params.omega0 * _spin_boson(sparse.eye_array(dim), SIGMA_Z)
-    )
-
-
 def build_full_hamiltonian(rep: FockRep, params: ModelParams) -> Observable:
-    """Dense H on the 2N spin-boson space, ordering i = 2 n + s.
+    """Dense H on the 2N spin-boson space, ordering i = 2 n + s, from ``np.kron``.
 
-    The ``eigvalsh`` oracle of the tests and the benchmark checks; the
-    balance layer uses ``sparse_full_hamiltonian``.
+    The ``eigvalsh`` oracle of the tests and the benchmark checks,
+    independent of the band form in ``balance.standard_observables``.
     """
-    return Observable(sparse_full_hamiltonian(rep.dim, params).toarray())
+    ann, cre, num, _ = _ladder_matrices(rep.dim)
+    return Observable(
+        params.omega * np.kron(num, IDENTITY_2)
+        + params.lam * np.kron(ann + cre, SIGMA_X)
+        + 0.5 * params.omega0 * np.kron(np.eye(rep.dim), SIGMA_Z)
+    )
 
 
 def build_parity_operator(rep: FockRep) -> Observable:
@@ -120,8 +113,7 @@ def sector_chain(dim: int, params: ModelParams, sector: int) -> tuple[np.ndarray
     ``fock``, so every entry equals that of the complex ladder algebra.
     """
     p = check_sector(sector)
-    root = np.sqrt(np.arange(1, dim))
-    num = np.concatenate(([0.0], root * root))
+    root, num = _ladder_bands(dim)
     diag = params.omega * num - 0.5 * params.omega0 * p * (-1.0) ** np.arange(dim)
     return diag, params.lam * root
 

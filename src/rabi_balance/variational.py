@@ -34,16 +34,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import AmplitudeTooLarge, OptimizerStalled, SqueezeTooLarge
-from .fock import (
-    BOSON,
-    FockRep,
-    QuantumState,
-    _generator,
-    expectation,
-)
+from .fock import BOSON, FockRep, QuantumState, expectation
 from .model import ModelParams, build_reduced_hamiltonian, embed_reduced_state
 from .balance import (
     BoundCheck,
@@ -97,23 +90,26 @@ class VariationalResult:
 
 
 def trial_state(rep: FockRep, trial: TrialParams) -> QuantumState:
-    """S(gamma) D(beta) |0> evaluated in working_dim, cut to rep.dim.
+    """S(gamma) D(beta) |0> cut to Fock levels 0..rep.dim-1 and renormalized.
 
-    Vector-only: ``expm_multiply`` of the sparse displacement generator,
-    then of the squeeze generator, acts on |0>; no unitary is formed.
-    The displacement must satisfy beta^2 <= working_dim / 4 so the
-    intermediate coherent state fits the working space.
+    a cosh(gamma) - a^dag sinh(gamma) - beta annihilates the state, so
+    c[n+1] = (beta c[n] + sinh(gamma) sqrt(n) c[n-1]) / (cosh(gamma) sqrt(n+1))
+    from c[0] = exp(-beta^2 (1 + tanh gamma) / 2) / sqrt(cosh gamma)
+    (Yuen, Phys. Rev. A 13, 2226 (1976)).  Requires beta^2 <= working_dim / 4.
     """
-    if trial.beta**2 > rep.working_dim / 4.0:
+    beta, gamma = trial.beta, trial.gamma
+    if beta**2 > rep.working_dim / 4.0:
         raise AmplitudeTooLarge(
-            f"beta^2 = {trial.beta**2:.3g} exceeds working_dim/4 = "
+            f"beta^2 = {beta**2:.3g} exceeds working_dim/4 = "
             f"{rep.working_dim / 4.0:.3g}"
         )
-    vec = np.zeros(rep.working_dim)
-    vec[0] = 1.0
-    vec = expm_multiply(_generator(rep.working_dim, "displace", trial.beta), vec)
-    vec = expm_multiply(_generator(rep.working_dim, "squeeze", trial.gamma), vec)
-    return QuantumState.from_vector(vec[: rep.dim], BOSON)
+    ch, sh = math.cosh(gamma), math.sinh(gamma)
+    amps = [math.exp(-0.5 * beta**2 * (1.0 + math.tanh(gamma))) / math.sqrt(ch)]
+    previous = 0.0
+    for n in range(rep.dim - 1):
+        amps.append((beta * amps[n] + sh * math.sqrt(n) * previous) / (ch * math.sqrt(n + 1)))
+        previous = amps[n]
+    return QuantumState.from_vector(amps, BOSON)
 
 
 def _energy_formula(beta: float, gamma: float, params: ModelParams) -> float:
@@ -135,8 +131,8 @@ def energy_numeric(rep: FockRep, trial: TrialParams, params: ModelParams) -> flo
 
     The expectation is taken in rep.working_dim rather than rep.dim:
     this function is the truncation-clean oracle for the closed form,
-    and the working space is sized exactly so that D and S leak a
-    negligible tail there over the whole parameter box.  Cutting to
+    and the working space is sized so that the trial state keeps a
+    negligible tail above it over the whole parameter box.  Cutting to
     rep.dim first would poison the corners of the box (a stretched
     state at beta = 2, gamma = 1 keeps ~2e-5 of its weight above Fock
     level 120) and turn a formula check into a truncation check.

@@ -323,21 +323,48 @@ def test_report_and_trial_residuals_build_the_bundle_once(monkeypatch):
     assert built == [120]
 
 
-def test_observable_bundle_is_sparse_and_linear_in_dim():
+def test_bundle_apply_equals_its_dense_matrix(rng):
     p = ModelParams(omega=1.3, lam=0.7, omega0=0.9, mass=2.3)
     for dim in (16, 256):
         obs = standard_observables(FockRep(dim), p)
         for name, o in obs.items():
-            assert o.matrix.nnz <= 4 * o.dim, name
-    # the sparse H equals the dense np.kron construction entry by entry
-    from rabi_balance.model import IDENTITY_2, SIGMA_X, SIGMA_Z
-    from rabi_balance.fock import _ladder_matrices
+            dense = o.matrix
+            np.testing.assert_array_equal(dense, dense.conj().T, err_msg=name)
+            for _ in range(3):
+                v = rng.normal(size=o.dim) + 1j * rng.normal(size=o.dim)
+                want = dense @ v
+                err = np.linalg.norm(o.apply(v) - want)
+                assert err <= 1e-14 * np.linalg.norm(want), name
 
-    ann, cre, num, _ = _ladder_matrices(16)
+
+def test_bundle_equals_the_kron_construction():
+    # every band operator, H included, equals its dense np.kron form entry by entry
+    from rabi_balance.fock import _ladder_matrices
+    from rabi_balance.model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
+
+    p = ModelParams(omega=1.3, lam=0.7, omega0=0.9, mass=2.3)
+    rep = FockRep(16)
+    ann, cre, num, par = _ladder_matrices(16)
+    # real ladder entries scaled by the reciprocal, the rounding of the bundle's q
+    q = (ann + cre).real * (1.0 / np.sqrt(2.0 * p.mass * p.omega))
+    mom = 1j * np.sqrt(p.mass * p.omega / 2.0) * (cre - ann).real
+    eye = np.eye(16)
+    kron = {
+        "q": (q, IDENTITY_2), "p": (mom, IDENTITY_2), "num": (num, IDENTITY_2),
+        "omega_num": (p.omega * num, IDENTITY_2), "q_sigma_x": (q, SIGMA_X),
+        "p_sigma_x": (mom, SIGMA_X), "p_sigma_y": (mom, SIGMA_Y),
+        "sigma_x": (eye, SIGMA_X), "sigma_y": (eye, SIGMA_Y), "sigma_z": (eye, SIGMA_Z),
+        "parity_boson": (par, IDENTITY_2), "num_parity": (num @ par, IDENTITY_2),
+        "num_sigma_z": (num, SIGMA_Z),
+    }
+    obs = standard_observables(rep, p)
+    for name, (boson, spin) in kron.items():
+        np.testing.assert_array_equal(obs[name].matrix, np.kron(boson, spin), err_msg=name)
+    np.testing.assert_array_equal(obs["q_boson"].matrix, q)
     dense = (
         p.omega * np.kron(num, IDENTITY_2)
         + p.lam * np.kron(ann + cre, SIGMA_X)
-        + 0.5 * p.omega0 * np.kron(np.eye(16), SIGMA_Z)
+        + 0.5 * p.omega0 * np.kron(eye, SIGMA_Z)
     )
-    sparse_h = standard_observables(FockRep(16), p)["hamiltonian"].matrix
-    np.testing.assert_array_equal(sparse_h.toarray(), dense)
+    np.testing.assert_array_equal(obs["hamiltonian"].matrix, dense)
+    assert set(obs) == {*kron, "q_boson", "hamiltonian"}

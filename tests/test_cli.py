@@ -403,3 +403,42 @@ def test_cli_import_leaves_scipy_optimize_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_failure_line_is_short_for_huge_inputs(capsys):
+    assert run_cli(["sweep", "--lambda", "0", "--omega0", "1e300", "--omega", "1e300",
+                    "--jobs", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and len(err[0]) < 200
+    assert err[0].startswith("sweep failed at omega=1e+300 lambda=0 omega0=1e+300: ")
+
+
+def _child(args):
+    # a fresh interpreter on the package under test, installed or not
+    src = str(Path(rabi_balance.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+@pytest.mark.parametrize("args", [
+    ["balance", "--lambda", "1e200", "--omega0", "1"],
+    ["sweep", "--lambda", "0", "--omega0", "1e300", "--omega", "1e300", "--jobs", "1"],
+], ids=["balance", "sweep"])
+def test_overflow_prints_one_line_in_a_real_process(args):
+    # pytest captures warnings in-process; only a real process shows
+    # whether inf and NaN pass silently on their way to the OverflowError
+    proc = _child(["-m", "rabi_balance.cli", *args])
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "OverflowError: " in proc.stderr
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    # the observables are band operators and trial states a recurrence
+    proc = _child(["-c", "import sys, rabi_balance.cli; "
+                   "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

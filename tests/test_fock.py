@@ -172,19 +172,6 @@ def test_observable_rejects_nonhermitian_matrix():
     Observable(m, hermitian=False)  # explicit opt-out is fine
 
 
-def test_observable_checks_hermiticity_of_sparse_matrices():
-    import scipy.sparse as sparse
-
-    # same sparsity pattern as the adjoint, values differ; and a pattern
-    # the adjoint does not share
-    for m in ([[0.0, 1.0], [2.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]):
-        with pytest.raises(NonHermitian):
-            Observable(sparse.csr_array(np.array(m)))
-        Observable(sparse.csr_array(np.array(m)), hermitian=False)
-    obs = Observable(sparse.csr_array(np.array([[1.0, 1j], [-1j, 2.0]])))
-    assert sparse.issparse(obs.matrix) and obs.matrix.dtype == complex
-
-
 def test_observable_matrix_is_readonly():
     obs = Observable(np.eye(3))
     with pytest.raises(ValueError):
