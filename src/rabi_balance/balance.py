@@ -363,14 +363,6 @@ def _b6(state: QuantumState, obs: dict, p: int) -> float:
     return float(variance(state, obs["q_sigma_x"]) - variance(phi, obs["q_boson"]))
 
 
-def _chain_apply(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Symmetric tridiagonal (``diag``, ``off``) times ``v``, in O(N)."""
-    out = diag * v
-    out[:-1] += off * v[1:]
-    out[1:] += off * v[:-1]
-    return out
-
-
 def wigner_origin(state: QuantumState) -> float:
     """W(0, 0) = 2 <cos(pi a^dag a)> of a boson state; lies in [-2, 2]."""
     if state.kind != BOSON:
@@ -392,7 +384,7 @@ def displaced_number(state: QuantumState, params: ModelParams) -> float:
     root, num = _ladder_bands(v.size)
     ratio = params.lam / params.omega
     n_mean = np.vdot(v, num * v).real
-    x_mean = np.vdot(v, _chain_apply(np.zeros(v.size), root, v)).real
+    x_mean = np.vdot(v, BandOperator(v.size, [((None, root), np.eye(1))]).apply(v)).real
     return float(n_mean + ratio * x_mean + ratio**2)
 
 
@@ -417,7 +409,8 @@ def wigner_energy_bounds(
             f"(lam/omega)^2 = {ratio**2:.3g} exceeds working_dim/4"
         )
     v = state.amplitudes
-    energy = np.vdot(v, _chain_apply(*sector_chain(v.size, params, +1), v)).real
+    h_plus = BandOperator(v.size, [(sector_chain(v.size, params, +1), np.eye(1))])
+    energy = np.vdot(v, h_plus.apply(v)).real
     value = energy - params.omega * displaced_number(state, params)
     shift = (2.0 if paper_literal else 1.0) * params.lam**2 / params.omega
     lo = -0.5 * params.omega0 - shift

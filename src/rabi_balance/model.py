@@ -114,8 +114,9 @@ def sector_chain(dim: int, params: ModelParams, sector: int) -> tuple[np.ndarray
     """
     p = check_sector(sector)
     root, num = _ladder_bands(dim)
-    diag = params.omega * num - 0.5 * params.omega0 * p * (-1.0) ** np.arange(dim)
-    return diag, params.lam * root
+    with np.errstate(over="ignore"):  # the solver rejects a chain beyond the float range
+        diag = params.omega * num - 0.5 * params.omega0 * p * (-1.0) ** np.arange(dim)
+        return diag, params.lam * root
 
 
 def sector_matrix(dim: int, params: ModelParams, sector: int) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Exact diagonalization of the Rabi model with truncation control.
 
 The ground state is found per parity sector: each sector is the real
-symmetric N x N chain ``model.sector_matrix``, diagonalized with dense
-real ``eigh`` (two N x N problems instead of one complex 2N x 2N one).
+symmetric N x N chain ``model.sector_matrix``, diagonalized with
+numpy's dense real ``eigh`` (two N x N problems instead of one complex
+2N x 2N one).  A matrix whose row sums leave the float range, and whose
+eigenvalues therefore may, raises OverflowError before the solve.
 One doubling ladder solves both sectors at Fock dimension 16, 32, ...
 until the global minimum moves by less than ``tol``; a fixed ``dim`` is
 the same ladder over ``dim // 2`` and ``dim``.  Every level is solved
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EigDecompositionFailure, NonHermitian, NotConverged
 from .fock import BOSON, Observable, QuantumState
@@ -57,9 +58,13 @@ def _phase_fixed(vec: np.ndarray) -> np.ndarray:
 
 
 def _lowest_pair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+    with np.errstate(over="ignore"):
+        bound = np.abs(matrix).sum(axis=1).max()  # bounds every |eigenvalue|
+    if not np.isfinite(bound):
+        raise OverflowError(f"{len(matrix)}-level matrix has row sums beyond the float range")
     try:
-        w, v = scipy.linalg.eigh(matrix)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        w, v = np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigDecompositionFailure(str(exc)) from exc
     return float(w[0]), _phase_fixed(v[:, 0])
 

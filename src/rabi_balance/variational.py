@@ -53,6 +53,9 @@ from .solver import GroundSolution, solve_rabi_ground
 BETA_MAX = 6.0
 GAMMA_MAX = 2.0
 RESIDUAL_DIM = 120  # least Fock size of balance_residuals
+XATOL = 1e-8  # a start converges once its simplex is this narrow in x ...
+FATOL = 1e-10  # ... and in the trial energy
+MAXFEV = 2000  # energy evaluations per start
 
 
 @dataclass(frozen=True)
@@ -67,15 +70,6 @@ class TrialParams:
             raise AmplitudeTooLarge(f"|beta| = {abs(self.beta)} exceeds {BETA_MAX}")
         if abs(self.gamma) > GAMMA_MAX:
             raise SqueezeTooLarge(f"|gamma| = {abs(self.gamma)} exceeds {GAMMA_MAX}")
-
-
-@dataclass(frozen=True)
-class OptimizerOptions:
-    """Simplex search controls."""
-
-    xatol: float = 1e-8
-    fatol: float = 1e-10
-    maxfev: int = 2000
 
 
 @dataclass(frozen=True)
@@ -273,7 +267,6 @@ START_OFFSETS = (0.0, 0.3, -0.3)
 
 def minimize_energy(
     params: ModelParams,
-    options: OptimizerOptions | None = None,
     exact: GroundSolution | None = None,
 ) -> VariationalResult:
     """Simplex minimization of the closed form, checked against the solver.
@@ -283,7 +276,6 @@ def minimize_energy(
     OptimizerStalled (carrying the best point) if no start converges
     within the evaluation budget.
     """
-    opts = options or OptimizerOptions()
     beta_guess = float(np.clip(-params.lam / params.omega, -BETA_MAX, BETA_MAX))
     starts = [(0.0, 0.0)] + [(beta_guess, g) for g in START_OFFSETS]
     bounds = ((-BETA_MAX, BETA_MAX), (-GAMMA_MAX, GAMMA_MAX))
@@ -294,7 +286,7 @@ def minimize_energy(
     for x0 in starts:
         x, fun, nit, success = _nelder_mead(
             lambda x: _energy_formula(x[0], x[1], params),
-            x0, bounds, opts.xatol, opts.fatol, opts.maxfev,
+            x0, bounds, XATOL, FATOL, MAXFEV,
         )
         total_nit += nit
         any_converged = any_converged or success
@@ -313,7 +305,7 @@ def minimize_energy(
     )
     if not any_converged:
         raise OptimizerStalled(
-            f"no start converged within {opts.maxfev} evaluations", result=result
+            f"no start converged within {MAXFEV} evaluations", result=result
         )
     return result
 

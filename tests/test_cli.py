@@ -20,7 +20,7 @@ def run_cli(args):
 def test_solve_plain_output(capsys):
     assert run_cli(["solve", "--lambda", "0.5", "--omega0", "1"]) == 0
     out = capsys.readouterr().out
-    assert "energy = -0.6332942354616301" in out
+    assert "energy = -0.6332942354616302" in out
     assert "parity_label = +1" in out
     assert "converged = True" in out
 
@@ -390,21 +390,6 @@ def test_console_script_entry_point():
     assert "energy = -0.5" in proc.stdout
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    # scipy.optimize costs about a third of the start-up of every command
-    src = str(Path(rabi_balance.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, rabi_balance.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
 def test_failure_line_is_short_for_huge_inputs(capsys):
     assert run_cli(["sweep", "--lambda", "0", "--omega0", "1e300", "--omega", "1e300",
                     "--jobs", "1"]) == 2
@@ -426,14 +411,30 @@ def _child(args):
 @pytest.mark.parametrize("args", [
     ["balance", "--lambda", "1e200", "--omega0", "1"],
     ["sweep", "--lambda", "0", "--omega0", "1e300", "--omega", "1e300", "--jobs", "1"],
-], ids=["balance", "sweep"])
-def test_overflow_prints_one_line_in_a_real_process(args):
+    # sector chains beyond the float range (omega n) or with row sums beyond it (lam sqrt(n))
+    ["solve", "--omega", "1e307", "--lambda", "0", "--omega0", "1"],
+    ["converge", "--omega", "1e307", "--lambda", "0", "--omega0", "1"],
+    ["variational", "--omega", "1e307", "--lambda", "1", "--omega0", "1"],
+    ["solve", "--lambda", "1e307", "--omega0", "1"],
+    ["sweep", "--omega", "1e307", "--lambda", "0", "--omega0", "1", "--jobs", "1"],
+], ids=["balance", "sweep", "solve-omega", "converge-omega", "variational-omega",
+        "solve-lambda", "sweep-omega"])
+def test_overflow_prints_one_line_in_a_real_process(tmp_path, args):
     # pytest captures warnings in-process; only a real process shows
     # whether inf and NaN pass silently on their way to the OverflowError
-    proc = _child(["-m", "rabi_balance.cli", *args])
+    proc = _child(["-m", "rabi_balance.cli", *args, "--out", str(tmp_path / "out.txt")])
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "OverflowError: " in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # scipy.optimize costs about a third of the start-up of every command
+    proc = _child(["-c", "import sys, rabi_balance.cli; "
+                   "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_import_leaves_scipy_sparse_out():
@@ -442,3 +443,13 @@ def test_cli_import_leaves_scipy_sparse_out():
                    "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_solve_and_sweep_load_no_scipy():
+    # scipy is a test-only oracle; a solve and a sweep point load none of it
+    proc = _child(["-c", "import sys; from rabi_balance.cli import main; "
+                   "main(['solve', '--lambda', '0.5', '--omega0', '1']); "
+                   "main(['sweep', '--lambda', '0.5', '--omega0', '1', '--jobs', '1']); "
+                   "print(sorted(m for m in sys.modules if m.startswith('scipy')))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

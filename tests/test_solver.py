@@ -119,13 +119,13 @@ def test_convergence_table_shape_and_flags():
 ])
 def test_each_level_is_solved_once(monkeypatch, lam, dim, solves):
     dtypes = []
-    eigh = solver.scipy.linalg.eigh
+    eigh = solver.np.linalg.eigh
 
     def counting_eigh(*args, **kwargs):
         dtypes.append(args[0].dtype)
         return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(solver.scipy.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(solver.np.linalg, "eigh", counting_eigh)
     sol = solve_rabi_ground(ModelParams(omega=1.0, lam=lam, omega0=1.0), dim=dim)
     assert sol.converged
     assert dtypes == [np.float64] * solves  # real sector chains only
