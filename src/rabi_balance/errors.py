@@ -26,7 +26,7 @@ class DisplacementTooLarge(RabiError):
 
 
 class EigDecompositionFailure(RabiError):
-    """Dense eigendecomposition did not converge."""
+    """An eigen-solve did not converge, or its result could not be certified."""
 
 
 class NotConverged(RabiError):

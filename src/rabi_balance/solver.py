@@ -1,19 +1,46 @@
 """Exact diagonalization of the Rabi model with truncation control.
 
 The ground state is found per parity sector: each sector is the real
-symmetric N x N chain ``model.sector_matrix``, diagonalized with
-numpy's dense real ``eigh`` (two N x N problems instead of one complex
-2N x 2N one).  A matrix whose row sums leave the float range, and whose
-eigenvalues therefore may, raises OverflowError before the solve.
+symmetric tridiagonal chain ``model.sector_chain`` (two N-level problems
+instead of one complex 2N x 2N one), and ``_lowest_pair`` finds its
+lowest eigenpair in O(N) Python arithmetic, with no dense matrix and no
+BLAS call.  The methods are textbook (Parlett, *The Symmetric Eigenvalue
+Problem*: inverse iteration, ch. 4; Sturm counts, ch. 7).
+
+* A chain whose row sums leave the float range raises OverflowError
+  before the solve.  Any other chain is scaled by a power of two to norm
+  below 1, which is exact and keeps every square and pivot quotient in
+  range.  It splits where a coupling is negligible (|b_i| <= eps
+  sqrt|a_i a_i+1|, as in LAPACK), and each block is solved alone.
+* Each iteration step is one LDL^T (Thomas) factor-and-solve of
+  T - sigma I, whose negative pivots count the eigenvalues below sigma.
+* A level starts from the level below, padded with zeros: its Rayleigh
+  quotient is the energy below, an upper bound by interlacing.  From
+  there Rayleigh-quotient iteration runs, and Sturm counts certify its
+  result: no eigenvalue below E - m and exactly one below E + m, with
+  m = 1e-9 max(|E|, 1e-3) in the scaled chain.  The first level starts
+  from a coarse Sturm bisection instead.
+* Where the certificate fails or a shift passes the second eigenvalue,
+  the lowest eigenvalue is bisected to float resolution and iterated at
+  a fixed shift at the bracket's lower end, where T - sigma I is
+  positive definite; the result must lie in the bracket.  What neither
+  path certifies raises EigDecompositionFailure.
+* The energy is the Rayleigh quotient of the returned vector, summed
+  exactly (``math.fsum``).
+
 One doubling ladder solves both sectors at Fock dimension 16, 32, ...
 until the global minimum moves by less than ``tol``; a fixed ``dim`` is
 the same ladder over ``dim // 2`` and ``dim``.  Every level is solved
 once, and the winning sector's eigenvector at the last level is lifted
-back to the spin-boson space.
+back to the spin-boson space.  ``ground_state`` keeps numpy's dense
+``eigh`` for any Hermitian observable: the tests' oracle.
 """
 
 from __future__ import annotations
 
+import math
+import sys
+from operator import mul
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -21,11 +48,22 @@ import numpy as np
 
 from .errors import EigDecompositionFailure, NonHermitian, NotConverged
 from .fock import BOSON, Observable, QuantumState
-from .model import ModelParams, embed_reduced_state, sector_matrix
+from .model import ModelParams, embed_reduced_state, sector_chain
 
 START_DIM = 16
 MAX_DIM = 256
 DEGENERACY_TOL = 1e-9  # absolute sector gap below which the ground is degenerate
+
+# The chain is scaled to norm below 1; the tolerances below are in that scale.
+CERT_TOL = 1e-9  # certificate half-width m = CERT_TOL max(|E|, CERT_FLOOR)
+CERT_FLOOR = 1e-3
+RESIDUAL_TOL = 1e-13  # a unit x is converged once |T x - rho x| <= RESIDUAL_TOL |rho|
+STEP_TOL = 1e-14  # or once the last step moved it by at most STEP_TOL
+MAX_STEPS = 8  # inverse-iteration steps per attempt
+COARSE = 2.0**-8  # relative width of the bisection that starts a level without a start
+PIVOT_FLOOR = 2.0**-60  # smallest |pivot| of a shifted solve
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min  # a zero Sturm pivot counts as -_TINY
 
 
 @dataclass(frozen=True)
@@ -57,16 +95,187 @@ def _phase_fixed(vec: np.ndarray) -> np.ndarray:
     return vec * np.conj(phase)
 
 
-def _lowest_pair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    with np.errstate(over="ignore"):
-        bound = np.abs(matrix).sum(axis=1).max()  # bounds every |eigenvalue|
-    if not np.isfinite(bound):
-        raise OverflowError(f"{len(matrix)}-level matrix has row sums beyond the float range")
-    try:
-        w, v = np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigDecompositionFailure(str(exc)) from exc
-    return float(w[0]), _phase_fixed(v[:, 0])
+class _Chain:
+    """Symmetric tridiagonal T of norm below 1: diagonal ``a``, off-diagonal ``b`` (lists)."""
+
+    def __init__(self, a: list, b: list):
+        self.a, self.b = a, b
+        self.a1 = a[1:]
+        self.b2 = [x * x for x in b]
+
+    def count(self, sigma: float) -> int:
+        """Eigenvalues below sigma: the negative pivots of LDL^T = T - sigma I."""
+        q = self.a[0] - sigma
+        negatives = q <= 0.0
+        for a, b2 in zip(self.a1, self.b2):
+            q = a - sigma - b2 / (q or -_TINY)
+            if q <= 0.0:
+                negatives += 1
+        return negatives
+
+    def solve(self, sigma: float, x: list) -> tuple[list, int]:
+        """(T - sigma I)^-1 x by LDL^T, and the number of negative pivots."""
+        floor = PIVOT_FLOOR
+        d = self.a[0] - sigma
+        if -floor < d < floor:
+            d = floor if d > 0.0 else -floor
+        negatives = d < 0.0
+        y = x[0]
+        mults, zs = [], [y / d]  # L and D^-1 L^-1 x
+        push_m, push_z = mults.append, zs.append
+        for a, b, xi in zip(self.a1, self.b, x[1:]):
+            m = b / d
+            d = a - sigma - m * b
+            if -floor < d < floor:
+                d = floor if d > 0.0 else -floor
+            negatives += d < 0.0
+            y = xi - m * y
+            push_m(m)
+            push_z(y / d)
+        w = zs.pop()
+        out = [w]
+        for m, z in zip(reversed(mults), reversed(zs)):
+            w = z - m * w
+            out.append(w)
+        out.reverse()
+        return out, negatives
+
+    def iterate(self, x: list, shift: float, fixed: bool = False) -> list | None:
+        """Inverse iteration from the vector x to a converged unit vector.
+
+        The first step solves at ``shift``; later steps at the iterate's
+        Rayleigh quotient rho, or at ``shift`` again when ``fixed``.  A
+        step solves (T - sigma I) w = x; u = w / |w| has rho = sigma +
+        (x.u) / |w| and residual |x - (x.u) u| / |w|.  u is converged
+        when that residual is below RESIDUAL_TOL |rho| (relative, so that
+        a level far below the chain's norm keeps its digits) or the step
+        moved x by at most STEP_TOL.  None when a shift passes the second
+        eigenvalue, an iterate is not finite, or MAX_STEPS pass.
+        """
+        sigma = shift
+        for _ in range(MAX_STEPS):
+            w, negatives = self.solve(sigma, x)
+            norm = math.sqrt(math.fsum(map(mul, w, w)))
+            if negatives > 1 or not 0.0 < norm < math.inf:
+                return None
+            u = [v / norm for v in w]
+            c = math.fsum(map(mul, x, u))
+            r = [xi - c * ui for xi, ui in zip(x, u)]
+            moved = math.sqrt(math.fsum(map(mul, r, r)))
+            rho = sigma + c / norm
+            if moved <= RESIDUAL_TOL * abs(rho) * norm or moved <= STEP_TOL:
+                return u
+            x = u
+            if not fixed:
+                sigma = rho
+        return None
+
+    def rayleigh(self, x: list) -> float:
+        """Rayleigh quotient of x: products in floats, sums exact (``math.fsum``)."""
+        num = math.fsum([a * xi * xi for a, xi in zip(self.a, x)]
+                        + [2.0 * b * xi * xj for b, xi, xj in zip(self.b, x, x[1:])])
+        return num / math.fsum(map(mul, x, x))
+
+    def bisect(self, lo: float, hi: float, resolution: float) -> tuple[float, float]:
+        """Sturm bisection of [lo, hi], no eigenvalue below lo and the lowest below hi.
+
+        Halves until hi - lo <= resolution * max(|lo|, |hi|, CERT_FLOOR).
+        """
+        while hi - lo > resolution * max(-lo, hi, CERT_FLOOR):
+            mid = 0.5 * (lo + hi)
+            if self.count(mid) == 0:
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+
+    def certified(self, x: list | None) -> tuple[float, list] | None:
+        """(E, x) if no eigenvalue lies below E - m and exactly one below E + m."""
+        if x is None:
+            return None
+        energy = self.rayleigh(x)
+        m = CERT_TOL * max(abs(energy), CERT_FLOOR)
+        if self.count(energy - m) == 0 and self.count(energy + m) == 1:
+            return energy, x
+        return None
+
+    def lowest(self, x: list | None, shift: float) -> tuple[float, list] | None:
+        """Lowest eigenpair, first by Rayleigh-quotient iteration from x at ``shift``.
+
+        Then from a coarse Sturm bracket, and last from one at float
+        resolution with a fixed shift at its lower end.  The alternating
+        vector overlaps every lowest eigenvector of a chain with b >= 0.
+        """
+        found = self.certified(self.iterate(x, shift)) if x is not None else None
+        if found is None:
+            n = len(self.a)
+            alternating = ([1.0 / math.sqrt(n), -1.0 / math.sqrt(n)] * n)[:n]
+            # Gershgorin's lower bound, and the least diagonal entry (a
+            # Rayleigh quotient), widened by the certificate's least m
+            b = [0.0, *map(abs, self.b), 0.0]
+            lo = min([a - left - right for a, left, right in zip(self.a, b, b[1:])])
+            margin = CERT_TOL * CERT_FLOOR
+            lo, hi = self.bisect(lo - margin, min(self.a) + margin, COARSE)
+            found = self.certified(self.iterate(alternating, lo))
+        if found is None:
+            lo, hi = self.bisect(lo, hi, _EPS)
+            x = self.iterate(alternating, lo, fixed=True)
+            if x is not None:
+                energy = self.rayleigh(x)
+                m = CERT_TOL * max(abs(energy), CERT_FLOOR)
+                if lo - m <= energy <= hi + m:
+                    found = energy, x
+        return found
+
+
+def _lowest_pair(diag: np.ndarray, off: np.ndarray,
+                 start: tuple[float, np.ndarray] | None = None) -> tuple[float, np.ndarray]:
+    """Certified lowest eigenpair of the chain with diagonal ``diag`` and off-diagonal ``off``.
+
+    ``start`` is the lowest pair of a leading block of the chain (the
+    level below); its vector, padded with zeros, starts the iteration at
+    its energy.
+    """
+    n = diag.size
+    a, b = diag.tolist(), off.tolist()
+    bound = max(map(abs, a)) + 2.0 * max(map(abs, b), default=0.0)
+    if not math.isfinite(bound):  # then bound by the row sums themselves
+        with np.errstate(over="ignore"):
+            rows = np.abs(diag)
+            rows[1:] = np.abs(off) + rows[1:]
+            rows[:-1] += np.abs(off)
+            bound = float(rows.max())  # bounds every |eigenvalue|
+        if not math.isfinite(bound):
+            raise OverflowError(f"{n}-level matrix has row sums beyond the float range")
+    exp = math.frexp(bound)[1]
+    scale = math.ldexp(1.0, -exp)  # a power of two: the scaled chain is exact
+    a, b = [v * scale for v in a], [v * scale for v in b]
+    x = [0.0] * n
+    if start is not None:
+        x[:start[1].size] = start[1].tolist()
+    # A coupling below eps sqrt|a_i a_i+1| is negligible, as in LAPACK's
+    # tridiagonal solvers: the chain splits there, and each block is solved
+    # alone, which keeps the relative accuracy of a decoupled level.  (As
+    # |a_i| < 1, the first test only screens out the common case fast.)
+    tiny = _EPS * _EPS
+    cuts = [i + 1 for i, c in enumerate(b) if c * c <= tiny and c * c <= tiny * abs(a[i] * a[i + 1])]
+    best = None
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        if hi - lo == 1:
+            found = a[lo], [1.0]
+        else:
+            block = x[lo:hi] if any(x[lo:hi]) else None
+            shift = None if block is None else math.ldexp(start[0], -exp)
+            found = _Chain(a[lo:hi], b[lo:hi - 1]).lowest(block, shift)
+            if found is None:
+                raise EigDecompositionFailure(
+                    f"{n}-level chain: no lowest eigenpair passed the Sturm certificate"
+                )
+        if best is None or found[0] < best[0]:
+            best, where = found, lo
+    vec = np.zeros(n)
+    vec[where:where + len(best[1])] = best[1]
+    return math.ldexp(best[0], exp), _phase_fixed(vec)
 
 
 def ground_state(obs: Observable, kind: str = BOSON) -> tuple[float, QuantumState]:
@@ -77,8 +286,16 @@ def ground_state(obs: Observable, kind: str = BOSON) -> tuple[float, QuantumStat
     """
     if not obs.hermitian:
         raise NonHermitian("ground_state requires a Hermitian observable")
-    energy, vec = _lowest_pair(obs.matrix)
-    return energy, QuantumState(vec, kind)
+    matrix = obs.matrix
+    with np.errstate(over="ignore"):
+        bound = np.abs(matrix).sum(axis=1).max()  # bounds every |eigenvalue|
+    if not np.isfinite(bound):
+        raise OverflowError(f"{len(matrix)}-level matrix has row sums beyond the float range")
+    try:
+        w, v = np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise EigDecompositionFailure(str(exc)) from exc
+    return float(w[0]), QuantumState(_phase_fixed(v[:, 0]), kind)
 
 
 def _doubling(params: ModelParams, tol: float, dims: Iterable[int]):
@@ -90,10 +307,13 @@ def _doubling(params: ModelParams, tol: float, dims: Iterable[int]):
     converged.
     """
     rows: list[tuple[int, float, float]] = []
-    sectors: dict[int, tuple[float, np.ndarray]] = {}
+    sectors: dict[int, tuple[float, np.ndarray] | None] = {+1: None, -1: None}
     previous = np.nan
     for dim in dims:
-        sectors = {p: _lowest_pair(sector_matrix(dim, params, p)) for p in (+1, -1)}
+        sectors = {
+            p: _lowest_pair(*sector_chain(dim, params, p), start=sectors[p])
+            for p in (+1, -1)
+        }
         energy = min(e for e, _ in sectors.values())
         rows.append((dim, energy, energy - previous))
         if abs(energy - previous) < tol:

@@ -30,7 +30,12 @@ from rabi_balance import (
     wigner_energy_bounds,
     wigner_origin,
 )
-from rabi_balance.balance import b6_reduced_variance_gap, b7_terms, force_balance
+from rabi_balance.balance import (
+    FIRST_ORDER_SET,
+    b6_reduced_variance_gap,
+    b7_terms,
+    force_balance,
+)
 from rabi_balance.fock import Observable, variance
 from rabi_balance.model import build_full_hamiltonian, build_reduced_hamiltonian
 from rabi_balance.solver import ground_state
@@ -321,6 +326,42 @@ def test_report_and_trial_residuals_build_the_bundle_once(monkeypatch):
     built.clear()
     balance_residuals(TrialParams(-0.3, 0.2), p)
     assert built == [120]
+
+
+def test_full_report_applies_h_once_and_keeps_every_field(monkeypatch, rng):
+    # H v and H H v are shared by the nine residuals: 56 band applies per
+    # report, where applying H afresh in each residual took 65; each
+    # residual still equals, bit for bit, the one computed on its own
+    from rabi_balance.fock import BandOperator
+
+    applies = []
+    apply = BandOperator.apply
+
+    def counting(self, v):
+        applies.append(self.dim)
+        return apply(self, v)
+
+    p, sol, rep = _solved(lam=1.0, omega0=2.0)
+    states = [(p, sol.state, sol.parity, sol.energy, sol.boson_state, rep)]
+    p2 = ModelParams(omega=0.6, lam=1.7, omega0=2.3)
+    sol2 = solve_rabi_ground(p2)
+    states.append((p2, sol2.state, sol2.parity, sol2.energy, sol2.boson_state,
+                   FockRep(sol2.dim_used)))
+    phi = padded_random_state(rng, 32, 12, kind=BOSON)
+    states.append((p, embed_reduced_state(phi, -1), -1, None, phi, FockRep(32)))
+    for params, state, sector, energy, boson, rep_k in states:
+        monkeypatch.setattr(BandOperator, "apply", counting)
+        report = full_report(state, rep_k, params, sector=sector, energy=energy,
+                             boson_state=boson)
+        monkeypatch.setattr(BandOperator, "apply", apply)
+        assert len(applies) == (56 if energy is not None else 57)  # <E> costs one
+        applies.clear()
+        obs = standard_observables(rep_k, params)
+        h = obs["hamiltonian"]
+        for name in FIRST_ORDER_SET:
+            assert report.first_order[name] == first_order_residual(h, obs[name], state)
+        for name in ("q_sigma_x", "omega_num"):
+            assert report.second_order[name] == second_order_residual(h, obs[name], state)
 
 
 def test_bundle_apply_equals_its_dense_matrix(rng):

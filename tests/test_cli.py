@@ -6,6 +6,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rabi_balance
@@ -427,6 +428,41 @@ def test_overflow_prints_one_line_in_a_real_process(tmp_path, args):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "OverflowError: " in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("lam", ["1e160", "1e200"])
+def test_huge_coupling_solve_is_best_effort_in_a_real_process(tmp_path, lam):
+    # the chain's off-diagonal squares and pivot quotients leave the float
+    # range unless the solver scales the chain; the best effort is printed,
+    # with no warning, and the unconverged ladder exits 2
+    out = tmp_path / "out.txt"
+    proc = _child(["-m", "rabi_balance.cli", "solve", "--lambda", lam, "--omega0", "1",
+                   "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert "converged = False" in out.read_text()
+
+
+@pytest.mark.parametrize("lam", ["1e160", "1e200"])
+def test_huge_coupling_solve_raises_no_runtime_warning(capsys, lam):
+    # in-process, where the suite turns a RuntimeWarning into an error
+    assert run_cli(["solve", "--lambda", lam, "--omega0", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "dim_used = 256" in captured.out
+
+
+def test_solve_and_sweep_call_no_dense_eigh(monkeypatch, capsys):
+    # sector chains are solved in O(N) Python arithmetic: neither numpy's
+    # dense eigh nor the BLAS threads it starts are on the solve path
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert run_cli(["solve", "--lambda", "0.5", "--omega0", "1"]) == 0
+    assert run_cli(["solve", "--lambda", "6", "--omega0", "1"]) == 0
+    assert run_cli(["sweep", "--lambda", "0.5", "--omega0", "1", "--jobs", "1"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_import_leaves_scipy_optimize_out():

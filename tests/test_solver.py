@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rabi_balance import (
+    EigDecompositionFailure,
     FockRep,
     ModelParams,
     NotConverged,
@@ -16,6 +17,7 @@ from rabi_balance import (
     solve_rabi_ground,
 )
 from rabi_balance import solver
+from rabi_balance.model import sector_chain, sector_matrix
 from rabi_balance.solver import ground_state
 
 
@@ -112,23 +114,120 @@ def test_convergence_table_shape_and_flags():
     assert abs(rows[-1][2]) < 1e-10
 
 
-@pytest.mark.parametrize("lam, dim, solves", [
-    (0.5, None, 4),  # levels 16 and 32, two sectors each
-    (6.0, None, 10),  # levels 16 to 256
-    (0.5, 64, 4),  # fixed dim: dim // 2 and dim
-])
-def test_each_level_is_solved_once(monkeypatch, lam, dim, solves):
-    dtypes = []
-    eigh = solver.np.linalg.eigh
+@pytest.mark.parametrize("lam, dim, levels", [
+    (0.5, None, [16, 16, 32, 32]),  # two sectors per level
+    (6.0, None, [16, 16, 32, 32, 64, 64, 128, 128, 256, 256]),
+    (0.5, 64, [32, 32, 64, 64]),  # fixed dim: dim // 2 and dim
+], ids=["0.5-None-4", "6.0-None-10", "0.5-64-4"])
+def test_each_level_is_solved_once(monkeypatch, lam, dim, levels):
+    solved = []
+    lowest_pair = solver._lowest_pair
 
-    def counting_eigh(*args, **kwargs):
-        dtypes.append(args[0].dtype)
-        return eigh(*args, **kwargs)
+    def counting(diag, off, start=None):
+        solved.append(diag.size)
+        return lowest_pair(diag, off, start)
 
-    monkeypatch.setattr(solver.np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(solver, "_lowest_pair", counting)
     sol = solve_rabi_ground(ModelParams(omega=1.0, lam=lam, omega0=1.0), dim=dim)
     assert sol.converged
-    assert dtypes == [np.float64] * solves  # real sector chains only
+    assert solved == levels
+
+
+def _sturm_count(diag, off, sigma):
+    """Eigenvalues of the chain below sigma: negative pivots of its LDL^T, on floats."""
+    count, q = 0, 1.0
+    for i, a in enumerate(diag):
+        q = a - sigma - (off[i - 1] ** 2 / q if i else 0.0)
+        count += q < 0.0
+    return count
+
+
+def _check_lowest_pair(params, sector, energy, vec, isolated=True):
+    """Dense-oracle agreement and the Sturm certificate of one sector solve."""
+    dim = vec.size
+    want, phi = ground_state(build_reduced_hamiltonian(FockRep(dim), params, sector))
+    assert abs(energy - want) < 1e-12
+    assert abs(abs(np.vdot(phi.amplitudes, vec)) - 1.0) < 1e-12
+    diag, off = sector_chain(dim, params, sector)
+    m = 1e-9 * max(abs(energy), 1.0)
+    assert _sturm_count(diag, off, energy - m) == 0
+    assert _sturm_count(diag, off, energy + m) == (1 if isolated else 2)
+
+
+@pytest.mark.parametrize("lam, omega0, sector, dim", [
+    (0.0, 0.7, +1, 16),  # decoupled levels: a diagonal chain
+    (0.0, 0.7, -1, 16),
+    (0.4, 0.0, -1, 32),
+    (6.0, 1.0, +1, 256),
+    (6.0, 1.0, -1, 256),
+])
+def test_cold_sector_solve_matches_dense_oracle(lam, omega0, sector, dim):
+    params = ModelParams(omega=1.0, lam=lam, omega0=omega0)
+    energy, vec = solver._lowest_pair(*sector_chain(dim, params, sector))
+    _check_lowest_pair(params, sector, energy, vec)
+
+
+def test_degenerate_lowest_level_in_a_sector():
+    # lam = 0, omega0 = omega: levels 0 and 1 of sector -1 both sit at omega0 / 2;
+    # the solve returns the lower-index level, as the dense solve does
+    params = ModelParams(omega=1.0, lam=0.0, omega0=1.0)
+    energy, vec = solver._lowest_pair(*sector_chain(16, params, -1))
+    assert energy == 0.5
+    _check_lowest_pair(params, -1, energy, vec, isolated=False)
+
+
+@pytest.mark.parametrize("omega", [1e20, 1e300])
+def test_level_far_below_the_chain_norm_keeps_its_digits(omega):
+    # E = -omega0/2 - lam^2/omega + ... is -0.5 to the last digit, while the
+    # chain's norm is 16 omega: a residual relative to |E| (1e20) and the
+    # split at negligible couplings (1e300) keep every digit of E
+    sol = solve_rabi_ground(ModelParams(omega=omega, lam=1.0, omega0=1.0))
+    assert sol.energy == -0.5
+    assert sol.dim_used == 32 and sol.converged
+
+
+def test_fixed_dim_512_starts_from_bisection(monkeypatch):
+    bisected = []
+    bisect = solver._Chain.bisect
+
+    def counting(self, lo, hi, resolution):
+        bisected.append(len(self.a))
+        return bisect(self, lo, hi, resolution)
+
+    monkeypatch.setattr(solver._Chain, "bisect", counting)
+    params = ModelParams(omega=1.0, lam=3.0, omega0=1.0)
+    sol = solve_rabi_ground(params, dim=512)
+    assert bisected == [256, 256]  # the first level has no level below; 512 starts from it
+    _check_lowest_pair(params, sol.parity, sol.energy, sol.boson_state.amplitudes)
+
+
+def test_excited_start_falls_back_to_the_lowest_pair(monkeypatch):
+    bisected = []
+    bisect = solver._Chain.bisect
+
+    def counting(self, lo, hi, resolution):
+        bisected.append(resolution)
+        return bisect(self, lo, hi, resolution)
+
+    monkeypatch.setattr(solver._Chain, "bisect", counting)
+    params = ModelParams(omega=1.0, lam=1.5, omega0=1.0)
+    w, v = np.linalg.eigh(sector_matrix(64, params, +1))
+    excited = (float(w[1]), v[:, 1])  # Rayleigh iteration from here converges to w[1]
+    energy, vec = solver._lowest_pair(*sector_chain(64, params, +1), start=excited)
+    assert bisected  # the certificate failed, so the solve fell back to bisection
+    _check_lowest_pair(params, +1, energy, vec)
+
+
+def test_uncertified_solve_raises_one_line(monkeypatch, capsys):
+    from rabi_balance.cli import main
+
+    monkeypatch.setattr(solver._Chain, "count", lambda self, sigma: 2)  # no certificate holds
+    with pytest.raises(EigDecompositionFailure) as err:
+        solver._lowest_pair(*sector_chain(16, ModelParams(omega=1.0, lam=0.5, omega0=1.0), +1))
+    assert str(err.value) == "16-level chain: no lowest eigenpair passed the Sturm certificate"
+    assert main(["solve", "--lambda", "0.5", "--omega0", "1"]) == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert err_lines == ["numerical failure: " + str(err.value)]
 
 
 @pytest.mark.parametrize("lam, omega0", [(0.7, 0.0), (0.5, 1.0), (6.0, 1.0)])
