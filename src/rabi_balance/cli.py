@@ -47,6 +47,7 @@ SWEEP_COLUMNS = [
 ]
 
 AXIS_NAMES = ("omega", "lambda", "omega0")
+MAX_GRID_POINTS = 10**6  # a sweep over more points is a config error
 
 
 @dataclass(frozen=True)
@@ -425,12 +426,13 @@ def _render_sweep(rows: list[dict], fmt: str) -> str:
 
 
 def _pool_map(tasks: list, jobs: int):
-    """``map(_sweep_point, tasks)`` on ``jobs`` worker processes.
+    """``map(_sweep_point, tasks)`` on ``min(jobs, len(tasks))`` worker processes.
 
     Results come in grid order, at most ``jobs`` points run at a time,
     and once a point has raised no further point starts: a failing
     sweep ends when the points already running finish.
     """
+    jobs = min(jobs, len(tasks))  # the pool starts all its workers at once
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         todo = iter(enumerate(tasks))
         running: dict = {}  # future -> grid index
@@ -464,7 +466,11 @@ def _failure_text(exc: Exception) -> str:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    for name, val in zip(AXIS_NAMES, (cfg.omega, cfg.lam, cfg.omega0)):
+    axes = (cfg.omega, cfg.lam, cfg.omega0)
+    points = math.prod(val.count for val in axes if isinstance(val, AxisRange))
+    if points > MAX_GRID_POINTS:  # checked before any axis value is built
+        raise ConfigError(f"sweep: grid of {points} points exceeds {MAX_GRID_POINTS}")
+    for name, val in zip(AXIS_NAMES, axes):
         # validate every axis value before any point runs, so bad input
         # fails as a config error rather than as a numerical one
         for v in val.values() if isinstance(val, AxisRange) else [val]:

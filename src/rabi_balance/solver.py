@@ -29,8 +29,9 @@ Problem*: inverse iteration, ch. 4; Sturm counts, ch. 7).
   exactly (``math.fsum``).
 
 One doubling ladder solves both sectors at Fock dimension 16, 32, ...
-until the global minimum moves by less than ``tol``; a fixed ``dim`` is
-the same ladder over ``dim // 2`` and ``dim``.  Every level is solved
+until the global minimum moves by less than ``tol`` (or, where ``tol``
+is below its rounding, by less than ROUNDING_ULPS ulps); a fixed ``dim``
+is the same ladder over ``dim // 2`` and ``dim``.  Every level is solved
 once, and the winning sector's eigenvector at the last level is lifted
 back to the spin-boson space.  ``ground_state`` keeps numpy's dense
 ``eigh`` for any Hermitian observable: the tests' oracle.
@@ -53,6 +54,7 @@ from .model import ModelParams, embed_reduced_state, sector_chain
 START_DIM = 16
 MAX_DIM = 256
 DEGENERACY_TOL = 1e-9  # absolute sector gap below which the ground is degenerate
+ROUNDING_ULPS = 64  # a level change within this many ulps of E is rounding: converged
 
 # The chain is scaled to norm below 1; the tolerances below are in that scale.
 CERT_TOL = 1e-9  # certificate half-width m = CERT_TOL max(|E|, CERT_FLOOR)
@@ -301,6 +303,10 @@ def ground_state(obs: Observable, kind: str = BOSON) -> tuple[float, QuantumStat
 def _doubling(params: ModelParams, tol: float, dims: Iterable[int]):
     """Solve both sectors at each of ``dims`` until the energy moves < ``tol``.
 
+    Where ``tol`` is below the rounding of E (|E| above about 1e4 at the
+    default 1e-10), a move under ROUNDING_ULPS ulps of E also stops the
+    ladder: a converged energy still wobbles by an ulp or two per level.
+
     Returns the rows (dim, energy, delta) of the levels solved, where
     energy is the lower sector energy and delta is nan on the first row;
     the two sector ground pairs of the last level; and whether it
@@ -316,7 +322,7 @@ def _doubling(params: ModelParams, tol: float, dims: Iterable[int]):
         }
         energy = min(e for e, _ in sectors.values())
         rows.append((dim, energy, energy - previous))
-        if abs(energy - previous) < tol:
+        if abs(energy - previous) < max(tol, ROUNDING_ULPS * math.ulp(energy)):
             return rows, sectors, True
         previous = energy
     return rows, sectors, False

@@ -26,6 +26,13 @@ kinetic-balance and force-covariance residuals of the embedded state.
 bounded Nelder-Mead simplex, which takes step for step the path of
 scipy's ``minimize(method="Nelder-Mead", bounds=...)`` and so returns
 the same optimum bit for bit, without importing ``scipy.optimize``.
+The simplex is a loop over two variables: each vertex is a (beta, gamma)
+pair of Python floats, trial points are clipped by comparisons and the
+three vertices are ordered by a stable insertion sort, NaN last.  The
+energy it calls is the closed form on Python floats, rounded as on
+numpy float64 scalars; the exponential and sinh stay numpy's, because
+``math.exp`` and ``math.sinh`` round some arguments differently, and one
+last-bit change in the energy can change the simplex path.
 """
 
 from __future__ import annotations
@@ -106,18 +113,30 @@ def trial_state(rep: FockRep, trial: TrialParams) -> QuantumState:
     return QuantumState.from_vector(amps, BOSON)
 
 
-def _energy_formula(beta: float, gamma: float, params: ModelParams) -> float:
-    stretch = np.exp(gamma)
-    return float(
-        params.omega * (beta**2 * stretch**2 + np.sinh(gamma) ** 2)
-        + 2.0 * params.lam * beta * stretch
-        - 0.5 * params.omega0 * np.exp(-2.0 * beta**2)
-    )
+def _energy_formula(params: ModelParams):
+    """The closed form as a function of Python floats (beta, gamma) at ``params``.
+
+    Rounded as the float64 formula would be: + - * round alike, ``**2``
+    calls ``pow`` on both, and the transcendentals stay numpy's, since
+    ``math.exp`` and ``math.sinh`` differ from them in the last bit on
+    some inputs and would move the simplex path.
+    """
+    omega, lam, omega0 = float(params.omega), float(params.lam), float(params.omega0)
+
+    def energy(beta: float, gamma: float) -> float:
+        stretch = float(np.exp(gamma))
+        return (
+            omega * (beta**2 * stretch**2 + float(np.sinh(gamma)) ** 2)
+            + 2.0 * lam * beta * stretch
+            - 0.5 * omega0 * float(np.exp(-2.0 * beta**2))
+        )
+
+    return energy
 
 
 def energy_closed_form(trial: TrialParams, params: ModelParams) -> float:
     """Closed-form trial energy; see the module docstring."""
-    return _energy_formula(trial.beta, trial.gamma, params)
+    return _energy_formula(params)(float(trial.beta), float(trial.gamma))
 
 
 def energy_numeric(rep: FockRep, trial: TrialParams, params: ModelParams) -> float:
@@ -160,106 +179,126 @@ def balance_residuals(trial: TrialParams, params: ModelParams) -> tuple[float, f
     return _b1(psi, obs, params), _b7(psi, obs, params)
 
 
-class _BudgetSpent(Exception):
-    """The simplex asked for an evaluation beyond its ``maxfev``."""
-
-
 def _nelder_mead(func, x0, bounds, xatol, fatol, maxfev):
-    """Bounded Nelder-Mead minimum of ``func`` over two variables: (x, fun, nit, success).
+    """Bounded Nelder-Mead minimum of ``func(beta, gamma)``: (x, fun, nit, success).
 
     Operation for operation scipy 1.17's ``_minimize_neldermead`` without
     ``adaptive`` or ``maxiter``, so every iterate, and the returned x, fun,
-    nit and success, equal those of ``scipy.optimize.minimize(func, x0,
-    method="Nelder-Mead", bounds=bounds, options={"xatol": xatol,
-    "fatol": fatol, "maxfev": maxfev})``: the same initial simplex, a clip
-    of every trial point into the (nonzero) bounds, the same branch tests
-    and a stable sort of the three vertices (numpy's argsort of more than
-    three values is not stable on every CPU, hence two variables only).
-    The budget is checked before each evaluation; running out
-    mid-iteration leaves the simplex as it stands, half-shrunk included,
+    nit and success, equal those of ``scipy.optimize.minimize(lambda x:
+    func(*x), x0, method="Nelder-Mead", bounds=bounds, options={"xatol":
+    xatol, "fatol": fatol, "maxfev": maxfev})``: the same initial simplex, a
+    clip of every trial point into the (nonzero) bounds, the same branch
+    tests and a stable sort of the three vertices, NaN last (numpy's argsort
+    of more than three values is not stable on every CPU, hence two
+    variables only).  The budget is checked before each evaluation; running
+    out mid-iteration leaves the simplex as it stands, half-shrunk included,
     and does not count the iteration.
+
+    The two variables are unrolled: each vertex is a (beta, gamma) pair of
+    Python floats with its value, and each trial point is built by the
+    float expression scipy evaluates per coordinate (the reflection
+    ``2 xbar - 1 worst`` is ``2 * xb - b2``, as multiplying by 1 is exact).
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    lower, upper = zip(*bounds)
-    nfev = 0
-
-    def clip(x):
-        return [min(max(v, lo), hi) for v, lo, hi in zip(x, lower, upper)]
-
-    def f(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _BudgetSpent
-        nfev += 1
-        return func(x)
-
-    def by_value(sim, fsim):  # as numpy's argsort: stable, NaN last
-        order = sorted(range(3), key=lambda k: (fsim[k] != fsim[k], fsim[k]))
-        return [sim[k] for k in order], [fsim[k] for k in order]
-
-    start = clip(x0)
-    sim = [start]
-    for k in range(2):
-        y = list(start)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
-    # a vertex above an upper bound is reflected inside before the clip
-    sim = [clip([2 * hi - v if v > hi else v for v, hi in zip(y, upper)]) for y in sim]
-    fsim = [math.inf] * 3
-    try:
-        for k in range(3):
-            fsim[k] = f(sim[k])
-    except _BudgetSpent:
-        pass
-    sim, fsim = by_value(sim, fsim)
+    (blo, bhi), (glo, ghi) = bounds
+    b0, g0 = x0
+    b0 = blo if b0 < blo else bhi if b0 > bhi else b0
+    g0 = glo if g0 < glo else ghi if g0 > ghi else g0
+    # each start coordinate moved by 5% (0.00025 from zero); one above its
+    # upper bound is reflected inside before the clip
+    b1, g1 = (1 + 0.05) * b0 if b0 != 0 else 0.00025, g0
+    b1 = 2 * bhi - b1 if b1 > bhi else b1
+    b1 = blo if b1 < blo else bhi if b1 > bhi else b1
+    b2, g2 = b0, (1 + 0.05) * g0 if g0 != 0 else 0.00025
+    g2 = 2 * ghi - g2 if g2 > ghi else g2
+    g2 = glo if g2 < glo else ghi if g2 > ghi else g2
+    f0 = func(b0, g0) if maxfev > 0 else math.inf
+    f1 = func(b1, g1) if maxfev > 1 else math.inf
+    f2 = func(b2, g2) if maxfev > 2 else math.inf
+    nfev = min(max(maxfev, 0), 3)
 
     nit = 1
-    while nfev < maxfev:
-        try:
-            if (all(abs(v - b) <= xatol for y in sim[1:] for v, b in zip(y, sim[0]))
-                    and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])):
-                break
-            # (a + b) / 2 as numpy's add.reduce; sum() would start from
-            # 0.0 and turn a -0.0 into 0.0
-            xbar = [(a + b) / 2 for a, b in zip(sim[0], sim[1])]
-            worst = sim[2]
-            xr = clip([(1 + rho) * a - rho * w for a, w in zip(xbar, worst)])
-            fxr = f(xr)
-            shrink = False
-            if fxr < fsim[0]:
-                xe = clip([(1 + rho * chi) * a - rho * chi * w for a, w in zip(xbar, worst)])
-                fxe = f(xe)
-                if fxe < fxr:
-                    sim[2], fsim[2] = xe, fxe
-                else:
-                    sim[2], fsim[2] = xr, fxr
-            elif fxr < fsim[1]:
-                sim[2], fsim[2] = xr, fxr
-            elif fxr < fsim[2]:  # outside contraction
-                xc = clip([(1 + psi * rho) * a - psi * rho * w for a, w in zip(xbar, worst)])
-                fxc = f(xc)
-                if fxc <= fxr:
-                    sim[2], fsim[2] = xc, fxc
-                else:
-                    shrink = True
-            else:  # inside contraction
-                xcc = clip([(1 - psi) * a + psi * w for a, w in zip(xbar, worst)])
-                fxcc = f(xcc)
-                if fxcc < fsim[2]:
-                    sim[2], fsim[2] = xcc, fxcc
-                else:
-                    shrink = True
-            if shrink:
-                for j in (1, 2):
-                    sim[j] = clip([b + sigma * (v - b) for v, b in zip(sim[j], sim[0])])
-                    fsim[j] = f(sim[j])
-            nit += 1
-        except _BudgetSpent:
-            pass
-        sim, fsim = by_value(sim, fsim)
+    while True:
+        # stable sort of the vertices by value, NaN last (a moves before b
+        # only if a < b, or a is a number and b is NaN); a budget spent
+        # mid-iteration continues here, to sort the simplex as it stands
+        if f1 < f0 or (f0 != f0 and f1 == f1):
+            b0, g0, f0, b1, g1, f1 = b1, g1, f1, b0, g0, f0
+        if f2 < f1 or (f1 != f1 and f2 == f2):
+            b1, g1, f1, b2, g2, f2 = b2, g2, f2, b1, g1, f1
+            if f1 < f0 or (f0 != f0 and f1 == f1):
+                b0, g0, f0, b1, g1, f1 = b1, g1, f1, b0, g0, f0
+        if nfev >= maxfev:
+            break
+        if (abs(b1 - b0) <= xatol and abs(g1 - g0) <= xatol
+                and abs(b2 - b0) <= xatol and abs(g2 - g0) <= xatol
+                and abs(f0 - f1) <= fatol and abs(f0 - f2) <= fatol):
+            break
+        # (a + b) / 2 as numpy's add.reduce; sum() would start from 0.0
+        # and turn a -0.0 into 0.0
+        xb, xg = (b0 + b1) / 2, (g0 + g1) / 2
+        rb, rg = 2 * xb - b2, 2 * xg - g2  # reflection
+        rb = blo if rb < blo else bhi if rb > bhi else rb
+        rg = glo if rg < glo else ghi if rg > ghi else rg
+        nfev += 1
+        fr = func(rb, rg)
+        shrink = False
+        if fr < f0:
+            eb, eg = 3 * xb - 2 * b2, 3 * xg - 2 * g2  # expansion
+            eb = blo if eb < blo else bhi if eb > bhi else eb
+            eg = glo if eg < glo else ghi if eg > ghi else eg
+            if nfev >= maxfev:
+                continue
+            nfev += 1
+            fe = func(eb, eg)
+            if fe < fr:
+                b2, g2, f2 = eb, eg, fe
+            else:
+                b2, g2, f2 = rb, rg, fr
+        elif fr < f1:
+            b2, g2, f2 = rb, rg, fr
+        elif fr < f2:
+            cb, cg = 1.5 * xb - 0.5 * b2, 1.5 * xg - 0.5 * g2  # outside contraction
+            cb = blo if cb < blo else bhi if cb > bhi else cb
+            cg = glo if cg < glo else ghi if cg > ghi else cg
+            if nfev >= maxfev:
+                continue
+            nfev += 1
+            fc = func(cb, cg)
+            if fc <= fr:
+                b2, g2, f2 = cb, cg, fc
+            else:
+                shrink = True
+        else:
+            cb, cg = 0.5 * xb + 0.5 * b2, 0.5 * xg + 0.5 * g2  # inside contraction
+            cb = blo if cb < blo else bhi if cb > bhi else cb
+            cg = glo if cg < glo else ghi if cg > ghi else cg
+            if nfev >= maxfev:
+                continue
+            nfev += 1
+            fc = func(cb, cg)
+            if fc < f2:
+                b2, g2, f2 = cb, cg, fc
+            else:
+                shrink = True
+        if shrink:  # both vertices halfway to the best one
+            b1, g1 = b0 + 0.5 * (b1 - b0), g0 + 0.5 * (g1 - g0)
+            b1 = blo if b1 < blo else bhi if b1 > bhi else b1
+            g1 = glo if g1 < glo else ghi if g1 > ghi else g1
+            if nfev >= maxfev:
+                continue
+            nfev += 1
+            f1 = func(b1, g1)
+            b2, g2 = b0 + 0.5 * (b2 - b0), g0 + 0.5 * (g2 - g0)
+            b2 = blo if b2 < blo else bhi if b2 > bhi else b2
+            g2 = glo if g2 < glo else ghi if g2 > ghi else g2
+            if nfev >= maxfev:
+                continue
+            nfev += 1
+            f2 = func(b2, g2)
+        nit += 1
 
-    fun = fsim[0] if fsim[2] == fsim[2] else fsim[2]  # as np.min: a NaN (sorted last) wins
-    return sim[0], fun, nit, nfev < maxfev
+    fun = f0 if f2 == f2 else f2  # as np.min: a NaN (sorted last) wins
+    return [b0, g0], fun, nit, nfev < maxfev
 
 
 START_OFFSETS = (0.0, 0.3, -0.3)
@@ -283,11 +322,9 @@ def minimize_energy(
     best = None
     any_converged = False
     total_nit = 0
+    energy = _energy_formula(params)
     for x0 in starts:
-        x, fun, nit, success = _nelder_mead(
-            lambda x: _energy_formula(x[0], x[1], params),
-            x0, bounds, XATOL, FATOL, MAXFEV,
-        )
+        x, fun, nit, success = _nelder_mead(energy, x0, bounds, XATOL, FATOL, MAXFEV)
         total_nit += nit
         any_converged = any_converged or success
         if best is None or fun < best[1]:

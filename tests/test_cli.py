@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -155,6 +156,21 @@ def test_sweep_worker_pool_matches_serial(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_sweep_pool_has_no_more_workers_than_points(monkeypatch, capsys):
+    # threads stand in for processes; the pool records the size it was asked for
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert run_cli(["sweep", "--lambda", "0:1:2", "--omega0", "1", "--jobs", "64"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert sizes == [2]
+
+
 def test_sweep_agrees_with_solve(tmp_path):
     out = tmp_path / "s.csv"
     assert run_cli(["sweep", "--lambda", "0.5", "--omega0", "1",
@@ -206,6 +222,35 @@ def test_sweep_range_values_are_validated_before_any_point(monkeypatch, capsys,
     assert run_cli(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {axis}: ")
+
+
+@pytest.mark.parametrize("ranges", [
+    {"lambda": "0:1:1000000000000"},
+    {"lambda": "0:1:1000", "omega0": "0:1:1001"},
+])
+@pytest.mark.parametrize("form", ["flags", "config"])
+def test_sweep_rejects_an_oversized_grid_before_building_it(tmp_path, monkeypatch, capsys,
+                                                             ranges, form):
+    def no_values(self):
+        raise AssertionError(f"axis {self} built before the grid size was checked")
+
+    monkeypatch.setattr(cli.AxisRange, "values", no_values)
+    axes = {"lambda": "0.5", "omega0": "1", **ranges}
+    if form == "flags":
+        argv = ["sweep"] + [f"--{name}={val}" for name, val in axes.items()]
+    else:
+        def as_json(val):
+            lo, hi, count = val.split(":")
+            return {"min": float(lo), "max": float(hi), "count": int(count)}
+
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({name: as_json(val) if ":" in val else float(val)
+                                   for name, val in axes.items()}))
+        argv = ["sweep", "--config", str(cfg)]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: sweep: grid of ")
+    assert str(cli.MAX_GRID_POINTS) in err[0]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

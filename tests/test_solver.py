@@ -16,7 +16,7 @@ from rabi_balance import (
     expectation,
     solve_rabi_ground,
 )
-from rabi_balance import solver
+from rabi_balance import cli, solver
 from rabi_balance.model import sector_chain, sector_matrix
 from rabi_balance.solver import ground_state
 
@@ -92,6 +92,22 @@ def test_auto_mode_respects_max_dim():
 def test_tolerance_must_be_finite_and_positive(tol):
     with pytest.raises(ValueError):
         solve_rabi_ground(ModelParams(omega=1.0, lam=0.5, omega0=1.0), tol=tol)
+
+
+@pytest.mark.parametrize("command, omega, lam, omega0", [
+    ("converge", 0.00010933700297796016, 0.19490346529036617, 4625636.665878542),
+    ("solve", 0.0001918740251103786, 2.9939910384240107e-06, 66252651.805050515),
+], ids=["converge", "solve"])
+def test_ladder_stops_at_rounding_level(capsys, command, omega, lam, omega0):
+    # |E| ~ 2e6 and 3e7: one ulp of E (4.7e-10 and 3.7e-9) exceeds the
+    # default tol, and the converged energy wobbles by 1-2 ulps per level
+    argv = [command, "--omega", repr(omega), "--lambda", repr(lam), "--omega0", repr(omega0)]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    if command == "solve":
+        assert "converged = True" in out and "dim_used = 32" in out
+    else:
+        assert out.splitlines()[-1].startswith("32,")
 
 
 def test_fixed_dim_half_delta_check():

@@ -214,8 +214,9 @@ _BOX = ((-BETA_MAX, BETA_MAX), (-GAMMA_MAX, GAMMA_MAX))
 
 
 def _scipy_nelder_mead(func, x0, maxfev):
-    res = minimize(func, np.asarray(x0, dtype=float), method="Nelder-Mead",
-                   bounds=_BOX, options={"xatol": 1e-8, "fatol": 1e-10, "maxfev": maxfev})
+    res = minimize(lambda x: func(float(x[0]), float(x[1])), np.asarray(x0, dtype=float),
+                   method="Nelder-Mead", bounds=_BOX,
+                   options={"xatol": 1e-8, "fatol": 1e-10, "maxfev": maxfev})
     return [float(v) for v in res.x], float(res.fun), int(res.nit), bool(res.success)
 
 
@@ -237,24 +238,77 @@ def test_nelder_mead_matches_scipy_on_the_trial_energy():
                 starts = [(0.0, 0.0)] + [(beta_guess, g) for g in START_OFFSETS]
                 for x0 in starts:
                     for maxfev in (1, 7, 40, 2000):
-                        _same_run(lambda x: _energy_formula(x[0], x[1], p), x0, maxfev)
+                        _same_run(_energy_formula(p), x0, maxfev)
 
 
 def test_nelder_mead_matches_scipy_at_the_box_edges_and_on_nan():
     # starts on an upper bound make the initial simplex reflect inward;
     # outside a disc the second objective is NaN, which sorts last
-    p = ModelParams(omega=0.8, lam=1.3, omega0=2.0)
+    energy = _energy_formula(ModelParams(omega=0.8, lam=1.3, omega0=2.0))
 
-    def energy(x):
-        return _energy_formula(x[0], x[1], p)
-
-    def holed(x):
-        return energy(x) if x[0] ** 2 + x[1] ** 2 < 1.0 else float("nan")
+    def holed(beta, gamma):
+        return energy(beta, gamma) if beta**2 + gamma**2 < 1.0 else float("nan")
 
     for func in (energy, holed):
         for x0 in [(6.0, 2.0), (5.9, 1.99), (6.0, 0.0), (-6.0, -2.0), (-0.0, -0.0), (0.9, -0.3)]:
             for maxfev in (1, 2, 3, 4, 5, 13, 2000):
                 _same_run(func, x0, maxfev)
+
+
+def _log_uniform(rng, lo, hi, zero_share=0.0):
+    # 10**U(lo, hi), or 0 with probability zero_share
+    return 0.0 if rng.uniform() < zero_share else float(10.0 ** rng.uniform(lo, hi))
+
+
+def test_nelder_mead_matches_scipy_on_seeded_random_models():
+    # parameters over many decades (lam and omega0 sometimes 0; omega
+    # must be positive), the starts of minimize_energy, budgets that end
+    # the search in the initial simplex, mid-iteration and not at all, and
+    # for a fifth of the models an objective that is NaN outside a disc
+    rng = np.random.default_rng(1402)
+    for _ in range(60):
+        p = ModelParams(omega=_log_uniform(rng, -3, 3),
+                        lam=_log_uniform(rng, -4, 2, zero_share=0.15),
+                        omega0=_log_uniform(rng, -4, 4, zero_share=0.15))
+        energy = _energy_formula(p)
+        func = energy
+        if rng.uniform() < 0.2:
+            radius2 = float(rng.uniform(0.2, 9.0))
+
+            def func(beta, gamma, radius2=radius2):
+                return energy(beta, gamma) if beta**2 + gamma**2 < radius2 else float("nan")
+
+        beta_guess = float(np.clip(-p.lam / p.omega, -BETA_MAX, BETA_MAX))
+        for x0 in [(0.0, 0.0)] + [(beta_guess, g) for g in START_OFFSETS]:
+            for maxfev in (1, 2, 3, 7, 2000):
+                _same_run(func, x0, maxfev)
+
+
+def _float64_energy(beta, gamma, params):
+    # the closed form evaluated on np.float64 scalars, as the package did
+    # before the simplex moved to Python floats
+    stretch = np.exp(gamma)
+    return float(
+        params.omega * (beta**2 * stretch**2 + np.sinh(gamma) ** 2)
+        + 2.0 * params.lam * beta * stretch
+        - 0.5 * params.omega0 * np.exp(-2.0 * beta**2)
+    )
+
+
+def test_energy_formula_rounds_as_the_float64_formula():
+    rng = np.random.default_rng(2014)
+    edges = [(0.0, 0.0), (-0.0, -0.0), (BETA_MAX, GAMMA_MAX), (-BETA_MAX, -GAMMA_MAX),
+             (BETA_MAX, -GAMMA_MAX), (1e-300, -1e-300)]
+    for _ in range(60):
+        p = ModelParams(omega=_log_uniform(rng, -3, 3),
+                        lam=_log_uniform(rng, -4, 2, zero_share=0.1),
+                        omega0=_log_uniform(rng, -4, 4, zero_share=0.1))
+        energy = _energy_formula(p)
+        points = edges + [(float(rng.uniform(-BETA_MAX, BETA_MAX)),
+                           float(rng.uniform(-GAMMA_MAX, GAMMA_MAX))) for _ in range(100)]
+        for beta, gamma in points:
+            assert repr(energy(beta, gamma)) == repr(_float64_energy(beta, gamma, p)), (
+                p, beta, gamma)
 
 
 def test_optimizer_stall_carries_best_effort(monkeypatch):
