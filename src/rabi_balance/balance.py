@@ -50,6 +50,7 @@ parameter plane; the verified forms above are the authoritative ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -59,7 +60,6 @@ from .fock import (
     SPIN_BOSON,
     BandOperator,
     FockRep,
-    Operator,
     QuantumState,
     _ladder_bands,
     expectation,
@@ -76,6 +76,9 @@ from .model import (
     infer_sector,
     sector_chain,
 )
+
+if TYPE_CHECKING:
+    from .oracle import Observable
 
 BOUND_MARGIN = 1e-9
 IDENTITY_TOL = 1e-8
@@ -165,7 +168,8 @@ def standard_observables(rep: FockRep, params: ModelParams) -> dict[str, BandOpe
     }
 
 
-def first_order_residual(hamiltonian: Operator, observable: Operator,
+def first_order_residual(hamiltonian: BandOperator | Observable,
+                         observable: BandOperator | Observable,
                          state: QuantumState, hv: np.ndarray | None = None) -> float:
     """|<i [H, A]>|; zero on eigenstates of H.
 
@@ -183,7 +187,8 @@ def first_order_residual(hamiltonian: Operator, observable: Operator,
     return float(abs(val))
 
 
-def second_order_residual(hamiltonian: Operator, observable: Operator,
+def second_order_residual(hamiltonian: BandOperator | Observable,
+                          observable: BandOperator | Observable,
                           state: QuantumState, hv: np.ndarray | None = None,
                           hhv: np.ndarray | None = None) -> float:
     """|<[H, [H, A]]>|; zero on eigenstates of H.

@@ -48,6 +48,7 @@ SWEEP_COLUMNS = [
 
 AXIS_NAMES = ("omega", "lambda", "omega0")
 MAX_GRID_POINTS = 10**6  # a sweep over more points is a config error
+MAX_FIXED_DIM = 2**16  # a larger --dim (for converge, the ladder's maximum) is a config error
 
 
 @dataclass(frozen=True)
@@ -87,14 +88,24 @@ class RunConfig:
     paper_literal: bool = False
 
 
+def _number(name: str, raw, kind: type = float, what: str = "a number"):
+    """``kind(raw)`` of a flag's text or a JSON number; no bool is a number, no float an int."""
+    if isinstance(raw, bool) or (kind is int and isinstance(raw, float)):
+        raise ConfigError(f"{name}: expected {what}, got {json.dumps(raw)}")
+    try:
+        return kind(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: expected {what}, got {raw!r}") from exc
+
+
 def _parse_axis(name: str, raw) -> float | AxisRange:
     if isinstance(raw, AxisRange):
         return raw
     if isinstance(raw, dict):
-        try:
-            return AxisRange(float(raw["min"]), float(raw["max"]), int(raw["count"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{name}: range object needs min/max/count") from exc
+        if not {"min", "max", "count"} <= raw.keys():
+            raise ConfigError(f"{name}: range object needs min/max/count")
+        return AxisRange(_number(f"{name}: min", raw["min"]), _number(f"{name}: max", raw["max"]),
+                         _number(f"{name}: count", raw["count"], int, "an integer"))
     if isinstance(raw, str) and ":" in raw:
         parts = raw.split(":")
         if len(parts) != 3:
@@ -103,21 +114,17 @@ def _parse_axis(name: str, raw) -> float | AxisRange:
             return AxisRange(float(parts[0]), float(parts[1]), int(parts[2]))
         except ValueError as exc:
             raise ConfigError(f"{name}: cannot parse range {raw!r}") from exc
-    try:
-        return float(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: expected a number or min:max:count, got {raw!r}") from exc
+    return _number(name, raw, what="a number or min:max:count")
 
 
 def _parse_dim(raw) -> int | None:
     if raw is None or raw == "auto":
         return None
-    try:
-        dim = int(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"dim: expected an integer or 'auto', got {raw!r}") from exc
+    dim = _number("dim", raw, int, "an integer or 'auto'")
     if dim < 4:
         raise ConfigError(f"dim: must be >= 4, got {dim}")
+    if dim > MAX_FIXED_DIM:  # checked before any array is built
+        raise ConfigError(f"dim: must be <= {MAX_FIXED_DIM}, got {dim}")
     return dim
 
 
@@ -136,7 +143,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 file_vals = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
             raise ConfigError(f"config: {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(file_vals, dict):
             raise ConfigError("config: top level must be a JSON object")
@@ -159,11 +166,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if omega0_raw is None:
         raise ConfigError("omega0: required (flag --omega0 or config key 'omega0')")
 
-    tol_raw = pick(args.tol, "tol", 1e-10)
-    try:
-        tol = float(tol_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"tol: expected a number, got {tol_raw!r}") from exc
+    tol = _number("tol", pick(args.tol, "tol", 1e-10))
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"tol: must be finite and > 0, got {tol}")
 
@@ -174,14 +177,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     jobs_raw = pick(args.jobs, "jobs")
     jobs = None
     if jobs_raw is not None:
-        try:
-            jobs = int(jobs_raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"jobs: expected an integer, got {jobs_raw!r}") from exc
+        jobs = _number("jobs", jobs_raw, int, "an integer")
         if jobs < 1:
             raise ConfigError(f"jobs: must be >= 1, got {jobs}")
 
-    paper_literal = bool(args.paper_literal or file_vals.get("paper_literal", False))
+    literal = file_vals.get("paper_literal", False)
+    if not isinstance(literal, bool):  # bool("false") is True
+        raise ConfigError(f"paper_literal: expected true or false, got {json.dumps(literal)}")
+    paper_literal = args.paper_literal or literal
 
     out = pick(args.out, "out")
     if out is not None:

@@ -13,17 +13,9 @@ Conventions used throughout the package:
   is ``exp(2 gamma) / (2 m omega)``.
 
 Trial states (``variational.trial_state``) come from the recurrence of
-their Fock amplitudes.  The dense unitaries ``displacement`` and
-``squeeze`` are the tests' oracle: the exponential of the dense
-generator (``_generator``) by eigendecomposition in ``working_dim``
-(exactly unitary there), cut to ``dim``.  Only the leading columns of
-the cut are reliable: a displaced column n spreads by about
-2 |beta| sqrt(n) levels, a squeezed one by a factor e^{2 |gamma|}.  At
-beta = 1 the leading half block of a dim-40 cut is clean to 1e-8; at
-gamma = 0.3 the leading quarter block is.
-
-Operators on the sweep path are ``BandOperator``s, applied in O(N); the
-dense ``build_ladder`` and ``Observable`` serve the tests and oracles.
+their Fock amplitudes, and operators are ``BandOperator``s, applied in
+O(N).  The dense matrices and unitaries are the tests' oracle, in
+``rabi_balance.oracle``.
 
 Composite (spin-boson) vectors are indexed ``i = 2 n + s`` where ``n``
 is the Fock index and ``s = 0`` is the sigma_z = +1 spin component.
@@ -32,23 +24,14 @@ is the Fock index and ``s = 0`` is the sigma_z = +1 spin component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    AmplitudeTooLarge,
-    DimensionMismatch,
-    NonHermitian,
-    SqueezeTooLarge,
-)
+from .errors import DimensionMismatch, NonHermitian
 
 if TYPE_CHECKING:
-    from .model import ModelParams
-
-HERMITICITY_TOL = 1e-12
-SQUEEZE_MAX = 2.0
+    from .oracle import Observable
 
 BOSON = "boson"
 SPIN_BOSON = "spin_boson"
@@ -63,10 +46,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class FockRep:
     """Boson space truncated to ``dim`` levels.
 
-    ``working_dim`` is the enlarged space in which matrix exponentials
-    are evaluated before truncation; it defaults to ``2 * dim + 20``,
-    which absorbs the leakage of displacements with |beta| <= 2 and
-    squeezes with |gamma| <= 1 on the leading half block.
+    ``working_dim`` is the enlarged space in which the oracle's matrix
+    exponentials are evaluated before truncation; it defaults to
+    ``2 * dim + 20``, which absorbs the leakage of displacements with
+    |beta| <= 2 and squeezes with |gamma| <= 1 on the leading half
+    block.  At run time it only bounds displacements: ``trial_state``
+    and ``wigner_energy_bounds`` require beta^2 <= working_dim / 4.
     """
 
     dim: int
@@ -81,38 +66,6 @@ class FockRep:
             raise ValueError(
                 f"working_dim {self.working_dim} smaller than dim {self.dim}"
             )
-
-
-@dataclass(frozen=True)
-class Observable:
-    """Dense matrix with an explicit hermiticity promise.
-
-    The input is stored as a read-only complex array.  When
-    ``hermitian`` is True the constructor enforces
-    ``max|M - M^dag| < 1e-12``; operators like displacements set it to
-    False and skip the check.
-    """
-
-    matrix: np.ndarray
-    hermitian: bool = True
-
-    def __post_init__(self):
-        m = _frozen(np.array(self.matrix, dtype=complex))
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if self.hermitian:
-            defect = float(np.max(np.abs(m - m.conj().T)))
-            if defect >= HERMITICITY_TOL:
-                raise NonHermitian(f"hermiticity defect {defect:.3e}")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """M v."""
-        return self.matrix @ v
 
 
 class BandOperator:
@@ -159,9 +112,6 @@ class BandOperator:
     def matrix(self) -> np.ndarray:
         """The dense matrix, column by column, on each access; for oracles and tests."""
         return _frozen(np.stack([self.apply(e) for e in np.eye(self.dim, dtype=complex)], 1))
-
-
-Operator = Observable | BandOperator
 
 
 @dataclass(frozen=True)
@@ -211,131 +161,27 @@ def fock_state(dim: int, n: int, kind: str = BOSON) -> QuantumState:
     return QuantumState(v, kind)
 
 
-@lru_cache(maxsize=None)
-def _ladder_matrices(dim: int):
-    n_vals = np.arange(dim)
-    ann = np.zeros((dim, dim), dtype=complex)
-    ann[n_vals[:-1], n_vals[1:]] = np.sqrt(n_vals[1:])
-    cre = ann.conj().T.copy()
-    num = cre @ ann  # the product itself, so num == a^dag a entrywise
-    par = np.diag(((-1.0) ** n_vals).astype(complex))
-    return tuple(_frozen(m) for m in (ann, cre, num, par))
-
-
-def build_ladder(rep: FockRep):
-    """Return (annihilation, creation, number, boson parity) at ``rep.dim``.
-
-    Entries are exact: ``creation @ annihilation`` equals the number
-    matrix entrywise, and conjugating the ladder operators with the
-    parity matrix flips their sign exactly.  Only the last row/column
-    carry the truncation artifact (``[a, a^dag] - 1`` is nonzero there).
-    """
-    ann, cre, num, par = _ladder_matrices(rep.dim)
-    return (
-        Observable(ann, hermitian=False),
-        Observable(cre, hermitian=False),
-        Observable(num),
-        Observable(par),
-    )
-
-
 def _ladder_bands(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The bands of a (sqrt(n), n = 1..dim-1) and of a^dag a (as sqrt(n) sqrt(n))."""
     root = np.sqrt(np.arange(1, dim))
     return root, np.concatenate(([0.0], root * root))
 
 
-def build_quadratures(rep: FockRep, params: "ModelParams"):
-    """Position/momentum pair for oscillator mass ``m`` and frequency ``omega``.
-
-    ``[q, p] = i`` holds on the leading (N-1) block; the last row and
-    column are polluted by truncation.
-    """
-    m, omega = float(params.mass), float(params.omega)
-    if m <= 0.0 or omega <= 0.0:
-        raise ValueError(f"need mass > 0 and omega > 0, got m={m}, omega={omega}")
-    ann, cre, _, _ = _ladder_matrices(rep.dim)
-    q = (ann + cre) / np.sqrt(2.0 * m * omega)
-    p = 1j * np.sqrt(m * omega / 2.0) * (cre - ann)
-    return Observable(q), Observable(p)
-
-
-def _generator(dim: int, kind: str, par1: float, par2: float = 0.0) -> np.ndarray:
-    """Dense anti-Hermitian generator G at ``dim``, so that exp(G) is D or S.
-
-    ``kind`` "displace": G = beta a^dag - conj(beta) a, beta = par1 + i par2;
-    ``kind`` "squeeze": G = gamma (a^dag^2 - a^2) / 2, gamma = par1.
-    """
-    ann, cre, _, _ = _ladder_matrices(dim)
-    if kind == "displace":
-        beta = complex(par1, par2) if par2 else par1  # real beta keeps G real
-        return beta * cre - np.conj(beta) * ann
-    if kind == "squeeze":
-        return 0.5 * par1 * (cre @ cre - ann @ ann)
-    raise ValueError(kind)
-
-
-def _unitary_from_generator(dim: int, kind: str, par1: float, par2: float):
-    """Dense exp(G) of ``_generator``, via eigh of the Hermitian i*G.
-
-    The result is unitary to machine precision at ``dim``.  It is the
-    oracle behind ``displacement`` and ``squeeze`` and the trial-state
-    tests; nothing caches it.
-    """
-    herm = 1j * _generator(dim, kind, par1, par2)
-    w, v = np.linalg.eigh(herm)
-    u = (v * np.exp(-1j * w)) @ v.conj().T
-    return _frozen(u)
-
-
-def displacement(rep: FockRep, beta: complex) -> Observable:
-    """Truncated displacement D(beta) = exp(beta a^dag - conj(beta) a).
-
-    Built in ``rep.working_dim`` (exactly unitary there), then cut to
-    ``rep.dim``.  Requires ``|beta|^2 <= working_dim / 4`` so the
-    displaced support stays inside the working space; the leading half
-    block of the cut matrix is then unitary to ~1e-8 for |beta| <= 2
-    with the default working_dim.
-    """
-    beta = complex(beta)
-    if abs(beta) ** 2 > rep.working_dim / 4.0:
-        raise AmplitudeTooLarge(
-            f"|beta|^2 = {abs(beta) ** 2:.3g} exceeds working_dim/4 = "
-            f"{rep.working_dim / 4.0:.3g}"
-        )
-    u = _unitary_from_generator(rep.working_dim, "displace", beta.real, beta.imag)
-    return Observable(u[: rep.dim, : rep.dim], hermitian=False)
-
-
-def squeeze(rep: FockRep, gamma: float) -> Observable:
-    """Truncated squeeze S(gamma) = exp(gamma (a^dag^2 - a^2) / 2).
-
-    gamma is real with |gamma| <= 2 (beyond that the Fock tail decays
-    too slowly for any practical truncation).  The generator preserves
-    parity, so entries with odd n - m vanish.
-    """
-    gamma = float(gamma)
-    if abs(gamma) > SQUEEZE_MAX:
-        raise SqueezeTooLarge(f"|gamma| = {abs(gamma)} exceeds {SQUEEZE_MAX}")
-    u = _unitary_from_generator(rep.working_dim, "squeeze", gamma, 0.0)
-    return Observable(u[: rep.dim, : rep.dim], hermitian=False)
-
-
-def _check_dims(state: QuantumState, obs: Operator):
+def _check_dims(state: QuantumState, obs: BandOperator | Observable):
     if state.dim != obs.dim:
         raise DimensionMismatch(
             f"state dim {state.dim} vs operator dim {obs.dim}"
         )
 
 
-def expectation(state: QuantumState, obs: Operator) -> complex:
+def expectation(state: QuantumState, obs: BandOperator | Observable) -> complex:
     """<psi| M |psi>.  Real up to ~1e-16 scale when M is Hermitian."""
     _check_dims(state, obs)
     v = state.amplitudes
     return complex(np.vdot(v, obs.apply(v)))
 
 
-def variance(state: QuantumState, obs: Operator) -> float:
+def variance(state: QuantumState, obs: BandOperator | Observable) -> float:
     """<M^2> - <M>^2 for Hermitian M; nonnegative by construction."""
     if not obs.hermitian:
         raise NonHermitian("variance requires a Hermitian observable")

@@ -1,4 +1,4 @@
-"""Rabi-model Hamiltonians, the conserved parity, and sector reduction.
+"""Rabi-model parameters, the conserved parity, and sector reduction.
 
 The full Hamiltonian on the spin-boson space (index ``i = 2 n + s``) is
 
@@ -31,15 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SectorRequired
-from .fock import (
-    BOSON,
-    SPIN_BOSON,
-    FockRep,
-    Observable,
-    QuantumState,
-    _ladder_bands,
-    _ladder_matrices,
-)
+from .fock import BOSON, SPIN_BOSON, QuantumState, _ladder_bands
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -86,26 +78,6 @@ def check_sector(sector: int) -> int:
     return int(sector)
 
 
-def build_full_hamiltonian(rep: FockRep, params: ModelParams) -> Observable:
-    """Dense H on the 2N spin-boson space, ordering i = 2 n + s, from ``np.kron``.
-
-    The ``eigvalsh`` oracle of the tests and the benchmark checks,
-    independent of the band form in ``balance.standard_observables``.
-    """
-    ann, cre, num, _ = _ladder_matrices(rep.dim)
-    return Observable(
-        params.omega * np.kron(num, IDENTITY_2)
-        + params.lam * np.kron(ann + cre, SIGMA_X)
-        + 0.5 * params.omega0 * np.kron(np.eye(rep.dim), SIGMA_Z)
-    )
-
-
-def build_parity_operator(rep: FockRep) -> Observable:
-    """P = -sigma_z cos(pi a^dag a); diagonal, squares to the identity."""
-    _, _, _, par = _ladder_matrices(rep.dim)
-    return Observable(-np.kron(par, SIGMA_Z))
-
-
 def sector_chain(dim: int, params: ModelParams, sector: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the real symmetric chain H_p on levels 0..dim-1.
 
@@ -117,17 +89,6 @@ def sector_chain(dim: int, params: ModelParams, sector: int) -> tuple[np.ndarray
     with np.errstate(over="ignore"):  # the solver rejects a chain beyond the float range
         diag = params.omega * num - 0.5 * params.omega0 * p * (-1.0) ** np.arange(dim)
         return diag, params.lam * root
-
-
-def sector_matrix(dim: int, params: ModelParams, sector: int) -> np.ndarray:
-    """Real symmetric tridiagonal matrix of H_p on Fock levels 0..dim-1."""
-    diag, off = sector_chain(dim, params, sector)
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-
-
-def build_reduced_hamiltonian(rep: FockRep, params: ModelParams, sector: int) -> Observable:
-    """Boson-only Hamiltonian of the parity sector ``sector``."""
-    return Observable(sector_matrix(rep.dim, params, sector))
 
 
 def _spin_index(n: int, sector: int) -> int:

@@ -33,8 +33,7 @@ until the global minimum moves by less than ``tol`` (or, where ``tol``
 is below its rounding, by less than ROUNDING_ULPS ulps); a fixed ``dim``
 is the same ladder over ``dim // 2`` and ``dim``.  Every level is solved
 once, and the winning sector's eigenvector at the last level is lifted
-back to the spin-boson space.  ``ground_state`` keeps numpy's dense
-``eigh`` for any Hermitian observable: the tests' oracle.
+back to the spin-boson space.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import EigDecompositionFailure, NonHermitian, NotConverged
-from .fock import BOSON, Observable, QuantumState
+from .errors import EigDecompositionFailure, NotConverged
+from .fock import BOSON, QuantumState
 from .model import ModelParams, embed_reduced_state, sector_chain
 
 START_DIM = 16
@@ -278,26 +277,6 @@ def _lowest_pair(diag: np.ndarray, off: np.ndarray,
     vec = np.zeros(n)
     vec[where:where + len(best[1])] = best[1]
     return math.ldexp(best[0], exp), _phase_fixed(vec)
-
-
-def ground_state(obs: Observable, kind: str = BOSON) -> tuple[float, QuantumState]:
-    """Lowest eigenpair of a Hermitian observable.
-
-    The eigenvector phase is fixed so its largest-modulus amplitude is
-    real and positive.
-    """
-    if not obs.hermitian:
-        raise NonHermitian("ground_state requires a Hermitian observable")
-    matrix = obs.matrix
-    with np.errstate(over="ignore"):
-        bound = np.abs(matrix).sum(axis=1).max()  # bounds every |eigenvalue|
-    if not np.isfinite(bound):
-        raise OverflowError(f"{len(matrix)}-level matrix has row sums beyond the float range")
-    try:
-        w, v = np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigDecompositionFailure(str(exc)) from exc
-    return float(w[0]), QuantumState(_phase_fixed(v[:, 0]), kind)
 
 
 def _doubling(params: ModelParams, tol: float, dims: Iterable[int]):

@@ -43,18 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmplitudeTooLarge, OptimizerStalled, SqueezeTooLarge
-from .fock import BOSON, FockRep, QuantumState, expectation
-from .model import ModelParams, build_reduced_hamiltonian, embed_reduced_state
-from .balance import (
-    BoundCheck,
-    _b1,
-    _b2,
-    _b6,
-    _b7,
-    _identity,
-    _property_checks,
-    standard_observables,
-)
+from .fock import BOSON, FockRep, QuantumState
+from .model import ModelParams, embed_reduced_state
+from .balance import _b1, _b7, standard_observables
 from .solver import GroundSolution, solve_rabi_ground
 
 BETA_MAX = 6.0
@@ -137,23 +128,6 @@ def _energy_formula(params: ModelParams):
 def energy_closed_form(trial: TrialParams, params: ModelParams) -> float:
     """Closed-form trial energy; see the module docstring."""
     return _energy_formula(params)(float(trial.beta), float(trial.gamma))
-
-
-def energy_numeric(rep: FockRep, trial: TrialParams, params: ModelParams) -> float:
-    """Matrix-element evaluation of the same energy, for cross-checking.
-
-    The expectation is taken in rep.working_dim rather than rep.dim:
-    this function is the truncation-clean oracle for the closed form,
-    and the working space is sized so that the trial state keeps a
-    negligible tail above it over the whole parameter box.  Cutting to
-    rep.dim first would poison the corners of the box (a stretched
-    state at beta = 2, gamma = 1 keeps ~2e-5 of its weight above Fock
-    level 120) and turn a formula check into a truncation check.
-    """
-    wide = FockRep(rep.working_dim, working_dim=rep.working_dim)
-    state = trial_state(wide, trial)
-    h = build_reduced_hamiltonian(wide, params, +1)
-    return expectation(state, h).real
 
 
 def energy_gradient(trial: TrialParams, params: ModelParams) -> np.ndarray:
@@ -358,23 +332,3 @@ def stationarity_equals_balance(
     """
     return (energy_gradient(trial, params), *balance_residuals(trial, params))
 
-
-def trial_property_compliance(
-    rep: FockRep,
-    trial: TrialParams,
-    params: ModelParams,
-    paper_literal: bool = False,
-) -> dict[str, BoundCheck]:
-    """p1..p4 plus the variance bound evaluated on the embedded trial state.
-
-    Off-optimum trial states may legitimately fail some bounds (p1's
-    upper edge most visibly); failures are reported via ``satisfied``,
-    never raised.
-    """
-    psi = embed_reduced_state(trial_state(rep, trial), +1)
-    energy = energy_numeric(rep, trial, params)
-    obs = standard_observables(rep, params)
-    checks = _property_checks(psi, obs, params, +1, energy, paper_literal)
-    checks["b2"] = _b2(psi, obs, params, paper_literal=False)
-    checks["b6_identity"] = _identity(_b6(psi, obs, +1))
-    return checks

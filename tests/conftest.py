@@ -1,4 +1,11 @@
 import math
+import os
+
+# The dense oracles diagonalize with numpy's eigh; with more than one BLAS
+# thread its workers spin on every core and a test slows sharply whenever
+# another process holds one.  Set before numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

@@ -33,8 +33,8 @@ from rabi_balance import (
 )
 from rabi_balance.balance import b7_terms
 from rabi_balance.cli import main as cli_main
-from rabi_balance.fock import BOSON, Observable
-from rabi_balance.model import build_full_hamiltonian
+from rabi_balance.fock import BOSON
+from rabi_balance.oracle import Observable, build_full_hamiltonian
 
 _T0 = time.monotonic()
 

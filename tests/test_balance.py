@@ -36,9 +36,13 @@ from rabi_balance.balance import (
     b7_terms,
     force_balance,
 )
-from rabi_balance.fock import Observable, variance
-from rabi_balance.model import build_full_hamiltonian, build_reduced_hamiltonian
-from rabi_balance.solver import ground_state
+from rabi_balance.fock import variance
+from rabi_balance.oracle import (
+    Observable,
+    build_full_hamiltonian,
+    build_reduced_hamiltonian,
+    ground_state,
+)
 
 from conftest import padded_random_state
 
@@ -226,7 +230,7 @@ def test_wigner_origin_is_bounded_by_two(seed):
 def test_displaced_number_matches_matrix_route():
     p, sol, rep = _solved(lam=0.8)
     phi = sol.boson_state
-    from rabi_balance.fock import _ladder_matrices
+    from rabi_balance.oracle import _ladder_matrices
 
     ann, cre, num, _ = _ladder_matrices(phi.dim)
     shift = p.lam / p.omega
@@ -380,7 +384,7 @@ def test_bundle_apply_equals_its_dense_matrix(rng):
 
 def test_bundle_equals_the_kron_construction():
     # every band operator, H included, equals its dense np.kron form entry by entry
-    from rabi_balance.fock import _ladder_matrices
+    from rabi_balance.oracle import _ladder_matrices
     from rabi_balance.model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
     p = ModelParams(omega=1.3, lam=0.7, omega0=0.9, mass=2.3)

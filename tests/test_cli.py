@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 
 import rabi_balance
-from rabi_balance import ModelParams, NotConverged, balance, cli, solve_rabi_ground, variational
+from rabi_balance import (
+    ModelParams,
+    NotConverged,
+    balance,
+    cli,
+    solve_rabi_ground,
+    solver,
+    variational,
+)
 from rabi_balance.cli import SWEEP_COLUMNS, main
 
 
@@ -251,6 +259,65 @@ def test_sweep_rejects_an_oversized_grid_before_building_it(tmp_path, monkeypatc
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: sweep: grid of ")
     assert str(cli.MAX_GRID_POINTS) in err[0]
+
+
+@pytest.mark.parametrize("dim", [10**20, cli.MAX_FIXED_DIM + 1])
+@pytest.mark.parametrize("form", ["flags", "config"])
+@pytest.mark.parametrize("command", ["solve", "balance", "variational", "converge", "sweep"])
+def test_dim_above_the_cap_is_rejected_before_any_chain(tmp_path, monkeypatch, capsys,
+                                                         command, form, dim):
+    def no_chain(*args):
+        raise AssertionError("a sector chain was built")
+
+    monkeypatch.setattr(solver, "sector_chain", no_chain)
+    if form == "flags":
+        argv = [command, "--lambda", "0.5", "--omega0", "1", "--dim", str(dim)]
+    else:
+        cfg = tmp_path / "dim.json"
+        cfg.write_text(json.dumps({"lambda": 0.5, "omega0": 1, "dim": dim}))
+        argv = [command, "--config", str(cfg)]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: dim: must be <= {cli.MAX_FIXED_DIM}, got {dim}"]
+
+
+@pytest.mark.parametrize("values, key", [
+    ({"paper_literal": "false"}, "paper_literal"),
+    ({"paper_literal": 0}, "paper_literal"),
+    ({"dim": 40.9}, "dim"),
+    ({"dim": 1e20}, "dim"),
+    ({"dim": True}, "dim"),
+    ({"jobs": 2.7}, "jobs"),
+    ({"jobs": True}, "jobs"),
+    ({"lambda": {"min": 0, "max": 1, "count": 2.5}}, "lambda: count"),
+    ({"lambda": {"min": 0, "max": 1, "count": True}}, "lambda: count"),
+    ({"lambda": {"min": False, "max": 1, "count": 2}}, "lambda: min"),
+    ({"lambda": True}, "lambda"),
+    ({"omega": True}, "omega"),
+    ({"omega0": False}, "omega0"),
+    ({"tol": True}, "tol"),
+])
+def test_config_value_of_the_wrong_json_type_is_rejected(tmp_path, monkeypatch, capsys,
+                                                         values, key):
+    # bool("false") is True, int(40.9) is 40 and float(True) is 1: none may pass
+    def no_point(task):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_point)
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({"lambda": 0.5, "omega0": 1, **values}))
+    assert run_cli(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key}: "), err
+
+
+def test_config_integer_of_too_many_digits_is_a_usage_error(tmp_path, capsys):
+    # json.load raises a bare ValueError for an integer of over 4300 digits
+    cfg = tmp_path / "digits.json"
+    cfg.write_text('{"lambda": 0.5, "omega0": 1, "dim": ' + "1" * 5000 + "}")
+    assert run_cli(["solve", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config: "), err
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -534,3 +601,47 @@ def test_solve_and_sweep_load_no_scipy():
                    "print(sorted(m for m in sys.modules if m.startswith('scipy')))"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+_COMMANDS_CHILD = """
+import sys
+from rabi_balance.cli import main
+
+codes = [main([*cmd, "--lambda", "0.5", "--omega0", "1", "--out", sys.argv[1] + "/" + cmd[0]])
+         for cmd in (["solve"], ["balance"], ["variational"], ["converge"],
+                     ["sweep", "--jobs", "1"])]
+print(codes, sorted(m for m in sys.modules if m.startswith("rabi_balance")))
+"""
+
+
+def test_cli_commands_leave_the_oracle_out(tmp_path):
+    # every command runs on band operators and sector chains; the dense
+    # oracle is for the tests alone
+    proc = _child(["-c", _COMMANDS_CHILD, str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1]
+    assert last.startswith("[0, 0, 0, 0, 0] ["), last
+    assert "'rabi_balance.cli'" in last and "rabi_balance.oracle" not in last
+
+
+ORACLE_NAMES = {
+    "Observable", "build_full_hamiltonian", "build_ladder", "build_parity_operator",
+    "build_quadratures", "build_reduced_hamiltonian", "displacement", "energy_numeric",
+    "squeeze", "trial_property_compliance",
+}
+
+
+def test_oracle_names_resolve_from_the_package_root():
+    from rabi_balance import fock, model, oracle
+
+    assert len(rabi_balance.__all__) == len(set(rabi_balance.__all__)) == 56
+    defined = {name for name in rabi_balance.__all__
+               if getattr(getattr(rabi_balance, name), "__module__", None) == oracle.__name__}
+    assert defined == ORACLE_NAMES
+    for name in ORACLE_NAMES:
+        assert getattr(rabi_balance, name) is getattr(oracle, name)
+    # the runtime modules neither define nor re-export a dense construction
+    moved = ORACLE_NAMES | {"HERMITICITY_TOL", "SQUEEZE_MAX", "_generator", "_ladder_matrices",
+                            "_unitary_from_generator", "ground_state", "sector_matrix"}
+    for module in (fock, model, solver, variational, balance, cli):
+        assert not moved & set(vars(module)), module.__name__

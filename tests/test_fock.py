@@ -88,7 +88,7 @@ def test_displacement_unitarity_defect_on_leading_block():
 def test_squeeze_is_exact_isometry_in_working_space():
     # the construction is exactly unitary in working_dim, so the dim
     # columns taken as working-space vectors form an isometry
-    from rabi_balance.fock import _unitary_from_generator
+    from rabi_balance.oracle import _unitary_from_generator
 
     rep = FockRep(40)
     sw = _unitary_from_generator(rep.working_dim, "squeeze", 0.3, 0.0)

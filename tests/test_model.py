@@ -121,7 +121,7 @@ def test_coupling_sign_is_a_gauge_choice():
     rep = FockRep(30)
     p = ModelParams(omega=1.0, lam=0.5, omega0=1.0)
     h = build_full_hamiltonian(rep, p).matrix
-    from rabi_balance.fock import _ladder_matrices
+    from rabi_balance.oracle import _ladder_matrices
 
     par_b = np.kron(_ladder_matrices(30)[3], np.eye(2))
     flipped = par_b @ h @ par_b

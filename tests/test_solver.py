@@ -17,8 +17,8 @@ from rabi_balance import (
     solve_rabi_ground,
 )
 from rabi_balance import cli, solver
-from rabi_balance.model import sector_chain, sector_matrix
-from rabi_balance.solver import ground_state
+from rabi_balance.model import sector_chain
+from rabi_balance.oracle import ground_state, sector_matrix
 
 
 def test_ground_state_of_diagonal_matrix_with_phase_fix():

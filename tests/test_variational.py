@@ -26,7 +26,8 @@ from rabi_balance import (
     wigner_origin,
 )
 from rabi_balance import variational
-from rabi_balance.fock import _unitary_from_generator, BOSON, QuantumState
+from rabi_balance.fock import BOSON, QuantumState
+from rabi_balance.oracle import _unitary_from_generator
 from rabi_balance.variational import (
     BETA_MAX,
     GAMMA_MAX,
@@ -83,7 +84,7 @@ def test_operator_ordering_is_squeeze_after_displacement():
     disp = _unitary_from_generator(rep.working_dim, "displace", t.beta, 0.0)
     sq = _unitary_from_generator(rep.working_dim, "squeeze", t.gamma, 0.0)
     reversed_vec = disp @ sq[:, 0]
-    from rabi_balance.model import build_reduced_hamiltonian
+    from rabi_balance.oracle import build_reduced_hamiltonian
     from rabi_balance.fock import expectation
 
     wide = FockRep(rep.working_dim, working_dim=rep.working_dim)
