@@ -28,7 +28,6 @@ from .errors import (
     AmplitudeTooLarge,
     ConfigError,
     DimensionMismatch,
-    DisplacementTooLarge,
     EigDecompositionFailure,
     NonHermitian,
     NotConverged,
@@ -83,7 +82,6 @@ __all__ = [
     "BoundCheck",
     "ConfigError",
     "DimensionMismatch",
-    "DisplacementTooLarge",
     "EigDecompositionFailure",
     "FockRep",
     "GroundSolution",

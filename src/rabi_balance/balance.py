@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatch, DisplacementTooLarge
+from .errors import DimensionMismatch
 from .fock import (
     BOSON,
     SPIN_BOSON,
@@ -82,6 +82,7 @@ if TYPE_CHECKING:
 
 BOUND_MARGIN = 1e-9
 IDENTITY_TOL = 1e-8
+RESIDUAL_TOL = 1e-7  # times max(1, |E|), in report_passes
 
 
 @dataclass(frozen=True)
@@ -114,8 +115,8 @@ def _bound(value: float, lower: float | None, upper: float | None,
     return BoundCheck(float(value), lower, upper, ok)
 
 
-def _identity(value: float, tol: float = IDENTITY_TOL) -> BoundCheck:
-    return _bound(value, 0.0, 0.0, margin=tol)
+def _identity(value: float) -> BoundCheck:
+    return _bound(value, 0.0, 0.0, margin=IDENTITY_TOL)
 
 
 @dataclass(frozen=True)
@@ -407,7 +408,6 @@ def displaced_number(state: QuantumState, params: ModelParams) -> float:
 
 def wigner_energy_bounds(
     state: QuantumState,
-    rep: FockRep,
     params: ModelParams,
     paper_literal: bool = False,
 ) -> BoundCheck:
@@ -420,11 +420,6 @@ def wigner_energy_bounds(
     """
     if state.kind != BOSON:
         raise DimensionMismatch("wigner_energy_bounds expects a boson state")
-    ratio = params.lam / params.omega
-    if ratio**2 > rep.working_dim / 4.0:
-        raise DisplacementTooLarge(
-            f"(lam/omega)^2 = {ratio**2:.3g} exceeds working_dim/4"
-        )
     v = state.amplitudes
     h_plus = BandOperator(v.size, [(sector_chain(v.size, params, +1), np.eye(1))])
     energy = np.vdot(v, h_plus.apply(v)).real
@@ -476,11 +471,11 @@ def full_report(
     props = _property_checks(state, obs, params, p, energy, paper_literal)
     props["b2"] = _b2(state, obs, params, paper_literal=False)
     props["b6_identity"] = _identity(_b6(state, obs, p))
-    props["wigner_energy"] = wigner_energy_bounds(boson_state, rep, params)
+    props["wigner_energy"] = wigner_energy_bounds(boson_state, params)
     if paper_literal:
         props["b2_literal"] = _b2(state, obs, params, paper_literal=True)
         props["wigner_energy_literal"] = wigner_energy_bounds(
-            boson_state, rep, params, paper_literal=True
+            boson_state, params, paper_literal=True
         )
     return BalanceReport(
         state_energy=float(energy),
@@ -490,14 +485,14 @@ def full_report(
     )
 
 
-def report_passes(report: BalanceReport, residual_tol: float = 1e-7) -> bool:
-    """All residuals below tol * max(1, |E|) and all bounds satisfied.
+def report_passes(report: BalanceReport) -> bool:
+    """All residuals below RESIDUAL_TOL * max(1, |E|) and all bounds satisfied.
 
     Legacy ``*_literal`` entries are informational and not counted.
     """
     scale = max(1.0, abs(report.state_energy))
     residuals_ok = all(
-        r < residual_tol * scale
+        r < RESIDUAL_TOL * scale
         for r in (*report.first_order.values(), *report.second_order.values())
     )
     props_ok = all(

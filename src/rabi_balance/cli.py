@@ -99,22 +99,26 @@ def _number(name: str, raw, kind: type = float, what: str = "a number"):
 
 
 def _parse_axis(name: str, raw) -> float | AxisRange:
-    if isinstance(raw, AxisRange):
-        return raw
+    """A flag's text or a config value as a scalar or a range; errors name the axis."""
     if isinstance(raw, dict):
         if not {"min", "max", "count"} <= raw.keys():
             raise ConfigError(f"{name}: range object needs min/max/count")
-        return AxisRange(_number(f"{name}: min", raw["min"]), _number(f"{name}: max", raw["max"]),
-                         _number(f"{name}: count", raw["count"], int, "an integer"))
-    if isinstance(raw, str) and ":" in raw:
+        bounds = (_number(f"{name}: min", raw["min"]), _number(f"{name}: max", raw["max"]),
+                  _number(f"{name}: count", raw["count"], int, "an integer"))
+    elif isinstance(raw, str) and ":" in raw:
         parts = raw.split(":")
         if len(parts) != 3:
             raise ConfigError(f"{name}: ranges are written min:max:count, got {raw!r}")
         try:
-            return AxisRange(float(parts[0]), float(parts[1]), int(parts[2]))
+            bounds = (float(parts[0]), float(parts[1]), int(parts[2]))
         except ValueError as exc:
             raise ConfigError(f"{name}: cannot parse range {raw!r}") from exc
-    return _number(name, raw, what="a number or min:max:count")
+    else:
+        return _number(name, raw, what="a number or min:max:count")
+    try:
+        return AxisRange(*bounds)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _parse_dim(raw) -> int | None:
@@ -223,22 +227,15 @@ def _fmt17(x: float) -> str:
 
 
 def _clean(obj):
-    """dataclass/ndarray/NaN-safe conversion for JSON output."""
+    """Dataclasses to dicts and NaN to None, for JSON output."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return _clean(dataclasses.asdict(obj))
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        return None if math.isnan(x) else x
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, float) and math.isnan(obj):
+        return None
     return obj
 
 
@@ -300,10 +297,10 @@ def cmd_balance(cfg: RunConfig) -> int:
     )
     passed = report_passes(report) and sol.converged
     payload = {
-        "params": _clean(params),
+        "params": params,
         "solution": _solution_dict(sol),
         "passed": passed,
-        "report": _clean(report),
+        "report": report,
     }
     _emit(json.dumps(_clean(payload), indent=2, sort_keys=True) + "\n", cfg.output_path)
     return 0 if (code == 0 and passed) else 2
@@ -321,11 +318,13 @@ def cmd_variational(cfg: RunConfig) -> int:
     if result.gap < -1e-9:
         code = 2  # trial energy below the exact floor: truncation trouble
     grad, b1_res, b7_res = stationarity_equals_balance(params, result.trial)
+    with np.errstate(over="ignore"):  # a gradient beyond the float range has norm inf
+        grad_norm = float(np.linalg.norm(grad))
     payload = {
-        "params": _clean(params),
+        "params": params,
         "result": {
-            **_clean(result),
-            "grad_norm": float(np.linalg.norm(grad)),
+            **dataclasses.asdict(result),
+            "grad_norm": grad_norm,
             "b1_residual": b1_res,
             "b7_residual": b7_res,
         },
@@ -348,22 +347,32 @@ def cmd_converge(cfg: RunConfig) -> int:
 
 
 def _sweep_grid(cfg: RunConfig) -> list[tuple[float, float, float]]:
-    axes = []
-    swept = 0
-    for val in (cfg.omega, cfg.lam, cfg.omega0):
-        if isinstance(val, AxisRange):
-            swept += 1
-            axes.append(val.values())
-        else:
-            axes.append([float(val)])
-    if swept > 2:
+    """The validated grid, first swept axis slowest.
+
+    Every axis value is checked before any point runs, so bad input fails
+    as a config error rather than as a numerical one.
+    """
+    raw = (cfg.omega, cfg.lam, cfg.omega0)
+    ranges = [val for val in raw if isinstance(val, AxisRange)]
+    if len(ranges) > 2:
         raise ConfigError("sweep: at most 2 of omega/lambda/omega0 may be ranges")
-    grid = []
-    for omega in axes[0]:  # first swept axis is the slowest
-        for lam in axes[1]:
-            for omega0 in axes[2]:
-                grid.append((omega, lam, omega0))
-    return grid
+    points = math.prod(val.count for val in ranges)
+    if points > MAX_GRID_POINTS:  # checked before any axis value is built
+        raise ConfigError(f"sweep: grid of {points} points exceeds {MAX_GRID_POINTS}")
+    axes = []
+    for name, val in zip(AXIS_NAMES, raw):
+        values = val.values() if isinstance(val, AxisRange) else [float(val)]
+        for v in values:
+            try:
+                _ = ModelParams(
+                    omega=v if name == "omega" else 1.0,
+                    lam=v if name == "lambda" else 0.0,
+                    omega0=v if name == "omega0" else 0.0,
+                )
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
+        axes.append(values)
+    return list(itertools.product(*axes))
 
 
 def _sweep_point(task) -> dict:
@@ -418,8 +427,8 @@ def _render_sweep(rows: list[dict], fmt: str) -> str:
             val = row[col]
             if isinstance(val, bool):
                 cells.append("1" if val else "0")
-            elif isinstance(val, (int, np.integer)):
-                cells.append(str(int(val)))
+            elif isinstance(val, int):
+                cells.append(str(val))
             elif isinstance(val, str):
                 cells.append(val)
             else:
@@ -469,22 +478,6 @@ def _failure_text(exc: Exception) -> str:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    axes = (cfg.omega, cfg.lam, cfg.omega0)
-    points = math.prod(val.count for val in axes if isinstance(val, AxisRange))
-    if points > MAX_GRID_POINTS:  # checked before any axis value is built
-        raise ConfigError(f"sweep: grid of {points} points exceeds {MAX_GRID_POINTS}")
-    for name, val in zip(AXIS_NAMES, axes):
-        # validate every axis value before any point runs, so bad input
-        # fails as a config error rather than as a numerical one
-        for v in val.values() if isinstance(val, AxisRange) else [val]:
-            try:
-                _ = ModelParams(
-                    omega=v if name == "omega" else 1.0,
-                    lam=v if name == "lambda" else 0.0,
-                    omega0=v if name == "omega0" else 0.0,
-                )
-            except ValueError as exc:
-                raise ConfigError(f"{name}: {exc}") from exc
     grid = _sweep_grid(cfg)
     tasks = [(omega, lam, omega0, cfg.dim, cfg.tol) for omega, lam, omega0 in grid]
     jobs = cfg.jobs if cfg.jobs is not None else (os.cpu_count() or 1)

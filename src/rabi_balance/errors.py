@@ -21,10 +21,6 @@ class SqueezeTooLarge(RabiError):
     """Squeeze parameter beyond the supported |gamma| <= 2 range."""
 
 
-class DisplacementTooLarge(RabiError):
-    """Frame displacement lambda/omega too large for the truncated space."""
-
-
 class EigDecompositionFailure(RabiError):
     """An eigen-solve did not converge, or its result could not be certified."""
 

@@ -50,8 +50,8 @@ class FockRep:
     exponentials are evaluated before truncation; it defaults to
     ``2 * dim + 20``, which absorbs the leakage of displacements with
     |beta| <= 2 and squeezes with |gamma| <= 1 on the leading half
-    block.  At run time it only bounds displacements: ``trial_state``
-    and ``wigner_energy_bounds`` require beta^2 <= working_dim / 4.
+    block.  At run time only ``trial_state`` reads it, and requires
+    beta^2 <= working_dim / 4.
     """
 
     dim: int
@@ -188,7 +188,8 @@ def variance(state: QuantumState, obs: BandOperator | Observable) -> float:
     _check_dims(state, obs)
     v = state.amplitudes
     w = obs.apply(v)
-    mean = np.vdot(v, w).real
-    second = np.vdot(w, w).real  # <M psi | M psi> = <M^2> for Hermitian M
-    return float(second - mean * mean)
+    # Python floats: an overflow gives inf or NaN without a numpy warning
+    mean = float(np.vdot(v, w).real)
+    second = float(np.vdot(w, w).real)  # <M psi | M psi> = <M^2> for Hermitian M
+    return second - mean * mean
 

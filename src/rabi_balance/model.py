@@ -37,6 +37,7 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
+SECTOR_TOL = 1e-8  # norm off the sector, or 1 - |<P>|, that still counts as in it
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class ModelParams:
     @property
     def f0(self) -> float:
         """Static force amplitude sqrt(2 m omega) lam."""
-        return float(np.sqrt(2.0 * self.mass * self.omega) * self.lam)
+        return math.sqrt(2.0 * self.mass * self.omega) * self.lam
 
 
 def check_sector(sector: int) -> int:
@@ -119,10 +120,10 @@ def embed_reduced_state(phi: QuantumState, sector: int) -> QuantumState:
     return QuantumState(out, SPIN_BOSON)
 
 
-def extract_reduced_state(psi: QuantumState, sector: int, tol: float = 1e-8) -> QuantumState:
+def extract_reduced_state(psi: QuantumState, sector: int) -> QuantumState:
     """Inverse of ``embed_reduced_state`` on definite-parity states.
 
-    Raises SectorRequired if more than ``tol`` of the norm sits on spin
+    Raises SectorRequired if more than ``SECTOR_TOL`` of the norm sits on spin
     components incompatible with ``sector``.
     """
     p = check_sector(sector)
@@ -133,7 +134,7 @@ def extract_reduced_state(psi: QuantumState, sector: int, tol: float = 1e-8) -> 
     cols = np.where(np.arange(n) % 2 == 0, _spin_index(0, p), _spin_index(1, p))
     amps = full[np.arange(n), cols]
     leftover = 1.0 - float(np.linalg.norm(amps)) ** 2
-    if leftover > tol:
+    if leftover > SECTOR_TOL:
         raise SectorRequired(
             f"state is not in sector {p:+d}: {leftover:.3e} of the norm "
             "sits on the wrong spin components"
@@ -141,17 +142,17 @@ def extract_reduced_state(psi: QuantumState, sector: int, tol: float = 1e-8) -> 
     return QuantumState.from_vector(amps, BOSON)
 
 
-def infer_sector(psi: QuantumState, tol: float = 1e-8) -> int:
-    """Sector label from <P>; raises SectorRequired when |<P>| < 1 - tol."""
+def infer_sector(psi: QuantumState) -> int:
+    """Sector label from <P>; raises SectorRequired when |<P>| < 1 - SECTOR_TOL."""
     if psi.kind != SPIN_BOSON:
         raise DimensionMismatch("sector inference expects a spin_boson state")
     full = psi.amplitudes.reshape(-1, 2)
     signs = (-1.0) ** np.arange(full.shape[0])
     # <P> with P = -sigma_z cos(pi n), both factors diagonal
     p_mean = float(np.sum(signs * (np.abs(full[:, 1]) ** 2 - np.abs(full[:, 0]) ** 2)))
-    if abs(p_mean) < 1.0 - tol:
+    if abs(p_mean) < 1.0 - SECTOR_TOL:
         raise SectorRequired(
-            f"<P> = {p_mean:.6f} is not within {tol:.1e} of +-1; pass the "
+            f"<P> = {p_mean:.6f} is not within {SECTOR_TOL:.1e} of +-1; pass the "
             "sector explicitly"
         )
     return +1 if p_mean > 0 else -1

@@ -98,9 +98,7 @@ def build_quadratures(rep: FockRep, params: ModelParams):
     ``[q, p] = i`` holds on the leading (N-1) block; the last row and
     column are polluted by truncation.
     """
-    m, omega = float(params.mass), float(params.omega)
-    if m <= 0.0 or omega <= 0.0:
-        raise ValueError(f"need mass > 0 and omega > 0, got m={m}, omega={omega}")
+    m, omega = params.mass, params.omega
     ann, cre, _, _ = _ladder_matrices(rep.dim)
     q = (ann + cre) / np.sqrt(2.0 * m * omega)
     p = 1j * np.sqrt(m * omega / 2.0) * (cre - ann)
@@ -199,8 +197,8 @@ def build_reduced_hamiltonian(rep: FockRep, params: ModelParams, sector: int) ->
     return Observable(sector_matrix(rep.dim, params, sector))
 
 
-def ground_state(obs: Observable, kind: str = BOSON) -> tuple[float, QuantumState]:
-    """Lowest eigenpair of a Hermitian observable.
+def ground_state(obs: Observable) -> tuple[float, QuantumState]:
+    """Lowest eigenpair of a Hermitian observable on the boson space.
 
     The eigenvector phase is fixed so its largest-modulus amplitude is
     real and positive.
@@ -216,7 +214,7 @@ def ground_state(obs: Observable, kind: str = BOSON) -> tuple[float, QuantumStat
         w, v = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigDecompositionFailure(str(exc)) from exc
-    return float(w[0]), QuantumState(_phase_fixed(v[:, 0]), kind)
+    return float(w[0]), QuantumState(_phase_fixed(v[:, 0]), BOSON)
 
 
 def energy_numeric(rep: FockRep, trial: TrialParams, params: ModelParams) -> float:
@@ -237,10 +235,7 @@ def energy_numeric(rep: FockRep, trial: TrialParams, params: ModelParams) -> flo
 
 
 def trial_property_compliance(
-    rep: FockRep,
-    trial: TrialParams,
-    params: ModelParams,
-    paper_literal: bool = False,
+    rep: FockRep, trial: TrialParams, params: ModelParams
 ) -> dict[str, BoundCheck]:
     """p1..p4 plus the variance bound evaluated on the embedded trial state.
 
@@ -251,7 +246,7 @@ def trial_property_compliance(
     psi = embed_reduced_state(trial_state(rep, trial), +1)
     energy = energy_numeric(rep, trial, params)
     obs = standard_observables(rep, params)
-    checks = _property_checks(psi, obs, params, +1, energy, paper_literal)
+    checks = _property_checks(psi, obs, params, +1, energy, paper_literal=False)
     checks["b2"] = _b2(psi, obs, params, paper_literal=False)
     checks["b6_identity"] = _identity(_b6(psi, obs, +1))
     return checks

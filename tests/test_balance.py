@@ -247,7 +247,7 @@ def test_displaced_frame_energy_identity():
     # vacuum with <n_tilde> = 0 and W = anything)
     for lam, om0 in ((0.5, 1.0), (1.0, 2.0), (2.0, 0.5), (0.7, 0.0)):
         p, sol, rep = _solved(lam=lam, omega0=om0)
-        chk = wigner_energy_bounds(sol.boson_state, rep, p)
+        chk = wigner_energy_bounds(sol.boson_state, p)
         w = wigner_origin(sol.boson_state)
         predicted = -p.lam**2 / p.omega - 0.25 * p.omega0 * sol.parity * w
         assert chk.value == pytest.approx(predicted, abs=1e-9), (lam, om0)
@@ -255,8 +255,8 @@ def test_displaced_frame_energy_identity():
 
 def test_wigner_energy_band_corrected_vs_printed():
     p, sol, rep = _solved(lam=2.0, omega0=0.5)
-    good = wigner_energy_bounds(sol.boson_state, rep, p)
-    lit = wigner_energy_bounds(sol.boson_state, rep, p, paper_literal=True)
+    good = wigner_energy_bounds(sol.boson_state, p)
+    lit = wigner_energy_bounds(sol.boson_state, p, paper_literal=True)
     assert good.satisfied
     assert good.lower == pytest.approx(-0.25 - 4.0, abs=1e-12)
     assert good.upper == pytest.approx(0.25 - 4.0, abs=1e-12)
@@ -268,7 +268,7 @@ def test_wigner_energy_band_corrected_vs_printed():
 def test_displaced_vacuum_saturates_the_identity():
     # omega0 = 0 ground is a displaced vacuum: value = -lam^2/omega
     p, sol, rep = _solved(lam=0.7, omega0=0.0)
-    chk = wigner_energy_bounds(sol.boson_state, rep, p)
+    chk = wigner_energy_bounds(sol.boson_state, p)
     assert chk.value == pytest.approx(-0.49, abs=1e-9)
 
 
@@ -294,6 +294,33 @@ def test_full_report_literal_keys_do_not_gate_passing():
     )
     assert not rep_obj.properties["b2_literal"].satisfied
     assert report_passes(rep_obj)  # literal diagnostics are informational
+
+
+@pytest.mark.parametrize("lam, omega0",
+                         [(0.5, 1.0), (2.0, 0.5), (1.0, 2.0), (0.7, 0.0), (0.0, 1.0)])
+def test_full_report_infers_what_it_is_not_given(lam, omega0):
+    # without sector, energy and boson state the report infers the sector
+    # from <P>, takes <H> and extracts the reduced state itself
+    p, sol, rep = _solved(lam=lam, omega0=omega0)
+    given_all = full_report(sol.state, rep, p, sector=sol.parity, energy=sol.energy,
+                            boson_state=sol.boson_state)
+    inferred = full_report(sol.state, rep, p)
+    tol = 1e-12 * max(1.0, abs(sol.energy))
+    assert inferred.state_energy == pytest.approx(given_all.state_energy, abs=tol)
+    for group in ("first_order", "second_order"):
+        want, got = getattr(given_all, group), getattr(inferred, group)
+        assert set(got) == set(want)
+        for name in want:
+            assert got[name] == pytest.approx(want[name], abs=tol), (group, name)
+    assert set(inferred.properties) == set(given_all.properties)
+    for name, want in given_all.properties.items():
+        got = inferred.properties[name]
+        assert got.satisfied == want.satisfied, name
+        assert got.value == pytest.approx(want.value, abs=tol), name
+        for edge in ("lower", "upper"):
+            a, b = getattr(got, edge), getattr(want, edge)
+            assert (a is None) == (b is None) and (a is None or a == pytest.approx(b, abs=tol))
+    assert report_passes(inferred) == report_passes(given_all)
 
 
 def test_nan_satisfies_no_bound():

@@ -232,6 +232,72 @@ def test_sweep_range_values_are_validated_before_any_point(monkeypatch, capsys,
     assert len(err) == 1 and err[0].startswith(f"error: {axis}: ")
 
 
+def _config_range(text):
+    lo, hi, count = text.split(":")
+    return {"min": float(lo), "max": float(hi), "count": int(count)}
+
+
+@pytest.mark.parametrize("axes, message", [
+    ({"lambda": "0:1:0", "omega0": "1:0:2"}, "lambda: range count must be >= 1, got 0"),
+    ({"lambda": "1:0:2", "omega0": "1"}, "lambda: range min 1.0 exceeds max 0.0"),
+    ({"lambda": "0.5", "omega0": "1:0:2"}, "omega0: range min 1.0 exceeds max 0.0"),
+])
+@pytest.mark.parametrize("form", ["flags", "config"])
+def test_range_errors_name_their_axis(tmp_path, capsys, axes, message, form):
+    if form == "flags":
+        argv = ["sweep"] + [f"--{name}={val}" for name, val in axes.items()]
+    else:
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({name: _config_range(val) if ":" in val else float(val)
+                                   for name, val in axes.items()}))
+        argv = ["sweep", "--config", str(cfg)]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+_MISSING = object()  # stands for a config path that does not exist
+
+
+@pytest.mark.parametrize("argv, config, key", [
+    (["solve", "--lambda", "0.5", "--omega0", "1", "--dim", "3"], None, "dim"),
+    (["solve", "--lambda", "0.5"], None, "omega0"),
+    (["solve"], {"lambda": 0.5, "omega0": 1, "format": "xml"}, "format"),
+    (["sweep", "--lambda", "0.5", "--omega0", "1", "--jobs", "0"], None, "jobs"),
+    (["solve"], _MISSING, "config"),
+    (["solve"], [{"lambda": 0.5, "omega0": 1}], "config"),
+    (["sweep", "--lambda", "a:b:2", "--omega0", "1"], None, "lambda"),
+    (["sweep", "--omega0", "1"], {"lambda": {"min": 0, "max": 1}}, "lambda"),
+], ids=["dim-3", "no-omega0", "format-xml", "jobs-0", "config-missing", "config-array",
+        "range-text", "range-no-count"])
+def test_usage_errors_are_one_line_naming_their_key(tmp_path, capsys, argv, config, key):
+    cfg = tmp_path / "run.json"
+    if config is not None:
+        if config is not _MISSING:
+            cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key}: "), err
+
+
+def test_sweep_builds_each_range_axis_once(monkeypatch, capsys):
+    built = []
+    values = cli.AxisRange.values
+
+    def counting(self):
+        built.append(self)
+        return values(self)
+
+    monkeypatch.setattr(cli.AxisRange, "values", counting)
+    assert run_cli(["sweep", "--lambda", "0:1:2", "--omega0", "0.5:1.5:2", "--jobs", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    assert built == [cli.AxisRange(0.0, 1.0, 2), cli.AxisRange(0.5, 1.5, 2)]
+
+
 @pytest.mark.parametrize("ranges", [
     {"lambda": "0:1:1000000000000"},
     {"lambda": "0:1:1000", "omega0": "0:1:1001"},
@@ -482,6 +548,45 @@ def test_huge_finite_input_is_numerical_failure(tmp_path, capsys, args, prefix):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [
+    # a variance whose mean squared overflows, a force amplitude sqrt(2 m omega) lam
+    # beyond the float range, and a trial gradient whose norm overflows
+    ["balance", "--omega", "5e-324", "--lambda", "1e-300", "--omega0", "0"],
+    ["balance", "--omega", "1e100", "--lambda", "1e300", "--omega0", "0"],
+    ["variational", "--omega", "5e-324", "--lambda", "1e200", "--omega0", "0"],
+], ids=["variance", "f0", "grad-norm"])
+def test_extreme_input_prints_no_numpy_warning(capsys, args):
+    # the suite turns a RuntimeWarning into an error, so a numpy warning
+    # on the way to the exit code fails here
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err, err
+
+
+def test_balance_holds_the_wigner_band_at_any_displacement(capsys):
+    # (lam/omega)^2 = 25 exceeds dim/4 at dim 16: the displaced-frame band
+    # needs no displacement operator, so it is still reported, and holds
+    assert run_cli(["balance", "--lambda", "5", "--omega0", "1", "--dim", "16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    data = json.loads(captured.out)
+    assert data["solution"]["converged"] is False and data["passed"] is False
+    band = data["report"]["properties"]["wigner_energy"]
+    assert band["satisfied"] is True
+    assert band["lower"] == -25.5 and band["upper"] == -24.5
+    assert band["value"] == pytest.approx(-25.0078, abs=1e-4)
+
+
+def test_variational_prints_its_result_when_every_start_stalls(monkeypatch, capsys):
+    monkeypatch.setattr(variational, "MAXFEV", 3)
+    assert run_cli(["variational", "--lambda", "0.5", "--omega0", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    data = json.loads(captured.out)
+    assert set(data) == {"params", "result"}
+    assert {"trial", "energy", "gap", "grad_norm"} <= set(data["result"])
+
+
 def test_solve_out_file(tmp_path):
     out = tmp_path / "solve.txt"
     assert run_cli(["solve", "--lambda", "0", "--omega0", "1",
@@ -634,7 +739,7 @@ ORACLE_NAMES = {
 def test_oracle_names_resolve_from_the_package_root():
     from rabi_balance import fock, model, oracle
 
-    assert len(rabi_balance.__all__) == len(set(rabi_balance.__all__)) == 56
+    assert len(rabi_balance.__all__) == len(set(rabi_balance.__all__)) == 55
     defined = {name for name in rabi_balance.__all__
                if getattr(getattr(rabi_balance, name), "__module__", None) == oracle.__name__}
     assert defined == ORACLE_NAMES

@@ -1,0 +1,119 @@
+"""A bounded fuzz of ``cli.main`` with hostile flags and config files.
+
+Whatever the input, a command exits 0, 1 or 2, writes at most one line
+to stderr, raises nothing and leaves no ``*.tmp`` file behind.  The
+suite turns a numpy ``RuntimeWarning`` into an error, so a warning on
+the way to the exit code fails here too.  Every example runs in a fresh
+directory, and no drawn path holds a separator, so a config's ``out``
+stays inside it.  Grids have at most 9 points and at most 2 workers.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rabi_balance.cli import main
+
+COMMANDS = ("solve", "balance", "variational", "sweep", "converge")
+DECADES = ("0", "5e-324", "1e-300", "1e-8", "0.5", "1", "3", "1e8", "1e100", "1e300",
+           "1.7e308")
+MALFORMED = ("", "-1", "nan", "inf", "-inf", "1e999", "zebra", "0x10", "0:1", "0:1:2.5",
+             "a:b:2", "1:2:3:4", "auto")
+
+decade = st.sampled_from(DECADES)
+ends = st.tuples(decade, decade)
+range_text = st.builds("{0[0]}:{0[1]}:{1}".format,
+                       ends.map(lambda e: sorted(e, key=float)) | ends,  # mostly min <= max
+                       st.sampled_from((1, 2, 3, 0, -1)))
+axis_text = st.one_of(decade, range_text)
+
+json_leaf = st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.just(10**30),
+                      st.floats(allow_nan=False), st.text("ab01:.-e", max_size=6))
+json_value = st.recursive(
+    json_leaf,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("ab", max_size=3),
+                                                                inner, max_size=3),
+    max_leaves=6,
+)
+json_range = st.fixed_dictionaries(
+    {"min": decade.map(float), "max": decade.map(float)},
+    optional={"count": st.one_of(st.integers(-1, 3), json_leaf)},
+)
+config_axis = st.one_of(decade.map(float), json_range)
+
+
+def _mostly(draw, good, bad, rate=16):
+    """A draw from ``good``, or about one time in ``rate`` from ``bad``."""
+    return draw(draw(st.sampled_from([good] * (rate - 1) + [bad])))
+
+
+@st.composite
+def config_files(draw):
+    if draw(st.sampled_from((False, False, False, True))):
+        return draw(json_value)  # most likely not an object, or with unknown keys
+    config = {}
+    for key, good in (("omega", config_axis), ("lambda", config_axis), ("omega0", config_axis),
+                      ("dim", st.sampled_from(("auto", 4, 16))), ("tol", st.just(1e-6)),
+                      ("format", st.sampled_from(("csv", "json"))), ("out", st.just("o.txt")),
+                      ("paper_literal", st.booleans())):
+        if draw(st.booleans()):
+            config[key] = _mostly(draw, good, json_value)
+    if _mostly(draw, st.just(False), st.just(True)):
+        config["seed"] = 1
+    return config
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command]
+    # ranges are for sweep; a single-point command rejects them
+    axis = axis_text if command == "sweep" else _mostly(draw, st.just(decade), st.just(axis_text))
+    for flag, rate in (("--omega", 2), ("--lambda", 16), ("--omega0", 16)):
+        if _mostly(draw, st.just(True), st.just(False), rate):
+            value = _mostly(draw, axis, st.sampled_from(MALFORMED))
+            argv.append(f"{flag}={value}")
+    for flag, good, bad in (("--dim", ("auto", "4", "16", "32"), ("3", "x", "70000", str(10**20))),
+                            ("--tol", ("1e-10", "1e-3"), ("0", "nan", "inf", "-1", "x")),
+                            ("--format", ("csv", "json"), ("xml",)),
+                            ("--out", ("out.txt",), ("missing/out.txt", "."))):
+        if draw(st.booleans()):
+            value = _mostly(draw, st.sampled_from(good), st.sampled_from(bad))
+            argv.append(f"{flag}={value}")
+    # always given as a flag, which wins over a config's jobs: never more than 2 workers
+    argv.append("--jobs=" + _mostly(draw, st.sampled_from(("1", "2")),
+                                    st.sampled_from(("0", "x"))))
+    if draw(st.booleans()):
+        argv.append("--paper-literal")
+    config = draw(st.none() | st.none() | config_files())
+    return argv, config
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(argvs())
+def test_cli_main_exits_cleanly_on_any_input(case):
+    argv, config = case
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            if config is not None:
+                with open("config.json", "w", encoding="utf-8") as fh:
+                    json.dump(config, fh)
+                argv = argv + ["--config", "config.json"]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            left = [name for _, _, names in os.walk(work) for name in names
+                    if name.endswith(".tmp")]
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2), argv
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1 and "Traceback" not in err.getvalue(), (argv, config, lines)
+    assert left == [], argv
