@@ -45,10 +45,18 @@ of the b2 constant, the p4 bound, and the displaced-frame bound
 (measured constant 2 lam^2/omega, literal bound |.| <= omega0, literal
 C with unscaled coefficients).  Those variants fail on parts of the
 parameter plane; the verified forms above are the authoritative ones.
+
+Two entry points evaluate the suite.  ``full_report`` runs all of it on
+a spin-boson state, on one bundle of ``BandOperator`` observables; the
+``balance`` command prints it.  ``sector_summary`` gives the part a sweep
+writes (b1, b7, force, W(0,0), b2, p1-p4 and the Wigner band) from a
+real sector vector, by O(N) sums with no operator built; ``full_report``
+is its oracle in the tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -305,16 +313,24 @@ def property_checks(
 
 def _property_checks(state: QuantumState, obs: dict, params: ModelParams, p: int,
                      energy: float, paper_literal: bool) -> dict[str, BoundCheck]:
+    return _property_bounds(
+        params, p, energy,
+        sz=expectation(state, obs["sigma_z"]).real,
+        cos_pin=expectation(state, obs["parity_boson"]).real,
+        x_sx=expectation(state, obs["q_sigma_x"]).real * np.sqrt(
+            2.0 * params.mass * params.omega
+        ),  # <(a + a^dag) sigma_x>
+        n_cos=expectation(state, obs["num_parity"]).real,
+        n_sz=expectation(state, obs["num_sigma_z"]).real,
+        paper_literal=paper_literal,
+    )
+
+
+def _property_bounds(params: ModelParams, p: int, energy: float, sz: float, cos_pin: float,
+                     x_sx: float, n_cos: float, n_sz: float,
+                     paper_literal: bool) -> dict[str, BoundCheck]:
+    """p1..p4 from <sigma_z>, <cos pi n>, <(a + a^dag) sigma_x>, <n cos pi n>, <n sigma_z>."""
     omega, lam, omega0 = params.omega, params.lam, params.omega0
-
-    sz = expectation(state, obs["sigma_z"]).real
-    cos_pin = expectation(state, obs["parity_boson"]).real
-    x_sx = expectation(state, obs["q_sigma_x"]).real * np.sqrt(
-        2.0 * params.mass * omega
-    )  # <(a + a^dag) sigma_x>
-    n_cos = expectation(state, obs["num_parity"]).real
-    n_sz = expectation(state, obs["num_sigma_z"]).real
-
     checks = {
         "p1": _bound(energy, -0.5 * omega0 - lam**2 / omega, -0.5 * omega0),
         "p2_identity": _identity(sz + p * cos_pin),
@@ -355,11 +371,19 @@ def b2_variance_bounds(
 
 
 def _b2(state: QuantumState, obs: dict, params: ModelParams, paper_literal: bool) -> BoundCheck:
+    return _b2_bound(
+        params,
+        var_qsx=variance(state, obs["q_sigma_x"]),
+        sz=expectation(state, obs["sigma_z"]).real,
+        q_sx=expectation(state, obs["q_sigma_x"]).real,
+        literal=paper_literal,
+    )
+
+
+def _b2_bound(params: ModelParams, var_qsx: float, sz: float, q_sx: float,
+              literal: bool) -> BoundCheck:
     m, omega, lam = params.mass, params.omega, params.lam
-    var_qsx = variance(state, obs["q_sigma_x"])
-    sz = expectation(state, obs["sigma_z"]).real
-    q_sx = expectation(state, obs["q_sigma_x"]).real
-    c = _b2_constant(params, sz, q_sx, literal=paper_literal)
+    c = _b2_constant(params, sz, q_sx, literal=literal)
     lo = 0.5 / (m * omega) - lam**2 / (m * omega**3) + c
     hi = 0.5 / (m * omega) + c
     return _bound(var_qsx, lo, hi)
@@ -424,7 +448,11 @@ def wigner_energy_bounds(
     h_plus = BandOperator(v.size, [(sector_chain(v.size, params, +1), np.eye(1))])
     energy = np.vdot(v, h_plus.apply(v)).real
     value = energy - params.omega * displaced_number(state, params)
-    shift = (2.0 if paper_literal else 1.0) * params.lam**2 / params.omega
+    return _wigner_band(params, value, paper_literal)
+
+
+def _wigner_band(params: ModelParams, value: float, literal: bool) -> BoundCheck:
+    shift = (2.0 if literal else 1.0) * params.lam**2 / params.omega
     lo = -0.5 * params.omega0 - shift
     hi = +0.5 * params.omega0 - shift
     return _bound(value, lo, hi)
@@ -501,3 +529,83 @@ def report_passes(report: BalanceReport) -> bool:
         if not name.endswith("_literal")
     )
     return residuals_ok and props_ok
+
+
+@dataclass(frozen=True)
+class SectorSummary:
+    """The sweep's balance columns of one state; see ``sector_summary``."""
+
+    b1: float
+    b7: float
+    force: float
+    w00: float  # W(0, 0) = 2 <cos(pi a^dag a)>
+    b2: BoundCheck
+    p1_ok: bool
+    p2_ok: bool
+    p3_ok: bool
+    p4_ok: bool
+    w_bound_ok: bool
+
+
+def sector_summary(phi: list[float], p: int, params: ModelParams,
+                   energy: float) -> SectorSummary:
+    """b1, b7, force, W(0,0), b2 and the p1-p4 and Wigner-band verdicts of a sector vector.
+
+    ``phi`` is a real unit vector of sector ``p`` as a list of floats; the
+    values are those ``full_report`` gives for its lift
+    ``embed_reduced_state(phi, p)`` (with ``energy`` for p1), up to
+    round-off, from a handful of O(N) sums over phi (``math.fsum``).  On
+    the lift, <q>, <p> and <sigma_x> are exactly zero, so the force
+    balance is 0, and with x = a + a^dag
+
+        <sigma_z> = -p <cos pi n>,   <n sigma_z> = -p <n cos pi n>,
+        <q sigma_x> = <x> / sqrt(2 m omega),
+        <p sigma_y> = p sqrt(2 m omega) sum_k (-1)^k sqrt(k+1) phi_k phi_k+1,
+
+    while <q^2> and <p^2> are the squared norms of q phi and p phi in the
+    truncated space, as ``fock.variance`` takes them.  The Wigner band is
+    that of ``wigner_energy_bounds``: the sector +1 chain energy of phi,
+    whatever p is.
+    """
+    p = check_sector(p)
+    m, omega, lam, omega0 = params.mass, params.omega, params.lam, params.omega0
+    fsum = math.fsum
+    roots = [math.sqrt(k) for k in range(1, len(phi))]
+    sq = [v * v for v in phi]
+    pairs = [r * u * v for r, u, v in zip(roots, phi, phi[1:])]  # sqrt(k+1) phi_k phi_k+1
+    cos_pin = fsum([*sq[0::2], *(-w for w in sq[1::2])])
+    n_mean = fsum([k * w for k, w in enumerate(sq)])
+    n_cos = fsum([k * w if k % 2 == 0 else -k * w for k, w in enumerate(sq)])
+    x_mean = 2.0 * fsum(pairs)
+    alt_pairs = fsum([*pairs[0::2], *(-w for w in pairs[1::2])])
+    # sqrt(n) phi_n-1 and sqrt(n+1) phi_n+1, the two halves of x phi, level by level
+    up = [0.0, *(r * v for r, v in zip(roots, phi))]
+    down = [*(r * v for r, v in zip(roots, phi[1:])), 0.0]
+    x_sq = fsum([(u + d) * (u + d) for u, d in zip(up, down)])  # |x phi|^2
+    y_sq = fsum([(u - d) * (u - d) for u, d in zip(up, down)])  # |(a^dag - a) phi|^2
+
+    scale = math.sqrt(2.0 * m * omega)
+    f0 = params.f0
+    q_sq = x_sq / (2.0 * m * omega)
+    kinetic = 0.25 * omega * y_sq  # <p^2> / 2m, with <p^2> = (m omega / 2) y_sq
+    q_sx = x_mean / scale
+    p_sy = p * scale * alt_pairs
+    sz = -p * cos_pin
+    b1 = abs(kinetic - 0.5 * f0 * q_sx - 0.5 * m * omega**2 * q_sq)
+    b7 = abs(m * omega**2 * f0 * q_sx + f0 * omega0 * p_sy + f0 * f0)
+
+    props = _property_bounds(params, p, energy, sz=sz, cos_pin=cos_pin, x_sx=x_mean,
+                             n_cos=n_cos, n_sz=-p * n_cos, paper_literal=False)
+    b2 = _b2_bound(params, q_sq - q_sx * q_sx, sz, q_sx, literal=False)
+    ratio = lam / omega
+    e_plus = omega * n_mean - 0.5 * omega0 * cos_pin + lam * x_mean
+    wigner = _wigner_band(params, e_plus - omega * (n_mean + ratio * x_mean + ratio**2),
+                          literal=False)
+    return SectorSummary(
+        b1=b1, b7=b7, force=0.0, w00=2.0 * cos_pin, b2=b2,
+        p1_ok=props["p1"].satisfied,
+        p2_ok=props["p2_identity"].satisfied and props["p2_sign"].satisfied,
+        p3_ok=props["p3"].satisfied,
+        p4_ok=props["p4_identity"].satisfied and props["p4"].satisfied,
+        w_bound_ok=wigner.satisfied,
+    )

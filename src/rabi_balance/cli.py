@@ -8,31 +8,38 @@ Sweep output is reproducible byte for byte: fixed column order, floats
 at 17 significant digits, LF line endings, rows in grid order with the
 first swept axis slowest.  The worker pool only changes wall time,
 never content.  On failure no partial output file is left behind.
+
+A sweep point writes only what it needs: its balance columns are
+``balance.sector_summary`` of the ground state's sector vector, with no
+operator bundle and no spin-boson state built.  A process pays only for
+what it runs: numpy starts with one BLAS thread (no command calls a
+threaded BLAS routine; a count set in the environment wins), and the
+process-pool machinery is imported only by a sweep on more than one
+worker.
 """
 
 from __future__ import annotations
 
+import os
+
+# An idle OpenBLAS worker thread costs CPU from the moment numpy loads, and
+# no command uses it: set before any module below imports numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
-import concurrent.futures
 import contextlib
 import dataclasses
 import io
 import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import (
-    BalanceReport,
-    full_report,
-    report_passes,
-    wigner_origin,
-)
+from .balance import full_report, report_passes, sector_summary
 from .errors import ConfigError, NotConverged, OptimizerStalled, RabiError
 from .fock import FockRep
 from .model import ModelParams
@@ -210,16 +217,26 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _check_axis(name: str, value: float) -> float:
+    """One axis value as ``ModelParams`` checks it; the error names the axis."""
+    try:
+        ModelParams(
+            omega=value if name == "omega" else 1.0,
+            lam=value if name == "lambda" else 0.0,
+            omega0=value if name == "omega0" else 0.0,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+    return value
+
+
 def _require_scalar(cfg: RunConfig, command: str) -> ModelParams:
     vals = {}
     for name, val in zip(AXIS_NAMES, (cfg.omega, cfg.lam, cfg.omega0)):
         if isinstance(val, AxisRange):
             raise ConfigError(f"{name}: {command} needs a scalar, not a range")
-        vals[name] = val
-    try:
-        return ModelParams(omega=vals["omega"], lam=vals["lambda"], omega0=vals["omega0"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        vals[name] = _check_axis(name, val)
+    return ModelParams(omega=vals["omega"], lam=vals["lambda"], omega0=vals["omega0"])
 
 
 def _fmt17(x: float) -> str:
@@ -362,16 +379,7 @@ def _sweep_grid(cfg: RunConfig) -> list[tuple[float, float, float]]:
     axes = []
     for name, val in zip(AXIS_NAMES, raw):
         values = val.values() if isinstance(val, AxisRange) else [float(val)]
-        for v in values:
-            try:
-                _ = ModelParams(
-                    omega=v if name == "omega" else 1.0,
-                    lam=v if name == "lambda" else 0.0,
-                    omega0=v if name == "omega0" else 0.0,
-                )
-            except ValueError as exc:
-                raise ConfigError(f"{name}: {exc}") from exc
-        axes.append(values)
+        axes.append([_check_axis(name, v) for v in values])
     return list(itertools.product(*axes))
 
 
@@ -379,14 +387,10 @@ def _sweep_point(task) -> dict:
     omega, lam, omega0, dim, tol = task
     params = ModelParams(omega=omega, lam=lam, omega0=omega0)
     sol = solve_rabi_ground(params, tol=tol, dim=dim)
-    rep = FockRep(sol.dim_used)
-    report = full_report(
-        sol.state, rep, params,
-        sector=sol.parity, energy=sol.energy, boson_state=sol.boson_state,
-    )
+    summary = sector_summary(sol.boson_state.amplitudes.real.tolist(), sol.parity, params,
+                             sol.energy)
     var = minimize_energy(params, exact=sol)
-    props = report.properties
-    b2 = props["b2"]
+    b2 = summary.b2
     return {
         "omega": omega,
         "lambda": lam,
@@ -399,20 +403,20 @@ def _sweep_point(task) -> dict:
         "beta_star": var.trial.beta,
         "gamma_star": var.trial.gamma,
         "gap": var.gap,
-        "res_b1": report.second_order["b1"],
-        "res_b7": report.second_order["b7"],
-        "res_force": report.first_order["force"],
-        "w00_exact": wigner_origin(sol.boson_state),
+        "res_b1": summary.b1,
+        "res_b7": summary.b7,
+        "res_force": summary.force,
+        "w00_exact": summary.w00,
         "w00_trial": 2.0 * math.exp(-2.0 * var.trial.beta**2),
         "var_qsx": b2.value,
         "b2_lo": b2.lower,
         "b2_hi": b2.upper,
-        "p1_ok": bool(props["p1"].satisfied),
-        "p2_ok": bool(props["p2_identity"].satisfied and props["p2_sign"].satisfied),
-        "p3_ok": bool(props["p3"].satisfied),
-        "p4_ok": bool(props["p4_identity"].satisfied and props["p4"].satisfied),
-        "b2_ok": bool(b2.satisfied),
-        "w_bound_ok": bool(props["wigner_energy"].satisfied),
+        "p1_ok": summary.p1_ok,
+        "p2_ok": summary.p2_ok,
+        "p3_ok": summary.p3_ok,
+        "p4_ok": summary.p4_ok,
+        "b2_ok": b2.satisfied,
+        "w_bound_ok": summary.w_bound_ok,
     }
 
 
@@ -437,31 +441,42 @@ def _render_sweep(rows: list[dict], fmt: str) -> str:
     return buf.getvalue()
 
 
+class _WorkerDied(RabiError):
+    """A pool worker process died; the points it held have no result."""
+
+
 def _pool_map(tasks: list, jobs: int):
     """``map(_sweep_point, tasks)`` on ``min(jobs, len(tasks))`` worker processes.
 
     Results come in grid order, at most ``jobs`` points run at a time,
     and once a point has raised no further point starts: a failing
-    sweep ends when the points already running finish.
+    sweep ends when the points already running finish.  The pool
+    machinery is imported here, so a serial sweep never loads it.
     """
+    import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
+
     jobs = min(jobs, len(tasks))  # the pool starts all its workers at once
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        todo = iter(enumerate(tasks))
-        running: dict = {}  # future -> grid index
-        done: dict = {}  # grid index -> finished future
-        failed = False
-        for head in range(len(tasks)):
-            while head not in done:
-                if not failed:
-                    for i, task in itertools.islice(todo, jobs - len(running)):
-                        running[pool.submit(_sweep_point, task)] = i
-                finished, _ = concurrent.futures.wait(
-                    running, return_when=concurrent.futures.FIRST_COMPLETED
-                )
-                for fut in finished:
-                    done[running.pop(fut)] = fut
-                    failed = failed or fut.exception() is not None
-            yield done.pop(head).result()
+    try:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            todo = iter(enumerate(tasks))
+            running: dict = {}  # future -> grid index
+            done: dict = {}  # grid index -> finished future
+            failed = False
+            for head in range(len(tasks)):
+                while head not in done:
+                    if not failed:
+                        for i, task in itertools.islice(todo, jobs - len(running)):
+                            running[pool.submit(_sweep_point, task)] = i
+                    finished, _ = concurrent.futures.wait(
+                        running, return_when=concurrent.futures.FIRST_COMPLETED
+                    )
+                    for fut in finished:
+                        done[running.pop(fut)] = fut
+                        failed = failed or fut.exception() is not None
+                yield done.pop(head).result()
+    except BrokenProcessPool as exc:
+        raise _WorkerDied("a worker process died") from exc
 
 
 def _fmt_short(x: float) -> str:
@@ -470,8 +485,6 @@ def _fmt_short(x: float) -> str:
 
 
 def _failure_text(exc: Exception) -> str:
-    if isinstance(exc, BrokenProcessPool):
-        return "a worker process died"
     if isinstance(exc, ArithmeticError):  # e.g. a Python float overflowing
         return f"{type(exc).__name__}: {exc}"
     return str(exc)
@@ -486,7 +499,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         serial = jobs == 1 or len(tasks) <= 1
         for row in map(_sweep_point, tasks) if serial else _pool_map(tasks, jobs):
             rows.append(row)
-    except (RabiError, ValueError, ArithmeticError, BrokenProcessPool) as exc:
+    except (RabiError, ValueError, ArithmeticError) as exc:
         # both maps yield in grid order, so the point that raised is the
         # next one; a dead worker fails every point not yet finished, and
         # the first of those in grid order is named

@@ -32,8 +32,8 @@ One doubling ladder solves both sectors at Fock dimension 16, 32, ...
 until the global minimum moves by less than ``tol`` (or, where ``tol``
 is below its rounding, by less than ROUNDING_ULPS ulps); a fixed ``dim``
 is the same ladder over ``dim // 2`` and ``dim``.  Every level is solved
-once, and the winning sector's eigenvector at the last level is lifted
-back to the spin-boson space.
+once; the solution holds the winning sector's eigenvector at the last
+level and lifts it to the spin-boson space when its ``state`` is read.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import math
 import sys
 from operator import mul
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -74,13 +75,12 @@ class GroundSolution:
     ``parity`` is the sector of the returned representative; at
     degenerate points (sector gap < 1e-9, e.g. omega0 = 0) the +1
     representative is returned and ``parity_label`` reads
-    ``"degenerate"``.  ``boson_state`` is the sector eigenvector phi
-    from which ``state`` was lifted.  ``energy_delta`` is the last
-    change under dimension doubling.
+    ``"degenerate"``.  ``boson_state`` is the sector eigenvector phi;
+    ``state`` is its lift to the spin-boson space, made on first read.
+    ``energy_delta`` is the last change under dimension doubling.
     """
 
     energy: float
-    state: QuantumState
     boson_state: QuantumState
     parity: int
     parity_label: str
@@ -88,6 +88,10 @@ class GroundSolution:
     dim_used: int
     converged: bool
     energy_delta: float
+
+    @cached_property
+    def state(self) -> QuantumState:
+        return embed_reduced_state(self.boson_state, self.parity)
 
 
 def _phase_fixed(vec: np.ndarray) -> np.ndarray:
@@ -330,11 +334,9 @@ def _solution(rows, sectors, converged: bool) -> GroundSolution:
     else:
         parity, label = -1, "-1"
         energy, phi = e_minus, phi_minus
-    boson_state = QuantumState(phi, BOSON)
     return GroundSolution(
         energy=float(energy),
-        state=embed_reduced_state(boson_state, parity),
-        boson_state=boson_state,
+        boson_state=QuantumState(phi, BOSON),
         parity=parity,
         parity_label=label,
         sector_gap=float(gap),

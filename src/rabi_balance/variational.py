@@ -44,8 +44,8 @@ import numpy as np
 
 from .errors import AmplitudeTooLarge, OptimizerStalled, SqueezeTooLarge
 from .fock import BOSON, FockRep, QuantumState
-from .model import ModelParams, embed_reduced_state
-from .balance import _b1, _b7, standard_observables
+from .model import ModelParams
+from .balance import sector_summary
 from .solver import GroundSolution, solve_rabi_ground
 
 BETA_MAX = 6.0
@@ -143,14 +143,18 @@ def energy_gradient(trial: TrialParams, params: ModelParams) -> np.ndarray:
 
 
 def balance_residuals(trial: TrialParams, params: ModelParams) -> tuple[float, float]:
-    """(b1, b7) residuals of the sector +1 embedding of the trial state."""
+    """(b1, b7) residuals of the sector +1 embedding of the trial state.
+
+    ``sector_summary`` takes them from the trial's sector vector; its p1
+    verdict, at the closed-form energy, is not used.
+    """
     # enough Fock levels that the embedded trial state is
     # truncation-converged at the residual evaluation
     n_char = trial.beta**2 * np.exp(2.0 * trial.gamma) + np.sinh(trial.gamma) ** 2
     rep = FockRep(max(RESIDUAL_DIM, int(4.0 * n_char) + 60))
-    psi = embed_reduced_state(trial_state(rep, trial), +1)
-    obs = standard_observables(rep, params)
-    return _b1(psi, obs, params), _b7(psi, obs, params)
+    phi = trial_state(rep, trial).amplitudes.real.tolist()
+    summary = sector_summary(phi, +1, params, energy_closed_form(trial, params))
+    return summary.b1, summary.b7
 
 
 def _nelder_mead(func, x0, bounds, xatol, fatol, maxfev):

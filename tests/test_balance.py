@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -35,8 +36,10 @@ from rabi_balance.balance import (
     b6_reduced_variance_gap,
     b7_terms,
     force_balance,
+    sector_summary,
 )
 from rabi_balance.fock import variance
+from rabi_balance.model import sector_chain
 from rabi_balance.oracle import (
     Observable,
     build_full_hamiltonian,
@@ -332,9 +335,10 @@ def test_nan_satisfies_no_bound():
     assert _identity(5e-9).satisfied and not _identity(2e-8).satisfied
 
 
-def test_report_and_trial_residuals_build_the_bundle_once(monkeypatch):
-    # one observable bundle per full_report and per balance_residuals;
-    # the counter replaces the builder in every module that imported it
+def test_report_builds_the_bundle_once_and_trial_residuals_none(monkeypatch):
+    # one observable bundle per full_report, and none per balance_residuals,
+    # which sums over the trial's sector vector; the counter replaces the
+    # builder in every module that imported it
     original = standard_observables
     built = []
 
@@ -356,7 +360,7 @@ def test_report_and_trial_residuals_build_the_bundle_once(monkeypatch):
     assert built == [rep.dim]
     built.clear()
     balance_residuals(TrialParams(-0.3, 0.2), p)
-    assert built == [120]
+    assert built == []
 
 
 def test_full_report_applies_h_once_and_keeps_every_field(monkeypatch, rng):
@@ -440,3 +444,74 @@ def test_bundle_equals_the_kron_construction():
     )
     np.testing.assert_array_equal(obs["hamiltonian"].matrix, dense)
     assert set(obs) == {*kron, "q_boson", "hamiltonian"}
+
+
+# --- the sweep's sector summary against full_report ------------------------
+
+SUMMARY_TOL = 1e-12  # times max(1, |E|, |value|): the sums differ in order only
+
+
+def _assert_summary_matches_report(vec, p, params, energy=None):
+    """sector_summary of phi equals full_report of its lift; every verdict equal."""
+    boson = QuantumState.from_vector(vec, BOSON)
+    report = full_report(embed_reduced_state(boson, p), FockRep(boson.dim), params,
+                         sector=p, energy=energy, boson_state=boson)
+    energy = report.state_energy
+    got = sector_summary(boson.amplitudes.real.tolist(), p, params, energy)
+    props = report.properties
+    pairs = {
+        "b1": (got.b1, report.second_order["b1"]),
+        "b7": (got.b7, report.second_order["b7"]),
+        "force": (got.force, report.first_order["force"]),
+        "w00": (got.w00, wigner_origin(boson)),
+        "var_qsx": (got.b2.value, props["b2"].value),
+        "b2_lo": (got.b2.lower, props["b2"].lower),
+        "b2_hi": (got.b2.upper, props["b2"].upper),
+    }
+    for name, (value, want) in pairs.items():
+        assert abs(value - want) <= SUMMARY_TOL * max(1.0, abs(energy), abs(want)), (
+            name, value, want)
+    assert got.force == 0.0
+    assert (got.p1_ok, got.p2_ok, got.p3_ok, got.p4_ok, got.b2.satisfied, got.w_bound_ok) == (
+        props["p1"].satisfied,
+        props["p2_identity"].satisfied and props["p2_sign"].satisfied,
+        props["p3"].satisfied,
+        props["p4_identity"].satisfied and props["p4"].satisfied,
+        props["b2"].satisfied,
+        props["wigner_energy"].satisfied,
+    )
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.25, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("omega0", [0.0, 0.5, 1.0, 2.0, 5.0])
+def test_sector_summary_equals_full_report_on_both_sector_chains(lam, omega0):
+    # the acceptance grid, the lowest vector of each sector chain at dims 32-256
+    # (by dense eigh, independent of the solver)
+    params = ModelParams(omega=1.0, lam=lam, omega0=omega0)
+    for p in (+1, -1):
+        for dim in (32, 64, 128, 256):
+            diag, off = sector_chain(dim, params, p)
+            energies, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+            _assert_summary_matches_report(vecs[:, 0], p, params, energies[0])
+
+
+def test_sector_summary_equals_full_report_on_solved_ground_states():
+    for omega, lam, omega0 in ((0.1, 0.3, 0.5), (0.5, 1.7, 2.3), (1.0, 6.0, 1.0),
+                               (2.0, 3.0, 0.0)):
+        params = ModelParams(omega=omega, lam=lam, omega0=omega0)
+        sol = solve_rabi_ground(params)
+        _assert_summary_matches_report(sol.boson_state.amplitudes.real, sol.parity, params,
+                                       sol.energy)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    vec=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=64).filter(
+        lambda v: math.fsum(x * x for x in v) > 1e-6),
+    p=st.sampled_from([1, -1]),
+    omega=st.floats(0.1, 5.0),
+    lam=st.floats(0.0, 6.0),
+    omega0=st.floats(0.0, 5.0),
+)
+def test_sector_summary_equals_full_report_on_random_vectors(vec, p, omega, lam, omega0):
+    _assert_summary_matches_report(vec, p, ModelParams(omega=omega, lam=lam, omega0=omega0))

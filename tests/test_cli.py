@@ -173,7 +173,7 @@ def test_sweep_pool_has_no_more_workers_than_points(monkeypatch, capsys):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert run_cli(["sweep", "--lambda", "0:1:2", "--omega0", "1", "--jobs", "64"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
     assert sizes == [2]
@@ -255,6 +255,22 @@ def test_range_errors_name_their_axis(tmp_path, capsys, axes, message, form):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("axis, value", [("omega", "0"), ("lambda", "-1"), ("omega0", "-2")])
+def test_single_point_axis_errors_name_the_axis(capsys, axis, value):
+    # one check of an axis value serves every command, so the text cannot drift
+    lines = {}
+    for command in ("solve", "balance", "variational", "converge", "sweep"):
+        scalars = {"omega": "1", "lambda": "1", "omega0": "1", axis: value}
+        argv = [command, *(f"--{name}={val}" for name, val in scalars.items()), "--jobs", "1"]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {axis}: "), err
+        lines[command] = err[0]
+    assert len(set(lines.values())) == 1, lines
 
 
 _MISSING = object()  # stands for a config path that does not exist
@@ -456,20 +472,22 @@ def test_pooled_sweep_reports_a_dead_worker(tmp_path, monkeypatch, capsys):
     assert len(list(markers.iterdir())) < 4  # the pool stopped early
 
 
-def test_sweep_point_builds_one_bundle_and_no_trial_state(monkeypatch):
-    # the counters replace the builders in every module that imported them
+def test_sweep_point_builds_no_bundle_no_report_and_no_trial_state(monkeypatch):
+    # a point's balance columns are sums over its sector vector; the
+    # counters replace the builders in every module that imported them
     calls = []
-    for fn in (balance.standard_observables, variational.trial_state):
-        def counting(*args, _fn=fn):
+    for fn in (balance.standard_observables, balance.full_report, variational.trial_state):
+        def counting(*args, _fn=fn, **kwargs):
             calls.append(_fn.__name__)
-            return _fn(*args)
+            return _fn(*args, **kwargs)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("rabi_balance") and getattr(module, fn.__name__, None) is fn:
                 monkeypatch.setattr(module, fn.__name__, counting)
 
-    cli._sweep_point((1.0, 2.0, 1.0, None, 1e-10))
-    assert calls == ["standard_observables"]
+    row = cli._sweep_point((1.0, 2.0, 1.0, None, 1e-10))
+    assert calls == []
+    assert row["res_force"] == 0.0 and row["p1_ok"] and row["w_bound_ok"]
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -750,3 +768,48 @@ def test_oracle_names_resolve_from_the_package_root():
                             "_unitary_from_generator", "ground_state", "sector_matrix"}
     for module in (fock, model, solver, variational, balance, cli):
         assert not moved & set(vars(module)), module.__name__
+
+
+_POOL_CHILD = """
+import sys
+from rabi_balance.cli import main
+
+codes = [main([*cmd, "--lambda", "0.5", "--omega0", "1", "--out", sys.argv[1] + "/" + cmd[0]])
+         for cmd in (["solve"], ["balance"], ["variational"], ["converge"],
+                     ["sweep", "--lambda", "0:1:3", "--jobs", "1"])]
+print(codes, sorted(m for m in sys.modules
+                    if m.startswith("multiprocessing") or m == "concurrent.futures.process"))
+"""
+
+
+def test_commands_without_a_pool_load_no_pool_machinery(tmp_path):
+    # concurrent.futures.process and multiprocessing cost start-up and
+    # memory in every process; only a sweep on more than one worker loads them
+    proc = _child(["-c", _POOL_CHILD, str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_BLAS_CHILD = """
+import os
+{imports}
+print([os.environ.get(var) for var in {names!r}])
+"""
+
+
+@pytest.mark.parametrize("preset, imports, expected", [
+    (None, "import rabi_balance.cli", ["1", "1", "1"]),
+    ("3", "import rabi_balance.cli", ["3", "1", "1"]),
+    (None, "import rabi_balance\nfrom rabi_balance import full_report", [None, None, None]),
+], ids=["cli", "cli-preset", "library"])
+def test_cli_starts_numpy_with_one_blas_thread(monkeypatch, preset, imports, expected):
+    # the CLI sets one BLAS thread before numpy loads, unless the environment
+    # sets a count; the library leaves the environment alone
+    for var in _BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    if preset is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    proc = _child(["-c", _BLAS_CHILD.format(imports=imports, names=_BLAS_VARS)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(expected)
