@@ -110,12 +110,12 @@ class BoundCheck:
             margins.append(self.value - self.lower)
         if self.upper is not None:
             margins.append(self.upper - self.value)
-        return min(margins) if margins else np.inf
+        return min(margins) if margins else math.inf
 
 
 def _bound(value: float, lower: float | None, upper: float | None,
            margin: float = BOUND_MARGIN) -> BoundCheck:
-    ok = not np.isnan(value)  # NaN compares false against either edge
+    ok = not math.isnan(value)  # NaN compares false against either edge
     if lower is not None and value < lower - margin:
         ok = False
     if upper is not None and value > upper + margin:

@@ -10,12 +10,14 @@ first swept axis slowest.  The worker pool only changes wall time,
 never content.  On failure no partial output file is left behind.
 
 A sweep point writes only what it needs: its balance columns are
-``balance.sector_summary`` of the ground state's sector vector, with no
-operator bundle and no spin-boson state built.  A process pays only for
-what it runs: numpy starts with one BLAS thread (no command calls a
-threaded BLAS routine; a count set in the environment wins), and the
-process-pool machinery is imported only by a sweep on more than one
-worker.
+``balance.sector_summary`` of the ground state's sector vector
+``GroundSolution.phi``, a tuple of floats, with no operator bundle and no
+``QuantumState`` built.  This module calls no numpy: range values are
+``np.linspace``'s arithmetic on Python floats.  A process pays only for
+what it runs: numpy, which the other modules still load, starts with one
+BLAS thread (no command calls a threaded BLAS routine; a count set in the
+environment wins), and the process-pool machinery is imported only by a
+sweep on more than one worker.
 """
 
 from __future__ import annotations
@@ -37,13 +39,11 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .balance import full_report, report_passes, sector_summary
 from .errors import ConfigError, NotConverged, OptimizerStalled, RabiError
 from .fock import FockRep
 from .model import ModelParams
-from .solver import MAX_DIM, GroundSolution, convergence_table, solve_rabi_ground
+from .solver import MAX_DIM, START_DIM, GroundSolution, convergence_table, solve_rabi_ground
 from .variational import minimize_energy, stationarity_equals_balance
 
 SWEEP_COLUMNS = [
@@ -75,9 +75,20 @@ class AxisRange:
             raise ConfigError(f"range min {self.min} exceeds max {self.max}")
 
     def values(self) -> list[float]:
+        """``np.linspace(min, max, count)`` on Python floats, value for value.
+
+        Value i is i step + min, or (i / div) (max - min) + min where the
+        step underflows to 0, as numpy computes it; the last is max.
+        """
+        lo, hi = float(self.min), float(self.max)
         if self.count == 1:
-            return [float(self.min)]
-        return [float(v) for v in np.linspace(self.min, self.max, self.count)]
+            return [lo]
+        div = self.count - 1
+        delta = hi - lo
+        step = delta / div
+        if step == 0.0:
+            return [*((i / div) * delta + lo for i in range(div)), hi]
+        return [*(i * step + lo for i in range(div)), hi]
 
 
 @dataclass(frozen=True)
@@ -335,8 +346,7 @@ def cmd_variational(cfg: RunConfig) -> int:
     if result.gap < -1e-9:
         code = 2  # trial energy below the exact floor: truncation trouble
     grad, b1_res, b7_res = stationarity_equals_balance(params, result.trial)
-    with np.errstate(over="ignore"):  # a gradient beyond the float range has norm inf
-        grad_norm = float(np.linalg.norm(grad))
+    grad_norm = math.hypot(*grad)
     payload = {
         "params": params,
         "result": {
@@ -353,6 +363,8 @@ def cmd_variational(cfg: RunConfig) -> int:
 def cmd_converge(cfg: RunConfig) -> int:
     params = _require_scalar(cfg, "converge")
     max_dim = cfg.dim if cfg.dim is not None else MAX_DIM
+    if max_dim < START_DIM:  # the ladder starts there: no level would be solved
+        raise ConfigError(f"dim: converge needs >= {START_DIM}, got {max_dim}")
     rows, ok = convergence_table(params, tol=cfg.tol, max_dim=max_dim)
     buf = io.StringIO()
     buf.write("dim,e_exact,delta\n")
@@ -367,7 +379,8 @@ def _sweep_grid(cfg: RunConfig) -> list[tuple[float, float, float]]:
     """The validated grid, first swept axis slowest.
 
     Every axis value is checked before any point runs, so bad input fails
-    as a config error rather than as a numerical one.
+    as a config error rather than as a numerical one; a range's ends are
+    checked before its values are built.
     """
     raw = (cfg.omega, cfg.lam, cfg.omega0)
     ranges = [val for val in raw if isinstance(val, AxisRange)]
@@ -378,7 +391,12 @@ def _sweep_grid(cfg: RunConfig) -> list[tuple[float, float, float]]:
         raise ConfigError(f"sweep: grid of {points} points exceeds {MAX_GRID_POINTS}")
     axes = []
     for name, val in zip(AXIS_NAMES, raw):
-        values = val.values() if isinstance(val, AxisRange) else [float(val)]
+        if isinstance(val, AxisRange):
+            _check_axis(name, val.min)  # the ends first, so that max - min is finite
+            _check_axis(name, val.max)
+            values = val.values()
+        else:
+            values = [float(val)]
         axes.append([_check_axis(name, v) for v in values])
     return list(itertools.product(*axes))
 
@@ -387,8 +405,7 @@ def _sweep_point(task) -> dict:
     omega, lam, omega0, dim, tol = task
     params = ModelParams(omega=omega, lam=lam, omega0=omega0)
     sol = solve_rabi_ground(params, tol=tol, dim=dim)
-    summary = sector_summary(sol.boson_state.amplitudes.real.tolist(), sol.parity, params,
-                             sol.energy)
+    summary = sector_summary(sol.phi, sol.parity, params, sol.energy)
     var = minimize_energy(params, exact=sol)
     b2 = summary.b2
     return {

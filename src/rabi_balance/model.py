@@ -21,6 +21,9 @@ i.e. the spin of the Fock component n is slaved to sigma_z = (-1)^(n+1) p.
 
 In oscillator variables the coupling strength is F0 = sqrt(2 m omega) lam,
 so that F0 q = lam (a + a^dag) identically.
+
+``sector_chain`` gives H_p as two lists of floats, computed entry by
+entry in Python; the solver takes them as they are.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SectorRequired
-from .fock import BOSON, SPIN_BOSON, QuantumState, _ladder_bands
+from .fock import BOSON, SPIN_BOSON, QuantumState
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -79,17 +82,19 @@ def check_sector(sector: int) -> int:
     return int(sector)
 
 
-def sector_chain(dim: int, params: ModelParams, sector: int) -> tuple[np.ndarray, np.ndarray]:
+def sector_chain(dim: int, params: ModelParams, sector: int) -> tuple[list[float], list[float]]:
     """Diagonal and off-diagonal of the real symmetric chain H_p on levels 0..dim-1.
 
     The number operator enters as the product sqrt(n) sqrt(n), as in
     ``fock``, so every entry equals that of the complex ladder algebra.
+    An entry beyond the float range is inf; the solver rejects that chain.
     """
     p = check_sector(sector)
-    root, num = _ladder_bands(dim)
-    with np.errstate(over="ignore"):  # the solver rejects a chain beyond the float range
-        diag = params.omega * num - 0.5 * params.omega0 * p * (-1.0) ** np.arange(dim)
-        return diag, params.lam * root
+    roots = [math.sqrt(n) for n in range(1, dim)]
+    half = 0.5 * params.omega0 * p  # (omega0 / 2) p cos(pi n) is +half at even n
+    diag = [params.omega * num - (-half if n % 2 else half)
+            for n, num in enumerate([0.0, *(r * r for r in roots)])]
+    return diag, [params.lam * r for r in roots]
 
 
 def _spin_index(n: int, sector: int) -> int:

@@ -26,7 +26,6 @@ from .balance import BoundCheck, _b2, _b6, _identity, _property_checks, standard
 from .errors import AmplitudeTooLarge, EigDecompositionFailure, NonHermitian, SqueezeTooLarge
 from .fock import BOSON, FockRep, QuantumState, _frozen, expectation
 from .model import IDENTITY_2, SIGMA_X, SIGMA_Z, ModelParams, embed_reduced_state, sector_chain
-from .solver import _phase_fixed
 from .variational import TrialParams, trial_state
 
 HERMITICITY_TOL = 1e-12
@@ -214,7 +213,9 @@ def ground_state(obs: Observable) -> tuple[float, QuantumState]:
         w, v = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigDecompositionFailure(str(exc)) from exc
-    return float(w[0]), QuantumState(_phase_fixed(v[:, 0]), BOSON)
+    vec = v[:, 0]
+    k = int(np.argmax(np.abs(vec)))
+    return float(w[0]), QuantumState(vec * np.conj(vec[k] / abs(vec[k])), BOSON)
 
 
 def energy_numeric(rep: FockRep, trial: TrialParams, params: ModelParams) -> float:

@@ -3,9 +3,10 @@
 The ground state is found per parity sector: each sector is the real
 symmetric tridiagonal chain ``model.sector_chain`` (two N-level problems
 instead of one complex 2N x 2N one), and ``_lowest_pair`` finds its
-lowest eigenpair in O(N) Python arithmetic, with no dense matrix and no
-BLAS call.  The methods are textbook (Parlett, *The Symmetric Eigenvalue
-Problem*: inverse iteration, ch. 4; Sturm counts, ch. 7).
+lowest eigenpair in O(N) Python arithmetic on lists of floats, with no
+dense matrix, no BLAS call and no numpy.  The methods are textbook
+(Parlett, *The Symmetric Eigenvalue Problem*: inverse iteration, ch. 4;
+Sturm counts, ch. 7).
 
 * A chain whose row sums leave the float range raises OverflowError
   before the solve.  Any other chain is scaled by a power of two to norm
@@ -14,6 +15,8 @@ Problem*: inverse iteration, ch. 4; Sturm counts, ch. 7).
   sqrt|a_i a_i+1|, as in LAPACK), and each block is solved alone.
 * Each iteration step is one LDL^T (Thomas) factor-and-solve of
   T - sigma I, whose negative pivots count the eigenvalues below sigma.
+  Where sigma is an eigenvalue to working precision, the solve
+  overflows; sigma then moves down by the certificate's half-width.
 * A level starts from the level below, padded with zeros: its Rayleigh
   quotient is the energy below, an upper bound by interlacing.  From
   there Rayleigh-quotient iteration runs, and Sturm counts certify its
@@ -33,7 +36,8 @@ until the global minimum moves by less than ``tol`` (or, where ``tol``
 is below its rounding, by less than ROUNDING_ULPS ulps); a fixed ``dim``
 is the same ladder over ``dim // 2`` and ``dim``.  Every level is solved
 once; the solution holds the winning sector's eigenvector at the last
-level and lifts it to the spin-boson space when its ``state`` is read.
+level as a tuple of floats, ``phi``, and makes the ``QuantumState``
+``boson_state`` and its spin-boson lift ``state`` only when they are read.
 """
 
 from __future__ import annotations
@@ -44,8 +48,6 @@ from operator import mul
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
-
-import numpy as np
 
 from .errors import EigDecompositionFailure, NotConverged
 from .fock import BOSON, QuantumState
@@ -75,13 +77,15 @@ class GroundSolution:
     ``parity`` is the sector of the returned representative; at
     degenerate points (sector gap < 1e-9, e.g. omega0 = 0) the +1
     representative is returned and ``parity_label`` reads
-    ``"degenerate"``.  ``boson_state`` is the sector eigenvector phi;
-    ``state`` is its lift to the spin-boson space, made on first read.
-    ``energy_delta`` is the last change under dimension doubling.
+    ``"degenerate"``.  ``phi`` is the real unit sector eigenvector, its
+    entry of largest modulus positive; ``boson_state`` is phi as a
+    ``QuantumState`` and ``state`` its lift to the spin-boson space, each
+    made on first read.  ``energy_delta`` is the last change under
+    dimension doubling.
     """
 
     energy: float
-    boson_state: QuantumState
+    phi: tuple[float, ...]
     parity: int
     parity_label: str
     sector_gap: float
@@ -90,14 +94,17 @@ class GroundSolution:
     energy_delta: float
 
     @cached_property
+    def boson_state(self) -> QuantumState:
+        return QuantumState(self.phi, BOSON)
+
+    @cached_property
     def state(self) -> QuantumState:
         return embed_reduced_state(self.boson_state, self.parity)
 
 
-def _phase_fixed(vec: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(vec)))
-    phase = vec[k] / abs(vec[k])
-    return vec * np.conj(phase)
+def _phase_fixed(vec: list) -> list:
+    """vec, or -vec where its first entry of largest modulus is negative."""
+    return vec if max(vec, key=abs) > 0.0 else [-v for v in vec]
 
 
 class _Chain:
@@ -154,13 +161,20 @@ class _Chain:
         (x.u) / |w| and residual |x - (x.u) u| / |w|.  u is converged
         when that residual is below RESIDUAL_TOL |rho| (relative, so that
         a level far below the chain's norm keeps its digits) or the step
-        moved x by at most STEP_TOL.  None when a shift passes the second
-        eigenvalue, an iterate is not finite, or MAX_STEPS pass.
+        moved x by at most STEP_TOL.  A solve that overflows with at most
+        one negative pivot has sigma on an eigenvalue to working precision:
+        sigma moves down by the certificate's half-width and the step is
+        solved again.  None when a shift passes the second eigenvalue, an
+        iterate is not finite, or MAX_STEPS pass.
         """
         sigma = shift
         for _ in range(MAX_STEPS):
             w, negatives = self.solve(sigma, x)
             norm = math.sqrt(math.fsum(map(mul, w, w)))
+            if norm == math.inf and negatives <= 1:
+                sigma -= CERT_TOL * max(abs(sigma), CERT_FLOOR)
+                w, negatives = self.solve(sigma, x)
+                norm = math.sqrt(math.fsum(map(mul, w, w)))
             if negatives > 1 or not 0.0 < norm < math.inf:
                 return None
             u = [v / norm for v in w]
@@ -233,23 +247,19 @@ class _Chain:
         return found
 
 
-def _lowest_pair(diag: np.ndarray, off: np.ndarray,
-                 start: tuple[float, np.ndarray] | None = None) -> tuple[float, np.ndarray]:
-    """Certified lowest eigenpair of the chain with diagonal ``diag`` and off-diagonal ``off``.
+def _lowest_pair(a: list, b: list,
+                 start: tuple[float, list] | None = None) -> tuple[float, list]:
+    """Certified lowest eigenpair of the chain with diagonal ``a`` and off-diagonal ``b``.
 
     ``start`` is the lowest pair of a leading block of the chain (the
     level below); its vector, padded with zeros, starts the iteration at
     its energy.
     """
-    n = diag.size
-    a, b = diag.tolist(), off.tolist()
+    n = len(a)
     bound = max(map(abs, a)) + 2.0 * max(map(abs, b), default=0.0)
     if not math.isfinite(bound):  # then bound by the row sums themselves
-        with np.errstate(over="ignore"):
-            rows = np.abs(diag)
-            rows[1:] = np.abs(off) + rows[1:]
-            rows[:-1] += np.abs(off)
-            bound = float(rows.max())  # bounds every |eigenvalue|
+        pad = [0.0, *map(abs, b), 0.0]
+        bound = max([(left + abs(d)) + right for d, left, right in zip(a, pad, pad[1:])])
         if not math.isfinite(bound):
             raise OverflowError(f"{n}-level matrix has row sums beyond the float range")
     exp = math.frexp(bound)[1]
@@ -257,7 +267,7 @@ def _lowest_pair(diag: np.ndarray, off: np.ndarray,
     a, b = [v * scale for v in a], [v * scale for v in b]
     x = [0.0] * n
     if start is not None:
-        x[:start[1].size] = start[1].tolist()
+        x[:len(start[1])] = start[1]
     # A coupling below eps sqrt|a_i a_i+1| is negligible, as in LAPACK's
     # tridiagonal solvers: the chain splits there, and each block is solved
     # alone, which keeps the relative accuracy of a decoupled level.  (As
@@ -278,7 +288,7 @@ def _lowest_pair(diag: np.ndarray, off: np.ndarray,
                 )
         if best is None or found[0] < best[0]:
             best, where = found, lo
-    vec = np.zeros(n)
+    vec = [0.0] * n
     vec[where:where + len(best[1])] = best[1]
     return math.ldexp(best[0], exp), _phase_fixed(vec)
 
@@ -296,8 +306,8 @@ def _doubling(params: ModelParams, tol: float, dims: Iterable[int]):
     converged.
     """
     rows: list[tuple[int, float, float]] = []
-    sectors: dict[int, tuple[float, np.ndarray] | None] = {+1: None, -1: None}
-    previous = np.nan
+    sectors: dict[int, tuple[float, list] | None] = {+1: None, -1: None}
+    previous = math.nan
     for dim in dims:
         sectors = {
             p: _lowest_pair(*sector_chain(dim, params, p), start=sectors[p])
@@ -335,14 +345,14 @@ def _solution(rows, sectors, converged: bool) -> GroundSolution:
         parity, label = -1, "-1"
         energy, phi = e_minus, phi_minus
     return GroundSolution(
-        energy=float(energy),
-        boson_state=QuantumState(phi, BOSON),
+        energy=energy,
+        phi=tuple(phi),
         parity=parity,
         parity_label=label,
-        sector_gap=float(gap),
+        sector_gap=gap,
         dim_used=dim,
         converged=converged,
-        energy_delta=float(delta),
+        energy_delta=delta,
     )
 
 
@@ -360,7 +370,7 @@ def solve_rabi_ground(
     compares against ``dim // 2``.  Raises NotConverged (carrying the
     best-effort solution) when the budget is exhausted.
     """
-    if not (np.isfinite(tol) and tol > 0.0):
+    if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if dim is not None:
         if dim < 4:

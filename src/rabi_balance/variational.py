@@ -293,7 +293,7 @@ def minimize_energy(
     OptimizerStalled (carrying the best point) if no start converges
     within the evaluation budget.
     """
-    beta_guess = float(np.clip(-params.lam / params.omega, -BETA_MAX, BETA_MAX))
+    beta_guess = min(max(-params.lam / params.omega, -BETA_MAX), BETA_MAX)
     starts = [(0.0, 0.0)] + [(beta_guess, g) for g in START_OFFSETS]
     bounds = ((-BETA_MAX, BETA_MAX), (-GAMMA_MAX, GAMMA_MAX))
 

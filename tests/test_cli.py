@@ -9,11 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rabi_balance
 from rabi_balance import (
     ModelParams,
     NotConverged,
+    QuantumState,
     balance,
     cli,
     solve_rabi_ground,
@@ -241,6 +244,8 @@ def _config_range(text):
     ({"lambda": "0:1:0", "omega0": "1:0:2"}, "lambda: range count must be >= 1, got 0"),
     ({"lambda": "1:0:2", "omega0": "1"}, "lambda: range min 1.0 exceeds max 0.0"),
     ({"lambda": "0.5", "omega0": "1:0:2"}, "omega0: range min 1.0 exceeds max 0.0"),
+    # max - min overflows: the ends are checked before any value is built
+    ({"lambda": "0", "omega0": "-1e308:1e308:3"}, "omega0: omega0 must be >= 0, got -1e+308"),
 ])
 @pytest.mark.parametrize("form", ["flags", "config"])
 def test_range_errors_name_their_axis(tmp_path, capsys, axes, message, form):
@@ -285,8 +290,10 @@ _MISSING = object()  # stands for a config path that does not exist
     (["solve"], [{"lambda": 0.5, "omega0": 1}], "config"),
     (["sweep", "--lambda", "a:b:2", "--omega0", "1"], None, "lambda"),
     (["sweep", "--omega0", "1"], {"lambda": {"min": 0, "max": 1}}, "lambda"),
+    # the converge ladder starts at 16 levels, so a smaller maximum solves none
+    (["converge", "--lambda", "1", "--omega0", "1", "--dim", "8"], None, "dim"),
 ], ids=["dim-3", "no-omega0", "format-xml", "jobs-0", "config-missing", "config-array",
-        "range-text", "range-no-count"])
+        "range-text", "range-no-count", "converge-dim-8"])
 def test_usage_errors_are_one_line_naming_their_key(tmp_path, capsys, argv, config, key):
     cfg = tmp_path / "run.json"
     if config is not None:
@@ -312,6 +319,25 @@ def test_sweep_builds_each_range_axis_once(monkeypatch, capsys):
     assert run_cli(["sweep", "--lambda", "0:1:2", "--omega0", "0.5:1.5:2", "--jobs", "1"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 5
     assert built == [cli.AxisRange(0.0, 1.0, 2), cli.AxisRange(0.5, 1.5, 2)]
+
+
+# |end| from subnormal to 1e308: a mantissa in [1, 10) times a power of ten, or 0
+axis_end = st.one_of(
+    st.just(0.0), st.just(5e-324),
+    st.builds(lambda m, e, sign: sign * m * 10.0**e, st.floats(1.0, 9.99),
+              st.integers(-323, 307), st.sampled_from((1.0, -1.0))),
+)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(ends=st.tuples(axis_end, axis_end), count=st.integers(1, 1000))
+@example(ends=(0.0, 5e-324), count=1000)  # the step underflows to 0
+@example(ends=(-1e308, 1e308), count=3)  # max - min overflows
+def test_axis_values_equal_numpy_linspace_bit_for_bit(ends, count):
+    lo, hi = sorted(ends)
+    with np.errstate(all="ignore"):  # hi - lo may overflow, in numpy and in Python alike
+        want = np.linspace(lo, hi, count).tolist()
+    assert [v.hex() for v in cli.AxisRange(lo, hi, count).values()] == [v.hex() for v in want]
 
 
 @pytest.mark.parametrize("ranges", [
@@ -474,8 +500,16 @@ def test_pooled_sweep_reports_a_dead_worker(tmp_path, monkeypatch, capsys):
 
 def test_sweep_point_builds_no_bundle_no_report_and_no_trial_state(monkeypatch):
     # a point's balance columns are sums over its sector vector; the
-    # counters replace the builders in every module that imported them
+    # counters replace the builders in every module that imported them,
+    # and count every QuantumState made
     calls = []
+    post_init = QuantumState.__post_init__
+
+    def counting_state(self):
+        calls.append("QuantumState")
+        post_init(self)
+
+    monkeypatch.setattr(QuantumState, "__post_init__", counting_state)
     for fn in (balance.standard_observables, balance.full_report, variational.trial_state):
         def counting(*args, _fn=fn, **kwargs):
             calls.append(_fn.__name__)

@@ -140,7 +140,7 @@ def test_each_level_is_solved_once(monkeypatch, lam, dim, levels):
     lowest_pair = solver._lowest_pair
 
     def counting(diag, off, start=None):
-        solved.append(diag.size)
+        solved.append(len(diag))
         return lowest_pair(diag, off, start)
 
     monkeypatch.setattr(solver, "_lowest_pair", counting)
@@ -160,7 +160,7 @@ def _sturm_count(diag, off, sigma):
 
 def _check_lowest_pair(params, sector, energy, vec, isolated=True):
     """Dense-oracle agreement and the Sturm certificate of one sector solve."""
-    dim = vec.size
+    dim = len(vec)
     want, phi = ground_state(build_reduced_hamiltonian(FockRep(dim), params, sector))
     assert abs(energy - want) < 1e-12
     assert abs(abs(np.vdot(phi.amplitudes, vec)) - 1.0) < 1e-12
@@ -174,6 +174,11 @@ def _check_lowest_pair(params, sector, energy, vec, isolated=True):
     (0.0, 0.7, +1, 16),  # decoupled levels: a diagonal chain
     (0.0, 0.7, -1, 16),
     (0.4, 0.0, -1, 32),
+    # E = -0.25 scales to -2^-10 exactly: a shift lands on the eigenvalue
+    (0.5, 0.0, +1, 128),
+    (0.5, 0.0, -1, 128),
+    (0.5, 0.0, +1, 256),
+    (0.5, 0.0, -1, 256),
     (6.0, 1.0, +1, 256),
     (6.0, 1.0, -1, 256),
 ])
