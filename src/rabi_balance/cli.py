@@ -363,8 +363,8 @@ def cmd_variational(cfg: RunConfig) -> int:
 def cmd_converge(cfg: RunConfig) -> int:
     params = _require_scalar(cfg, "converge")
     max_dim = cfg.dim if cfg.dim is not None else MAX_DIM
-    if max_dim < START_DIM:  # the ladder starts there: no level would be solved
-        raise ConfigError(f"dim: converge needs >= {START_DIM}, got {max_dim}")
+    if max_dim < 2 * START_DIM:  # the ladder starts at START_DIM and compares two levels
+        raise ConfigError(f"dim: converge needs >= {2 * START_DIM}, got {max_dim}")
     rows, ok = convergence_table(params, tol=cfg.tol, max_dim=max_dim)
     buf = io.StringIO()
     buf.write("dim,e_exact,delta\n")

@@ -50,8 +50,8 @@ class FockRep:
     exponentials are evaluated before truncation; it defaults to
     ``2 * dim + 20``, which absorbs the leakage of displacements with
     |beta| <= 2 and squeezes with |gamma| <= 1 on the leading half
-    block.  At run time only ``trial_state`` reads it, and requires
-    beta^2 <= working_dim / 4.
+    block.  Only ``rabi_balance.oracle`` reads it; the trial states of
+    ``variational.trial_state`` need no working space.
     """
 
     dim: int

@@ -359,13 +359,12 @@ def _solution(rows, sectors, converged: bool) -> GroundSolution:
 def solve_rabi_ground(
     params: ModelParams,
     tol: float = 1e-10,
-    max_dim: int = MAX_DIM,
     dim: int | None = None,
 ) -> GroundSolution:
     """Ground state of the full model with truncation convergence check.
 
     With ``dim=None`` the Fock dimension doubles from 16 until the
-    global ground energy changes by less than ``tol``; otherwise the
+    global ground energy changes by less than ``tol``, up to ``MAX_DIM``; otherwise the
     problem is solved at the fixed ``dim`` and the convergence check
     compares against ``dim // 2``.  Raises NotConverged (carrying the
     best-effort solution) when the budget is exhausted.
@@ -383,12 +382,10 @@ def solve_rabi_ground(
             )
         return sol
 
-    if max_dim < START_DIM:
-        raise ValueError(f"max_dim must be >= {START_DIM}, got {max_dim}")
-    sol = _solution(*_doubling(params, tol, _doubled_dims(max_dim)))
+    sol = _solution(*_doubling(params, tol, _doubled_dims(MAX_DIM)))
     if not sol.converged:
         raise NotConverged(
-            f"not converged to {tol:.1e} within max_dim {max_dim} "
+            f"not converged to {tol:.1e} within max_dim {MAX_DIM} "
             f"(last delta {sol.energy_delta:.3e})",
             solution=sol,
         )

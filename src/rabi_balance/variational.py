@@ -20,7 +20,8 @@ relations of :mod:`rabi_balance.balance`:
 
 so a vanishing gradient is equivalent (for lam > 0) to vanishing
 kinetic-balance and force-covariance residuals of the embedded state.
-``stationarity_equals_balance`` evaluates both sides at a trial point.
+``stationarity_equals_balance`` evaluates both sides at a trial point
+on Python floats; numpy serves only the simplex energy (``_energy_formula``).
 
 ``minimize_energy`` searches the closed form with the package's own
 bounded Nelder-Mead simplex, which takes step for step the path of
@@ -81,27 +82,27 @@ class VariationalResult:
     iterations: int
 
 
-def trial_state(rep: FockRep, trial: TrialParams) -> QuantumState:
-    """S(gamma) D(beta) |0> cut to Fock levels 0..rep.dim-1 and renormalized.
+def _trial_amplitudes(dim: int, beta: float, gamma: float) -> list[float]:
+    """S(gamma) D(beta) |0> cut to Fock levels 0..dim-1, as a unit vector of floats.
 
     a cosh(gamma) - a^dag sinh(gamma) - beta annihilates the state, so
     c[n+1] = (beta c[n] + sinh(gamma) sqrt(n) c[n-1]) / (cosh(gamma) sqrt(n+1))
     from c[0] = exp(-beta^2 (1 + tanh gamma) / 2) / sqrt(cosh gamma)
-    (Yuen, Phys. Rev. A 13, 2226 (1976)).  Requires beta^2 <= working_dim / 4.
+    (Yuen, Phys. Rev. A 13, 2226 (1976)), renormalized by ``math.fsum``.
     """
-    beta, gamma = trial.beta, trial.gamma
-    if beta**2 > rep.working_dim / 4.0:
-        raise AmplitudeTooLarge(
-            f"beta^2 = {beta**2:.3g} exceeds working_dim/4 = "
-            f"{rep.working_dim / 4.0:.3g}"
-        )
     ch, sh = math.cosh(gamma), math.sinh(gamma)
     amps = [math.exp(-0.5 * beta**2 * (1.0 + math.tanh(gamma))) / math.sqrt(ch)]
     previous = 0.0
-    for n in range(rep.dim - 1):
+    for n in range(dim - 1):
         amps.append((beta * amps[n] + sh * math.sqrt(n) * previous) / (ch * math.sqrt(n + 1)))
         previous = amps[n]
-    return QuantumState.from_vector(amps, BOSON)
+    norm = math.sqrt(math.fsum([c * c for c in amps]))
+    return [c / norm for c in amps]
+
+
+def trial_state(rep: FockRep, trial: TrialParams) -> QuantumState:
+    """S(gamma) D(beta) |0> cut to levels 0..rep.dim-1 (``_trial_amplitudes``), as a state."""
+    return QuantumState(_trial_amplitudes(rep.dim, trial.beta, trial.gamma), BOSON)
 
 
 def _energy_formula(params: ModelParams):
@@ -130,16 +131,16 @@ def energy_closed_form(trial: TrialParams, params: ModelParams) -> float:
     return _energy_formula(params)(float(trial.beta), float(trial.gamma))
 
 
-def energy_gradient(trial: TrialParams, params: ModelParams) -> np.ndarray:
+def energy_gradient(trial: TrialParams, params: ModelParams) -> tuple[float, float]:
     """Exact (dE/dbeta, dE/dgamma) of the closed form at ``trial``."""
     b, g = trial.beta, trial.gamma
-    stretch = np.exp(g)
-    return np.array([
+    stretch = math.exp(g)
+    return (
         2.0 * params.omega * b * stretch**2 + 2.0 * params.lam * stretch
-        + 2.0 * params.omega0 * b * np.exp(-2.0 * b**2),
-        params.omega * (2.0 * b**2 * stretch**2 + np.sinh(2.0 * g))
+        + 2.0 * params.omega0 * b * math.exp(-2.0 * b**2),
+        params.omega * (2.0 * b**2 * stretch**2 + math.sinh(2.0 * g))
         + 2.0 * params.lam * b * stretch,
-    ])
+    )
 
 
 def balance_residuals(trial: TrialParams, params: ModelParams) -> tuple[float, float]:
@@ -150,9 +151,9 @@ def balance_residuals(trial: TrialParams, params: ModelParams) -> tuple[float, f
     """
     # enough Fock levels that the embedded trial state is
     # truncation-converged at the residual evaluation
-    n_char = trial.beta**2 * np.exp(2.0 * trial.gamma) + np.sinh(trial.gamma) ** 2
-    rep = FockRep(max(RESIDUAL_DIM, int(4.0 * n_char) + 60))
-    phi = trial_state(rep, trial).amplitudes.real.tolist()
+    n_char = trial.beta**2 * math.exp(2.0 * trial.gamma) + math.sinh(trial.gamma) ** 2
+    dim = max(RESIDUAL_DIM, int(4.0 * n_char) + 60)
+    phi = _trial_amplitudes(dim, trial.beta, trial.gamma)
     summary = sector_summary(phi, +1, params, energy_closed_form(trial, params))
     return summary.b1, summary.b7
 
@@ -328,7 +329,7 @@ def minimize_energy(
 def stationarity_equals_balance(
     params: ModelParams,
     trial: TrialParams,
-) -> tuple[np.ndarray, float, float]:
+) -> tuple[tuple[float, float], float, float]:
     """(gradient, b1 residual, b7 residual) at one trial point.
 
     At an interior optimum the gradient vanishes together with both

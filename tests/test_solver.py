@@ -78,10 +78,12 @@ def test_dimension_doubling_monotone_refinement():
     assert abs(e64 - e128) < 1e-12
 
 
-def test_auto_mode_respects_max_dim():
+def test_auto_mode_respects_max_dim(monkeypatch):
+    # the doubling budget is solver.MAX_DIM, read at call time
+    monkeypatch.setattr(solver, "MAX_DIM", 32)
     p = ModelParams(omega=1.0, lam=2.0, omega0=1.0)
     with pytest.raises(NotConverged) as err:
-        solve_rabi_ground(p, max_dim=32)
+        solve_rabi_ground(p)
     sol = err.value.solution  # best effort still attached
     assert sol.dim_used == 32
     assert not sol.converged

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -53,6 +54,38 @@ def test_trial_state_trivial_cases():
     assert vac.amplitudes[0] == pytest.approx(1.0, abs=1e-14)
     coh = trial_state(rep, TrialParams(0.5, 0.0))
     np.testing.assert_allclose(coh.amplitudes.real, coherent_vector(40, 0.5), atol=1e-12)
+    # beta^2 = 36 is far above what a 16-level cut holds, and the recurrence
+    # needs no working space: the leading coherent amplitudes, renormalized
+    got = trial_state(FockRep(16), TrialParams(-6.0, 0.0)).amplitudes
+    want = coherent_vector(16, -6.0)
+    np.testing.assert_allclose(got.real, want / np.linalg.norm(want), rtol=0, atol=1e-12)
+    assert not got.imag.any()
+
+
+def test_balance_residuals_build_no_state_and_no_rep(monkeypatch):
+    # the recurrence's list goes straight to sector_summary
+    built = []
+    for cls in (QuantumState, FockRep):
+        def counting(self, _init=cls.__post_init__, _name=cls.__name__):
+            built.append(_name)
+            _init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    p = ModelParams(omega=1.0, lam=0.5, omega0=1.0)
+    b1, b7 = balance_residuals(TrialParams(-0.3, 0.2), p)
+    assert built == []
+    assert b1 > 0.0 and b7 > 0.0
+
+
+def test_numpy_serves_only_the_simplex_energy():
+    # every np. in the module sits inside _energy_formula
+    tree = ast.parse(Path(variational.__file__).read_text(encoding="utf-8"))
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_energy_formula":
+            inside.update(id(n) for n in ast.walk(node))
+    uses = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "np"]
+    assert uses and all(id(n) in inside for n in uses), [n.lineno for n in uses]
 
 
 def test_closed_form_trivial_points():
@@ -137,6 +170,7 @@ def test_gradient_matches_central_difference():
                         energy(0.0, step) - energy(0.0, -step),
                     ]) / (2.0 * step)
                     grad = energy_gradient(TrialParams(beta, gamma), p)
+                    assert type(grad) is tuple and [type(g) for g in grad] == [float, float]
                     scale = max(np.linalg.norm(central), 1.0)
                     assert np.linalg.norm(grad - central) / scale < 1e-7, (p, beta, gamma)
 
