@@ -9,11 +9,14 @@ at 17 significant digits, LF line endings, rows in grid order with the
 first swept axis slowest.  The worker pool only changes wall time,
 never content.  On failure no partial output file is left behind.
 
-A sweep point writes only what it needs: its balance columns are
-``balance.sector_summary`` of the ground state's sector vector
-``GroundSolution.phi``, a tuple of floats, with no operator bundle and no
-``QuantumState`` built.  This module calls no numpy: range values are
-``np.linspace``'s arithmetic on Python floats.  A process pays only for
+Every balance number a command prints comes from one evaluator,
+``balance.sector_report``, with no operator bundle and no
+``QuantumState`` built: the ``balance`` report and a sweep point's
+columns are that of the ground state's sector vector
+``GroundSolution.phi``, a tuple of floats, and the ``variational``
+residuals that of the optimum trial's.  This module calls no numpy:
+range values are ``np.linspace``'s arithmetic on Python floats.  A
+process pays only for
 what it runs: numpy, which the other modules still load, starts with one
 BLAS thread (no command calls a threaded BLAS routine; a count set in the
 environment wins), and the process-pool machinery is imported only by a
@@ -39,9 +42,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .balance import full_report, report_passes, sector_summary
+from .balance import report_passes, sector_report
 from .errors import ConfigError, NotConverged, OptimizerStalled, RabiError
-from .fock import FockRep
 from .model import ModelParams
 from .solver import MAX_DIM, START_DIM, GroundSolution, convergence_table, solve_rabi_ground
 from .variational import minimize_energy, stationarity_equals_balance
@@ -317,12 +319,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_balance(cfg: RunConfig) -> int:
     params = _require_scalar(cfg, "balance")
     sol, code = _solve(cfg, params)
-    rep = FockRep(sol.dim_used)
-    report = full_report(
-        sol.state, rep, params,
-        sector=sol.parity, energy=sol.energy, boson_state=sol.boson_state,
-        paper_literal=cfg.paper_literal,
-    )
+    report = sector_report(sol.phi, sol.parity, params, sol.energy, cfg.paper_literal)
     passed = report_passes(report) and sol.converged
     payload = {
         "params": params,
@@ -405,9 +402,10 @@ def _sweep_point(task) -> dict:
     omega, lam, omega0, dim, tol = task
     params = ModelParams(omega=omega, lam=lam, omega0=omega0)
     sol = solve_rabi_ground(params, tol=tol, dim=dim)
-    summary = sector_summary(sol.phi, sol.parity, params, sol.energy)
+    report = sector_report(sol.phi, sol.parity, params, sol.energy)
     var = minimize_energy(params, exact=sol)
-    b2 = summary.b2
+    props = report.properties
+    b2 = props["b2"]
     return {
         "omega": omega,
         "lambda": lam,
@@ -420,20 +418,20 @@ def _sweep_point(task) -> dict:
         "beta_star": var.trial.beta,
         "gamma_star": var.trial.gamma,
         "gap": var.gap,
-        "res_b1": summary.b1,
-        "res_b7": summary.b7,
-        "res_force": summary.force,
-        "w00_exact": summary.w00,
+        "res_b1": report.second_order["b1"],
+        "res_b7": report.second_order["b7"],
+        "res_force": report.first_order["force"],
+        "w00_exact": -2 * sol.parity * props["p2_sign"].value,  # <sigma_z> = -p <cos pi n>
         "w00_trial": 2.0 * math.exp(-2.0 * var.trial.beta**2),
         "var_qsx": b2.value,
         "b2_lo": b2.lower,
         "b2_hi": b2.upper,
-        "p1_ok": summary.p1_ok,
-        "p2_ok": summary.p2_ok,
-        "p3_ok": summary.p3_ok,
-        "p4_ok": summary.p4_ok,
+        "p1_ok": props["p1"].satisfied,
+        "p2_ok": props["p2_identity"].satisfied and props["p2_sign"].satisfied,
+        "p3_ok": props["p3"].satisfied,
+        "p4_ok": props["p4_identity"].satisfied and props["p4"].satisfied,
         "b2_ok": b2.satisfied,
-        "w_bound_ok": summary.w_bound_ok,
+        "w_bound_ok": props["wigner_energy"].satisfied,
     }
 
 
@@ -503,7 +501,9 @@ def _fmt_short(x: float) -> str:
 
 def _failure_text(exc: Exception) -> str:
     if isinstance(exc, ArithmeticError):  # e.g. a Python float overflowing
-        return f"{type(exc).__name__}: {exc}"
+        args = exc.args  # a float ``**`` overflowing gives (errno, strerror): print strerror
+        text = args[1] if len(args) == 2 and isinstance(args[0], int) else str(exc)
+        return f"{type(exc).__name__}: {text}"
     return str(exc)
 
 

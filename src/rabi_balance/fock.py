@@ -13,9 +13,11 @@ Conventions used throughout the package:
   is ``exp(2 gamma) / (2 m omega)``.
 
 Trial states (``variational.trial_state``) come from the recurrence of
-their Fock amplitudes, and operators are ``BandOperator``s, applied in
-O(N).  The dense matrices and unitaries are the tests' oracle, in
-``rabi_balance.oracle``.
+their Fock amplitudes.  ``BandOperator`` (boson bands times spin
+matrices, applied in O(N)) is the operator form of the balance suite in
+``rabi_balance.oracle``, which also holds the dense matrices and
+unitaries; no command builds one, since the runtime works on sector
+chains and real sector vectors as lists of floats.
 
 Composite (spin-boson) vectors are indexed ``i = 2 n + s`` where ``n``
 is the Fock index and ``s = 0`` is the sigma_z = +1 spin component.

@@ -1,4 +1,4 @@
-"""Dense matrices: the tests' independent oracle for the band and chain code.
+"""The tests' independent oracle: dense matrices and the spin-boson balance suite.
 
 Every dense construction of the package lives here (``BandOperator.matrix``
 only stacks the columns its band form gives), and only this module knows
@@ -12,6 +12,13 @@ levels, a squeezed one by a factor e^{2 |gamma|}.  At beta = 1 the
 leading half block of a dim-40 cut is clean to 1e-8; at gamma = 0.3 the
 leading quarter block is.
 
+The balance suite here (``full_report`` and its checks) works on any
+spin-boson ``QuantumState``, with the observables and H as
+``BandOperator``s; ``balance.sector_report`` computes the same report
+from sums over a sector vector, and the tests compare the two.  The
+arbitrary-state checks (b1, b7, force, ``b7_terms``) also serve states
+of no definite parity.
+
 The runtime modules never import this one, and no CLI command loads it;
 the package root resolves its public names on first access.
 """
@@ -22,10 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import BoundCheck, _b2, _b6, _identity, _property_checks, standard_observables
-from .errors import AmplitudeTooLarge, EigDecompositionFailure, NonHermitian, SqueezeTooLarge
-from .fock import BOSON, FockRep, QuantumState, _frozen, expectation
-from .model import IDENTITY_2, SIGMA_X, SIGMA_Z, ModelParams, embed_reduced_state, sector_chain
+from .balance import BalanceReport, BoundCheck, _b2_bound, _identity, _property_bounds, _wigner_band
+from .errors import (AmplitudeTooLarge, DimensionMismatch, EigDecompositionFailure, NonHermitian,
+                     SqueezeTooLarge)
+from .fock import (BOSON, SPIN_BOSON, BandOperator, FockRep, QuantumState, _frozen, _ladder_bands,
+                   expectation, variance)
+from .model import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, ModelParams, check_sector,
+                    embed_reduced_state, extract_reduced_state, infer_sector, sector_chain)
 from .variational import TrialParams, trial_state
 
 HERMITICITY_TOL = 1e-12
@@ -233,6 +243,292 @@ def energy_numeric(rep: FockRep, trial: TrialParams, params: ModelParams) -> flo
     state = trial_state(wide, trial)
     h = build_reduced_hamiltonian(wide, params, +1)
     return expectation(state, h).real
+
+
+# --- the balance suite on any spin-boson state: the reference of balance.sector_report
+
+
+def standard_observables(rep: FockRep, params: ModelParams) -> dict[str, BandOperator]:
+    """The observable bundle of one (dim, params): ``BandOperator``s, O(N) each.
+
+    The spin-boson observables of the residual grid, the full
+    Hamiltonian under ``"hamiltonian"``, and the boson-space position
+    under ``"q_boson"`` (for b6); each a sum of (boson band, Pauli
+    matrix) terms.  ``full_report`` builds the bundle once and hands it
+    to every check.
+    """
+    root, num = _ladder_bands(rep.dim)  # root is the upper band of a; a^dag has none
+    q = (None, root * (1.0 / np.sqrt(2.0 * params.mass * params.omega)))
+    p = (None, 1j * np.sqrt(params.mass * params.omega / 2.0) * -root)
+    eye, par = (np.ones(rep.dim), None), ((-1.0) ** np.arange(rep.dim), None)
+
+    def spin_boson(*terms) -> BandOperator:
+        return BandOperator(rep.dim, terms)
+
+    return {
+        "q": spin_boson((q, IDENTITY_2)),
+        "p": spin_boson((p, IDENTITY_2)),
+        "num": spin_boson(((num, None), IDENTITY_2)),
+        "omega_num": spin_boson(((params.omega * num, None), IDENTITY_2)),
+        "q_sigma_x": spin_boson((q, SIGMA_X)),
+        "p_sigma_x": spin_boson((p, SIGMA_X)),
+        "p_sigma_y": spin_boson((p, SIGMA_Y)),
+        "sigma_x": spin_boson((eye, SIGMA_X)),
+        "sigma_y": spin_boson((eye, SIGMA_Y)),
+        "sigma_z": spin_boson((eye, SIGMA_Z)),
+        "parity_boson": spin_boson((par, IDENTITY_2)),
+        "num_parity": spin_boson(((num * par[0], None), IDENTITY_2)),
+        "num_sigma_z": spin_boson(((num, None), SIGMA_Z)),
+        "hamiltonian": spin_boson(
+            ((params.omega * num, None), IDENTITY_2),
+            ((None, params.lam * root), SIGMA_X),
+            ((0.5 * params.omega0 * eye[0], None), SIGMA_Z),
+        ),
+        "q_boson": BandOperator(rep.dim, [(q, np.eye(1))]),
+    }
+
+
+def first_order_residual(hamiltonian: BandOperator | Observable,
+                         observable: BandOperator | Observable,
+                         state: QuantumState, hv: np.ndarray | None = None) -> float:
+    """|<i [H, A]>|; zero on eigenstates of H.
+
+    ``hv`` is H v for the state's vector v, if the caller already has it.
+    """
+    if hamiltonian.dim != observable.dim:
+        raise DimensionMismatch("H and A live in different spaces")
+    v = state.amplitudes
+    if v.size != hamiltonian.dim:
+        raise DimensionMismatch("state incompatible with H")
+    h, a = hamiltonian.apply, observable.apply
+    if hv is None:
+        hv = h(v)
+    val = np.vdot(v, h(a(v))) - np.vdot(v, a(hv))
+    return float(abs(val))
+
+
+def second_order_residual(hamiltonian: BandOperator | Observable,
+                          observable: BandOperator | Observable,
+                          state: QuantumState, hv: np.ndarray | None = None,
+                          hhv: np.ndarray | None = None) -> float:
+    """|<[H, [H, A]]>|; zero on eigenstates of H.
+
+    ``hv`` and ``hhv`` are H v and H H v, if the caller already has them.
+    """
+    if hamiltonian.dim != observable.dim:
+        raise DimensionMismatch("H and A live in different spaces")
+    v = state.amplitudes
+    if v.size != hamiltonian.dim:
+        raise DimensionMismatch("state incompatible with H")
+    h, a = hamiltonian.apply, observable.apply
+    if hv is None:
+        hv = h(v)
+    if hhv is None:
+        hhv = h(hv)
+    hha = np.vdot(v, h(h(a(v))))
+    hah = np.vdot(v, h(a(hv)))
+    ahh = np.vdot(v, a(hhv))
+    return float(abs(hha - 2.0 * hah + ahh))
+
+
+# The checks below come in pairs: a private ``_name(state, obs, ...)`` that
+# reads a prebuilt bundle, and the public ``name(state, rep, params, ...)``
+# that builds the bundle for a single check.
+
+
+def _force_balance(state: QuantumState, obs: dict, params: ModelParams) -> float:
+    f_q = -params.mass * params.omega**2 * expectation(state, obs["q"]).real
+    f_e = -params.f0 * expectation(state, obs["sigma_x"]).real
+    return float(abs(f_q + f_e))
+
+
+def force_balance(state: QuantumState, rep: FockRep, params: ModelParams) -> float:
+    """|<F_q> + <F_e>|, the mean of dp/dt; zero on eigenstates."""
+    return _force_balance(state, standard_observables(rep, params), params)
+
+
+def _b1(state: QuantumState, obs: dict, params: ModelParams) -> float:
+    m = params.mass
+    kinetic = variance(state, obs["p"]) + expectation(state, obs["p"]).real ** 2
+    kinetic /= 2.0 * m
+    q_sx = expectation(state, obs["q_sigma_x"]).real
+    q_sq = variance(state, obs["q"]) + expectation(state, obs["q"]).real ** 2
+    potential = 0.5 * m * params.omega**2 * q_sq
+    return abs(kinetic - 0.5 * params.f0 * q_sx - potential)
+
+
+def b1_kinetic_balance(state: QuantumState, rep: FockRep, params: ModelParams) -> float:
+    """|<p^2/2m> - (F0/2) <q sigma_x> - <m omega^2 q^2 / 2>|."""
+    return _b1(state, standard_observables(rep, params), params)
+
+
+def _b7_terms(state: QuantumState, obs: dict, params: ModelParams) -> dict[str, float]:
+    f0 = params.f0
+    fq_fe = params.mass * params.omega**2 * f0 * expectation(state, obs["q_sigma_x"]).real
+    p_dfe = f0 * params.omega0 * expectation(state, obs["p_sigma_y"]).real
+    return {"fq_fe": float(fq_fe), "p_dfe": float(p_dfe), "f0_sq": float(f0 * f0)}
+
+
+def b7_terms(state: QuantumState, rep: FockRep, params: ModelParams) -> dict[str, float]:
+    """The three force-covariance pieces; they sum to zero on eigenstates.
+
+    F_q F_e = m omega^2 F0 q sigma_x and p dF_e/dt = F0 omega0 p sigma_y
+    are already Hermitian (the factors act on different subsystems, so
+    symmetrized ordering changes nothing).
+    """
+    return _b7_terms(state, standard_observables(rep, params), params)
+
+
+def _b7(state: QuantumState, obs: dict, params: ModelParams) -> float:
+    terms = _b7_terms(state, obs, params)
+    return abs(terms["fq_fe"] + terms["p_dfe"] + terms["f0_sq"])
+
+
+def b7_covariance_balance(state: QuantumState, rep: FockRep, params: ModelParams) -> float:
+    """|<F_q F_e> + <p dF_e/dt> + F0^2|."""
+    return _b7(state, standard_observables(rep, params), params)
+
+
+def _resolve_sector(state: QuantumState, sector: int | None) -> int:
+    if sector is None:
+        return infer_sector(state)
+    return check_sector(sector)
+
+
+def _state_energy(state: QuantumState, obs: dict) -> float:
+    return expectation(state, obs["hamiltonian"]).real
+
+
+def _property_checks(state: QuantumState, obs: dict, params: ModelParams, p: int,
+                     energy: float, paper_literal: bool) -> dict[str, BoundCheck]:
+    return _property_bounds(
+        params, p, energy,
+        sz=expectation(state, obs["sigma_z"]).real,
+        cos_pin=expectation(state, obs["parity_boson"]).real,
+        x_sx=expectation(state, obs["q_sigma_x"]).real * np.sqrt(
+            2.0 * params.mass * params.omega
+        ),  # <(a + a^dag) sigma_x>
+        n_cos=expectation(state, obs["num_parity"]).real,
+        n_sz=expectation(state, obs["num_sigma_z"]).real,
+        paper_literal=paper_literal,
+    )
+
+
+def _b2(state: QuantumState, obs: dict, params: ModelParams, paper_literal: bool) -> BoundCheck:
+    return _b2_bound(
+        params,
+        var_qsx=variance(state, obs["q_sigma_x"]),
+        sz=expectation(state, obs["sigma_z"]).real,
+        q_sx=expectation(state, obs["q_sigma_x"]).real,
+        literal=paper_literal,
+    )
+
+
+def _b6(state: QuantumState, obs: dict, p: int) -> float:
+    phi = extract_reduced_state(state, p)
+    return float(variance(state, obs["q_sigma_x"]) - variance(phi, obs["q_boson"]))
+
+
+def wigner_origin(state: QuantumState) -> float:
+    """W(0, 0) = 2 <cos(pi a^dag a)> of a boson state; lies in [-2, 2]."""
+    if state.kind != BOSON:
+        raise DimensionMismatch("wigner_origin expects a boson-space state")
+    v = state.amplitudes
+    return float(2.0 * np.vdot(v, (-1.0) ** np.arange(v.size) * v).real)
+
+
+def displaced_number(state: QuantumState, params: ModelParams) -> float:
+    """<n> in the frame displaced by -lam/omega.
+
+    Uses the exact operator identity
+    D(-lam/omega) n D(-lam/omega)^dag = n + (lam/omega)(a + a^dag)
+    + lam^2/omega^2, so no truncated exponential enters.
+    """
+    if state.kind != BOSON:
+        raise DimensionMismatch("displaced_number expects a boson-space state")
+    v = state.amplitudes
+    root, num = _ladder_bands(v.size)
+    ratio = params.lam / params.omega
+    n_mean = np.vdot(v, num * v).real
+    x_mean = np.vdot(v, BandOperator(v.size, [((None, root), np.eye(1))]).apply(v)).real
+    return float(n_mean + ratio * x_mean + ratio**2)
+
+
+def wigner_energy_bounds(
+    state: QuantumState,
+    params: ModelParams,
+    paper_literal: bool = False,
+) -> BoundCheck:
+    """Band for E - omega <n~> implied by |W(0,0)| <= 2.
+
+    E is the sector +1 reduced-Hamiltonian expectation of the boson
+    state.  The identity E - omega <n~> = -lam^2/omega
+    - (omega0/4) W(0,0) fixes the band's center offset at lam^2/omega;
+    ``paper_literal`` reports the legacy 2 lam^2/omega variant instead.
+    """
+    if state.kind != BOSON:
+        raise DimensionMismatch("wigner_energy_bounds expects a boson state")
+    v = state.amplitudes
+    h_plus = BandOperator(v.size, [(sector_chain(v.size, params, +1), np.eye(1))])
+    energy = np.vdot(v, h_plus.apply(v)).real
+    value = energy - params.omega * displaced_number(state, params)
+    return _wigner_band(params, value, paper_literal)
+
+
+FIRST_ORDER_SET = ("q", "p", "num", "q_sigma_x", "p_sigma_x", "sigma_z", "sigma_y")
+
+
+def full_report(
+    state: QuantumState,
+    rep: FockRep,
+    params: ModelParams,
+    sector: int | None = None,
+    energy: float | None = None,
+    boson_state: QuantumState | None = None,
+    paper_literal: bool = False,
+) -> BalanceReport:
+    """Run the whole suite on one spin-boson state, on one observable bundle.
+
+    H v and H H v are applied once and shared by the nine residuals.
+    """
+    if state.kind != SPIN_BOSON:
+        raise DimensionMismatch("full_report expects a spin_boson state")
+    p = _resolve_sector(state, sector)
+    obs = standard_observables(rep, params)
+    if energy is None:
+        energy = _state_energy(state, obs)
+    if boson_state is None:
+        boson_state = extract_reduced_state(state, p)
+    h = obs["hamiltonian"]
+    hv = h.apply(state.amplitudes)
+    hhv = h.apply(hv)
+
+    first = {name: first_order_residual(h, obs[name], state, hv) for name in FIRST_ORDER_SET}
+    first["force"] = _force_balance(state, obs, params)
+
+    second = {
+        "q_sigma_x": second_order_residual(h, obs["q_sigma_x"], state, hv, hhv),
+        "omega_num": second_order_residual(h, obs["omega_num"], state, hv, hhv),
+        "b1": _b1(state, obs, params),
+        "b7": _b7(state, obs, params),
+    }
+
+    props = _property_checks(state, obs, params, p, energy, paper_literal)
+    props["b2"] = _b2(state, obs, params, paper_literal=False)
+    props["b6_identity"] = _identity(_b6(state, obs, p))
+    props["wigner_energy"] = wigner_energy_bounds(boson_state, params)
+    if paper_literal:
+        props["b2_literal"] = _b2(state, obs, params, paper_literal=True)
+        props["wigner_energy_literal"] = wigner_energy_bounds(
+            boson_state, params, paper_literal=True
+        )
+    return BalanceReport(
+        state_energy=float(energy),
+        first_order=first,
+        second_order=second,
+        properties=props,
+    )
+
 
 
 def trial_property_compliance(

@@ -21,7 +21,9 @@ relations of :mod:`rabi_balance.balance`:
 so a vanishing gradient is equivalent (for lam > 0) to vanishing
 kinetic-balance and force-covariance residuals of the embedded state.
 ``stationarity_equals_balance`` evaluates both sides at a trial point
-on Python floats; numpy serves only the simplex energy (``_energy_formula``).
+on Python floats, the residuals from ``balance.sector_report`` of the
+trial's sector vector; numpy serves only the simplex energy
+(``_energy_formula``).
 
 ``minimize_energy`` searches the closed form with the package's own
 bounded Nelder-Mead simplex, which takes step for step the path of
@@ -46,7 +48,7 @@ import numpy as np
 from .errors import AmplitudeTooLarge, OptimizerStalled, SqueezeTooLarge
 from .fock import BOSON, FockRep, QuantumState
 from .model import ModelParams
-from .balance import sector_summary
+from .balance import sector_report
 from .solver import GroundSolution, solve_rabi_ground
 
 BETA_MAX = 6.0
@@ -146,16 +148,16 @@ def energy_gradient(trial: TrialParams, params: ModelParams) -> tuple[float, flo
 def balance_residuals(trial: TrialParams, params: ModelParams) -> tuple[float, float]:
     """(b1, b7) residuals of the sector +1 embedding of the trial state.
 
-    ``sector_summary`` takes them from the trial's sector vector; its p1
-    verdict, at the closed-form energy, is not used.
+    ``balance.sector_report`` takes them from the trial's sector vector; the
+    rest of its report, at the closed-form energy, is not used.
     """
     # enough Fock levels that the embedded trial state is
     # truncation-converged at the residual evaluation
     n_char = trial.beta**2 * math.exp(2.0 * trial.gamma) + math.sinh(trial.gamma) ** 2
     dim = max(RESIDUAL_DIM, int(4.0 * n_char) + 60)
     phi = _trial_amplitudes(dim, trial.beta, trial.gamma)
-    summary = sector_summary(phi, +1, params, energy_closed_form(trial, params))
-    return summary.b1, summary.b7
+    report = sector_report(phi, +1, params, energy_closed_form(trial, params))
+    return report.second_order["b1"], report.second_order["b7"]
 
 
 def _nelder_mead(func, x0, bounds, xatol, fatol, maxfev):

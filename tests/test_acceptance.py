@@ -31,7 +31,7 @@ from rabi_balance import (
     trial_state,
     wigner_origin,
 )
-from rabi_balance.balance import b7_terms
+from rabi_balance.oracle import b7_terms
 from rabi_balance.cli import main as cli_main
 from rabi_balance.fock import BOSON
 from rabi_balance.oracle import Observable, build_full_hamiltonian

@@ -16,14 +16,12 @@ from rabi_balance import (
     TrialParams,
     b1_kinetic_balance,
     balance_residuals,
-    b2_variance_bounds,
     b7_covariance_balance,
     displaced_number,
     embed_reduced_state,
     first_order_residual,
     fock_state,
     full_report,
-    property_checks,
     report_passes,
     second_order_residual,
     solve_rabi_ground,
@@ -31,19 +29,15 @@ from rabi_balance import (
     wigner_energy_bounds,
     wigner_origin,
 )
-from rabi_balance.balance import (
-    FIRST_ORDER_SET,
-    b6_reduced_variance_gap,
-    b7_terms,
-    force_balance,
-    sector_summary,
-)
-from rabi_balance.fock import variance
+from rabi_balance.balance import sector_report
 from rabi_balance.model import sector_chain
 from rabi_balance.oracle import (
+    FIRST_ORDER_SET,
     Observable,
+    b7_terms,
     build_full_hamiltonian,
     build_reduced_hamiltonian,
+    force_balance,
     ground_state,
 )
 
@@ -142,7 +136,7 @@ def test_ground_state_balance_residuals_at_machine_precision():
 
 def test_property_checks_on_ground_state():
     p, sol, rep = _solved()
-    checks = property_checks(sol.state, rep, p, sector=sol.parity, energy=sol.energy)
+    checks = full_report(sol.state, rep, p, sector=sol.parity, energy=sol.energy).properties
     for name, chk in checks.items():
         assert chk.satisfied, name
     # spin-parity slaving: <sigma_z> = -p <cos pi n> exactly
@@ -155,9 +149,9 @@ def test_p4_printed_band_fails_where_the_derived_band_holds():
     # -lam^2 e^{-2 lam^2}, which is negative: a symmetric omega0 band
     # would have to contain it in [0, 0] and cannot
     p, sol, rep = _solved(lam=0.25, omega0=0.0)
-    checks = property_checks(
+    checks = full_report(
         sol.state, rep, p, sector=sol.parity, energy=sol.energy, paper_literal=True
-    )
+    ).properties
     val = checks["p4"].value
     assert val == pytest.approx(-(0.25**2) * np.exp(-2 * 0.25**2), abs=1e-9)
     assert checks["p4"].satisfied
@@ -173,19 +167,20 @@ def test_p2_sign_holds_only_for_the_plus_sector_representative():
         h_red = build_reduced_hamiltonian(rep, p, sector)
         _, phi = ground_state(h_red)
         psi = embed_reduced_state(phi, sector)
-        checks = property_checks(psi, rep, p, sector=sector)
+        checks = full_report(psi, rep, p, sector=sector).properties
         assert checks["p2_identity"].satisfied
         assert checks["p2_sign"].satisfied == sign_ok
 
 
 def test_b2_bounds_and_reduced_variance_identity():
     p, sol, rep = _solved()
-    chk = b2_variance_bounds(sol.state, rep, p, sector=sol.parity)
+    props = full_report(sol.state, rep, p, sector=sol.parity).properties
+    chk = props["b2"]
     assert chk.satisfied
     assert chk.lower < chk.upper
     # frozen: the window is (1/2m omega)[1 - 2 lam^2/omega^2 , 1] + C
     assert chk.upper - chk.lower == pytest.approx(p.lam**2 / p.omega**3, abs=1e-12)
-    gap = b6_reduced_variance_gap(sol.state, rep, p, sector=sol.parity)
+    gap = props["b6_identity"].value  # Var(q sigma_x) minus Var(q) on the reduced state
     assert abs(gap) < 1e-12
 
 
@@ -193,10 +188,11 @@ def test_b2_printed_constant_is_dimensionally_broken():
     # the printed constant drops omega0/2 and doubles the linear term;
     # the resulting window misses the true variance at every coupling
     p, sol, rep = _solved()
-    lit = b2_variance_bounds(sol.state, rep, p, sector=sol.parity, paper_literal=True)
+    props = full_report(sol.state, rep, p, sector=sol.parity, paper_literal=True).properties
+    lit = props["b2_literal"]
     assert not lit.satisfied
     assert lit.value == pytest.approx(0.5652548548948216, abs=1e-7)
-    good = b2_variance_bounds(sol.state, rep, p, sector=sol.parity)
+    good = props["b2"]
     assert good.satisfied
 
 
@@ -446,40 +442,49 @@ def test_bundle_equals_the_kron_construction():
     assert set(obs) == {*kron, "q_boson", "hamiltonian"}
 
 
-# --- the sweep's sector summary against full_report ------------------------
+# --- the sector report against full_report ----------------------------------
 
-SUMMARY_TOL = 1e-12  # times max(1, |E|, |value|): the sums differ in order only
+REPORT_TOL = 1e-12  # times max(1, |E|, |value|): the sums differ in order only
 
 
 def _assert_summary_matches_report(vec, p, params, energy=None):
-    """sector_summary of phi equals full_report of its lift; every verdict equal."""
+    """sector_report of phi equals full_report of its lift, in both paper_literal modes.
+
+    The same keys in the same order, every ``satisfied`` flag, every value and
+    bound edge to REPORT_TOL, the same ``report_passes``, and W(0, 0) from p2.
+    """
     boson = QuantumState.from_vector(vec, BOSON)
-    report = full_report(embed_reduced_state(boson, p), FockRep(boson.dim), params,
-                         sector=p, energy=energy, boson_state=boson)
-    energy = report.state_energy
-    got = sector_summary(boson.amplitudes.real.tolist(), p, params, energy)
-    props = report.properties
-    pairs = {
-        "b1": (got.b1, report.second_order["b1"]),
-        "b7": (got.b7, report.second_order["b7"]),
-        "force": (got.force, report.first_order["force"]),
-        "w00": (got.w00, wigner_origin(boson)),
-        "var_qsx": (got.b2.value, props["b2"].value),
-        "b2_lo": (got.b2.lower, props["b2"].lower),
-        "b2_hi": (got.b2.upper, props["b2"].upper),
-    }
-    for name, (value, want) in pairs.items():
-        assert abs(value - want) <= SUMMARY_TOL * max(1.0, abs(energy), abs(want)), (
-            name, value, want)
-    assert got.force == 0.0
-    assert (got.p1_ok, got.p2_ok, got.p3_ok, got.p4_ok, got.b2.satisfied, got.w_bound_ok) == (
-        props["p1"].satisfied,
-        props["p2_identity"].satisfied and props["p2_sign"].satisfied,
-        props["p3"].satisfied,
-        props["p4_identity"].satisfied and props["p4"].satisfied,
-        props["b2"].satisfied,
-        props["wigner_energy"].satisfied,
-    )
+    phi = boson.amplitudes.real.tolist()
+    for literal in (False, True):
+        want = full_report(embed_reduced_state(boson, p), FockRep(boson.dim), params,
+                           sector=p, energy=energy, boson_state=boson, paper_literal=literal)
+        scale = max(1.0, abs(want.state_energy))
+        got = sector_report(phi, p, params, want.state_energy, literal)
+        assert got.state_energy == want.state_energy
+
+        def close(value, target, name):
+            assert abs(value - target) <= REPORT_TOL * max(scale, abs(target)), (
+                literal, name, value, target)
+
+        for group in ("first_order", "second_order"):
+            have, need = getattr(got, group), getattr(want, group)
+            assert list(have) == list(need), group
+            for name in need:
+                close(have[name], need[name], name)
+        assert list(got.properties) == list(want.properties)
+        for name, need in want.properties.items():
+            have = got.properties[name]
+            assert have.satisfied == need.satisfied, (literal, name)
+            close(have.value, need.value, name)
+            for edge in ("lower", "upper"):
+                a, b = getattr(have, edge), getattr(need, edge)
+                assert (a is None) == (b is None), (name, edge)
+                if b is not None:
+                    close(a, b, (name, edge))
+        assert report_passes(got) == report_passes(want)
+        # the sweep's w00_exact: <sigma_z> = -p <cos pi n>, so W(0, 0) = -2 p <sigma_z>
+        close(-2 * p * got.properties["p2_sign"].value, wigner_origin(boson), "w00")
+        assert got.first_order["force"] == 0.0
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.25, 0.5, 1.0, 2.0])

@@ -19,11 +19,13 @@ from rabi_balance import (
     QuantumState,
     balance,
     cli,
+    oracle,
     solve_rabi_ground,
     solver,
     variational,
 )
 from rabi_balance.cli import SWEEP_COLUMNS, main
+from rabi_balance.fock import BandOperator
 
 
 def run_cli(args):
@@ -116,6 +118,46 @@ def test_balance_paper_literal_adds_diagnostics(capsys):
     assert {"b2_literal", "p4_literal", "wigner_energy_literal"} <= set(props)
     assert props["b2_literal"]["satisfied"] is False
     assert data["passed"] is True
+
+
+@pytest.mark.parametrize("lam, omega0", [("0.5", "1"), ("3", "0.7"), ("6", "2"), ("1", "0")])
+def test_balance_and_sweep_print_the_same_numbers(capsys, lam, omega0):
+    # one evaluator: the balance report and the sweep row of a point agree bit for bit
+    assert run_cli(["balance", "--lambda", lam, "--omega0", omega0]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert run_cli(["sweep", "--lambda", lam, "--omega0", omega0, "--jobs", "1",
+                    "--format", "json"]) == 0
+    [row] = json.loads(capsys.readouterr().out)
+    b2 = report["properties"]["b2"]
+    assert {name: row[name] for name in ("res_b1", "res_b7", "res_force", "var_qsx",
+                                         "b2_lo", "b2_hi")} == {
+        "res_b1": report["second_order"]["b1"], "res_b7": report["second_order"]["b7"],
+        "res_force": report["first_order"]["force"], "var_qsx": b2["value"],
+        "b2_lo": b2["lower"], "b2_hi": b2["upper"],
+    }
+
+
+def test_balance_builds_no_state_no_bundle_and_no_oracle(monkeypatch, capsys):
+    # the report is sums over the sector vector: no QuantumState, no BandOperator,
+    # and the oracle module is not imported (it is dropped from sys.modules first)
+    calls = []
+    post_init, band_init = QuantumState.__post_init__, BandOperator.__init__
+
+    def counting_state(self):
+        calls.append("QuantumState")
+        post_init(self)
+
+    def counting_band(self, *args):
+        calls.append("BandOperator")
+        band_init(self, *args)
+
+    monkeypatch.setattr(QuantumState, "__post_init__", counting_state)
+    monkeypatch.setattr(BandOperator, "__init__", counting_band)
+    monkeypatch.delitem(sys.modules, "rabi_balance.oracle")
+    assert run_cli(["balance", "--lambda", "1", "--omega0", "2", "--paper-literal"]) == 0
+    assert calls == []
+    assert "rabi_balance.oracle" not in sys.modules
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_variational_json(capsys):
@@ -514,7 +556,7 @@ def test_sweep_point_builds_no_bundle_no_report_and_no_trial_state(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(QuantumState, "__post_init__", counting_state)
-    for fn in (balance.standard_observables, balance.full_report, variational.trial_state):
+    for fn in (oracle.standard_observables, oracle.full_report, variational.trial_state):
         def counting(*args, _fn=fn, **kwargs):
             calls.append(_fn.__name__)
             return _fn(*args, **kwargs)
@@ -682,24 +724,45 @@ def _child(args):
     )
 
 
-@pytest.mark.parametrize("args", [
-    ["balance", "--lambda", "1e200", "--omega0", "1"],
-    ["sweep", "--lambda", "0", "--omega0", "1e300", "--omega", "1e300", "--jobs", "1"],
+_RANGE_ERROR = "OverflowError: Numerical result out of range"
+_ZERO_DIVISION = "ZeroDivisionError: float division by zero"
+
+
+@pytest.mark.parametrize("args, error", [
+    (["balance", "--lambda", "1e200", "--omega0", "1"], _RANGE_ERROR),
+    (["sweep", "--lambda", "0", "--omega0", "1e300", "--omega", "1e300", "--jobs", "1"],
+     "OverflowError: "),
     # sector chains beyond the float range (omega n) or with row sums beyond it (lam sqrt(n))
-    ["solve", "--omega", "1e307", "--lambda", "0", "--omega0", "1"],
-    ["converge", "--omega", "1e307", "--lambda", "0", "--omega0", "1"],
-    ["variational", "--omega", "1e307", "--lambda", "1", "--omega0", "1"],
-    ["solve", "--lambda", "1e307", "--omega0", "1"],
-    ["sweep", "--omega", "1e307", "--lambda", "0", "--omega0", "1", "--jobs", "1"],
+    (["solve", "--omega", "1e307", "--lambda", "0", "--omega0", "1"], "OverflowError: "),
+    (["converge", "--omega", "1e307", "--lambda", "0", "--omega0", "1"], "OverflowError: "),
+    (["variational", "--omega", "1e307", "--lambda", "1", "--omega0", "1"], "OverflowError: "),
+    (["solve", "--lambda", "1e307", "--omega0", "1"], "OverflowError: "),
+    (["sweep", "--omega", "1e307", "--lambda", "0", "--omega0", "1", "--jobs", "1"],
+     "OverflowError: "),
+    # a float ** beyond the range (errno 34), and a power of omega that underflows to 0
+    (["sweep", "--lambda", "0.5", "--omega0", "1", "--omega", "1e300", "--jobs", "1"],
+     _RANGE_ERROR),
+    (["sweep", "--omega", "1e200", "--lambda", "1e200", "--omega0", "1", "--jobs", "1"],
+     _RANGE_ERROR),
+    (["balance", "--omega", "1e200", "--lambda", "1e200", "--omega0", "1"], _RANGE_ERROR),
+    (["variational", "--omega", "1e300", "--lambda", "0.5", "--omega0", "1"], _RANGE_ERROR),
+    (["balance", "--omega", "1e-300", "--lambda", "1", "--omega0", "1"], _ZERO_DIVISION),
+    (["variational", "--omega", "1e-300", "--lambda", "1", "--omega0", "1"], _ZERO_DIVISION),
 ], ids=["balance", "sweep", "solve-omega", "converge-omega", "variational-omega",
-        "solve-lambda", "sweep-omega"])
-def test_overflow_prints_one_line_in_a_real_process(tmp_path, args):
+        "solve-lambda", "sweep-omega", "sweep-omega-errno", "sweep-both-errno",
+        "balance-both-errno", "variational-omega-errno", "balance-tiny-omega",
+        "variational-tiny-omega"])
+def test_overflow_prints_one_line_in_a_real_process(tmp_path, args, error):
     # pytest captures warnings in-process; only a real process shows
-    # whether inf and NaN pass silently on their way to the OverflowError
+    # whether inf and NaN pass silently on their way to the error; the
+    # line names the error in words, never as an (errno, strerror) tuple
     proc = _child(["-m", "rabi_balance.cli", *args, "--out", str(tmp_path / "out.txt")])
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert "OverflowError: " in proc.stderr
+    assert error in proc.stderr
+    if error != "OverflowError: ":
+        assert proc.stderr.endswith(f": {error}\n"), proc.stderr
+    assert "(34," not in proc.stderr and "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
 
 
@@ -789,21 +852,27 @@ ORACLE_NAMES = {
     "Observable", "build_full_hamiltonian", "build_ladder", "build_parity_operator",
     "build_quadratures", "build_reduced_hamiltonian", "displacement", "energy_numeric",
     "squeeze", "trial_property_compliance",
+    # the balance suite on spin-boson states
+    "b1_kinetic_balance", "b7_covariance_balance", "displaced_number", "first_order_residual",
+    "full_report", "second_order_residual", "standard_observables", "wigner_energy_bounds",
+    "wigner_origin",
 }
 
 
 def test_oracle_names_resolve_from_the_package_root():
     from rabi_balance import fock, model, oracle
 
-    assert len(rabi_balance.__all__) == len(set(rabi_balance.__all__)) == 55
+    assert len(rabi_balance.__all__) == len(set(rabi_balance.__all__)) == 53
     defined = {name for name in rabi_balance.__all__
                if getattr(getattr(rabi_balance, name), "__module__", None) == oracle.__name__}
     assert defined == ORACLE_NAMES
     for name in ORACLE_NAMES:
         assert getattr(rabi_balance, name) is getattr(oracle, name)
-    # the runtime modules neither define nor re-export a dense construction
+    # the runtime modules neither define nor re-export a dense construction or
+    # the spin-boson balance suite
     moved = ORACLE_NAMES | {"HERMITICITY_TOL", "SQUEEZE_MAX", "_generator", "_ladder_matrices",
-                            "_unitary_from_generator", "ground_state", "sector_matrix"}
+                            "_unitary_from_generator", "ground_state", "sector_matrix",
+                            "FIRST_ORDER_SET", "b7_terms", "force_balance"}
     for module in (fock, model, solver, variational, balance, cli):
         assert not moved & set(vars(module)), module.__name__
 

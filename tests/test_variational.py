@@ -63,7 +63,7 @@ def test_trial_state_trivial_cases():
 
 
 def test_balance_residuals_build_no_state_and_no_rep(monkeypatch):
-    # the recurrence's list goes straight to sector_summary
+    # the recurrence's list goes straight to balance.sector_report
     built = []
     for cls in (QuantumState, FockRep):
         def counting(self, _init=cls.__post_init__, _name=cls.__name__):
