@@ -1,14 +1,17 @@
 """Balance identities and variational bounds for a spin-oscillator model.
 
-The package splits into small layers: `fock` holds the truncated
-oscillator algebra, `model` the Hamiltonians and parity bookkeeping,
+The package splits into small layers: `model` holds the parameters and
+the parity-sector chains, `fock` the truncated oscillator algebra with
+its states and the lift of a sector vector to the spin-boson space,
 `solver` the exact ground state, `balance` the identity and bound
 checks on a sector vector, `variational` the displaced-squeezed trial
 family, and `cli` the command-line front end.  `oracle` holds what the
 tests check them against: the dense matrices and the balance suite on
 spin-boson states.  Every public name below is imported from its
 submodule on first access, so importing the package alone loads none of
-them.
+them.  numpy is loaded by `fock` and `oracle` and by the trial simplex
+in `variational`, and by nothing else: `model`, `balance` and `solver`
+run on Python floats until a `QuantumState` is asked for.
 """
 
 __version__ = "0.1.0"
@@ -25,10 +28,10 @@ _HOMES = {
         "SqueezeTooLarge",
     ),
     "fock": (
-        "BOSON", "SPIN_BOSON", "FockRep", "QuantumState", "expectation", "fock_state",
-        "variance",
+        "BOSON", "SPIN_BOSON", "FockRep", "QuantumState", "embed_reduced_state", "expectation",
+        "extract_reduced_state", "fock_state", "infer_sector", "variance",
     ),
-    "model": ("ModelParams", "embed_reduced_state", "extract_reduced_state", "infer_sector"),
+    "model": ("ModelParams",),
     "oracle": (
         "Observable", "b1_kinetic_balance", "b7_covariance_balance", "build_full_hamiltonian",
         "build_ladder", "build_parity_operator", "build_quadratures",

@@ -50,7 +50,7 @@ parameter plane; the verified forms above are the authoritative ones.
 the ground state of a parity sector, by O(N) sums over phi with no
 operator built.  The ``balance`` command prints it, and the sweep's
 columns and the trial residuals are read from it.  Its numbers are those
-of phi's spin-boson lift (``model.embed_reduced_state``).
+of phi's spin-boson lift (``fock.embed_reduced_state``).
 ``oracle.full_report`` evaluates the same suite on any spin-boson state,
 from ``BandOperator`` observables; it is the reference in the tests.
 """

@@ -16,11 +16,13 @@ columns are that of the ground state's sector vector
 ``GroundSolution.phi``, a tuple of floats, and the ``variational``
 residuals that of the optimum trial's.  This module calls no numpy:
 range values are ``np.linspace``'s arithmetic on Python floats.  A
-process pays only for
-what it runs: numpy, which the other modules still load, starts with one
-BLAS thread (no command calls a threaded BLAS routine; a count set in the
-environment wins), and the process-pool machinery is imported only by a
-sweep on more than one worker.
+process pays only for what it runs: ``solve``, ``converge`` and
+``balance`` load no numpy at all; ``variational`` and ``sweep`` load it
+at the first energy of the trial simplex, whose exponential and sinh
+are numpy's, and it starts with one BLAS thread there (no command calls
+a threaded BLAS routine; a count set in the environment wins); the
+process-pool machinery is imported only by a sweep on more than one
+worker.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import os
 
 # An idle OpenBLAS worker thread costs CPU from the moment numpy loads, and
-# no command uses it: set before any module below imports numpy.
+# no command uses it: set before the trial simplex imports numpy.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

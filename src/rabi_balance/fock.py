@@ -21,6 +21,14 @@ chains and real sector vectors as lists of floats.
 
 Composite (spin-boson) vectors are indexed ``i = 2 n + s`` where ``n``
 is the Fock index and ``s = 0`` is the sigma_z = +1 spin component.
+``embed_reduced_state`` lifts a sector vector (``model``) to that space,
+``extract_reduced_state`` and ``infer_sector`` undo it, and the Pauli
+matrices act on ``s``.
+
+This is the numpy module of the runtime (``oracle`` is the tests'): the
+solver, the balance report and the trial recurrence work on lists of
+floats and import it only to return a ``QuantumState``, so the CLI's
+``solve``, ``converge`` and ``balance`` never load it.
 """
 
 from __future__ import annotations
@@ -30,13 +38,19 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonHermitian
+from .errors import DimensionMismatch, NonHermitian, SectorRequired
+from .model import SECTOR_TOL, check_sector
 
 if TYPE_CHECKING:
     from .oracle import Observable
 
 BOSON = "boson"
 SPIN_BOSON = "spin_boson"
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -195,3 +209,68 @@ def variance(state: QuantumState, obs: BandOperator | Observable) -> float:
     second = float(np.vdot(w, w).real)  # <M psi | M psi> = <M^2> for Hermitian M
     return second - mean * mean
 
+
+def _spin_index(n: int, sector: int) -> int:
+    # sigma_z component of Fock level n in sector p is (-1)^(n+1) p;
+    # s = 0 encodes sigma_z = +1.
+    sigma = -sector if n % 2 == 0 else sector
+    return 0 if sigma == +1 else 1
+
+
+def embed_reduced_state(phi: QuantumState, sector: int) -> QuantumState:
+    """Lift a sector eigenvector to the full spin-boson space.
+
+    Amplitude a_n goes to index 2 n + s with the spin slaved to the
+    Fock parity, which reproduces
+    (1/sqrt 2)(phi |+>_x - p cos(pi a^dag a) phi |->_x) in the sigma_z
+    basis.  The result has <P> = p exactly.
+    """
+    p = check_sector(sector)
+    if phi.kind != BOSON:
+        raise DimensionMismatch("embed expects a boson-space state")
+    n = phi.dim
+    out = np.zeros(2 * n, dtype=complex)
+    amps = phi.amplitudes
+    even_spin = _spin_index(0, p)
+    odd_spin = _spin_index(1, p)
+    out[2 * np.arange(0, n, 2) + even_spin] = amps[0::2]
+    out[2 * np.arange(1, n, 2) + odd_spin] = amps[1::2]
+    return QuantumState(out, SPIN_BOSON)
+
+
+def extract_reduced_state(psi: QuantumState, sector: int) -> QuantumState:
+    """Inverse of ``embed_reduced_state`` on definite-parity states.
+
+    Raises SectorRequired if more than ``SECTOR_TOL`` of the norm sits on spin
+    components incompatible with ``sector``.
+    """
+    p = check_sector(sector)
+    if psi.kind != SPIN_BOSON:
+        raise DimensionMismatch("extract expects a spin_boson state")
+    full = psi.amplitudes.reshape(-1, 2)
+    n = full.shape[0]
+    cols = np.where(np.arange(n) % 2 == 0, _spin_index(0, p), _spin_index(1, p))
+    amps = full[np.arange(n), cols]
+    leftover = 1.0 - float(np.linalg.norm(amps)) ** 2
+    if leftover > SECTOR_TOL:
+        raise SectorRequired(
+            f"state is not in sector {p:+d}: {leftover:.3e} of the norm "
+            "sits on the wrong spin components"
+        )
+    return QuantumState.from_vector(amps, BOSON)
+
+
+def infer_sector(psi: QuantumState) -> int:
+    """Sector label from <P>; raises SectorRequired when |<P>| < 1 - SECTOR_TOL."""
+    if psi.kind != SPIN_BOSON:
+        raise DimensionMismatch("sector inference expects a spin_boson state")
+    full = psi.amplitudes.reshape(-1, 2)
+    signs = (-1.0) ** np.arange(full.shape[0])
+    # <P> with P = -sigma_z cos(pi n), both factors diagonal
+    p_mean = float(np.sum(signs * (np.abs(full[:, 1]) ** 2 - np.abs(full[:, 0]) ** 2)))
+    if abs(p_mean) < 1.0 - SECTOR_TOL:
+        raise SectorRequired(
+            f"<P> = {p_mean:.6f} is not within {SECTOR_TOL:.1e} of +-1; pass the "
+            "sector explicitly"
+        )
+    return +1 if p_mean > 0 else -1

@@ -32,10 +32,10 @@ import numpy as np
 from .balance import BalanceReport, BoundCheck, _b2_bound, _identity, _property_bounds, _wigner_band
 from .errors import (AmplitudeTooLarge, DimensionMismatch, EigDecompositionFailure, NonHermitian,
                      SqueezeTooLarge)
-from .fock import (BOSON, SPIN_BOSON, BandOperator, FockRep, QuantumState, _frozen, _ladder_bands,
-                   expectation, variance)
-from .model import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, ModelParams, check_sector,
-                    embed_reduced_state, extract_reduced_state, infer_sector, sector_chain)
+from .fock import (BOSON, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, SPIN_BOSON, BandOperator, FockRep,
+                   QuantumState, _frozen, _ladder_bands, embed_reduced_state, expectation,
+                   extract_reduced_state, infer_sector, variance)
+from .model import ModelParams, check_sector, sector_chain
 from .variational import TrialParams, trial_state
 
 HERMITICITY_TOL = 1e-12

@@ -47,11 +47,13 @@ import sys
 from operator import mul
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import EigDecompositionFailure, NotConverged
-from .fock import BOSON, QuantumState
-from .model import ModelParams, embed_reduced_state, sector_chain
+from .model import ModelParams, sector_chain
+
+if TYPE_CHECKING:
+    from .fock import QuantumState
 
 START_DIM = 16
 MAX_DIM = 256
@@ -95,10 +97,14 @@ class GroundSolution:
 
     @cached_property
     def boson_state(self) -> QuantumState:
+        from .fock import BOSON, QuantumState
+
         return QuantumState(self.phi, BOSON)
 
     @cached_property
     def state(self) -> QuantumState:
+        from .fock import embed_reduced_state
+
         return embed_reduced_state(self.boson_state, self.parity)
 
 

@@ -23,7 +23,8 @@ kinetic-balance and force-covariance residuals of the embedded state.
 ``stationarity_equals_balance`` evaluates both sides at a trial point
 on Python floats, the residuals from ``balance.sector_report`` of the
 trial's sector vector; numpy serves only the simplex energy
-(``_energy_formula``).
+(``_energy_formula``), which imports it on its first call.  ``trial_state``
+imports ``fock`` for the ``QuantumState`` it returns.
 
 ``minimize_energy`` searches the closed form with the package's own
 bounded Nelder-Mead simplex, which takes step for step the path of
@@ -42,14 +43,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import AmplitudeTooLarge, OptimizerStalled, SqueezeTooLarge
-from .fock import BOSON, FockRep, QuantumState
 from .model import ModelParams
 from .balance import sector_report
 from .solver import GroundSolution, solve_rabi_ground
+
+if TYPE_CHECKING:
+    from .fock import FockRep, QuantumState
 
 BETA_MAX = 6.0
 GAMMA_MAX = 2.0
@@ -104,6 +106,8 @@ def _trial_amplitudes(dim: int, beta: float, gamma: float) -> list[float]:
 
 def trial_state(rep: FockRep, trial: TrialParams) -> QuantumState:
     """S(gamma) D(beta) |0> cut to levels 0..rep.dim-1 (``_trial_amplitudes``), as a state."""
+    from .fock import BOSON, QuantumState
+
     return QuantumState(_trial_amplitudes(rep.dim, trial.beta, trial.gamma), BOSON)
 
 
@@ -113,16 +117,20 @@ def _energy_formula(params: ModelParams):
     Rounded as the float64 formula would be: + - * round alike, ``**2``
     calls ``pow`` on both, and the transcendentals stay numpy's, since
     ``math.exp`` and ``math.sinh`` differ from them in the last bit on
-    some inputs and would move the simplex path.
+    some inputs and would move the simplex path.  numpy is imported here,
+    not with the module, and its two functions are bound once per call.
     """
+    import numpy as np
+
     omega, lam, omega0 = float(params.omega), float(params.lam), float(params.omega0)
+    exp, sinh = np.exp, np.sinh
 
     def energy(beta: float, gamma: float) -> float:
-        stretch = float(np.exp(gamma))
+        stretch = float(exp(gamma))
         return (
-            omega * (beta**2 * stretch**2 + float(np.sinh(gamma)) ** 2)
+            omega * (beta**2 * stretch**2 + float(sinh(gamma)) ** 2)
             + 2.0 * lam * beta * stretch
-            - 0.5 * omega0 * float(np.exp(-2.0 * beta**2))
+            - 0.5 * omega0 * float(exp(-2.0 * beta**2))
         )
 
     return energy

@@ -412,7 +412,7 @@ def test_bundle_apply_equals_its_dense_matrix(rng):
 def test_bundle_equals_the_kron_construction():
     # every band operator, H included, equals its dense np.kron form entry by entry
     from rabi_balance.oracle import _ladder_matrices
-    from rabi_balance.model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
+    from rabi_balance.fock import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
     p = ModelParams(omega=1.3, lam=0.7, omega0=0.9, mass=2.3)
     rep = FockRep(16)

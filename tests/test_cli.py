@@ -714,12 +714,12 @@ def test_failure_line_is_short_for_huge_inputs(capsys):
     assert err[0].startswith("sweep failed at omega=1e+300 lambda=0 omega0=1e+300: ")
 
 
-def _child(args):
+def _child(args, text=True):
     # a fresh interpreter on the package under test, installed or not
     src = str(Path(rabi_balance.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        [sys.executable, *args], capture_output=True, text=text, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
 
@@ -895,6 +895,73 @@ def test_commands_without_a_pool_load_no_pool_machinery(tmp_path):
     proc = _child(["-c", _POOL_CHILD, str(tmp_path)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+
+
+# argv[1] is "block" or "plain", the rest the CLI's arguments (none: the
+# import alone).  Blocked, any import of numpy raises ImportError; plain,
+# whether numpy loaded goes to stderr's last line, apart from stdout.
+_NUMPY_CHILD = """
+import sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+import rabi_balance.cli
+try:
+    code = rabi_balance.cli.main(sys.argv[2:]) if sys.argv[2:] else 0
+except SystemExit as exc:  # --help
+    code = exc.code
+sys.stdout.flush()
+sys.stderr.write(f"\\nnumpy loaded: {sys.modules.get('numpy') is not None}\\n")
+sys.exit(code)
+"""
+
+_POINT = ["--lambda", "0.5", "--omega0", "1"]
+
+
+@pytest.mark.parametrize("args, code, loads_numpy", [
+    ([], 0, False),
+    (["--help"], 0, False),
+    (["solve", "--omega0", "1"], 1, False),
+    (["solve", *_POINT], 0, False),
+    (["solve", *_POINT, "--format", "json"], 0, False),
+    (["converge", *_POINT], 0, False),
+    (["balance", *_POINT], 0, False),
+    (["balance", *_POINT, "--paper-literal"], 0, False),
+    # the trial simplex keeps numpy's exp and sinh, whose last bits its path
+    # depends on: these two load numpy at its first energy
+    (["sweep", *_POINT, "--jobs", "1"], 0, True),
+    (["variational", *_POINT], 0, True),
+], ids=["import", "help", "usage-error", "solve", "solve-json", "converge", "balance",
+        "balance-paper-literal", "sweep", "variational"])
+def test_only_the_simplex_loads_numpy(args, code, loads_numpy):
+    # the sector solve, the balance report and the CLI run on Python floats:
+    # with numpy unimportable they print the same bytes and exit alike
+    plain = _child(["-c", _NUMPY_CHILD, "plain", *args], text=False)
+    assert plain.returncode == code, plain.stderr
+    assert plain.stderr.endswith(f"numpy loaded: {loads_numpy}\n".encode()), plain.stderr
+    assert bool(plain.stdout) == (code == 0 and args != [])
+    if not loads_numpy:
+        blocked = _child(["-c", _NUMPY_CHILD, "block", *args], text=False)
+        assert blocked.returncode == code, blocked.stderr
+        assert blocked.stdout == plain.stdout
+
+
+_LIBRARY_CHILD = """
+import sys
+from rabi_balance import ModelParams, solve_rabi_ground
+
+sol = solve_rabi_ground(ModelParams(1, 0.5, 1))
+phi = sol.phi
+print(sys.modules.get("numpy") is not None)
+sol.boson_state, sol.state
+print(sys.modules.get("numpy") is not None)
+"""
+
+
+def test_a_solve_loads_numpy_only_for_its_states():
+    # phi is a tuple of floats; the QuantumState forms load numpy when read
+    proc = _child(["-c", _LIBRARY_CHILD])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
