@@ -1,6 +1,8 @@
 """Command-line front end: solve, balance, variational, sweep, converge.
 
-Exit codes are part of the contract: 0 on success, 1 on usage or config
+Each command takes only the flags and config keys that change its
+answer, as ``_OPTIONS`` lists them; any other is a usage error.  Exit
+codes are part of the contract: 0 on success, 1 on usage or config
 errors, 2 on numerical non-success (truncation not converged, optimizer
 stalled, or a balance check failing).  Nothing else is returned.
 
@@ -99,15 +101,15 @@ class AxisRange:
 class RunConfig:
     """Validated inputs of one CLI invocation."""
 
-    omega: float | AxisRange = 1.0
-    lam: float | AxisRange | None = None
-    omega0: float | AxisRange | None = None
-    dim: int | None = None  # None = automatic dimension doubling
-    tol: float = 1e-10
-    output_format: str = "csv"
-    output_path: str | None = None
-    jobs: int | None = None
-    paper_literal: bool = False
+    omega: float | AxisRange
+    lam: float | AxisRange
+    omega0: float | AxisRange
+    dim: int | None  # None = automatic dimension doubling
+    tol: float
+    output_format: str
+    output_path: str | None
+    jobs: int | None
+    paper_literal: bool
 
 
 def _number(name: str, raw, kind: type = float, what: str = "a number"):
@@ -154,14 +156,8 @@ def _parse_dim(raw) -> int | None:
     return dim
 
 
-_CONFIG_KEYS = {
-    "omega", "lambda", "omega0", "dim", "tol", "format", "out", "jobs",
-    "paper_literal",
-}
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file, and flags (flags win)."""
+    """Merge defaults, config file, and flags (flags win); only the command's own keys."""
     file_vals: dict = {}
     if args.config is not None:
         try:
@@ -173,46 +169,41 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config: {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(file_vals, dict):
             raise ConfigError("config: top level must be a JSON object")
-        unknown = set(file_vals) - _CONFIG_KEYS
-        if unknown:
-            raise ConfigError(f"config: unknown keys {sorted(unknown)}")
+        foreign = sorted(set(file_vals) - set(_OPTIONS[args.command][1]))
+        if foreign:
+            raise ConfigError(f"config: {args.command} reads no keys {foreign}")
 
-    def pick(flag_val, file_key, default=None):
-        if flag_val is not None:
-            return flag_val
-        if file_key in file_vals:
-            return file_vals[file_key]
-        return default
+    def pick(key, default=None):
+        flag_val = vars(args).get(key)  # None where the command has no such flag
+        return file_vals.get(key, default) if flag_val is None else flag_val
 
-    omega_raw = pick(args.omega, "omega", 1.0)
-    lam_raw = pick(args.lam, "lambda")
-    omega0_raw = pick(args.omega0, "omega0")
+    omega_raw = pick("omega", 1.0)
+    lam_raw = pick("lambda")
+    omega0_raw = pick("omega0")
     if lam_raw is None:
         raise ConfigError("lambda: required (flag --lambda or config key 'lambda')")
     if omega0_raw is None:
         raise ConfigError("omega0: required (flag --omega0 or config key 'omega0')")
 
-    tol = _number("tol", pick(args.tol, "tol", 1e-10))
+    tol = _number("tol", pick("tol", 1e-10))
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"tol: must be finite and > 0, got {tol}")
 
-    fmt = pick(args.fmt, "format", "csv")
+    fmt = pick("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format: must be csv or json, got {fmt!r}")
 
-    jobs_raw = pick(args.jobs, "jobs")
-    jobs = None
-    if jobs_raw is not None:
-        jobs = _number("jobs", jobs_raw, int, "an integer")
+    jobs = pick("jobs")
+    if jobs is not None:
+        jobs = _number("jobs", jobs, int, "an integer")
         if jobs < 1:
             raise ConfigError(f"jobs: must be >= 1, got {jobs}")
 
-    literal = file_vals.get("paper_literal", False)
+    literal = pick("paper_literal", False)
     if not isinstance(literal, bool):  # bool("false") is True
         raise ConfigError(f"paper_literal: expected true or false, got {json.dumps(literal)}")
-    paper_literal = args.paper_literal or literal
 
-    out = pick(args.out, "out")
+    out = pick("out")
     if out is not None:
         if not isinstance(out, str):
             raise ConfigError(f"out: expected a path, got {out!r}")
@@ -223,12 +214,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         omega=_parse_axis("omega", omega_raw),
         lam=_parse_axis("lambda", lam_raw),
         omega0=_parse_axis("omega0", omega0_raw),
-        dim=_parse_dim(pick(args.dim, "dim")),
+        dim=_parse_dim(pick("dim")),
         tol=tol,
         output_format=fmt,
         output_path=out,
         jobs=jobs,
-        paper_literal=paper_literal,
+        paper_literal=literal,
     )
 
 
@@ -537,29 +528,37 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# The config keys, and so the flags (key k is --k, with - for _), each command reads.
+_POINT = ("omega", "lambda", "omega0", "dim", "tol", "out")
+_OPTIONS = {  # command: (help line, config keys)
+    "solve": ("ground energy, parity, and truncation info for one point", (*_POINT, "format")),
+    "balance": ("full balance/property report for one point (JSON)", (*_POINT, "paper_literal")),
+    "variational": ("trial-state optimum vs exact ground for one point (JSON)", _POINT),
+    "sweep": ("grid of points -> CSV or JSON rows", (*_POINT, "format", "jobs")),
+    "converge": ("dimension-doubling energy trace for one point", _POINT),
+}
+_FLAGS = {  # argparse keywords of each key's flag
+    "omega": {"help": "oscillator frequency (scalar or min:max:count)"},
+    "lambda": {"help": "coupling (scalar or min:max:count)"},
+    "omega0": {"help": "spin splitting (scalar or min:max:count)"},
+    "dim": {"help": "Fock dimension, integer or 'auto'"},
+    "tol": {"help": "truncation convergence tolerance"},
+    "out": {"help": "write output to this path instead of stdout"},
+    "format": {"choices": ("csv", "json"), "help": "output format"},
+    "jobs": {"help": "worker processes (default: all cores)"},
+    "paper_literal": {"action": "store_true", "default": None,  # None lets a config set it
+                      "help": "also report legacy printed coefficient variants"},
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rabi-balance", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_txt in (
-        ("solve", "ground energy, parity, and truncation info for one point"),
-        ("balance", "full balance/property report for one point (JSON)"),
-        ("variational", "trial-state optimum vs exact ground for one point (JSON)"),
-        ("sweep", "grid of points -> CSV or JSON rows"),
-        ("converge", "dimension-doubling energy trace for one point"),
-    ):
+    for name, (help_txt, keys) in _OPTIONS.items():
         p = sub.add_parser(name, help=help_txt)
-        p.add_argument("--omega", help="oscillator frequency (scalar or min:max:count)")
-        p.add_argument("--lambda", dest="lam", help="coupling (scalar or min:max:count)")
-        p.add_argument("--omega0", help="spin splitting (scalar or min:max:count)")
-        p.add_argument("--dim", help="Fock dimension, integer or 'auto'")
-        p.add_argument("--tol", help="truncation convergence tolerance")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       help="sweep/solve output format")
-        p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--config", help="flat JSON config file; flags override it")
-        p.add_argument("--jobs", help="sweep worker processes (default: all cores)")
-        p.add_argument("--paper-literal", dest="paper_literal", action="store_true",
-                       help="also report legacy printed coefficient variants")
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
+        p.add_argument("--config", help="flat JSON config file of these keys; flags override it")
     return parser
 
 

@@ -179,7 +179,7 @@ def build_full_hamiltonian(rep: FockRep, params: ModelParams) -> Observable:
     """Dense H on the 2N spin-boson space, ordering i = 2 n + s, from ``np.kron``.
 
     The ``eigvalsh`` oracle of the tests and the benchmark checks,
-    independent of the band form in ``balance.standard_observables``.
+    independent of the band form in ``standard_observables`` below.
     """
     ann, cre, num, _ = _ladder_matrices(rep.dim)
     return Observable(

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -310,7 +311,7 @@ def test_single_point_axis_errors_name_the_axis(capsys, axis, value):
     lines = {}
     for command in ("solve", "balance", "variational", "converge", "sweep"):
         scalars = {"omega": "1", "lambda": "1", "omega0": "1", axis: value}
-        argv = [command, *(f"--{name}={val}" for name, val in scalars.items()), "--jobs", "1"]
+        argv = [command, *(f"--{name}={val}" for name, val in scalars.items())]
         assert run_cli(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -460,7 +461,8 @@ def test_config_value_of_the_wrong_json_type_is_rejected(tmp_path, monkeypatch, 
     monkeypatch.setattr(cli, "_sweep_point", no_point)
     cfg = tmp_path / "typed.json"
     cfg.write_text(json.dumps({"lambda": 0.5, "omega0": 1, **values}))
-    assert run_cli(["sweep", "--config", str(cfg)]) == 1
+    command = "balance" if "paper_literal" in values else "sweep"  # the one reader of each key
+    assert run_cli([command, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {key}: "), err
 
@@ -586,6 +588,57 @@ def test_config_file_unknown_key_rejected(tmp_path):
     assert run_cli(["solve", "--config", str(cfg)]) == 1
 
 
+# Besides omega, lambda, omega0, dim, tol and out, the config keys (and so
+# the flags) each command reads; every other option changes nothing it prints
+_OWN_KEYS = {"solve": {"format"}, "balance": {"paper_literal"}, "variational": set(),
+             "converge": set(), "sweep": {"format", "jobs"}}
+_FOREIGN = [(command, key) for command, own in _OWN_KEYS.items()
+            for key in ("format", "jobs", "paper_literal") if key not in own]
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("command, key", _FOREIGN)
+def test_an_option_the_command_does_not_read_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                              command, key, form):
+    # balance prints JSON and converge CSV whatever --format says: the
+    # value given is the one the command would have ignored
+    assert len(_FOREIGN) == 11
+    value = {"format": "json" if command == "converge" else "csv", "jobs": 1,
+             "paper_literal": True}[key]
+
+    def no_point(*args, **kwargs):
+        raise AssertionError("a point ran")
+
+    for name in ("solve_rabi_ground", "convergence_table", "minimize_energy", "_sweep_point"):
+        monkeypatch.setattr(cli, name, no_point)
+    out = tmp_path / "out.txt"
+    flag = "--" + key.replace("_", "-")
+    if form == "flag":
+        argv = [command, "--lambda", "0.5", "--omega0", "1", "--out", str(out), flag]
+        argv += [] if value is True else [str(value)]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"lambda": 0.5, "omega0": 1, "out": str(out), key: value}))
+        argv = [command, "--config", str(cfg)]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and (flag if form == "flag" else key) in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(_OWN_KEYS))
+def test_help_lists_exactly_the_options_the_command_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--help"])
+    assert exc.value.code == 0
+    keys = {"omega", "lambda", "omega0", "dim", "tol", "out", "config", "help",
+            *_OWN_KEYS[command]}
+    listed = set(re.findall(r"--([a-z][a-z0-9-]*)", capsys.readouterr().out))
+    assert listed == {key.replace("_", "-") for key in keys}
+
+
 def test_config_file_invalid_json_rejected(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text("{not json")
@@ -600,8 +653,7 @@ def test_out_into_missing_directory_is_usage_error(tmp_path, monkeypatch, capsys
 
     monkeypatch.setattr(cli, "_sweep_point", no_point)
     out = tmp_path / "missing" / "x.csv"
-    assert run_cli([command, "--lambda", "1", "--omega0", "1", "--jobs", "1",
-                    "--out", str(out)]) == 1
+    assert run_cli([command, "--lambda", "1", "--omega0", "1", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
@@ -613,8 +665,7 @@ def test_out_into_missing_directory_is_usage_error(tmp_path, monkeypatch, capsys
 def test_unwritable_out_is_usage_error_and_leaves_no_tmp(tmp_path, capsys, command):
     target = tmp_path / "taken"
     target.mkdir()  # a directory where the output file should go
-    assert run_cli([command, "--lambda", "0", "--omega0", "1", "--jobs", "1",
-                    "--out", str(target)]) == 1
+    assert run_cli([command, "--lambda", "0", "--omega0", "1", "--out", str(target)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
@@ -967,6 +1018,7 @@ def test_a_solve_loads_numpy_only_for_its_states():
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _BLAS_CHILD = """
 import os
+import re
 {imports}
 print([os.environ.get(var) for var in {names!r}])
 """

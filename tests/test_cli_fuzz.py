@@ -6,6 +6,8 @@ suite turns a numpy ``RuntimeWarning`` into an error, so a warning on
 the way to the exit code fails here too.  Every example runs in a fresh
 directory, and no drawn path holds a separator, so a config's ``out``
 stays inside it.  Grids have at most 9 points and at most 2 workers.
+Each command mostly gets only the options it reads, so that most
+examples get past option checking; about one in 16 adds one it does not.
 """
 
 import contextlib
@@ -20,6 +22,10 @@ from hypothesis import strategies as st
 from rabi_balance.cli import main
 
 COMMANDS = ("solve", "balance", "variational", "sweep", "converge")
+# the options each command reads besides omega, lambda, omega0, dim, tol and out
+OWN_KEYS = {"solve": ("format",), "balance": ("paper_literal",), "sweep": ("format", "jobs")}
+FOREIGN_FLAGS = {"format": "--format=json", "jobs": "--jobs=1",
+                 "paper_literal": "--paper-literal"}
 DECADES = ("0", "5e-324", "1e-300", "1e-8", "0.5", "1", "3", "1e8", "1e100", "1e300",
            "1.7e308")
 MALFORMED = ("", "-1", "nan", "inf", "-inf", "1e999", "zebra", "0x10", "0:1", "0:1:2.5",
@@ -53,7 +59,7 @@ def _mostly(draw, good, bad, rate=16):
 
 
 @st.composite
-def config_files(draw):
+def config_files(draw, own):
     if draw(st.sampled_from((False, False, False, True))):
         return draw(json_value)  # most likely not an object, or with unknown keys
     config = {}
@@ -65,12 +71,13 @@ def config_files(draw):
             config[key] = _mostly(draw, good, json_value)
     if _mostly(draw, st.just(False), st.just(True)):
         config["seed"] = 1
-    return config
+    return {key: val for key, val in config.items() if key in own or key not in FOREIGN_FLAGS}
 
 
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(COMMANDS))
+    own = OWN_KEYS.get(command, ())
     argv = [command]
     # ranges are for sweep; a single-point command rejects them
     axis = axis_text if command == "sweep" else _mostly(draw, st.just(decade), st.just(axis_text))
@@ -78,19 +85,26 @@ def argvs(draw):
         if _mostly(draw, st.just(True), st.just(False), rate):
             value = _mostly(draw, axis, st.sampled_from(MALFORMED))
             argv.append(f"{flag}={value}")
+    options = []  # (config key, flag)
     for flag, good, bad in (("--dim", ("auto", "4", "16", "32"), ("3", "x", "70000", str(10**20))),
                             ("--tol", ("1e-10", "1e-3"), ("0", "nan", "inf", "-1", "x")),
                             ("--format", ("csv", "json"), ("xml",)),
                             ("--out", ("out.txt",), ("missing/out.txt", "."))):
         if draw(st.booleans()):
             value = _mostly(draw, st.sampled_from(good), st.sampled_from(bad))
-            argv.append(f"{flag}={value}")
-    # always given as a flag, which wins over a config's jobs: never more than 2 workers
-    argv.append("--jobs=" + _mostly(draw, st.sampled_from(("1", "2")),
-                                    st.sampled_from(("0", "x"))))
+            options.append((flag[2:], f"{flag}={value}"))
+    # kept for sweep alone, whose flag wins over a config's jobs: never more than 2 workers
+    options.append(("jobs", "--jobs=" + _mostly(draw, st.sampled_from(("1", "2")),
+                                                 st.sampled_from(("0", "x")))))
     if draw(st.booleans()):
-        argv.append("--paper-literal")
-    config = draw(st.none() | st.none() | config_files())
+        options.append(("paper_literal", "--paper-literal"))
+    # each option is drawn for every command, in one order, and dropped where
+    # the command does not read it
+    argv += [arg for key, arg in options if key in own or key not in FOREIGN_FLAGS]
+    config = draw(st.none() | st.none() | config_files(own))
+    if _mostly(draw, st.just(False), st.just(True)):
+        foreign = [key for key in FOREIGN_FLAGS if key not in own]
+        argv.append(FOREIGN_FLAGS[draw(st.sampled_from(foreign))])
     return argv, config
 
 
