@@ -58,8 +58,8 @@ from ``BandOperator`` observables; it is the reference in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import mul
+from typing import NamedTuple
 
 from .model import ModelParams, check_sector, sector_chain
 
@@ -68,8 +68,7 @@ IDENTITY_TOL = 1e-8
 RESIDUAL_TOL = 1e-7  # times max(1, |E|), in report_passes
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """One scalar against an interval; ``None`` marks an unbounded side."""
 
     value: float
@@ -102,14 +101,13 @@ def _identity(value: float) -> BoundCheck:
     return _bound(value, 0.0, 0.0, margin=IDENTITY_TOL)
 
 
-@dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(NamedTuple):
     """Everything the balance suite knows about one state."""
 
     state_energy: float
-    first_order: dict = field(default_factory=dict)
-    second_order: dict = field(default_factory=dict)
-    properties: dict = field(default_factory=dict)
+    first_order: dict
+    second_order: dict
+    properties: dict
 
 
 def _property_bounds(params: ModelParams, p: int, energy: float, sz: float, cos_pin: float,

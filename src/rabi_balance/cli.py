@@ -38,13 +38,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import contextlib
-import dataclasses
 import io
 import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .balance import report_passes, sector_report
 from .errors import ConfigError, NotConverged, OptimizerStalled, RabiError
@@ -64,21 +64,19 @@ MAX_GRID_POINTS = 10**6  # a sweep over more points is a config error
 MAX_FIXED_DIM = 2**16  # a larger --dim (for converge, the ladder's maximum) is a config error
 
 
-@dataclass(frozen=True)
-class AxisRange:
-    """Inclusive linear range min..max with ``count`` points."""
+class AxisRange(namedtuple("AxisRange", "min max count")):
+    """Inclusive linear range min..max with ``count`` points, checked when made."""
 
-    min: float
-    max: float
-    count: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.count < 1:
-            raise ConfigError(f"range count must be >= 1, got {self.count}")
-        if not (math.isfinite(self.min) and math.isfinite(self.max)):
-            raise ConfigError(f"range bounds must be finite, got {self.min}:{self.max}")
-        if self.min > self.max:
-            raise ConfigError(f"range min {self.min} exceeds max {self.max}")
+    def __new__(cls, min: float, max: float, count: int):
+        if count < 1:
+            raise ConfigError(f"range count must be >= 1, got {count}")
+        if not (math.isfinite(min) and math.isfinite(max)):
+            raise ConfigError(f"range bounds must be finite, got {min}:{max}")
+        if min > max:
+            raise ConfigError(f"range min {min} exceeds max {max}")
+        return super().__new__(cls, min, max, count)
 
     def values(self) -> list[float]:
         """``np.linspace(min, max, count)`` on Python floats, value for value.
@@ -97,8 +95,7 @@ class AxisRange:
         return [*(i * step + lo for i in range(div)), hi]
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated inputs of one CLI invocation."""
 
     omega: float | AxisRange
@@ -209,6 +206,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"out: expected a path, got {out!r}")
         if not os.path.isdir(os.path.dirname(out) or "."):
             raise ConfigError(f"out: directory of {out} does not exist")
+        if os.path.exists(out) and not os.path.isfile(out):  # os.replace would replace it
+            raise ConfigError(f"out: cannot write {out}: not a regular file")
 
     return RunConfig(
         omega=_parse_axis("omega", omega_raw),
@@ -250,9 +249,9 @@ def _fmt17(x: float) -> str:
 
 
 def _clean(obj):
-    """Dataclasses to dicts and NaN to None, for JSON output."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _clean(dataclasses.asdict(obj))
+    """Records to dicts and NaN to None, for JSON output."""
+    if hasattr(obj, "_asdict"):  # a named tuple: before the tuple branch, or it prints as a list
+        return _clean(obj._asdict())
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -340,7 +339,7 @@ def cmd_variational(cfg: RunConfig) -> int:
     payload = {
         "params": params,
         "result": {
-            **dataclasses.asdict(result),
+            **result._asdict(),
             "grad_norm": grad_norm,
             "b1_residual": b1_res,
             "b7_residual": b7_res,

@@ -33,37 +33,35 @@ it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 SECTOR_TOL = 1e-8  # norm off the sector, or 1 - |<P>|, that still counts as in it
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(namedtuple("ModelParams", "omega lam omega0 mass")):
     """Model parameters; lam is the coupling, mass enters only via F0, q, p.
 
-    Negative lam is rejected: the spectrum is invariant under
-    lam -> -lam (conjugation by boson parity), so the parameter plane
-    stays two-dimensional.
+    A named tuple whose fields are checked when it is made.  Negative lam
+    is rejected: the spectrum is invariant under lam -> -lam (conjugation
+    by boson parity), so the parameter plane stays two-dimensional.
     """
 
-    omega: float
-    lam: float
-    omega0: float
-    mass: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.omega0 < 0.0:
-            raise ValueError(f"omega0 must be >= 0, got {self.omega0}")
-        if not self.mass > 0.0:
-            raise ValueError(f"mass must be > 0, got {self.mass}")
-        for name in ("omega", "lam", "omega0", "mass"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+    def __new__(cls, omega: float, lam: float, omega0: float, mass: float = 1.0):
+        if not omega > 0.0:
+            raise ValueError(f"omega must be > 0, got {omega}")
+        if lam < 0.0:
+            raise ValueError(f"lam must be >= 0, got {lam}")
+        if omega0 < 0.0:
+            raise ValueError(f"omega0 must be >= 0, got {omega0}")
+        if not mass > 0.0:
+            raise ValueError(f"mass must be > 0, got {mass}")
+        self = super().__new__(cls, omega, lam, omega0, mass)
+        for name, value in zip(self._fields, self):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        return self
 
     @property
     def f0(self) -> float:

@@ -44,9 +44,9 @@ from __future__ import annotations
 
 import math
 import sys
-from operator import mul
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import EigDecompositionFailure, NotConverged
@@ -72,28 +72,20 @@ _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min  # a zero Sturm pivot counts as -_TINY
 
 
-@dataclass(frozen=True)
-class GroundSolution:
-    """Converged (or best-effort) ground state of the full model.
+class GroundSolution(namedtuple("GroundSolution", "energy phi parity parity_label sector_gap "
+                                                   "dim_used converged energy_delta")):
+    """Converged (or best-effort) ground state of the full model, as a named tuple.
 
     ``parity`` is the sector of the returned representative; at
     degenerate points (sector gap < 1e-9, e.g. omega0 = 0) the +1
     representative is returned and ``parity_label`` reads
-    ``"degenerate"``.  ``phi`` is the real unit sector eigenvector, its
-    entry of largest modulus positive; ``boson_state`` is phi as a
-    ``QuantumState`` and ``state`` its lift to the spin-boson space, each
-    made on first read.  ``energy_delta`` is the last change under
-    dimension doubling.
+    ``"degenerate"``.  ``phi`` is the real unit sector eigenvector as a
+    tuple of floats, its entry of largest modulus positive;
+    ``boson_state`` is phi as a ``QuantumState`` and ``state`` its lift
+    to the spin-boson space, each made on first read and kept in the
+    instance ``__dict__`` (so the class has no ``__slots__``).
+    ``energy_delta`` is the last change under dimension doubling.
     """
-
-    energy: float
-    phi: tuple[float, ...]
-    parity: int
-    parity_label: str
-    sector_gap: float
-    dim_used: int
-    converged: bool
-    energy_delta: float
 
     @cached_property
     def boson_state(self) -> QuantumState:

@@ -42,8 +42,8 @@ last-bit change in the energy can change the simplex path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import AmplitudeTooLarge, OptimizerStalled, SqueezeTooLarge
 from .model import ModelParams
@@ -61,22 +61,20 @@ FATOL = 1e-10  # ... and in the trial energy
 MAXFEV = 2000  # energy evaluations per start
 
 
-@dataclass(frozen=True)
-class TrialParams:
-    """Real displacement/squeeze pair, boxed to |beta| <= 6, |gamma| <= 2."""
+class TrialParams(namedtuple("TrialParams", "beta gamma")):
+    """Real displacement/squeeze pair, boxed to |beta| <= 6, |gamma| <= 2 when made."""
 
-    beta: float
-    gamma: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if abs(self.beta) > BETA_MAX:
-            raise AmplitudeTooLarge(f"|beta| = {abs(self.beta)} exceeds {BETA_MAX}")
-        if abs(self.gamma) > GAMMA_MAX:
-            raise SqueezeTooLarge(f"|gamma| = {abs(self.gamma)} exceeds {GAMMA_MAX}")
+    def __new__(cls, beta: float, gamma: float):
+        if abs(beta) > BETA_MAX:
+            raise AmplitudeTooLarge(f"|beta| = {abs(beta)} exceeds {BETA_MAX}")
+        if abs(gamma) > GAMMA_MAX:
+            raise SqueezeTooLarge(f"|gamma| = {abs(gamma)} exceeds {GAMMA_MAX}")
+        return super().__new__(cls, beta, gamma)
 
 
-@dataclass(frozen=True)
-class VariationalResult:
+class VariationalResult(NamedTuple):
     """Optimum of the trial-energy surface against the exact ground."""
 
     trial: TrialParams

@@ -674,6 +674,25 @@ def test_unwritable_out_is_usage_error_and_leaves_no_tmp(tmp_path, capsys, comma
     assert list(target.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_out_that_is_not_a_regular_file_is_left_alone(tmp_path, monkeypatch, capsys, command):
+    # writing PATH.tmp and renaming it over PATH would replace a FIFO or a device node
+    def no_point(*args, **kwargs):
+        raise AssertionError("a point ran before --out was checked")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_point)
+    monkeypatch.setattr(cli, "solve_rabi_ground", no_point)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    assert run_cli([command, "--lambda", "0", "--omega0", "1", "--out", str(fifo)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out: cannot write ")
+    assert fifo.is_fifo()
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
 def test_config_out_must_be_a_path(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"lambda": 0.5, "omega0": 1.0, "out": 5}))
@@ -994,6 +1013,35 @@ def test_only_the_simplex_loads_numpy(args, code, loads_numpy):
         blocked = _child(["-c", _NUMPY_CHILD, "block", *args], text=False)
         assert blocked.returncode == code, blocked.stderr
         assert blocked.stdout == plain.stdout
+
+
+# The CLI's records are named tuples: ``dataclasses`` and what it pulls in
+# (``inspect``, ``ast``) cost start-up in every process and load nowhere on
+# these paths.  Which of them loaded goes to stderr's last line.
+_DATACLASS_CHILD = """
+import sys
+import rabi_balance.cli
+code = rabi_balance.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+sys.stdout.flush()
+loaded = sorted(name for name in ("ast", "dataclasses", "inspect") if name in sys.modules)
+sys.stderr.write(f"\\n{loaded}\\n")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["solve", *_POINT],
+    ["solve", *_POINT, "--format", "json"],
+    ["converge", *_POINT],
+    ["balance", *_POINT],
+    ["balance", *_POINT, "--paper-literal"],
+], ids=["import", "solve", "solve-json", "converge", "balance", "balance-paper-literal"])
+def test_the_cli_loads_no_dataclasses(args):
+    proc = _child(["-c", _DATACLASS_CHILD, *args])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "[]"
+    assert bool(proc.stdout) == (args != [])
 
 
 _LIBRARY_CHILD = """

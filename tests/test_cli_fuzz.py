@@ -6,8 +6,9 @@ suite turns a numpy ``RuntimeWarning`` into an error, so a warning on
 the way to the exit code fails here too.  Every example runs in a fresh
 directory, and no drawn path holds a separator, so a config's ``out``
 stays inside it.  Grids have at most 9 points and at most 2 workers.
-Each command mostly gets only the options it reads, so that most
-examples get past option checking; about one in 16 adds one it does not.
+Each command mostly gets only the options it reads, so that about half
+the examples get past option checking, and the test asserts a floor on
+how many do; about one in 16 adds an option the command does not read.
 """
 
 import contextlib
@@ -108,9 +109,8 @@ def argvs(draw):
     return argv, config
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(argvs())
-def test_cli_main_exits_cleanly_on_any_input(case):
+def _exit_code(case):
+    """Run one drawn case in a fresh directory, check it and return its exit code."""
     argv, config = case
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -131,3 +131,26 @@ def test_cli_main_exits_cleanly_on_any_input(case):
     lines = err.getvalue().splitlines()
     assert len(lines) <= 1 and "Traceback" not in err.getvalue(), (argv, config, lines)
     assert left == [], argv
+    return code
+
+
+EXAMPLES = 200
+# Examples that get past option checking (exit 0 or 2, not 1): 98 of the
+# 200 derandomized examples with hypothesis 6.155.  The floor sits 28 below,
+# so that another hypothesis release may shift the draws, while a draw that
+# lets most examples die on a usage error fails here.
+REACH_FLOOR = 70
+
+
+def test_cli_main_exits_cleanly_on_any_input():
+    codes = []
+
+    @settings(max_examples=EXAMPLES, derandomize=True, deadline=None, database=None)
+    @given(argvs())
+    def run(case):
+        codes.append(_exit_code(case))
+
+    run()
+    assert len(codes) == EXAMPLES
+    reached = sum(code != 1 for code in codes)
+    assert reached >= REACH_FLOOR, f"{reached} of {EXAMPLES} examples got past option checking"
