@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 # thread count before numpy loads, and a library user's environment is
 # left alone.
 _HOMES = {
-    "balance": ("BalanceReport", "BoundCheck", "report_passes"),
+    "balance": ("BalanceReport", "BoundCheck", "literal_variants", "report_passes"),
     "errors": (
         "AmplitudeTooLarge", "ConfigError", "DimensionMismatch", "EigDecompositionFailure",
         "NonHermitian", "NotConverged", "OptimizerStalled", "RabiError", "SectorRequired",

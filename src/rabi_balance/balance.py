@@ -40,11 +40,11 @@ Ground-state property bounds (all on definite-parity states):
   so |W| <= 2 bounds E - omega <n~> inside
   [-omega0/2 - lam^2/omega, +omega0/2 - lam^2/omega].
 
-``paper_literal=True`` additionally reports legacy coefficient variants
-of the b2 constant, the p4 bound, and the displaced-frame bound
-(measured constant 2 lam^2/omega, literal bound |.| <= omega0, literal
-C with unscaled coefficients).  Those variants fail on parts of the
-parameter plane; the verified forms above are the authoritative ones.
+``literal_variants`` holds a report's p4, b2 and Wigner values against
+the bounds as printed (|.| <= omega0, C with unscaled coefficients, the
+center offset 2 lam^2/omega), a view the ``balance`` command adds on
+request.  They fail on parts of the parameter plane; the verified forms
+above are the authoritative ones.
 
 ``sector_report`` evaluates the whole suite on a real sector vector phi,
 the ground state of a parity sector, by O(N) sums over phi with no
@@ -111,8 +111,7 @@ class BalanceReport(NamedTuple):
 
 
 def _property_bounds(params: ModelParams, p: int, energy: float, sz: float, cos_pin: float,
-                     x_sx: float, n_cos: float, n_sz: float,
-                     paper_literal: bool) -> dict[str, BoundCheck]:
+                     x_sx: float, n_cos: float, n_sz: float) -> dict[str, BoundCheck]:
     """p1..p4 from <sigma_z>, <cos pi n>, <(a + a^dag) sigma_x>, <n cos pi n>, <n sigma_z>."""
     omega, lam, omega0 = params.omega, params.lam, params.omega0
     checks = {
@@ -127,39 +126,47 @@ def _property_bounds(params: ModelParams, p: int, energy: float, sz: float, cos_
         checks["p4"] = _bound(omega * n_cos, -(lam**2) / omega, 0.5 * omega0)
     else:
         checks["p4"] = _bound(omega * n_cos, -0.5 * omega0, lam**2 / omega)
-    if paper_literal:
-        checks["p4_literal"] = _bound(omega * n_cos, -omega0, omega0)
     return checks
 
 
-def _b2_constant(params: ModelParams, sz: float, q_sx: float, literal: bool) -> float:
-    m, omega, omega0 = params.mass, params.omega, params.omega0
-    f0 = params.f0
-    if literal:
-        return (-(1.0 + sz) - 3.0 * f0 * q_sx - q_sx**2) / (m * omega**2)
-    return (-(0.5 * omega0) * (1.0 + sz) - 1.5 * f0 * q_sx) / (m * omega**2) - q_sx**2
-
-
-def _b2_bound(params: ModelParams, var_qsx: float, sz: float, q_sx: float,
-              literal: bool) -> BoundCheck:
+def _b2_bound(params: ModelParams, var_qsx: float, c: float) -> BoundCheck:
+    """Var(q sigma_x) in (1/2m omega)[1 - 2 lam^2/omega^2, 1] + c."""
     m, omega, lam = params.mass, params.omega, params.lam
-    c = _b2_constant(params, sz, q_sx, literal=literal)
-    lo = 0.5 / (m * omega) - lam**2 / (m * omega**3) + c
-    hi = 0.5 / (m * omega) + c
-    return _bound(var_qsx, lo, hi)
+    return _bound(var_qsx, 0.5 / (m * omega) - lam**2 / (m * omega**3) + c, 0.5 / (m * omega) + c)
 
 
-def _wigner_band(params: ModelParams, value: float, literal: bool) -> BoundCheck:
-    shift = (2.0 if literal else 1.0) * params.lam**2 / params.omega
-    lo = -0.5 * params.omega0 - shift
-    hi = +0.5 * params.omega0 - shift
-    return _bound(value, lo, hi)
+def _b2_constant(params: ModelParams, sz: float, q_sx: float) -> float:
+    m, omega, omega0 = params.mass, params.omega, params.omega0
+    return (-(0.5 * omega0) * (1.0 + sz) - 1.5 * params.f0 * q_sx) / (m * omega**2) - q_sx**2
+
+
+def _wigner_band(params: ModelParams, value: float, shift: float) -> BoundCheck:
+    return _bound(value, -0.5 * params.omega0 - shift, +0.5 * params.omega0 - shift)
+
+
+def literal_variants(params: ModelParams, report: BalanceReport) -> dict[str, BoundCheck]:
+    """p4, b2 and wigner_energy's values against the bounds as the paper prints them.
+
+    The p4 band [-omega0, omega0]; the b2 constant -(1 + <sigma_z>) - 3 F0
+    <q sigma_x> - <q sigma_x>^2 over m omega^2, with <sigma_z> from p2_sign
+    and <q sigma_x> from p3; the Wigner band shifted by 2 lam^2/omega.
+    """
+    props = report.properties
+    m, omega, omega0 = params.mass, params.omega, params.omega0
+    q_sx = props["p3"].value / math.sqrt(2.0 * m * omega)  # p3 is <(a + a^dag) sigma_x>
+    c = (-(1.0 + props["p2_sign"].value) - 3.0 * params.f0 * q_sx - q_sx**2) / (m * omega**2)
+    return {
+        "p4_literal": _bound(props["p4"].value, -omega0, omega0),
+        "b2_literal": _b2_bound(params, props["b2"].value, c),
+        "wigner_energy_literal": _wigner_band(params, props["wigner_energy"].value,
+                                              2.0 * params.lam**2 / omega),
+    }
 
 
 def report_passes(report: BalanceReport) -> bool:
     """All residuals below RESIDUAL_TOL * max(1, |E|) and all bounds satisfied.
 
-    Legacy ``*_literal`` entries are informational and not counted.
+    The printed variants of ``literal_variants`` (``*_literal``) are not counted.
     """
     scale = max(1.0, abs(report.state_energy))
     residuals_ok = all(
@@ -176,8 +183,7 @@ def report_passes(report: BalanceReport) -> bool:
 
 
 
-def sector_report(phi, p: int, params: ModelParams, energy: float,
-                  paper_literal: bool = False) -> BalanceReport:
+def sector_report(phi, p: int, params: ModelParams, energy: float) -> BalanceReport:
     """The whole balance suite of a real sector vector, from O(N) sums over it.
 
     ``phi`` is a real unit vector of sector ``p`` (a list or tuple of
@@ -236,17 +242,13 @@ def sector_report(phi, p: int, params: ModelParams, energy: float,
     b7 = abs(m * omega**2 * f0 * q_sx + f0 * omega0 * p_sy + f0 * f0)
 
     props = _property_bounds(params, p, energy, sz=sz, cos_pin=cos_pin, x_sx=x_mean,
-                             n_cos=n_cos, n_sz=-p * n_cos, paper_literal=paper_literal)
-    var_qsx = q_sq - q_sx * q_sx
-    props["b2"] = _b2_bound(params, var_qsx, sz, q_sx, literal=False)
+                             n_cos=n_cos, n_sz=-p * n_cos)
+    props["b2"] = _b2_bound(params, q_sq - q_sx * q_sx, _b2_constant(params, sz, q_sx))
     props["b6_identity"] = _identity(0.0)
     ratio = lam / omega
     e_plus = omega * n_mean - 0.5 * omega0 * cos_pin + lam * x_mean
     wigner = e_plus - omega * (n_mean + ratio * x_mean + ratio**2)
-    props["wigner_energy"] = _wigner_band(params, wigner, literal=False)
-    if paper_literal:
-        props["b2_literal"] = _b2_bound(params, var_qsx, sz, q_sx, literal=True)
-        props["wigner_energy_literal"] = _wigner_band(params, wigner, literal=True)
+    props["wigner_energy"] = _wigner_band(params, wigner, lam**2 / omega)
 
     diag, off = sector_chain(len(phi), params, p)
     below = [0.0, *map(mul, off, phi)]  # off_k-1 phi_k-1

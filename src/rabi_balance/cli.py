@@ -13,14 +13,15 @@ never content.  On failure no partial output file is left behind.
 
 Every balance number a command prints comes from one evaluator,
 ``balance.sector_report``, with no operator bundle and no
-``QuantumState`` built: the ``balance`` report and a sweep point's
-columns are that of the ground state's sector vector
-``GroundSolution.phi``, a tuple of floats, and the ``variational``
-residuals that of the optimum trial's.  This module calls no numpy:
-range values are ``np.linspace``'s arithmetic on Python floats.  A
-process pays only for what it runs: ``solve``, ``converge`` and
-``balance`` load no numpy at all; ``variational`` and ``sweep`` load it
-at the first energy of the trial simplex, whose exponential and sinh
+``QuantumState`` built (``--paper-literal`` adds the printed variants
+``balance.literal_variants`` reads off its report): the ``balance``
+report and a sweep point's columns are that of the ground state's sector
+vector ``GroundSolution.phi``, a tuple of floats, and the
+``variational`` residuals that of the optimum trial's.  This module calls
+no numpy: range values are ``np.linspace``'s arithmetic on Python
+floats.  A process pays only for what it runs: ``solve``, ``converge``
+and ``balance`` load no numpy at all; ``variational`` and ``sweep`` load
+it at the first energy of the trial simplex, whose exponential and sinh
 are numpy's, and it starts with one BLAS thread there (no command calls
 a threaded BLAS routine; a count set in the environment wins); the
 process-pool machinery is imported only by a sweep on more than one
@@ -46,9 +47,9 @@ import sys
 from collections import namedtuple
 from typing import NamedTuple
 
-from .balance import report_passes, sector_report
+from .balance import literal_variants, report_passes, sector_report
 from .errors import ConfigError, NotConverged, OptimizerStalled, RabiError
-from .model import ModelParams
+from .model import ModelParams, checked_make
 from .solver import MAX_DIM, START_DIM, GroundSolution, convergence_table, solve_rabi_ground
 from .variational import minimize_energy, stationarity_equals_balance
 
@@ -77,6 +78,8 @@ class AxisRange(namedtuple("AxisRange", "min max count")):
         if min > max:
             raise ConfigError(f"range min {min} exceeds max {max}")
         return super().__new__(cls, min, max, count)
+
+    _make = classmethod(checked_make)
 
     def values(self) -> list[float]:
         """``np.linspace(min, max, count)`` on Python floats, value for value.
@@ -311,7 +314,10 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_balance(cfg: RunConfig) -> int:
     params = _require_scalar(cfg, "balance")
     sol, code = _solve(cfg, params)
-    report = sector_report(sol.phi, sol.parity, params, sol.energy, cfg.paper_literal)
+    report = sector_report(sol.phi, sol.parity, params, sol.energy)
+    if cfg.paper_literal:
+        report = report._replace(properties={**report.properties,
+                                             **literal_variants(params, report)})
     passed = report_passes(report) and sol.converged
     payload = {
         "params": params,

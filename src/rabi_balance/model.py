@@ -38,6 +38,11 @@ from collections import namedtuple
 SECTOR_TOL = 1e-8  # norm off the sector, or 1 - |<P>|, that still counts as in it
 
 
+def checked_make(cls, iterable):
+    """A checked record's ``_make``, which ``_replace`` calls: namedtuple's skips ``__new__``."""
+    return cls(*iterable)
+
+
 class ModelParams(namedtuple("ModelParams", "omega lam omega0 mass")):
     """Model parameters; lam is the coupling, mass enters only via F0, q, p.
 
@@ -62,6 +67,8 @@ class ModelParams(namedtuple("ModelParams", "omega lam omega0 mass")):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         return self
+
+    _make = classmethod(checked_make)
 
     @property
     def f0(self) -> float:

@@ -15,7 +15,8 @@ leading quarter block is.
 The balance suite here (``full_report`` and its checks) works on any
 spin-boson ``QuantumState``, with the observables and H as
 ``BandOperator``s; ``balance.sector_report`` computes the same report
-from sums over a sector vector, and the tests compare the two.  The
+from sums over a sector vector, and the tests compare the two, with and
+without the printed variants ``balance.literal_variants`` adds.  The
 arbitrary-state checks (b1, b7, force, ``b7_terms``) also serve states
 of no definite parity.
 
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import BalanceReport, BoundCheck, _b2_bound, _identity, _property_bounds, _wigner_band
+from .balance import (BalanceReport, BoundCheck, _b2_bound, _b2_constant, _identity,
+                      _property_bounds, _wigner_band)
 from .errors import (AmplitudeTooLarge, DimensionMismatch, EigDecompositionFailure, NonHermitian,
                      SqueezeTooLarge)
 from .fock import (BOSON, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, SPIN_BOSON, BandOperator, FockRep,
@@ -400,7 +402,7 @@ def _state_energy(state: QuantumState, obs: dict) -> float:
 
 
 def _property_checks(state: QuantumState, obs: dict, params: ModelParams, p: int,
-                     energy: float, paper_literal: bool) -> dict[str, BoundCheck]:
+                     energy: float) -> dict[str, BoundCheck]:
     return _property_bounds(
         params, p, energy,
         sz=expectation(state, obs["sigma_z"]).real,
@@ -410,18 +412,13 @@ def _property_checks(state: QuantumState, obs: dict, params: ModelParams, p: int
         ),  # <(a + a^dag) sigma_x>
         n_cos=expectation(state, obs["num_parity"]).real,
         n_sz=expectation(state, obs["num_sigma_z"]).real,
-        paper_literal=paper_literal,
     )
 
 
-def _b2(state: QuantumState, obs: dict, params: ModelParams, paper_literal: bool) -> BoundCheck:
-    return _b2_bound(
-        params,
-        var_qsx=variance(state, obs["q_sigma_x"]),
-        sz=expectation(state, obs["sigma_z"]).real,
-        q_sx=expectation(state, obs["q_sigma_x"]).real,
-        literal=paper_literal,
-    )
+def _b2(state: QuantumState, obs: dict, params: ModelParams) -> BoundCheck:
+    sz = expectation(state, obs["sigma_z"]).real
+    q_sx = expectation(state, obs["q_sigma_x"]).real
+    return _b2_bound(params, variance(state, obs["q_sigma_x"]), _b2_constant(params, sz, q_sx))
 
 
 def _b6(state: QuantumState, obs: dict, p: int) -> float:
@@ -454,17 +451,14 @@ def displaced_number(state: QuantumState, params: ModelParams) -> float:
     return float(n_mean + ratio * x_mean + ratio**2)
 
 
-def wigner_energy_bounds(
-    state: QuantumState,
-    params: ModelParams,
-    paper_literal: bool = False,
-) -> BoundCheck:
+def wigner_energy_bounds(state: QuantumState, params: ModelParams) -> BoundCheck:
     """Band for E - omega <n~> implied by |W(0,0)| <= 2.
 
     E is the sector +1 reduced-Hamiltonian expectation of the boson
     state.  The identity E - omega <n~> = -lam^2/omega
     - (omega0/4) W(0,0) fixes the band's center offset at lam^2/omega;
-    ``paper_literal`` reports the legacy 2 lam^2/omega variant instead.
+    ``balance.literal_variants`` holds the value against the printed
+    2 lam^2/omega offset.
     """
     if state.kind != BOSON:
         raise DimensionMismatch("wigner_energy_bounds expects a boson state")
@@ -472,7 +466,7 @@ def wigner_energy_bounds(
     h_plus = BandOperator(v.size, [(sector_chain(v.size, params, +1), np.eye(1))])
     energy = np.vdot(v, h_plus.apply(v)).real
     value = energy - params.omega * displaced_number(state, params)
-    return _wigner_band(params, value, paper_literal)
+    return _wigner_band(params, value, params.lam**2 / params.omega)
 
 
 FIRST_ORDER_SET = ("q", "p", "num", "q_sigma_x", "p_sigma_x", "sigma_z", "sigma_y")
@@ -485,7 +479,6 @@ def full_report(
     sector: int | None = None,
     energy: float | None = None,
     boson_state: QuantumState | None = None,
-    paper_literal: bool = False,
 ) -> BalanceReport:
     """Run the whole suite on one spin-boson state, on one observable bundle.
 
@@ -513,15 +506,10 @@ def full_report(
         "b7": _b7(state, obs, params),
     }
 
-    props = _property_checks(state, obs, params, p, energy, paper_literal)
-    props["b2"] = _b2(state, obs, params, paper_literal=False)
+    props = _property_checks(state, obs, params, p, energy)
+    props["b2"] = _b2(state, obs, params)
     props["b6_identity"] = _identity(_b6(state, obs, p))
     props["wigner_energy"] = wigner_energy_bounds(boson_state, params)
-    if paper_literal:
-        props["b2_literal"] = _b2(state, obs, params, paper_literal=True)
-        props["wigner_energy_literal"] = wigner_energy_bounds(
-            boson_state, params, paper_literal=True
-        )
     return BalanceReport(
         state_energy=float(energy),
         first_order=first,
@@ -543,7 +531,7 @@ def trial_property_compliance(
     psi = embed_reduced_state(trial_state(rep, trial), +1)
     energy = energy_numeric(rep, trial, params)
     obs = standard_observables(rep, params)
-    checks = _property_checks(psi, obs, params, +1, energy, paper_literal=False)
-    checks["b2"] = _b2(psi, obs, params, paper_literal=False)
+    checks = _property_checks(psi, obs, params, +1, energy)
+    checks["b2"] = _b2(psi, obs, params)
     checks["b6_identity"] = _identity(_b6(psi, obs, +1))
     return checks

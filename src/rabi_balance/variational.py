@@ -46,7 +46,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import AmplitudeTooLarge, OptimizerStalled, SqueezeTooLarge
-from .model import ModelParams
+from .model import ModelParams, checked_make
 from .balance import sector_report
 from .solver import GroundSolution, solve_rabi_ground
 
@@ -72,6 +72,8 @@ class TrialParams(namedtuple("TrialParams", "beta gamma")):
         if abs(gamma) > GAMMA_MAX:
             raise SqueezeTooLarge(f"|gamma| = {abs(gamma)} exceeds {GAMMA_MAX}")
         return super().__new__(cls, beta, gamma)
+
+    _make = classmethod(checked_make)
 
 
 class VariationalResult(NamedTuple):
@@ -154,15 +156,17 @@ def energy_gradient(trial: TrialParams, params: ModelParams) -> tuple[float, flo
 def balance_residuals(trial: TrialParams, params: ModelParams) -> tuple[float, float]:
     """(b1, b7) residuals of the sector +1 embedding of the trial state.
 
-    ``balance.sector_report`` takes them from the trial's sector vector; the
-    rest of its report, at the closed-form energy, is not used.
+    ``balance.sector_report`` takes them from the trial's sector vector.
+    Neither reads the energy, so the report gets NaN for it, and not the
+    closed form, whose numpy exponentials would load numpy for nothing;
+    the rest of the report is not used.
     """
     # enough Fock levels that the embedded trial state is
     # truncation-converged at the residual evaluation
     n_char = trial.beta**2 * math.exp(2.0 * trial.gamma) + math.sinh(trial.gamma) ** 2
     dim = max(RESIDUAL_DIM, int(4.0 * n_char) + 60)
     phi = _trial_amplitudes(dim, trial.beta, trial.gamma)
-    report = sector_report(phi, +1, params, energy_closed_form(trial, params))
+    report = sector_report(phi, +1, params, math.nan)
     return report.second_order["b1"], report.second_order["b7"]
 
 

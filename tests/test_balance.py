@@ -22,6 +22,7 @@ from rabi_balance import (
     first_order_residual,
     fock_state,
     full_report,
+    literal_variants,
     report_passes,
     second_order_residual,
     solve_rabi_ground,
@@ -48,6 +49,11 @@ def _solved(omega=1.0, lam=0.5, omega0=1.0):
     p = ModelParams(omega=omega, lam=lam, omega0=omega0)
     sol = solve_rabi_ground(p)
     return p, sol, FockRep(sol.dim_used)
+
+
+def _with_literal_variants(params, report):
+    # the report the balance command prints under --paper-literal
+    return report._replace(properties={**report.properties, **literal_variants(params, report)})
 
 
 # --- residual machinery against a generic Hermitian matrix ---------------
@@ -149,8 +155,8 @@ def test_p4_printed_band_fails_where_the_derived_band_holds():
     # -lam^2 e^{-2 lam^2}, which is negative: a symmetric omega0 band
     # would have to contain it in [0, 0] and cannot
     p, sol, rep = _solved(lam=0.25, omega0=0.0)
-    checks = full_report(
-        sol.state, rep, p, sector=sol.parity, energy=sol.energy, paper_literal=True
+    checks = _with_literal_variants(
+        p, full_report(sol.state, rep, p, sector=sol.parity, energy=sol.energy)
     ).properties
     val = checks["p4"].value
     assert val == pytest.approx(-(0.25**2) * np.exp(-2 * 0.25**2), abs=1e-9)
@@ -188,7 +194,7 @@ def test_b2_printed_constant_is_dimensionally_broken():
     # the printed constant drops omega0/2 and doubles the linear term;
     # the resulting window misses the true variance at every coupling
     p, sol, rep = _solved()
-    props = full_report(sol.state, rep, p, sector=sol.parity, paper_literal=True).properties
+    props = _with_literal_variants(p, full_report(sol.state, rep, p, sector=sol.parity)).properties
     lit = props["b2_literal"]
     assert not lit.satisfied
     assert lit.value == pytest.approx(0.5652548548948216, abs=1e-7)
@@ -255,7 +261,9 @@ def test_displaced_frame_energy_identity():
 def test_wigner_energy_band_corrected_vs_printed():
     p, sol, rep = _solved(lam=2.0, omega0=0.5)
     good = wigner_energy_bounds(sol.boson_state, p)
-    lit = wigner_energy_bounds(sol.boson_state, p, paper_literal=True)
+    report = full_report(sol.state, rep, p, sector=sol.parity, boson_state=sol.boson_state)
+    assert report.properties["wigner_energy"] == good
+    lit = literal_variants(p, report)["wigner_energy_literal"]
     assert good.satisfied
     assert good.lower == pytest.approx(-0.25 - 4.0, abs=1e-12)
     assert good.upper == pytest.approx(0.25 - 4.0, abs=1e-12)
@@ -287,10 +295,10 @@ def test_full_report_passes_on_ground_state():
 
 def test_full_report_literal_keys_do_not_gate_passing():
     p, sol, rep = _solved()
-    rep_obj = full_report(
+    rep_obj = _with_literal_variants(p, full_report(
         sol.state, rep, p, sector=sol.parity, energy=sol.energy,
-        boson_state=sol.boson_state, paper_literal=True,
-    )
+        boson_state=sol.boson_state,
+    ))
     assert not rep_obj.properties["b2_literal"].satisfied
     assert report_passes(rep_obj)  # literal diagnostics are informational
 
@@ -448,18 +456,20 @@ REPORT_TOL = 1e-12  # times max(1, |E|, |value|): the sums differ in order only
 
 
 def _assert_summary_matches_report(vec, p, params, energy=None):
-    """sector_report of phi equals full_report of its lift, in both paper_literal modes.
+    """sector_report of phi equals full_report of its lift, with and without literal_variants.
 
     The same keys in the same order, every ``satisfied`` flag, every value and
     bound edge to REPORT_TOL, the same ``report_passes``, and W(0, 0) from p2.
     """
     boson = QuantumState.from_vector(vec, BOSON)
     phi = boson.amplitudes.real.tolist()
+    want = full_report(embed_reduced_state(boson, p), FockRep(boson.dim), params,
+                       sector=p, energy=energy, boson_state=boson)
+    got = sector_report(phi, p, params, want.state_energy)
     for literal in (False, True):
-        want = full_report(embed_reduced_state(boson, p), FockRep(boson.dim), params,
-                           sector=p, energy=energy, boson_state=boson, paper_literal=literal)
+        if literal:
+            want, got = _with_literal_variants(params, want), _with_literal_variants(params, got)
         scale = max(1.0, abs(want.state_energy))
-        got = sector_report(phi, p, params, want.state_energy, literal)
         assert got.state_energy == want.state_energy
 
         def close(value, target, name):

@@ -932,7 +932,7 @@ ORACLE_NAMES = {
 def test_oracle_names_resolve_from_the_package_root():
     from rabi_balance import fock, model, oracle
 
-    assert len(rabi_balance.__all__) == len(set(rabi_balance.__all__)) == 53
+    assert len(rabi_balance.__all__) == len(set(rabi_balance.__all__)) == 54
     defined = {name for name in rabi_balance.__all__
                if getattr(getattr(rabi_balance, name), "__module__", None) == oracle.__name__}
     assert defined == ORACLE_NAMES
@@ -1013,6 +1013,30 @@ def test_only_the_simplex_loads_numpy(args, code, loads_numpy):
         blocked = _child(["-c", _NUMPY_CHILD, "block", *args], text=False)
         assert blocked.returncode == code, blocked.stderr
         assert blocked.stdout == plain.stdout
+
+
+# argv[1] is "block" or "plain", as for _NUMPY_CHILD; stdout's last line
+# says whether numpy loaded.
+_STATIONARITY_CHILD = """
+import sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from rabi_balance import ModelParams, TrialParams, stationarity_equals_balance
+for point, trial in (((1.0, 0.5, 1.0), (-0.3, 0.2)), ((0.5, 2.0, 0.5), (-3.9, -0.1))):
+    print(repr(stationarity_equals_balance(ModelParams(*point), TrialParams(*trial))))
+print(sys.modules.get("numpy") is not None)
+"""
+
+
+def test_the_variational_residuals_load_no_numpy():
+    # b1 and b7 read the trial's sector vector and not its energy, so the
+    # gradient and both residuals run on Python floats, numpy or none
+    blocked = _child(["-c", _STATIONARITY_CHILD, "block"])
+    assert blocked.returncode == 0, blocked.stderr
+    plain = _child(["-c", _STATIONARITY_CHILD, "plain"])
+    assert plain.returncode == 0, plain.stderr
+    assert plain.stdout == blocked.stdout
+    assert plain.stdout.splitlines()[-1] == "False"
 
 
 # The CLI's records are named tuples: ``dataclasses`` and what it pulls in

@@ -3,10 +3,11 @@
 ``ModelParams``, ``BoundCheck``, ``BalanceReport``, ``GroundSolution``,
 ``TrialParams``, ``VariationalResult``, ``AxisRange`` and ``RunConfig``
 are named tuples.  A field cannot be set, the three checked records
-raise the same exceptions with the same messages for bad fields, every
-record survives a pickle round trip (a sweep's worker returns its
-results and errors that way), and the JSON a command prints shows a
-record as an object, never as a list.
+raise the same exceptions with the same messages for bad fields, made
+directly or by ``_make`` and ``_replace``, every record survives a
+pickle round trip (a sweep's worker returns its results and errors that
+way), and the JSON a command prints shows a record as an object, never
+as a list.
 """
 
 import json
@@ -119,6 +120,27 @@ def test_axis_range_rejects_bad_fields(bounds, message):
     with pytest.raises(ConfigError) as info:
         AxisRange(*bounds)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("make, direct, message", [
+    (lambda: PARAMS._replace(omega=-1.0), lambda: ModelParams(-1.0, 0.5, 1.0),
+     "omega must be > 0, got -1.0"),
+    (lambda: TrialParams(0.0, 0.0)._replace(beta=9.0), lambda: TrialParams(9.0, 0.0),
+     "|beta| = 9.0 exceeds 6.0"),
+    (lambda: AxisRange(0.0, 1.0, 3)._replace(count=0), lambda: AxisRange(0.0, 1.0, 0),
+     "range count must be >= 1, got 0"),
+    (lambda: ModelParams._make([1.0, float("nan"), 1.0, 1.0]),
+     lambda: ModelParams(1.0, float("nan"), 1.0, 1.0), "lam must be finite, got nan"),
+], ids=["ModelParams._replace", "TrialParams._replace", "AxisRange._replace",
+        "ModelParams._make"])
+def test_replace_and_make_check_like_construction(make, direct, message):
+    # namedtuple's own _make, which _replace calls, would skip the checks in __new__
+    with pytest.raises(Exception) as want:
+        direct()
+    with pytest.raises(Exception) as info:
+        make()
+    assert type(info.value) is type(want.value)
+    assert str(info.value) == str(want.value) == message
 
 
 def test_records_print_as_json_objects(capsys):
