@@ -3,8 +3,11 @@
 Each command takes only the flags and config keys that change its
 answer, as ``_OPTIONS`` lists them; any other is a usage error.  Exit
 codes are part of the contract: 0 on success, 1 on usage or config
-errors, 2 on numerical non-success (truncation not converged, optimizer
-stalled, or a balance check failing).  Nothing else is returned.
+errors or a module the command needs that cannot be imported (numpy, on
+a Python without it, for the trial simplex), 2 on numerical non-success
+(truncation not converged, optimizer stalled, or a balance check
+failing).  Nothing else is returned.  JSON output is strict: NaN and
++-inf print as null.
 
 Sweep output is reproducible byte for byte: fixed column order, floats
 at 17 significant digits, LF line endings, rows in grid order with the
@@ -252,16 +255,21 @@ def _fmt17(x: float) -> str:
 
 
 def _clean(obj):
-    """Records to dicts and NaN to None, for JSON output."""
+    """Records to dicts and NaN and +-inf to None, for strict JSON output (RFC 8259)."""
     if hasattr(obj, "_asdict"):  # a named tuple: before the tuple branch, or it prints as a list
         return _clean(obj._asdict())
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
-    if isinstance(obj, float) and math.isnan(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
+
+
+def _json(obj) -> str:
+    """``obj`` as the commands print it: strict JSON, sorted keys, a final newline."""
+    return json.dumps(_clean(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out_path: str | None):
@@ -304,7 +312,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     sol, code = _solve(cfg, params)
     info = _solution_dict(sol)
     if cfg.output_format == "json":
-        _emit(json.dumps(_clean(info), indent=2, sort_keys=True) + "\n", cfg.output_path)
+        _emit(_json(info), cfg.output_path)
     else:
         lines = [f"{key} = {info[key]}" for key in info]
         _emit("\n".join(lines) + "\n", cfg.output_path)
@@ -325,7 +333,7 @@ def cmd_balance(cfg: RunConfig) -> int:
         "passed": passed,
         "report": report,
     }
-    _emit(json.dumps(_clean(payload), indent=2, sort_keys=True) + "\n", cfg.output_path)
+    _emit(_json(payload), cfg.output_path)
     return 0 if (code == 0 and passed) else 2
 
 
@@ -351,7 +359,7 @@ def cmd_variational(cfg: RunConfig) -> int:
             "b7_residual": b7_res,
         },
     }
-    _emit(json.dumps(_clean(payload), indent=2, sort_keys=True) + "\n", cfg.output_path)
+    _emit(_json(payload), cfg.output_path)
     return code
 
 
@@ -435,7 +443,7 @@ def _sweep_point(task) -> dict:
 
 def _render_sweep(rows: list[dict], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(_clean(rows), indent=2, sort_keys=True) + "\n"
+        return _json(rows)
     buf = io.StringIO()
     buf.write(",".join(SWEEP_COLUMNS) + "\n")
     for row in rows:
@@ -580,7 +588,11 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = build_config(args)
-        return _COMMANDS[args.command](cfg)
+        try:
+            return _COMMANDS[args.command](cfg)
+        except ImportError as exc:  # numpy, for the trial simplex, on a Python without it
+            raise ConfigError(f"{args.command} needs the module {exc.name or exc}, "
+                              "which cannot be imported") from exc
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

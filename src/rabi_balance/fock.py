@@ -1,56 +1,31 @@
-"""Truncated Fock-space representation: states, operators, expectations.
+"""Truncated Fock-space states and the lift of a sector vector.
 
-Conventions used throughout the package:
+``QuantumState`` is a normalized complex vector tagged with its space:
+the boson space (length N) or the spin-boson space (length 2N, indexed
+``i = 2 n + s``, where ``n`` is the Fock index and ``s = 0`` the
+sigma_z = +1 spin component).  ``embed_reduced_state`` lifts a sector
+vector (``model``) to the spin-boson space, and ``extract_reduced_state``
+and ``infer_sector`` undo it.  The operators that act on these states,
+and their conventions, are ``rabi_balance.oracle``'s.
 
-* annihilation ``a[m, n] = sqrt(n) * delta(m, n-1)``, creation is its
-  conjugate transpose, number ``n = a^dag a`` holds exactly entrywise;
-* boson parity is the diagonal ``(-1)^n``, i.e. ``cos(pi a^dag a)``;
-* quadratures ``q = (a + a^dag) / sqrt(2 m omega)`` and
-  ``p = i sqrt(m omega / 2) (a^dag - a)``;
-* displacement ``D(beta) = exp(beta a^dag - conj(beta) a)`` and squeeze
-  ``S(gamma) = exp(gamma (a^dag^2 - a^2) / 2)``.  With this squeeze sign,
-  gamma > 0 stretches the position spread: ``Var(q)`` on ``S(gamma)|0>``
-  is ``exp(2 gamma) / (2 m omega)``.
-
-Trial states (``variational.trial_state``) come from the recurrence of
-their Fock amplitudes.  ``BandOperator`` (boson bands times spin
-matrices, applied in O(N)) is the operator form of the balance suite in
-``rabi_balance.oracle``, which also holds the dense matrices and
-unitaries; no command builds one, since the runtime works on sector
-chains and real sector vectors as lists of floats.
-
-Composite (spin-boson) vectors are indexed ``i = 2 n + s`` where ``n``
-is the Fock index and ``s = 0`` is the sigma_z = +1 spin component.
-``embed_reduced_state`` lifts a sector vector (``model``) to that space,
-``extract_reduced_state`` and ``infer_sector`` undo it, and the Pauli
-matrices act on ``s``.
-
-This is the numpy module of the runtime (``oracle`` is the tests'): the
-solver, the balance report and the trial recurrence work on lists of
-floats and import it only to return a ``QuantumState``, so the CLI's
-``solve``, ``converge`` and ``balance`` never load it.
+The runtime hands out floats: the solver, the balance report and the
+trial recurrence work on lists of floats.  Of the runtime, only
+``GroundSolution.state`` and ``boson_state`` import this module, to wrap
+a solved sector vector when a library caller reads them; no command
+does, so the CLI never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonHermitian, SectorRequired
+from .errors import DimensionMismatch, SectorRequired
 from .model import SECTOR_TOL, check_sector
-
-if TYPE_CHECKING:
-    from .oracle import Observable
 
 BOSON = "boson"
 SPIN_BOSON = "spin_boson"
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -66,8 +41,8 @@ class FockRep:
     exponentials are evaluated before truncation; it defaults to
     ``2 * dim + 20``, which absorbs the leakage of displacements with
     |beta| <= 2 and squeezes with |gamma| <= 1 on the leading half
-    block.  Only ``rabi_balance.oracle`` reads it; the trial states of
-    ``variational.trial_state`` need no working space.
+    block.  Only ``rabi_balance.oracle`` reads it; its trial states
+    (``trial_state``) need no working space.
     """
 
     dim: int
@@ -82,52 +57,6 @@ class FockRep:
             raise ValueError(
                 f"working_dim {self.working_dim} smaller than dim {self.dim}"
             )
-
-
-class BandOperator:
-    """Hermitian sum of (boson band) x (spin matrix) terms, applied in O(N).
-
-    A term is ``((diag, upper), spin)``.  The real ``diag`` and the
-    entries [n, n + 1] in ``upper`` (either may be None) make a band whose
-    lower entries are conj(upper); ``spin`` is the identity or a Pauli
-    matrix (width 2) or [[1]] (width 1, the boson space).  A vector is a
-    (levels, width) array, index i = width n + s.  Terms merge into
-    stripes ``(offset, swap, coef)``, each adding ``coef[n, s] v[n +
-    offset, s ^ swap]`` to entry [n, s], in ascending offset: the column
-    order of a matrix product.
-    """
-
-    hermitian = True
-
-    def __init__(self, levels: int, terms):
-        merged: dict[tuple[int, bool], np.ndarray] = {}
-        for (diag, upper), spin in terms:
-            cols = np.argmax(np.abs(spin), axis=1)
-            factor = spin[np.arange(len(spin)), cols]
-            lower = None if upper is None else np.conj(upper)
-            for offset, band in ((-1, lower), (0, diag), (1, upper)):
-                if band is not None:
-                    coef = np.asarray(band)[:, None] * factor
-                    key = (offset, bool(cols[0]))
-                    merged[key] = merged[key] + coef if key in merged else coef
-        self.levels, self.width, self.dim = levels, len(factor), levels * len(factor)
-        self.stripes = [(k, s, c) for (k, s), c in sorted(merged.items())]  # keys are unique
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """M v; inf and NaN propagate silently, as through a matrix product."""
-        x = v.reshape(self.levels, self.width)
-        out = np.zeros(x.shape, dtype=complex)
-        with np.errstate(all="ignore"):
-            for offset, swap, coef in self.stripes:
-                w = x[:, ::-1] if swap else x
-                lo, hi = max(0, -offset), self.levels - max(0, offset)
-                out[lo:hi] += coef * w[lo + offset:hi + offset]
-        return out.reshape(-1)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense matrix, column by column, on each access; for oracles and tests."""
-        return _frozen(np.stack([self.apply(e) for e in np.eye(self.dim, dtype=complex)], 1))
 
 
 @dataclass(frozen=True)
@@ -175,39 +104,6 @@ def fock_state(dim: int, n: int, kind: str = BOSON) -> QuantumState:
     v = np.zeros(dim, dtype=complex)
     v[n] = 1.0
     return QuantumState(v, kind)
-
-
-def _ladder_bands(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bands of a (sqrt(n), n = 1..dim-1) and of a^dag a (as sqrt(n) sqrt(n))."""
-    root = np.sqrt(np.arange(1, dim))
-    return root, np.concatenate(([0.0], root * root))
-
-
-def _check_dims(state: QuantumState, obs: BandOperator | Observable):
-    if state.dim != obs.dim:
-        raise DimensionMismatch(
-            f"state dim {state.dim} vs operator dim {obs.dim}"
-        )
-
-
-def expectation(state: QuantumState, obs: BandOperator | Observable) -> complex:
-    """<psi| M |psi>.  Real up to ~1e-16 scale when M is Hermitian."""
-    _check_dims(state, obs)
-    v = state.amplitudes
-    return complex(np.vdot(v, obs.apply(v)))
-
-
-def variance(state: QuantumState, obs: BandOperator | Observable) -> float:
-    """<M^2> - <M>^2 for Hermitian M; nonnegative by construction."""
-    if not obs.hermitian:
-        raise NonHermitian("variance requires a Hermitian observable")
-    _check_dims(state, obs)
-    v = state.amplitudes
-    w = obs.apply(v)
-    # Python floats: an overflow gives inf or NaN without a numpy warning
-    mean = float(np.vdot(v, w).real)
-    second = float(np.vdot(w, w).real)  # <M psi | M psi> = <M^2> for Hermitian M
-    return second - mean * mean
 
 
 def _spin_index(n: int, sector: int) -> int:

@@ -1,16 +1,34 @@
-"""The tests' independent oracle: dense matrices and the spin-boson balance suite.
+"""The tests' independent oracle: operators, dense matrices and the spin-boson balance suite.
 
-Every dense construction of the package lives here (``BandOperator.matrix``
-only stacks the columns its band form gives), and only this module knows
-the dense format: spin-boson matrices are ``np.kron(boson, spin)``, so
-index ``i = 2 n + s``; entries are complex; and the unitaries
-``displacement`` and ``squeeze`` are the exponential of the dense
-generator (``_generator``) by eigendecomposition in ``working_dim``
-(exactly unitary there), cut to ``dim``.  Only the leading columns of the
-cut are reliable: a displaced column n spreads by about 2 |beta| sqrt(n)
-levels, a squeezed one by a factor e^{2 |gamma|}.  At beta = 1 the
-leading half block of a dim-40 cut is clean to 1e-8; at gamma = 0.3 the
-leading quarter block is.
+Every operator of the package lives here, with its conventions:
+
+* annihilation ``a[m, n] = sqrt(n) * delta(m, n-1)``, creation is its
+  conjugate transpose, number ``n = a^dag a`` holds exactly entrywise;
+* boson parity is the diagonal ``(-1)^n``, i.e. ``cos(pi a^dag a)``;
+* quadratures ``q = (a + a^dag) / sqrt(2 m omega)`` and
+  ``p = i sqrt(m omega / 2) (a^dag - a)``;
+* displacement ``D(beta) = exp(beta a^dag - conj(beta) a)`` and squeeze
+  ``S(gamma) = exp(gamma (a^dag^2 - a^2) / 2)``.  With this squeeze sign,
+  gamma > 0 stretches the position spread: ``Var(q)`` on ``S(gamma)|0>``
+  is ``exp(2 gamma) / (2 m omega)``;
+* the Pauli matrices act on the spin index ``s`` of a spin-boson vector
+  (``fock``: ``i = 2 n + s``, s = 0 the sigma_z = +1 component).
+
+``BandOperator`` applies a sum of (boson band) x (spin matrix) terms in
+O(N) with no matrix formed, and ``expectation`` and ``variance`` read a
+``QuantumState`` through it or through a dense ``Observable``.
+
+Only this module knows the dense format: spin-boson matrices are
+``np.kron(boson, spin)``, so index ``i = 2 n + s``; entries are complex;
+and the unitaries ``displacement`` and ``squeeze`` are the exponential of
+the dense generator (``_generator``) by eigendecomposition in
+``working_dim`` (exactly unitary there), cut to ``dim``.  Only the
+leading columns of the cut are reliable: a displaced column n spreads by
+about 2 |beta| sqrt(n) levels, a squeezed one by a factor e^{2 |gamma|}.
+At beta = 1 the leading half block of a dim-40 cut is clean to 1e-8; at
+gamma = 0.3 the leading quarter block is.  ``trial_state`` wraps the
+runtime's trial amplitudes (Yuen's recurrence, a list of floats) as a
+``QuantumState``, and the tests hold it against these unitaries.
 
 The balance suite here (``full_report`` and its checks) works on any
 spin-boson ``QuantumState``, with the observables and H as
@@ -34,14 +52,64 @@ from .balance import (BalanceReport, BoundCheck, _b2_bound, _b2_constant, _ident
                       _property_bounds, _wigner_band)
 from .errors import (AmplitudeTooLarge, DimensionMismatch, EigDecompositionFailure, NonHermitian,
                      SqueezeTooLarge)
-from .fock import (BOSON, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, SPIN_BOSON, BandOperator, FockRep,
-                   QuantumState, _frozen, _ladder_bands, embed_reduced_state, expectation,
-                   extract_reduced_state, infer_sector, variance)
+from .fock import (BOSON, SPIN_BOSON, FockRep, QuantumState, _frozen, embed_reduced_state,
+                   extract_reduced_state, infer_sector)
 from .model import ModelParams, check_sector, sector_chain
-from .variational import TrialParams, trial_state
+from .variational import TrialParams, _trial_amplitudes
 
 HERMITICITY_TOL = 1e-12
 SQUEEZE_MAX = 2.0
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+IDENTITY_2 = np.eye(2, dtype=complex)
+
+
+class BandOperator:
+    """Hermitian sum of (boson band) x (spin matrix) terms, applied in O(N).
+
+    A term is ``((diag, upper), spin)``.  The real ``diag`` and the
+    entries [n, n + 1] in ``upper`` (either may be None) make a band whose
+    lower entries are conj(upper); ``spin`` is the identity or a Pauli
+    matrix (width 2) or [[1]] (width 1, the boson space).  A vector is a
+    (levels, width) array, index i = width n + s.  Terms merge into
+    stripes ``(offset, swap, coef)``, each adding ``coef[n, s] v[n +
+    offset, s ^ swap]`` to entry [n, s], in ascending offset: the column
+    order of a matrix product.
+    """
+
+    hermitian = True
+
+    def __init__(self, levels: int, terms):
+        merged: dict[tuple[int, bool], np.ndarray] = {}
+        for (diag, upper), spin in terms:
+            cols = np.argmax(np.abs(spin), axis=1)
+            factor = spin[np.arange(len(spin)), cols]
+            lower = None if upper is None else np.conj(upper)
+            for offset, band in ((-1, lower), (0, diag), (1, upper)):
+                if band is not None:
+                    coef = np.asarray(band)[:, None] * factor
+                    key = (offset, bool(cols[0]))
+                    merged[key] = merged[key] + coef if key in merged else coef
+        self.levels, self.width, self.dim = levels, len(factor), levels * len(factor)
+        self.stripes = [(k, s, c) for (k, s), c in sorted(merged.items())]  # keys are unique
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """M v; inf and NaN propagate silently, as through a matrix product."""
+        x = v.reshape(self.levels, self.width)
+        out = np.zeros(x.shape, dtype=complex)
+        with np.errstate(all="ignore"):
+            for offset, swap, coef in self.stripes:
+                w = x[:, ::-1] if swap else x
+                lo, hi = max(0, -offset), self.levels - max(0, offset)
+                out[lo:hi] += coef * w[lo + offset:hi + offset]
+        return out.reshape(-1)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, column by column, on each access; for oracles and tests."""
+        return _frozen(np.stack([self.apply(e) for e in np.eye(self.dim, dtype=complex)], 1))
 
 
 @dataclass(frozen=True)
@@ -74,6 +142,44 @@ class Observable:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """M v."""
         return self.matrix @ v
+
+
+def _ladder_bands(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bands of a (sqrt(n), n = 1..dim-1) and of a^dag a (as sqrt(n) sqrt(n))."""
+    root = np.sqrt(np.arange(1, dim))
+    return root, np.concatenate(([0.0], root * root))
+
+
+def _check_dims(state: QuantumState, obs: BandOperator | Observable):
+    if state.dim != obs.dim:
+        raise DimensionMismatch(
+            f"state dim {state.dim} vs operator dim {obs.dim}"
+        )
+
+
+def expectation(state: QuantumState, obs: BandOperator | Observable) -> complex:
+    """<psi| M |psi>.  Real up to ~1e-16 scale when M is Hermitian."""
+    _check_dims(state, obs)
+    v = state.amplitudes
+    return complex(np.vdot(v, obs.apply(v)))
+
+
+def variance(state: QuantumState, obs: BandOperator | Observable) -> float:
+    """<M^2> - <M>^2 for Hermitian M; nonnegative by construction."""
+    if not obs.hermitian:
+        raise NonHermitian("variance requires a Hermitian observable")
+    _check_dims(state, obs)
+    v = state.amplitudes
+    w = obs.apply(v)
+    # Python floats: an overflow gives inf or NaN without a numpy warning
+    mean = float(np.vdot(v, w).real)
+    second = float(np.vdot(w, w).real)  # <M psi | M psi> = <M^2> for Hermitian M
+    return second - mean * mean
+
+
+def trial_state(rep: FockRep, trial: TrialParams) -> QuantumState:
+    """S(gamma) D(beta) |0> cut to levels 0..rep.dim-1, the runtime's amplitudes as a state."""
+    return QuantumState(_trial_amplitudes(rep.dim, trial.beta, trial.gamma), BOSON)
 
 
 def _ladder_matrices(dim: int):
@@ -291,45 +397,30 @@ def standard_observables(rep: FockRep, params: ModelParams) -> dict[str, BandOpe
 
 
 def first_order_residual(hamiltonian: BandOperator | Observable,
-                         observable: BandOperator | Observable,
-                         state: QuantumState, hv: np.ndarray | None = None) -> float:
-    """|<i [H, A]>|; zero on eigenstates of H.
-
-    ``hv`` is H v for the state's vector v, if the caller already has it.
-    """
+                         observable: BandOperator | Observable, state: QuantumState) -> float:
+    """|<i [H, A]>|; zero on eigenstates of H."""
     if hamiltonian.dim != observable.dim:
         raise DimensionMismatch("H and A live in different spaces")
     v = state.amplitudes
     if v.size != hamiltonian.dim:
         raise DimensionMismatch("state incompatible with H")
     h, a = hamiltonian.apply, observable.apply
-    if hv is None:
-        hv = h(v)
-    val = np.vdot(v, h(a(v))) - np.vdot(v, a(hv))
+    val = np.vdot(v, h(a(v))) - np.vdot(v, a(h(v)))
     return float(abs(val))
 
 
 def second_order_residual(hamiltonian: BandOperator | Observable,
-                          observable: BandOperator | Observable,
-                          state: QuantumState, hv: np.ndarray | None = None,
-                          hhv: np.ndarray | None = None) -> float:
-    """|<[H, [H, A]]>|; zero on eigenstates of H.
-
-    ``hv`` and ``hhv`` are H v and H H v, if the caller already has them.
-    """
+                          observable: BandOperator | Observable, state: QuantumState) -> float:
+    """|<[H, [H, A]]>|; zero on eigenstates of H."""
     if hamiltonian.dim != observable.dim:
         raise DimensionMismatch("H and A live in different spaces")
     v = state.amplitudes
     if v.size != hamiltonian.dim:
         raise DimensionMismatch("state incompatible with H")
     h, a = hamiltonian.apply, observable.apply
-    if hv is None:
-        hv = h(v)
-    if hhv is None:
-        hhv = h(hv)
     hha = np.vdot(v, h(h(a(v))))
-    hah = np.vdot(v, h(a(hv)))
-    ahh = np.vdot(v, a(hhv))
+    hah = np.vdot(v, h(a(h(v))))
+    ahh = np.vdot(v, a(h(h(v))))
     return float(abs(hha - 2.0 * hah + ahh))
 
 
@@ -480,10 +571,7 @@ def full_report(
     energy: float | None = None,
     boson_state: QuantumState | None = None,
 ) -> BalanceReport:
-    """Run the whole suite on one spin-boson state, on one observable bundle.
-
-    H v and H H v are applied once and shared by the nine residuals.
-    """
+    """Run the whole suite on one spin-boson state, on one observable bundle."""
     if state.kind != SPIN_BOSON:
         raise DimensionMismatch("full_report expects a spin_boson state")
     p = _resolve_sector(state, sector)
@@ -493,15 +581,12 @@ def full_report(
     if boson_state is None:
         boson_state = extract_reduced_state(state, p)
     h = obs["hamiltonian"]
-    hv = h.apply(state.amplitudes)
-    hhv = h.apply(hv)
-
-    first = {name: first_order_residual(h, obs[name], state, hv) for name in FIRST_ORDER_SET}
+    first = {name: first_order_residual(h, obs[name], state) for name in FIRST_ORDER_SET}
     first["force"] = _force_balance(state, obs, params)
 
     second = {
-        "q_sigma_x": second_order_residual(h, obs["q_sigma_x"], state, hv, hhv),
-        "omega_num": second_order_residual(h, obs["omega_num"], state, hv, hhv),
+        "q_sigma_x": second_order_residual(h, obs["q_sigma_x"], state),
+        "omega_num": second_order_residual(h, obs["omega_num"], state),
         "b1": _b1(state, obs, params),
         "b7": _b7(state, obs, params),
     }
@@ -516,7 +601,6 @@ def full_report(
         second_order=second,
         properties=props,
     )
-
 
 
 def trial_property_compliance(

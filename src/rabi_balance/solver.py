@@ -36,8 +36,9 @@ until the global minimum moves by less than ``tol`` (or, where ``tol``
 is below its rounding, by less than ROUNDING_ULPS ulps); a fixed ``dim``
 is the same ladder over ``dim // 2`` and ``dim``.  Every level is solved
 once; the solution holds the winning sector's eigenvector at the last
-level as a tuple of floats, ``phi``, and makes the ``QuantumState``
-``boson_state`` and its spin-boson lift ``state`` only when they are read.
+level as a tuple of floats, ``phi``.  It caches no state: the
+``QuantumState`` ``boson_state`` and its spin-boson lift ``state`` are
+made from ``phi`` on each read, and only they import ``fock``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from functools import cached_property
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -80,20 +80,22 @@ class GroundSolution(namedtuple("GroundSolution", "energy phi parity parity_labe
     degenerate points (sector gap < 1e-9, e.g. omega0 = 0) the +1
     representative is returned and ``parity_label`` reads
     ``"degenerate"``.  ``phi`` is the real unit sector eigenvector as a
-    tuple of floats, its entry of largest modulus positive;
-    ``boson_state`` is phi as a ``QuantumState`` and ``state`` its lift
-    to the spin-boson space, each made on first read and kept in the
-    instance ``__dict__`` (so the class has no ``__slots__``).
+    tuple of floats, its entry of largest modulus positive.
     ``energy_delta`` is the last change under dimension doubling.
+    ``boson_state`` (phi as a ``QuantumState``) and ``state`` (its lift
+    to the spin-boson space) are made afresh on each read, for a library
+    caller; nothing on the CLI path reads them.
     """
 
-    @cached_property
+    __slots__ = ()
+
+    @property
     def boson_state(self) -> QuantumState:
         from .fock import BOSON, QuantumState
 
         return QuantumState(self.phi, BOSON)
 
-    @cached_property
+    @property
     def state(self) -> QuantumState:
         from .fock import embed_reduced_state
 

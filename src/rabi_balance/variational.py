@@ -23,13 +23,16 @@ kinetic-balance and force-covariance residuals of the embedded state.
 ``stationarity_equals_balance`` evaluates both sides at a trial point
 on Python floats, the residuals from ``balance.sector_report`` of the
 trial's sector vector; numpy serves only the simplex energy
-(``_energy_formula``), which imports it on its first call.  ``trial_state``
-imports ``fock`` for the ``QuantumState`` it returns.
+(``_energy_formula``), which imports it on its first call.  The module
+hands out floats: the trial amplitudes are a list of them, which
+``oracle.trial_state`` wraps as a ``QuantumState`` for the tests.
 
 ``minimize_energy`` searches the closed form with the package's own
 bounded Nelder-Mead simplex, which takes step for step the path of
 scipy's ``minimize(method="Nelder-Mead", bounds=...)`` and so returns
 the same optimum bit for bit, without importing ``scipy.optimize``.
+Its caller passes the solver's ground state, ``exact``, which the
+optimum is held against; it solves none itself.
 The simplex is a loop over two variables: each vertex is a (beta, gamma)
 pair of Python floats, trial points are clipped by comparisons and the
 three vertices are ordered by a stable insertion sort, NaN last.  The
@@ -48,10 +51,9 @@ from typing import TYPE_CHECKING, NamedTuple
 from .errors import AmplitudeTooLarge, OptimizerStalled, SqueezeTooLarge
 from .model import ModelParams, checked_make
 from .balance import sector_report
-from .solver import GroundSolution, solve_rabi_ground
 
 if TYPE_CHECKING:
-    from .fock import FockRep, QuantumState
+    from .solver import GroundSolution
 
 BETA_MAX = 6.0
 GAMMA_MAX = 2.0
@@ -102,13 +104,6 @@ def _trial_amplitudes(dim: int, beta: float, gamma: float) -> list[float]:
         previous = amps[n]
     norm = math.sqrt(math.fsum([c * c for c in amps]))
     return [c / norm for c in amps]
-
-
-def trial_state(rep: FockRep, trial: TrialParams) -> QuantumState:
-    """S(gamma) D(beta) |0> cut to levels 0..rep.dim-1 (``_trial_amplitudes``), as a state."""
-    from .fock import BOSON, QuantumState
-
-    return QuantumState(_trial_amplitudes(rep.dim, trial.beta, trial.gamma), BOSON)
 
 
 def _energy_formula(params: ModelParams):
@@ -295,12 +290,11 @@ def _nelder_mead(func, x0, bounds, xatol, fatol, maxfev):
 START_OFFSETS = (0.0, 0.3, -0.3)
 
 
-def minimize_energy(
-    params: ModelParams,
-    exact: GroundSolution | None = None,
-) -> VariationalResult:
-    """Simplex minimization of the closed form, checked against the solver.
+def minimize_energy(params: ModelParams, exact: GroundSolution) -> VariationalResult:
+    """Simplex minimization of the closed form, checked against ``exact``.
 
+    ``exact`` is the solver's ground state at ``params``, which the caller
+    solves; the result's ``gap`` is the optimum's energy above it.
     Multi-start: the origin plus the displaced-oscillator guess
     beta = -lam/omega at gamma in {0, +0.3, -0.3}.  Raises
     OptimizerStalled (carrying the best point) if no start converges
@@ -322,13 +316,12 @@ def minimize_energy(
             best = (x, fun)
 
     trial = TrialParams(float(best[0][0]), float(best[0][1]))
-    solution = exact if exact is not None else solve_rabi_ground(params)
     energy = float(best[1])
     result = VariationalResult(
         trial=trial,
         energy=energy,
-        exact_energy=solution.energy,
-        gap=energy - solution.energy,
+        exact_energy=exact.energy,
+        gap=energy - exact.energy,
         iterations=total_nit,
     )
     if not any_converged:

@@ -175,7 +175,8 @@ def test_criterion_08_variational_bound(grid, optima):
         worst_gap = max(worst_gap, -res.gap)
         if lam == 0.0 or om0 == 0.0:
             exact_cases.append(abs(res.gap))
-    special = minimize_energy(ModelParams(omega=1.0, lam=0.2, omega0=0.5))
+    p = ModelParams(omega=1.0, lam=0.2, omega0=0.5)
+    special = minimize_energy(p, solve_rabi_ground(p))
     rel = special.gap / abs(special.exact_energy)
     _verdict(8, "variational bound, exact limits, weak-coupling gap",
              worst_gap <= 1e-9 and max(exact_cases) <= 1e-9 and rel < 1e-2,

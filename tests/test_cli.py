@@ -26,7 +26,7 @@ from rabi_balance import (
     variational,
 )
 from rabi_balance.cli import SWEEP_COLUMNS, main
-from rabi_balance.fock import BandOperator
+from rabi_balance.oracle import BandOperator
 
 
 def run_cli(args):
@@ -558,7 +558,7 @@ def test_sweep_point_builds_no_bundle_no_report_and_no_trial_state(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(QuantumState, "__post_init__", counting_state)
-    for fn in (oracle.standard_observables, oracle.full_report, variational.trial_state):
+    for fn in (oracle.standard_observables, oracle.full_report, oracle.trial_state):
         def counting(*args, _fn=fn, **kwargs):
             calls.append(_fn.__name__)
             return _fn(*args, **kwargs)
@@ -729,6 +729,27 @@ def test_extreme_input_prints_no_numpy_warning(capsys, args):
     assert run_cli(args) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) <= 1 and "Traceback" not in err, err
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+_HUGE = ["--omega", "1e100", "--lambda", "1e100", "--omega0", "1"]
+
+
+@pytest.mark.parametrize("args, code, path", [
+    (["balance", *_HUGE], 2, ("report", "second_order", "b7")),
+    (["variational", *_HUGE], 2, ("result", "b7_residual")),
+    (["sweep", *_HUGE, "--format", "json", "--jobs", "1"], 0, (0, "res_b7")),
+], ids=["balance", "variational", "sweep"])
+def test_json_output_is_strict_where_a_value_overflows(capsys, args, code, path):
+    # b7 overflows to inf at this point; strict JSON has no Infinity, so it prints null
+    assert run_cli(args) == code
+    value = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    for key in path:
+        value = value[key]
+    assert value is None
 
 
 def test_balance_holds_the_wigner_band_at_any_displacement(capsys):
@@ -922,6 +943,8 @@ ORACLE_NAMES = {
     "Observable", "build_full_hamiltonian", "build_ladder", "build_parity_operator",
     "build_quadratures", "build_reduced_hamiltonian", "displacement", "energy_numeric",
     "squeeze", "trial_property_compliance",
+    # the operators' reads of a state, and the trial amplitudes as a state
+    "expectation", "variance", "trial_state",
     # the balance suite on spin-boson states
     "b1_kinetic_balance", "b7_covariance_balance", "displaced_number", "first_order_residual",
     "full_report", "second_order_residual", "standard_observables", "wigner_energy_bounds",
@@ -938,11 +961,13 @@ def test_oracle_names_resolve_from_the_package_root():
     assert defined == ORACLE_NAMES
     for name in ORACLE_NAMES:
         assert getattr(rabi_balance, name) is getattr(oracle, name)
-    # the runtime modules neither define nor re-export a dense construction or
-    # the spin-boson balance suite
+    # the runtime modules, fock included, neither define nor re-export an
+    # operator, a dense construction or the spin-boson balance suite
     moved = ORACLE_NAMES | {"HERMITICITY_TOL", "SQUEEZE_MAX", "_generator", "_ladder_matrices",
                             "_unitary_from_generator", "ground_state", "sector_matrix",
-                            "FIRST_ORDER_SET", "b7_terms", "force_balance"}
+                            "FIRST_ORDER_SET", "b7_terms", "force_balance",
+                            "BandOperator", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "IDENTITY_2",
+                            "_ladder_bands", "_check_dims"}
     for module in (fock, model, solver, variational, balance, cli):
         assert not moved & set(vars(module)), module.__name__
 
@@ -1013,6 +1038,32 @@ def test_only_the_simplex_loads_numpy(args, code, loads_numpy):
         blocked = _child(["-c", _NUMPY_CHILD, "block", *args], text=False)
         assert blocked.returncode == code, blocked.stderr
         assert blocked.stdout == plain.stdout
+
+
+_BLOCKED_CHILD = """
+import sys
+sys.modules["numpy"] = None
+from rabi_balance.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("args, code, err", [
+    (["variational", *_POINT], 1,
+     ["error: variational needs the module numpy, which cannot be imported"]),
+    (["sweep", *_POINT, "--jobs", "1"], 1,
+     ["error: sweep needs the module numpy, which cannot be imported"]),
+    (["solve", *_POINT], 0, []),
+    (["converge", *_POINT], 0, []),
+    (["balance", *_POINT], 0, []),
+], ids=["variational", "sweep", "solve", "converge", "balance"])
+def test_a_python_without_numpy_gets_one_line_not_a_traceback(args, code, err):
+    # the trial simplex imports numpy at its first energy; where that fails,
+    # the command says so in one line and exits 1, and the others still run
+    proc = _child(["-c", _BLOCKED_CHILD, *args])
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.splitlines() == err
+    assert bool(proc.stdout) == (code == 0)
 
 
 # argv[1] is "block" or "plain", as for _NUMPY_CHILD; stdout's last line

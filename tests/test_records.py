@@ -70,7 +70,7 @@ def test_every_record_survives_a_pickle_round_trip(name):
 
 
 def test_not_converged_pickles_with_a_read_solution():
-    # a pool worker's failure comes back pickled, its solution's cached states included
+    # a pool worker's failure comes back pickled, and its solution still makes its states
     with pytest.raises(NotConverged) as info:
         solve_rabi_ground(ModelParams(omega=1.0, lam=8.0, omega0=1.0), dim=16)
     exc = info.value

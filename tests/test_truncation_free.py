@@ -1,0 +1,59 @@
+"""Checks of the solver that need no second truncated diagonalization.
+
+* Exact scaling: H(c omega, c lam, c omega0) = c H, and for c a power of
+  two the solver's own power-of-two chain scaling makes every rounding
+  the same, so the solution and the trial optimum scale bit for bit.
+* Braak's G-function (``braak``): each sector energy is a zero of its
+  parity's G, and the lowest one.
+"""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from rabi_balance import ModelParams, minimize_energy, solve_rabi_ground
+
+from braak import g_function, sign_changes_below
+
+
+@pytest.mark.parametrize("c", [0.25, 2.0, 8.0])
+@pytest.mark.parametrize("lam, omega0", [
+    (0.0, 1.0), (0.5, 1.0), (3.0, 0.7), (6.0, 2.0), (1.0, 0.0), (0.2, 5.0), (2.0, 0.5),
+])
+def test_power_of_two_scaling_is_exact(lam, omega0, c):
+    params = ModelParams(omega=1.0, lam=lam, omega0=omega0)
+    scaled_params = ModelParams(omega=c, lam=c * lam, omega0=c * omega0)
+    sol = solve_rabi_ground(params)
+    scaled = solve_rabi_ground(scaled_params, tol=c * 1e-10)
+    # repr compares floats bit for bit, the sign of a zero included
+    assert repr((scaled.energy, scaled.sector_gap)) == repr((c * sol.energy, c * sol.sector_gap))
+    assert repr((scaled.phi, scaled.dim_used, scaled.parity_label)) == repr(
+        (sol.phi, sol.dim_used, sol.parity_label))
+    var = minimize_energy(params, sol)
+    scaled_var = minimize_energy(scaled_params, scaled)
+    assert repr(scaled_var.trial) == repr(var.trial)
+    assert repr(scaled_var.energy) == repr(c * var.energy)
+
+
+def _sector_energies(sol) -> dict[int, float]:
+    """Both sectors' lowest energies, from the ground energy and the gap (to an ulp)."""
+    if sol.parity == +1:
+        return {+1: sol.energy, -1: sol.energy + sol.sector_gap}
+    return {+1: sol.energy - sol.sector_gap, -1: sol.energy}
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(lam=st.floats(0.05, 3.0), omega0=st.floats(0.1, 5.0))
+@example(lam=3.0, omega0=0.7)  # a sector gap of 1.1e-8
+@example(lam=0.05, omega0=0.1)  # the -1 sector's lowest x is past the pole at 0
+@example(lam=3.0, omega0=0.1)  # both lowest x within 1e-4 below the pole at 0
+def test_sector_energies_are_the_lowest_zeros_of_braaks_g(lam, omega0):
+    sol = solve_rabi_ground(ModelParams(omega=1.0, lam=lam, omega0=omega0))
+    for parity, energy in _sector_energies(sol).items():
+        sign = -parity  # G_- holds the +1 energies, G_+ the -1 energies
+        delta = 1e-9 * max(1.0, abs(energy))
+        x = energy + lam * lam
+        below = g_function(x - delta, lam, omega0, sign)
+        above = g_function(x + delta, lam, omega0, sign)
+        assert (below < 0.0) != (above < 0.0), (parity, energy, below, above)
+        assert sign_changes_below(x - delta, lam, omega0, sign) == [], (parity, energy)

@@ -118,7 +118,7 @@ def test_operator_ordering_is_squeeze_after_displacement():
     sq = _unitary_from_generator(rep.working_dim, "squeeze", t.gamma, 0.0)
     reversed_vec = disp @ sq[:, 0]
     from rabi_balance.oracle import build_reduced_hamiltonian
-    from rabi_balance.fock import expectation
+    from rabi_balance.oracle import expectation
 
     wide = FockRep(rep.working_dim, working_dim=rep.working_dim)
     h = build_reduced_hamiltonian(wide, p, +1)
@@ -176,14 +176,16 @@ def test_gradient_matches_central_difference():
 
 
 def test_minimize_uncoupled_recovers_vacuum():
-    res = minimize_energy(ModelParams(omega=1.0, lam=0.0, omega0=1.0))
+    p = ModelParams(omega=1.0, lam=0.0, omega0=1.0)
+    res = minimize_energy(p, solve_rabi_ground(p))
     assert res.energy == pytest.approx(-0.5, abs=1e-12)
     assert abs(res.trial.beta) < 1e-6
     assert abs(res.gap) < 1e-9
 
 
 def test_minimize_zero_splitting_recovers_coherent_state():
-    res = minimize_energy(ModelParams(omega=1.0, lam=0.5, omega0=0.0))
+    p = ModelParams(omega=1.0, lam=0.5, omega0=0.0)
+    res = minimize_energy(p, solve_rabi_ground(p))
     assert res.energy == pytest.approx(-0.25, abs=1e-10)
     assert res.trial.beta == pytest.approx(-0.5, abs=1e-5)
     assert abs(res.trial.gamma) < 1e-4
@@ -191,14 +193,15 @@ def test_minimize_zero_splitting_recovers_coherent_state():
 
 
 def test_gap_is_small_at_weak_coupling():
-    res = minimize_energy(ModelParams(omega=1.0, lam=0.2, omega0=0.5))
+    p = ModelParams(omega=1.0, lam=0.2, omega0=0.5)
+    res = minimize_energy(p, solve_rabi_ground(p))
     assert res.gap >= -1e-9
     assert res.gap / abs(res.exact_energy) < 1e-2
 
 
 def test_stationarity_equals_balance_at_optimum():
     p = ModelParams(omega=1.0, lam=0.5, omega0=1.0)
-    res = minimize_energy(p)
+    res = minimize_energy(p, solve_rabi_ground(p))
     grad, b1, b7 = stationarity_equals_balance(p, res.trial)
     assert np.linalg.norm(grad) < 1e-6
     assert b1 < 1e-5
@@ -231,7 +234,7 @@ def test_trial_parity_depends_only_on_displacement():
 
 def test_trial_compliance_at_optimum_and_off_optimum():
     p = ModelParams(omega=1.0, lam=0.5, omega0=1.0)
-    res = minimize_energy(p)
+    res = minimize_energy(p, solve_rabi_ground(p))
     comp = trial_property_compliance(FockRep(160), res.trial, p)
     assert all(chk.satisfied for chk in comp.values())
 
@@ -349,8 +352,9 @@ def test_energy_formula_rounds_as_the_float64_formula():
 def test_optimizer_stall_carries_best_effort(monkeypatch):
     monkeypatch.setattr(variational, "MAXFEV", 1)
     p = ModelParams(omega=1.0, lam=0.5, omega0=1.0)
+    exact = solve_rabi_ground(p)
     with pytest.raises(OptimizerStalled) as err:
-        minimize_energy(p)
+        minimize_energy(p, exact)
     assert err.value.result.trial is not None
 
 
@@ -361,7 +365,7 @@ def test_variational_bound_against_exact(rng):
             lam=float(rng.uniform(0.0, 1.5)),
             omega0=float(rng.uniform(0.0, 3.0)),
         )
-        res = minimize_energy(p)
+        res = minimize_energy(p, solve_rabi_ground(p))
         assert res.gap >= -1e-9
 
 
