@@ -52,7 +52,11 @@ operator built.  The ``balance`` command prints it, and the sweep's
 columns and the trial residuals are read from it.  Its numbers are those
 of phi's spin-boson lift (``fock.embed_reduced_state``).
 ``oracle.full_report`` evaluates the same suite on any spin-boson state,
-from ``BandOperator`` observables; it is the reference in the tests.
+from dense ``np.kron`` observables; it is the reference in the tests.
+
+A bound's lam^2/omega is computed as lam (lam / omega), and it divides
+by one power of omega at a time: omega^2 and omega^3 underflow to 0 at
+omega = 2^-600, where the bounds themselves are finite.
 """
 
 from __future__ import annotations
@@ -113,9 +117,10 @@ class BalanceReport(NamedTuple):
 def _property_bounds(params: ModelParams, p: int, energy: float, sz: float, cos_pin: float,
                      x_sx: float, n_cos: float, n_sz: float) -> dict[str, BoundCheck]:
     """p1..p4 from <sigma_z>, <cos pi n>, <(a + a^dag) sigma_x>, <n cos pi n>, <n sigma_z>."""
-    omega, lam, omega0 = params.omega, params.lam, params.omega0
+    omega, omega0 = params.omega, params.omega0
+    shift = params.lam * (params.lam / omega)  # lam^2 / omega
     checks = {
-        "p1": _bound(energy, -0.5 * omega0 - lam**2 / omega, -0.5 * omega0),
+        "p1": _bound(energy, -0.5 * omega0 - shift, -0.5 * omega0),
         "p2_identity": _identity(sz + p * cos_pin),
         "p2_sign": _bound(sz, None, 0.0),
         "p3": _bound(x_sx, None, 0.0),
@@ -123,21 +128,22 @@ def _property_bounds(params: ModelParams, p: int, energy: float, sz: float, cos_
     }
     # Sector-aware bound from omega <n sigma_z> = E <sigma_z> - omega0/2.
     if p == +1:
-        checks["p4"] = _bound(omega * n_cos, -(lam**2) / omega, 0.5 * omega0)
+        checks["p4"] = _bound(omega * n_cos, -shift, 0.5 * omega0)
     else:
-        checks["p4"] = _bound(omega * n_cos, -0.5 * omega0, lam**2 / omega)
+        checks["p4"] = _bound(omega * n_cos, -0.5 * omega0, shift)
     return checks
 
 
 def _b2_bound(params: ModelParams, var_qsx: float, c: float) -> BoundCheck:
     """Var(q sigma_x) in (1/2m omega)[1 - 2 lam^2/omega^2, 1] + c."""
     m, omega, lam = params.mass, params.omega, params.lam
-    return _bound(var_qsx, 0.5 / (m * omega) - lam**2 / (m * omega**3) + c, 0.5 / (m * omega) + c)
+    spread = lam * (lam / omega) / (m * omega) / omega  # lam^2 / (m omega^3)
+    return _bound(var_qsx, 0.5 / (m * omega) - spread + c, 0.5 / (m * omega) + c)
 
 
 def _b2_constant(params: ModelParams, sz: float, q_sx: float) -> float:
     m, omega, omega0 = params.mass, params.omega, params.omega0
-    return (-(0.5 * omega0) * (1.0 + sz) - 1.5 * params.f0 * q_sx) / (m * omega**2) - q_sx**2
+    return (-(0.5 * omega0) * (1.0 + sz) - 1.5 * params.f0 * q_sx) / (m * omega) / omega - q_sx**2
 
 
 def _wigner_band(params: ModelParams, value: float, shift: float) -> BoundCheck:
@@ -154,12 +160,12 @@ def literal_variants(params: ModelParams, report: BalanceReport) -> dict[str, Bo
     props = report.properties
     m, omega, omega0 = params.mass, params.omega, params.omega0
     q_sx = props["p3"].value / math.sqrt(2.0 * m * omega)  # p3 is <(a + a^dag) sigma_x>
-    c = (-(1.0 + props["p2_sign"].value) - 3.0 * params.f0 * q_sx - q_sx**2) / (m * omega**2)
+    c = (-(1.0 + props["p2_sign"].value) - 3.0 * params.f0 * q_sx - q_sx**2) / (m * omega) / omega
     return {
         "p4_literal": _bound(props["p4"].value, -omega0, omega0),
         "b2_literal": _b2_bound(params, props["b2"].value, c),
         "wigner_energy_literal": _wigner_band(params, props["wigner_energy"].value,
-                                              2.0 * params.lam**2 / omega),
+                                              2.0 * params.lam * (params.lam / omega)),
     }
 
 
@@ -248,7 +254,7 @@ def sector_report(phi, p: int, params: ModelParams, energy: float) -> BalanceRep
     ratio = lam / omega
     e_plus = omega * n_mean - 0.5 * omega0 * cos_pin + lam * x_mean
     wigner = e_plus - omega * (n_mean + ratio * x_mean + ratio**2)
-    props["wigner_energy"] = _wigner_band(params, wigner, lam**2 / omega)
+    props["wigner_energy"] = _wigner_band(params, wigner, lam * ratio)
 
     diag, off = sector_chain(len(phi), params, p)
     below = [0.0, *map(mul, off, phi)]  # off_k-1 phi_k-1

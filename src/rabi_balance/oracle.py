@@ -14,15 +14,12 @@ Every operator of the package lives here, with its conventions:
 * the Pauli matrices act on the spin index ``s`` of a spin-boson vector
   (``fock``: ``i = 2 n + s``, s = 0 the sigma_z = +1 component).
 
-``BandOperator`` applies a sum of (boson band) x (spin matrix) terms in
-O(N) with no matrix formed, and ``expectation`` and ``variance`` read a
-``QuantumState`` through it or through a dense ``Observable``.
-
-Only this module knows the dense format: spin-boson matrices are
-``np.kron(boson, spin)``, so index ``i = 2 n + s``; entries are complex;
-and the unitaries ``displacement`` and ``squeeze`` are the exponential of
-the dense generator (``_generator``) by eigendecomposition in
-``working_dim`` (exactly unitary there), cut to ``dim``.  Only the
+Every operator is an ``Observable``, a dense matrix, and ``expectation``
+and ``variance`` read a ``QuantumState`` through it.  Spin-boson
+matrices are ``np.kron(boson, spin)``, so index ``i = 2 n + s``; entries
+are complex; and the unitaries ``displacement`` and ``squeeze`` are the
+exponential of the dense generator (``_generator``) by eigendecomposition
+in ``working_dim`` (exactly unitary there), cut to ``dim``.  Only the
 leading columns of the cut are reliable: a displaced column n spreads by
 about 2 |beta| sqrt(n) levels, a squeezed one by a factor e^{2 |gamma|}.
 At beta = 1 the leading half block of a dim-40 cut is clean to 1e-8; at
@@ -31,12 +28,13 @@ runtime's trial amplitudes (Yuen's recurrence, a list of floats) as a
 ``QuantumState``, and the tests hold it against these unitaries.
 
 The balance suite here (``full_report`` and its checks) works on any
-spin-boson ``QuantumState``, with the observables and H as
-``BandOperator``s; ``balance.sector_report`` computes the same report
-from sums over a sector vector, and the tests compare the two, with and
-without the printed variants ``balance.literal_variants`` adds.  The
-arbitrary-state checks (b1, b7, force, ``b7_terms``) also serve states
-of no definite parity.
+spin-boson ``QuantumState``, with the observables and H as the dense
+``np.kron`` matrices of ``standard_observables``, built once per
+(dim, params) and handed to every check; ``balance.sector_report``
+computes the same report from sums over a sector vector, and the tests
+compare the two, with and without the printed variants
+``balance.literal_variants`` adds.  The arbitrary-state checks (b1, b7,
+force, ``b7_terms``) also serve states of no definite parity.
 
 The runtime modules never import this one, and no CLI command loads it;
 the package root resolves its public names on first access.
@@ -64,52 +62,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
-
-
-class BandOperator:
-    """Hermitian sum of (boson band) x (spin matrix) terms, applied in O(N).
-
-    A term is ``((diag, upper), spin)``.  The real ``diag`` and the
-    entries [n, n + 1] in ``upper`` (either may be None) make a band whose
-    lower entries are conj(upper); ``spin`` is the identity or a Pauli
-    matrix (width 2) or [[1]] (width 1, the boson space).  A vector is a
-    (levels, width) array, index i = width n + s.  Terms merge into
-    stripes ``(offset, swap, coef)``, each adding ``coef[n, s] v[n +
-    offset, s ^ swap]`` to entry [n, s], in ascending offset: the column
-    order of a matrix product.
-    """
-
-    hermitian = True
-
-    def __init__(self, levels: int, terms):
-        merged: dict[tuple[int, bool], np.ndarray] = {}
-        for (diag, upper), spin in terms:
-            cols = np.argmax(np.abs(spin), axis=1)
-            factor = spin[np.arange(len(spin)), cols]
-            lower = None if upper is None else np.conj(upper)
-            for offset, band in ((-1, lower), (0, diag), (1, upper)):
-                if band is not None:
-                    coef = np.asarray(band)[:, None] * factor
-                    key = (offset, bool(cols[0]))
-                    merged[key] = merged[key] + coef if key in merged else coef
-        self.levels, self.width, self.dim = levels, len(factor), levels * len(factor)
-        self.stripes = [(k, s, c) for (k, s), c in sorted(merged.items())]  # keys are unique
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """M v; inf and NaN propagate silently, as through a matrix product."""
-        x = v.reshape(self.levels, self.width)
-        out = np.zeros(x.shape, dtype=complex)
-        with np.errstate(all="ignore"):
-            for offset, swap, coef in self.stripes:
-                w = x[:, ::-1] if swap else x
-                lo, hi = max(0, -offset), self.levels - max(0, offset)
-                out[lo:hi] += coef * w[lo + offset:hi + offset]
-        return out.reshape(-1)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense matrix, column by column, on each access; for oracles and tests."""
-        return _frozen(np.stack([self.apply(e) for e in np.eye(self.dim, dtype=complex)], 1))
 
 
 @dataclass(frozen=True)
@@ -144,28 +96,28 @@ class Observable:
         return self.matrix @ v
 
 
-def _ladder_bands(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bands of a (sqrt(n), n = 1..dim-1) and of a^dag a (as sqrt(n) sqrt(n))."""
-    root = np.sqrt(np.arange(1, dim))
-    return root, np.concatenate(([0.0], root * root))
-
-
-def _check_dims(state: QuantumState, obs: BandOperator | Observable):
+def _check_dims(state: QuantumState, obs: Observable):
     if state.dim != obs.dim:
         raise DimensionMismatch(
             f"state dim {state.dim} vs operator dim {obs.dim}"
         )
 
 
-def expectation(state: QuantumState, obs: BandOperator | Observable) -> complex:
+def expectation(state: QuantumState, obs: Observable) -> complex:
     """<psi| M |psi>.  Real up to ~1e-16 scale when M is Hermitian."""
     _check_dims(state, obs)
     v = state.amplitudes
     return complex(np.vdot(v, obs.apply(v)))
 
 
-def variance(state: QuantumState, obs: BandOperator | Observable) -> float:
-    """<M^2> - <M>^2 for Hermitian M; nonnegative by construction."""
+def variance(state: QuantumState, obs: Observable) -> float:
+    """<M^2> - <M>^2 for Hermitian M, unclamped.
+
+    The two terms are separate sums, so on a state of near-zero spread the
+    difference can round below zero by a few ulps of <M>^2: -2.8e-14, two
+    ulps of E^2 = 81, for H on the ground state at lam 3, omega0 0.5.  No
+    clamp: the b6 identity reads the raw difference.
+    """
     if not obs.hermitian:
         raise NonHermitian("variance requires a Hermitian observable")
     _check_dims(state, obs)
@@ -286,8 +238,8 @@ def squeeze(rep: FockRep, gamma: float) -> Observable:
 def build_full_hamiltonian(rep: FockRep, params: ModelParams) -> Observable:
     """Dense H on the 2N spin-boson space, ordering i = 2 n + s, from ``np.kron``.
 
-    The ``eigvalsh`` oracle of the tests and the benchmark checks,
-    independent of the band form in ``standard_observables`` below.
+    The ``eigvalsh`` oracle of the tests and the benchmark checks, and
+    the ``"hamiltonian"`` of ``standard_observables`` below.
     """
     ann, cre, num, _ = _ladder_matrices(rep.dim)
     return Observable(
@@ -356,48 +308,44 @@ def energy_numeric(rep: FockRep, trial: TrialParams, params: ModelParams) -> flo
 # --- the balance suite on any spin-boson state: the reference of balance.sector_report
 
 
-def standard_observables(rep: FockRep, params: ModelParams) -> dict[str, BandOperator]:
-    """The observable bundle of one (dim, params): ``BandOperator``s, O(N) each.
+def standard_observables(rep: FockRep, params: ModelParams) -> dict[str, Observable]:
+    """The observable bundle of one (dim, params): dense ``np.kron(boson, spin)`` matrices.
 
     The spin-boson observables of the residual grid, the full
-    Hamiltonian under ``"hamiltonian"``, and the boson-space position
-    under ``"q_boson"`` (for b6); each a sum of (boson band, Pauli
-    matrix) terms.  ``full_report`` builds the bundle once and hands it
-    to every check.
+    Hamiltonian (``build_full_hamiltonian``) under ``"hamiltonian"``, and
+    the boson-space position under ``"q_boson"`` (for b6).  q and p are
+    the real ladder entries times their scale.  ``full_report`` builds
+    the bundle once and hands it to every check.
     """
-    root, num = _ladder_bands(rep.dim)  # root is the upper band of a; a^dag has none
-    q = (None, root * (1.0 / np.sqrt(2.0 * params.mass * params.omega)))
-    p = (None, 1j * np.sqrt(params.mass * params.omega / 2.0) * -root)
-    eye, par = (np.ones(rep.dim), None), ((-1.0) ** np.arange(rep.dim), None)
+    ann, cre, num, par = _ladder_matrices(rep.dim)
+    q = (ann + cre).real * (1.0 / np.sqrt(2.0 * params.mass * params.omega))
+    p = 1j * np.sqrt(params.mass * params.omega / 2.0) * (cre - ann).real
+    eye = np.eye(rep.dim)
 
-    def spin_boson(*terms) -> BandOperator:
-        return BandOperator(rep.dim, terms)
+    def spin_boson(boson, spin) -> Observable:
+        return Observable(np.kron(boson, spin))
 
     return {
-        "q": spin_boson((q, IDENTITY_2)),
-        "p": spin_boson((p, IDENTITY_2)),
-        "num": spin_boson(((num, None), IDENTITY_2)),
-        "omega_num": spin_boson(((params.omega * num, None), IDENTITY_2)),
-        "q_sigma_x": spin_boson((q, SIGMA_X)),
-        "p_sigma_x": spin_boson((p, SIGMA_X)),
-        "p_sigma_y": spin_boson((p, SIGMA_Y)),
-        "sigma_x": spin_boson((eye, SIGMA_X)),
-        "sigma_y": spin_boson((eye, SIGMA_Y)),
-        "sigma_z": spin_boson((eye, SIGMA_Z)),
-        "parity_boson": spin_boson((par, IDENTITY_2)),
-        "num_parity": spin_boson(((num * par[0], None), IDENTITY_2)),
-        "num_sigma_z": spin_boson(((num, None), SIGMA_Z)),
-        "hamiltonian": spin_boson(
-            ((params.omega * num, None), IDENTITY_2),
-            ((None, params.lam * root), SIGMA_X),
-            ((0.5 * params.omega0 * eye[0], None), SIGMA_Z),
-        ),
-        "q_boson": BandOperator(rep.dim, [(q, np.eye(1))]),
+        "q": spin_boson(q, IDENTITY_2),
+        "p": spin_boson(p, IDENTITY_2),
+        "num": spin_boson(num, IDENTITY_2),
+        "omega_num": spin_boson(params.omega * num, IDENTITY_2),
+        "q_sigma_x": spin_boson(q, SIGMA_X),
+        "p_sigma_x": spin_boson(p, SIGMA_X),
+        "p_sigma_y": spin_boson(p, SIGMA_Y),
+        "sigma_x": spin_boson(eye, SIGMA_X),
+        "sigma_y": spin_boson(eye, SIGMA_Y),
+        "sigma_z": spin_boson(eye, SIGMA_Z),
+        "parity_boson": spin_boson(par, IDENTITY_2),
+        "num_parity": spin_boson(num @ par, IDENTITY_2),
+        "num_sigma_z": spin_boson(num, SIGMA_Z),
+        "hamiltonian": build_full_hamiltonian(rep, params),
+        "q_boson": Observable(q),
     }
 
 
-def first_order_residual(hamiltonian: BandOperator | Observable,
-                         observable: BandOperator | Observable, state: QuantumState) -> float:
+def first_order_residual(hamiltonian: Observable, observable: Observable,
+                         state: QuantumState) -> float:
     """|<i [H, A]>|; zero on eigenstates of H."""
     if hamiltonian.dim != observable.dim:
         raise DimensionMismatch("H and A live in different spaces")
@@ -409,8 +357,8 @@ def first_order_residual(hamiltonian: BandOperator | Observable,
     return float(abs(val))
 
 
-def second_order_residual(hamiltonian: BandOperator | Observable,
-                          observable: BandOperator | Observable, state: QuantumState) -> float:
+def second_order_residual(hamiltonian: Observable, observable: Observable,
+                          state: QuantumState) -> float:
     """|<[H, [H, A]]>|; zero on eigenstates of H."""
     if hamiltonian.dim != observable.dim:
         raise DimensionMismatch("H and A live in different spaces")
@@ -424,23 +372,15 @@ def second_order_residual(hamiltonian: BandOperator | Observable,
     return float(abs(hha - 2.0 * hah + ahh))
 
 
-# The checks below come in pairs: a private ``_name(state, obs, ...)`` that
-# reads a prebuilt bundle, and the public ``name(state, rep, params, ...)``
-# that builds the bundle for a single check.
-
-
-def _force_balance(state: QuantumState, obs: dict, params: ModelParams) -> float:
+def force_balance(state: QuantumState, obs: dict, params: ModelParams) -> float:
+    """|<F_q> + <F_e>|, the mean of dp/dt; zero on eigenstates.  ``obs`` is the bundle."""
     f_q = -params.mass * params.omega**2 * expectation(state, obs["q"]).real
     f_e = -params.f0 * expectation(state, obs["sigma_x"]).real
     return float(abs(f_q + f_e))
 
 
-def force_balance(state: QuantumState, rep: FockRep, params: ModelParams) -> float:
-    """|<F_q> + <F_e>|, the mean of dp/dt; zero on eigenstates."""
-    return _force_balance(state, standard_observables(rep, params), params)
-
-
-def _b1(state: QuantumState, obs: dict, params: ModelParams) -> float:
+def b1_kinetic_balance(state: QuantumState, obs: dict, params: ModelParams) -> float:
+    """|<p^2/2m> - (F0/2) <q sigma_x> - <m omega^2 q^2 / 2>|.  ``obs`` is the bundle."""
     m = params.mass
     kinetic = variance(state, obs["p"]) + expectation(state, obs["p"]).real ** 2
     kinetic /= 2.0 * m
@@ -450,71 +390,42 @@ def _b1(state: QuantumState, obs: dict, params: ModelParams) -> float:
     return abs(kinetic - 0.5 * params.f0 * q_sx - potential)
 
 
-def b1_kinetic_balance(state: QuantumState, rep: FockRep, params: ModelParams) -> float:
-    """|<p^2/2m> - (F0/2) <q sigma_x> - <m omega^2 q^2 / 2>|."""
-    return _b1(state, standard_observables(rep, params), params)
+def b7_terms(state: QuantumState, obs: dict, params: ModelParams) -> dict[str, float]:
+    """The three force-covariance pieces; they sum to zero on eigenstates.
 
-
-def _b7_terms(state: QuantumState, obs: dict, params: ModelParams) -> dict[str, float]:
+    F_q F_e = m omega^2 F0 q sigma_x and p dF_e/dt = F0 omega0 p sigma_y
+    are already Hermitian (the factors act on different subsystems, so
+    symmetrized ordering changes nothing).  ``obs`` is the bundle.
+    """
     f0 = params.f0
     fq_fe = params.mass * params.omega**2 * f0 * expectation(state, obs["q_sigma_x"]).real
     p_dfe = f0 * params.omega0 * expectation(state, obs["p_sigma_y"]).real
     return {"fq_fe": float(fq_fe), "p_dfe": float(p_dfe), "f0_sq": float(f0 * f0)}
 
 
-def b7_terms(state: QuantumState, rep: FockRep, params: ModelParams) -> dict[str, float]:
-    """The three force-covariance pieces; they sum to zero on eigenstates.
-
-    F_q F_e = m omega^2 F0 q sigma_x and p dF_e/dt = F0 omega0 p sigma_y
-    are already Hermitian (the factors act on different subsystems, so
-    symmetrized ordering changes nothing).
-    """
-    return _b7_terms(state, standard_observables(rep, params), params)
-
-
-def _b7(state: QuantumState, obs: dict, params: ModelParams) -> float:
-    terms = _b7_terms(state, obs, params)
+def b7_covariance_balance(state: QuantumState, obs: dict, params: ModelParams) -> float:
+    """|<F_q F_e> + <p dF_e/dt> + F0^2|.  ``obs`` is the bundle."""
+    terms = b7_terms(state, obs, params)
     return abs(terms["fq_fe"] + terms["p_dfe"] + terms["f0_sq"])
-
-
-def b7_covariance_balance(state: QuantumState, rep: FockRep, params: ModelParams) -> float:
-    """|<F_q F_e> + <p dF_e/dt> + F0^2|."""
-    return _b7(state, standard_observables(rep, params), params)
-
-
-def _resolve_sector(state: QuantumState, sector: int | None) -> int:
-    if sector is None:
-        return infer_sector(state)
-    return check_sector(sector)
-
-
-def _state_energy(state: QuantumState, obs: dict) -> float:
-    return expectation(state, obs["hamiltonian"]).real
 
 
 def _property_checks(state: QuantumState, obs: dict, params: ModelParams, p: int,
                      energy: float) -> dict[str, BoundCheck]:
-    return _property_bounds(
-        params, p, energy,
-        sz=expectation(state, obs["sigma_z"]).real,
+    """p1..p4, b2 and b6_identity of a state of sector ``p``."""
+    sz = expectation(state, obs["sigma_z"]).real
+    q_sx = expectation(state, obs["q_sigma_x"]).real
+    var_qsx = variance(state, obs["q_sigma_x"])
+    checks = _property_bounds(
+        params, p, energy, sz=sz,
         cos_pin=expectation(state, obs["parity_boson"]).real,
-        x_sx=expectation(state, obs["q_sigma_x"]).real * np.sqrt(
-            2.0 * params.mass * params.omega
-        ),  # <(a + a^dag) sigma_x>
+        x_sx=q_sx * np.sqrt(2.0 * params.mass * params.omega),  # <(a + a^dag) sigma_x>
         n_cos=expectation(state, obs["num_parity"]).real,
         n_sz=expectation(state, obs["num_sigma_z"]).real,
     )
-
-
-def _b2(state: QuantumState, obs: dict, params: ModelParams) -> BoundCheck:
-    sz = expectation(state, obs["sigma_z"]).real
-    q_sx = expectation(state, obs["q_sigma_x"]).real
-    return _b2_bound(params, variance(state, obs["q_sigma_x"]), _b2_constant(params, sz, q_sx))
-
-
-def _b6(state: QuantumState, obs: dict, p: int) -> float:
+    checks["b2"] = _b2_bound(params, var_qsx, _b2_constant(params, sz, q_sx))
     phi = extract_reduced_state(state, p)
-    return float(variance(state, obs["q_sigma_x"]) - variance(phi, obs["q_boson"]))
+    checks["b6_identity"] = _identity(float(var_qsx - variance(phi, obs["q_boson"])))
+    return checks
 
 
 def wigner_origin(state: QuantumState) -> float:
@@ -535,10 +446,10 @@ def displaced_number(state: QuantumState, params: ModelParams) -> float:
     if state.kind != BOSON:
         raise DimensionMismatch("displaced_number expects a boson-space state")
     v = state.amplitudes
-    root, num = _ladder_bands(v.size)
+    ann, cre, num, _ = _ladder_matrices(v.size)
     ratio = params.lam / params.omega
-    n_mean = np.vdot(v, num * v).real
-    x_mean = np.vdot(v, BandOperator(v.size, [((None, root), np.eye(1))]).apply(v)).real
+    n_mean = np.vdot(v, num @ v).real
+    x_mean = np.vdot(v, (ann + cre) @ v).real
     return float(n_mean + ratio * x_mean + ratio**2)
 
 
@@ -554,10 +465,9 @@ def wigner_energy_bounds(state: QuantumState, params: ModelParams) -> BoundCheck
     if state.kind != BOSON:
         raise DimensionMismatch("wigner_energy_bounds expects a boson state")
     v = state.amplitudes
-    h_plus = BandOperator(v.size, [(sector_chain(v.size, params, +1), np.eye(1))])
-    energy = np.vdot(v, h_plus.apply(v)).real
+    energy = np.vdot(v, sector_matrix(v.size, params, +1) @ v).real
     value = energy - params.omega * displaced_number(state, params)
-    return _wigner_band(params, value, params.lam**2 / params.omega)
+    return _wigner_band(params, value, params.lam * (params.lam / params.omega))
 
 
 FIRST_ORDER_SET = ("q", "p", "num", "q_sigma_x", "p_sigma_x", "sigma_z", "sigma_y")
@@ -574,26 +484,24 @@ def full_report(
     """Run the whole suite on one spin-boson state, on one observable bundle."""
     if state.kind != SPIN_BOSON:
         raise DimensionMismatch("full_report expects a spin_boson state")
-    p = _resolve_sector(state, sector)
+    p = infer_sector(state) if sector is None else check_sector(sector)
     obs = standard_observables(rep, params)
     if energy is None:
-        energy = _state_energy(state, obs)
+        energy = expectation(state, obs["hamiltonian"]).real
     if boson_state is None:
         boson_state = extract_reduced_state(state, p)
     h = obs["hamiltonian"]
     first = {name: first_order_residual(h, obs[name], state) for name in FIRST_ORDER_SET}
-    first["force"] = _force_balance(state, obs, params)
+    first["force"] = force_balance(state, obs, params)
 
     second = {
         "q_sigma_x": second_order_residual(h, obs["q_sigma_x"], state),
         "omega_num": second_order_residual(h, obs["omega_num"], state),
-        "b1": _b1(state, obs, params),
-        "b7": _b7(state, obs, params),
+        "b1": b1_kinetic_balance(state, obs, params),
+        "b7": b7_covariance_balance(state, obs, params),
     }
 
     props = _property_checks(state, obs, params, p, energy)
-    props["b2"] = _b2(state, obs, params)
-    props["b6_identity"] = _identity(_b6(state, obs, p))
     props["wigner_energy"] = wigner_energy_bounds(boson_state, params)
     return BalanceReport(
         state_energy=float(energy),
@@ -614,8 +522,4 @@ def trial_property_compliance(
     """
     psi = embed_reduced_state(trial_state(rep, trial), +1)
     energy = energy_numeric(rep, trial, params)
-    obs = standard_observables(rep, params)
-    checks = _property_checks(psi, obs, params, +1, energy)
-    checks["b2"] = _b2(psi, obs, params)
-    checks["b6_identity"] = _identity(_b6(psi, obs, +1))
-    return checks
+    return _property_checks(psi, standard_observables(rep, params), params, +1, energy)

@@ -34,7 +34,7 @@ from rabi_balance import (
 from rabi_balance.oracle import b7_terms
 from rabi_balance.cli import main as cli_main
 from rabi_balance.fock import BOSON
-from rabi_balance.oracle import Observable, build_full_hamiltonian
+from rabi_balance.oracle import Observable
 
 _T0 = time.monotonic()
 
@@ -137,18 +137,17 @@ def test_criterion_05_properties_and_bounds_on_grid(grid):
 def test_criterion_06_balance_oracle_equality():
     rng = np.random.default_rng(611)
     p = ModelParams(omega=1.3, lam=0.7, omega0=0.9, mass=1.0)
-    rep = FockRep(64)
-    h = build_full_hamiltonian(rep, p)
-    obs = standard_observables(rep, p)
+    obs = standard_observables(FockRep(64), p)
+    h = obs["hamiltonian"]
     q2 = Observable(obs["q"].matrix @ obs["q"].matrix)
     worst = 0.0
     for _ in range(100):
         v = np.zeros(128, dtype=complex)
         v[:96] = rng.normal(size=96) + 1j * rng.normal(size=96)
         st = QuantumState.from_vector(v, SPIN_BOSON)
-        d1 = abs(b1_kinetic_balance(st, rep, p)
+        d1 = abs(b1_kinetic_balance(st, obs, p)
                  - 0.25 * p.mass * second_order_residual(h, q2, st))
-        d7 = abs(b7_covariance_balance(st, rep, p)
+        d7 = abs(b7_covariance_balance(st, obs, p)
                  - p.mass * p.omega * second_order_residual(h, obs["num"], st))
         worst = max(worst, d1, d7)
     _verdict(6, "literal b1/b7 equal scaled double commutators on 100 states",
@@ -204,8 +203,7 @@ def test_criterion_09_stationarity_equals_balance(grid, optima):
 def test_criterion_10_anticorrelation_regime():
     p = ModelParams(omega=1.0, lam=0.1, omega0=10.0)
     sol = solve_rabi_ground(p)
-    rep = FockRep(sol.dim_used)
-    t = b7_terms(sol.state, rep, p)
+    t = b7_terms(sol.state, standard_observables(FockRep(sol.dim_used), p), p)
     f0sq = p.f0**2
     ok = abs(t["fq_fe"]) < 0.1 * f0sq and t["p_dfe"] < -0.9 * f0sq
     _verdict(10, "force covariance anticorrelation at strong splitting", ok,

@@ -36,7 +36,6 @@ from rabi_balance.oracle import (
     FIRST_ORDER_SET,
     Observable,
     b7_terms,
-    build_full_hamiltonian,
     build_reduced_hamiltonian,
     force_balance,
     ground_state,
@@ -81,14 +80,12 @@ def test_b1_literal_equals_scaled_double_commutator_of_q_squared(rng):
     # equals (m/4) |<[H, [H, q^2]]>| on arbitrary states
     for mass in (1.0, 2.3):
         p = ModelParams(omega=1.3, lam=0.7, omega0=0.9, mass=mass)
-        rep = FockRep(64)
-        h = build_full_hamiltonian(rep, p)
-        obs = standard_observables(rep, p)
+        obs = standard_observables(FockRep(64), p)
         q2 = Observable(obs["q"].matrix @ obs["q"].matrix)
         for _ in range(10):
             st_r = padded_random_state(rng, 128, 96)
-            lit = b1_kinetic_balance(st_r, rep, p)
-            orc = (mass / 4.0) * second_order_residual(h, q2, st_r)
+            lit = b1_kinetic_balance(st_r, obs, p)
+            orc = (mass / 4.0) * second_order_residual(obs["hamiltonian"], q2, st_r)
             assert abs(lit - orc) < 1e-9
 
 
@@ -97,33 +94,28 @@ def test_b7_literal_equals_scaled_double_commutator_of_number(rng):
     # literal residual equals m omega |<[H, [H, n]]>|
     for mass in (1.0, 2.3):
         p = ModelParams(omega=1.3, lam=0.7, omega0=0.9, mass=mass)
-        rep = FockRep(64)
-        h = build_full_hamiltonian(rep, p)
-        num = standard_observables(rep, p)["num"]
+        obs = standard_observables(FockRep(64), p)
         for _ in range(10):
             st_r = padded_random_state(rng, 128, 96)
-            lit = b7_covariance_balance(st_r, rep, p)
-            orc = mass * p.omega * second_order_residual(h, num, st_r)
+            lit = b7_covariance_balance(st_r, obs, p)
+            orc = mass * p.omega * second_order_residual(obs["hamiltonian"], obs["num"], st_r)
             assert abs(lit - orc) < 1e-9
 
 
 def test_force_balance_equals_momentum_commutator(rng):
     # <F_q + F_e> = i <[H, p]>: Ehrenfest for the momentum
     p = ModelParams(omega=1.0, lam=0.5, omega0=1.0)
-    rep = FockRep(48)
-    h = build_full_hamiltonian(rep, p)
-    obs = standard_observables(rep, p)
+    obs = standard_observables(FockRep(48), p)
     for _ in range(8):
         st_r = padded_random_state(rng, 96, 64)
         assert abs(
-            force_balance(st_r, rep, p) - first_order_residual(h, obs["p"], st_r)
+            force_balance(st_r, obs, p) - first_order_residual(obs["hamiltonian"], obs["p"], st_r)
         ) < 1e-12
 
 
 def test_b7_constant_term_is_f0_squared():
     p = ModelParams(omega=1.0, lam=0.5, omega0=1.0, mass=2.0)
-    rep = FockRep(16)
-    t = b7_terms(fock_state(32, 0, SPIN_BOSON), rep, p)
+    t = b7_terms(fock_state(32, 0, SPIN_BOSON), standard_observables(FockRep(16), p), p)
     assert t["f0_sq"] == pytest.approx(p.f0**2, rel=1e-15)
 
 
@@ -132,12 +124,11 @@ def test_b7_constant_term_is_f0_squared():
 
 def test_ground_state_balance_residuals_at_machine_precision():
     p, sol, rep = _solved()
-    assert b1_kinetic_balance(sol.state, rep, p) < 1e-12
-    assert b7_covariance_balance(sol.state, rep, p) < 1e-12
-    h = build_full_hamiltonian(rep, p)
     obs = standard_observables(rep, p)
+    assert b1_kinetic_balance(sol.state, obs, p) < 1e-12
+    assert b7_covariance_balance(sol.state, obs, p) < 1e-12
     for name in ("q", "p", "num", "q_sigma_x", "p_sigma_x", "sigma_z", "sigma_y"):
-        assert first_order_residual(h, obs[name], sol.state) < 1e-12
+        assert first_order_residual(obs["hamiltonian"], obs[name], sol.state) < 1e-12
 
 
 def test_property_checks_on_ground_state():
@@ -388,50 +379,45 @@ def test_full_report_residuals_equal_the_standalone_ones(rng):
             assert report.second_order[name] == second_order_residual(h, obs[name], state)
 
 
-def test_bundle_apply_equals_its_dense_matrix(rng):
+def test_bundle_is_exactly_hermitian():
     p = ModelParams(omega=1.3, lam=0.7, omega0=0.9, mass=2.3)
     for dim in (16, 256):
-        obs = standard_observables(FockRep(dim), p)
-        for name, o in obs.items():
-            dense = o.matrix
-            np.testing.assert_array_equal(dense, dense.conj().T, err_msg=name)
-            for _ in range(3):
-                v = rng.normal(size=o.dim) + 1j * rng.normal(size=o.dim)
-                want = dense @ v
-                err = np.linalg.norm(o.apply(v) - want)
-                assert err <= 1e-14 * np.linalg.norm(want), name
+        for name, o in standard_observables(FockRep(dim), p).items():
+            assert isinstance(o, Observable) and o.hermitian, name
+            np.testing.assert_array_equal(o.matrix, o.matrix.conj().T, err_msg=name)
 
 
 def test_bundle_equals_the_kron_construction():
-    # every band operator, H included, equals its dense np.kron form entry by entry
+    # every observable, H included, equals its np.kron form entry by entry
     from rabi_balance.oracle import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _ladder_matrices
 
     p = ModelParams(omega=1.3, lam=0.7, omega0=0.9, mass=2.3)
-    rep = FockRep(16)
-    ann, cre, num, par = _ladder_matrices(16)
-    # real ladder entries scaled by the reciprocal, the rounding of the bundle's q
-    q = (ann + cre).real * (1.0 / np.sqrt(2.0 * p.mass * p.omega))
-    mom = 1j * np.sqrt(p.mass * p.omega / 2.0) * (cre - ann).real
-    eye = np.eye(16)
-    kron = {
-        "q": (q, IDENTITY_2), "p": (mom, IDENTITY_2), "num": (num, IDENTITY_2),
-        "omega_num": (p.omega * num, IDENTITY_2), "q_sigma_x": (q, SIGMA_X),
-        "p_sigma_x": (mom, SIGMA_X), "p_sigma_y": (mom, SIGMA_Y),
-        "sigma_x": (eye, SIGMA_X), "sigma_y": (eye, SIGMA_Y), "sigma_z": (eye, SIGMA_Z),
-        "parity_boson": (par, IDENTITY_2), "num_parity": (num @ par, IDENTITY_2),
-        "num_sigma_z": (num, SIGMA_Z),
-    }
-    obs = standard_observables(rep, p)
-    for name, (boson, spin) in kron.items():
-        np.testing.assert_array_equal(obs[name].matrix, np.kron(boson, spin), err_msg=name)
-    np.testing.assert_array_equal(obs["q_boson"].matrix, q)
-    dense = (
-        p.omega * np.kron(num, IDENTITY_2)
-        + p.lam * np.kron(ann + cre, SIGMA_X)
-        + 0.5 * p.omega0 * np.kron(eye, SIGMA_Z)
-    )
-    np.testing.assert_array_equal(obs["hamiltonian"].matrix, dense)
-    assert set(obs) == {*kron, "q_boson", "hamiltonian"}
+    for dim in (16, 256):
+        ann, cre, num, par = _ladder_matrices(dim)
+        # real ladder entries scaled by the reciprocal, the rounding of the bundle's q
+        q = (ann + cre).real * (1.0 / np.sqrt(2.0 * p.mass * p.omega))
+        mom = 1j * np.sqrt(p.mass * p.omega / 2.0) * (cre - ann).real
+        eye = np.eye(dim)
+        kron = {
+            "q": (q, IDENTITY_2), "p": (mom, IDENTITY_2), "num": (num, IDENTITY_2),
+            "omega_num": (p.omega * num, IDENTITY_2), "q_sigma_x": (q, SIGMA_X),
+            "p_sigma_x": (mom, SIGMA_X), "p_sigma_y": (mom, SIGMA_Y),
+            "sigma_x": (eye, SIGMA_X), "sigma_y": (eye, SIGMA_Y), "sigma_z": (eye, SIGMA_Z),
+            "parity_boson": (par, IDENTITY_2), "num_parity": (num @ par, IDENTITY_2),
+            "num_sigma_z": (num, SIGMA_Z),
+        }
+        obs = standard_observables(FockRep(dim), p)
+        for name, (boson, spin) in kron.items():
+            np.testing.assert_array_equal(obs[name].matrix, np.kron(boson, spin),
+                                          err_msg=name)
+        np.testing.assert_array_equal(obs["q_boson"].matrix, q)
+        dense = (
+            p.omega * np.kron(num, IDENTITY_2)
+            + p.lam * np.kron(ann + cre, SIGMA_X)
+            + 0.5 * p.omega0 * np.kron(eye, SIGMA_Z)
+        )
+        np.testing.assert_array_equal(obs["hamiltonian"].matrix, dense)
+        assert set(obs) == {*kron, "q_boson", "hamiltonian"}
 
 
 # --- the sector report against full_report ----------------------------------

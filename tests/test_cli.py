@@ -26,7 +26,7 @@ from rabi_balance import (
     variational,
 )
 from rabi_balance.cli import SWEEP_COLUMNS, main
-from rabi_balance.oracle import BandOperator
+from rabi_balance.oracle import Observable
 
 
 def run_cli(args):
@@ -139,21 +139,15 @@ def test_balance_and_sweep_print_the_same_numbers(capsys, lam, omega0):
 
 
 def test_balance_builds_no_state_no_bundle_and_no_oracle(monkeypatch, capsys):
-    # the report is sums over the sector vector: no QuantumState, no BandOperator,
+    # the report is sums over the sector vector: no QuantumState, no Observable,
     # and the oracle module is not imported (it is dropped from sys.modules first)
     calls = []
-    post_init, band_init = QuantumState.__post_init__, BandOperator.__init__
+    for cls in (QuantumState, Observable):
+        def counting(self, _cls=cls, _post_init=cls.__post_init__):
+            calls.append(_cls.__name__)
+            _post_init(self)
 
-    def counting_state(self):
-        calls.append("QuantumState")
-        post_init(self)
-
-    def counting_band(self, *args):
-        calls.append("BandOperator")
-        band_init(self, *args)
-
-    monkeypatch.setattr(QuantumState, "__post_init__", counting_state)
-    monkeypatch.setattr(BandOperator, "__init__", counting_band)
+        monkeypatch.setattr(cls, "__post_init__", counting)
     monkeypatch.delitem(sys.modules, "rabi_balance.oracle")
     assert run_cli(["balance", "--lambda", "1", "--omega0", "2", "--paper-literal"]) == 0
     assert calls == []
@@ -816,7 +810,6 @@ def _child(args, text=True):
 
 
 _RANGE_ERROR = "OverflowError: Numerical result out of range"
-_ZERO_DIVISION = "ZeroDivisionError: float division by zero"
 
 
 @pytest.mark.parametrize("args, error", [
@@ -830,15 +823,15 @@ _ZERO_DIVISION = "ZeroDivisionError: float division by zero"
     (["solve", "--lambda", "1e307", "--omega0", "1"], "OverflowError: "),
     (["sweep", "--omega", "1e307", "--lambda", "0", "--omega0", "1", "--jobs", "1"],
      "OverflowError: "),
-    # a float ** beyond the range (errno 34), and a power of omega that underflows to 0
+    # a float ** beyond the range (errno 34), also where lam / omega is 1e300
     (["sweep", "--lambda", "0.5", "--omega0", "1", "--omega", "1e300", "--jobs", "1"],
      _RANGE_ERROR),
     (["sweep", "--omega", "1e200", "--lambda", "1e200", "--omega0", "1", "--jobs", "1"],
      _RANGE_ERROR),
     (["balance", "--omega", "1e200", "--lambda", "1e200", "--omega0", "1"], _RANGE_ERROR),
     (["variational", "--omega", "1e300", "--lambda", "0.5", "--omega0", "1"], _RANGE_ERROR),
-    (["balance", "--omega", "1e-300", "--lambda", "1", "--omega0", "1"], _ZERO_DIVISION),
-    (["variational", "--omega", "1e-300", "--lambda", "1", "--omega0", "1"], _ZERO_DIVISION),
+    (["balance", "--omega", "1e-300", "--lambda", "1", "--omega0", "1"], _RANGE_ERROR),
+    (["variational", "--omega", "1e-300", "--lambda", "1", "--omega0", "1"], _RANGE_ERROR),
 ], ids=["balance", "sweep", "solve-omega", "converge-omega", "variational-omega",
         "solve-lambda", "sweep-omega", "sweep-omega-errno", "sweep-both-errno",
         "balance-both-errno", "variational-omega-errno", "balance-tiny-omega",
@@ -855,6 +848,31 @@ def test_overflow_prints_one_line_in_a_real_process(tmp_path, args, error):
         assert proc.stderr.endswith(f": {error}\n"), proc.stderr
     assert "(34," not in proc.stderr and "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["balance"], ["balance", "--paper-literal"], ["variational"]],
+                         ids=["balance", "literal", "variational"])
+def test_tiny_scale_reports_the_unit_scale_times_the_scale(capsys, command):
+    # at omega = lam = omega0 = 2^-600, omega^2 and omega^3 underflow to 0;
+    # the bounds divide by one power of omega at a time, so the report is the
+    # one at scale 1, times 2^-600 for energies and 2^600 for Var(q sigma_x)
+    def run(scale):
+        point = ["--omega", repr(scale), "--lambda", repr(scale), "--omega0", repr(scale)]
+        assert run_cli([*command, *point]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    tiny, unit = run(2.0**-600), run(1.0)
+    if command[0] == "variational":
+        assert tiny["result"]["trial"] == unit["result"]["trial"]
+        assert tiny["result"]["energy"] == pytest.approx(unit["result"]["energy"] * 2.0**-600,
+                                                         rel=1e-12)
+        return
+    assert tiny["passed"] is True
+    props, want = tiny["report"]["properties"], unit["report"]["properties"]
+    for name, scale in (("p1", 2.0**-600), ("b2", 2.0**600)):
+        assert props[name]["satisfied"] is True
+        for edge in ("value", "lower", "upper"):
+            assert props[name][edge] == pytest.approx(want[name][edge] * scale, rel=1e-12)
 
 
 @pytest.mark.parametrize("lam", ["1e160", "1e200"])
@@ -966,8 +984,7 @@ def test_oracle_names_resolve_from_the_package_root():
     moved = ORACLE_NAMES | {"HERMITICITY_TOL", "SQUEEZE_MAX", "_generator", "_ladder_matrices",
                             "_unitary_from_generator", "ground_state", "sector_matrix",
                             "FIRST_ORDER_SET", "b7_terms", "force_balance",
-                            "BandOperator", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "IDENTITY_2",
-                            "_ladder_bands", "_check_dims"}
+                            "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "IDENTITY_2", "_check_dims"}
     for module in (fock, model, solver, variational, balance, cli):
         assert not moved & set(vars(module)), module.__name__
 
