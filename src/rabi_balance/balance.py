@@ -244,7 +244,7 @@ def sector_report(phi, p: int, params: ModelParams, energy: float) -> BalanceRep
     q_sx = x_mean / scale
     p_sy = p * scale * alt_pairs
     sz = -p * cos_pin
-    b1 = abs(kinetic - 0.5 * f0 * q_sx - 0.5 * m * omega**2 * q_sq)
+    b1 = abs(kinetic - 0.5 * f0 * q_sx - 0.5 * (m * omega) * (omega * q_sq))
     b7 = abs(m * omega**2 * f0 * q_sx + f0 * omega0 * p_sy + f0 * f0)
 
     props = _property_bounds(params, p, energy, sz=sz, cos_pin=cos_pin, x_sx=x_mean,

@@ -22,13 +22,14 @@ report and a sweep point's columns are that of the ground state's sector
 vector ``GroundSolution.phi``, a tuple of floats, and the
 ``variational`` residuals that of the optimum trial's.  This module calls
 no numpy: range values are ``np.linspace``'s arithmetic on Python
-floats.  A process pays only for what it runs: ``solve``, ``converge``
-and ``balance`` load no numpy at all; ``variational`` and ``sweep`` load
-it at the first energy of the trial simplex, whose exponential and sinh
-are numpy's, and it starts with one BLAS thread there (no command calls
-a threaded BLAS routine; a count set in the environment wins); the
-process-pool machinery is imported only by a sweep on more than one
-worker.
+floats.  A process pays only for what it runs.  The import loads no
+layer, so ``--help`` and a usage error load none, and ``json`` loads
+only to read or print JSON; ``solve`` and ``converge`` load the solver,
+``balance`` the solver and the report, ``variational`` and ``sweep``
+those and the trial optimizer, whose simplex alone loads numpy, at its
+first energy (exponential and sinh are numpy's), with one BLAS thread
+unless the environment sets a count; only a sweep on more than one
+worker imports the process pool.
 """
 
 from __future__ import annotations
@@ -44,17 +45,16 @@ import argparse
 import contextlib
 import io
 import itertools
-import json
 import math
 import sys
 from collections import namedtuple
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .balance import literal_variants, report_passes, sector_report
 from .errors import ConfigError, NotConverged, OptimizerStalled, RabiError
 from .model import ModelParams, checked_make
-from .solver import MAX_DIM, START_DIM, GroundSolution, convergence_table, solve_rabi_ground
-from .variational import minimize_energy, stationarity_equals_balance
+
+if TYPE_CHECKING:
+    from .solver import GroundSolution
 
 SWEEP_COLUMNS = [
     "omega", "lambda", "omega0", "dim_used", "e_exact", "parity_label",
@@ -118,6 +118,8 @@ class RunConfig(NamedTuple):
 def _number(name: str, raw, kind: type = float, what: str = "a number"):
     """``kind(raw)`` of a flag's text or a JSON number; no bool is a number, no float an int."""
     if isinstance(raw, bool) or (kind is int and isinstance(raw, float)):
+        import json
+
         raise ConfigError(f"{name}: expected {what}, got {json.dumps(raw)}")
     try:
         return kind(raw)
@@ -163,6 +165,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and flags (flags win); only the command's own keys."""
     file_vals: dict = {}
     if args.config is not None:
+        import json
+
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_vals = json.load(fh)
@@ -204,6 +208,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     literal = pick("paper_literal", False)
     if not isinstance(literal, bool):  # bool("false") is True
+        import json
+
         raise ConfigError(f"paper_literal: expected true or false, got {json.dumps(literal)}")
 
     out = pick("out")
@@ -269,6 +275,8 @@ def _clean(obj):
 
 def _json(obj) -> str:
     """``obj`` as the commands print it: strict JSON, sorted keys, a final newline."""
+    import json
+
     return json.dumps(_clean(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
@@ -290,6 +298,8 @@ def _emit(text: str, out_path: str | None):
 
 
 def _solve(cfg: RunConfig, params: ModelParams) -> tuple[GroundSolution, int]:
+    from .solver import solve_rabi_ground
+
     try:
         return solve_rabi_ground(params, tol=cfg.tol, dim=cfg.dim), 0
     except NotConverged as exc:
@@ -320,6 +330,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_balance(cfg: RunConfig) -> int:
+    from .balance import literal_variants, report_passes, sector_report
+
     params = _require_scalar(cfg, "balance")
     sol, code = _solve(cfg, params)
     report = sector_report(sol.phi, sol.parity, params, sol.energy)
@@ -338,6 +350,8 @@ def cmd_balance(cfg: RunConfig) -> int:
 
 
 def cmd_variational(cfg: RunConfig) -> int:
+    from .variational import minimize_energy, stationarity_equals_balance
+
     params = _require_scalar(cfg, "variational")
     code = 0
     try:
@@ -364,6 +378,8 @@ def cmd_variational(cfg: RunConfig) -> int:
 
 
 def cmd_converge(cfg: RunConfig) -> int:
+    from .solver import MAX_DIM, START_DIM, convergence_table
+
     params = _require_scalar(cfg, "converge")
     max_dim = cfg.dim if cfg.dim is not None else MAX_DIM
     if max_dim < 2 * START_DIM:  # the ladder starts at START_DIM and compares two levels
@@ -405,6 +421,10 @@ def _sweep_grid(cfg: RunConfig) -> list[tuple[float, float, float]]:
 
 
 def _sweep_point(task) -> dict:
+    from .balance import sector_report
+    from .solver import solve_rabi_ground
+    from .variational import minimize_energy
+
     omega, lam, omega0, dim, tol = task
     params = ModelParams(omega=omega, lam=lam, omega0=omega0)
     sol = solve_rabi_ground(params, tol=tol, dim=dim)

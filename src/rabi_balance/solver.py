@@ -57,7 +57,7 @@ if TYPE_CHECKING:
 
 START_DIM = 16
 MAX_DIM = 256
-DEGENERACY_TOL = 1e-9  # absolute sector gap below which the ground is degenerate
+DEGENERACY_TOL = 1e-9  # sector gap, in units of omega, below which the ground is degenerate
 ROUNDING_ULPS = 64  # a level change within this many ulps of E is rounding: converged
 
 # The chain is scaled to norm below 1; the tolerances below are in that scale.
@@ -77,7 +77,7 @@ class GroundSolution(namedtuple("GroundSolution", "energy phi parity parity_labe
     """Converged (or best-effort) ground state of the full model, as a named tuple.
 
     ``parity`` is the sector of the returned representative; at
-    degenerate points (sector gap < 1e-9, e.g. omega0 = 0) the +1
+    degenerate points (sector gap < 1e-9 omega, e.g. omega0 = 0) the +1
     representative is returned and ``parity_label`` reads
     ``"degenerate"``.  ``phi`` is the real unit sector eigenvector as a
     tuple of floats, its entry of largest modulus positive.
@@ -329,12 +329,12 @@ def _doubled_dims(max_dim: int) -> Iterator[int]:
         dim *= 2
 
 
-def _solution(rows, sectors, converged: bool) -> GroundSolution:
+def _solution(omega: float, rows, sectors, converged: bool) -> GroundSolution:
     dim, _, delta = rows[-1]
     e_plus, phi_plus = sectors[+1]
     e_minus, phi_minus = sectors[-1]
     gap = e_minus - e_plus
-    if abs(gap) < DEGENERACY_TOL:
+    if abs(gap) < DEGENERACY_TOL * omega:  # H -> cH keeps the label
         # degenerate pair: report the +1 representative
         parity, label = +1, "degenerate"
         energy, phi = e_plus, phi_plus
@@ -374,7 +374,7 @@ def solve_rabi_ground(
     if dim is not None:
         if dim < 4:
             raise ValueError(f"fixed dim must be >= 4, got {dim}")
-        sol = _solution(*_doubling(params, tol, (dim // 2, dim)))
+        sol = _solution(params.omega, *_doubling(params, tol, (dim // 2, dim)))
         if not sol.converged:
             raise NotConverged(
                 f"energy moved by {sol.energy_delta:.3e} between dim {dim // 2} and {dim}",
@@ -382,7 +382,7 @@ def solve_rabi_ground(
             )
         return sol
 
-    sol = _solution(*_doubling(params, tol, _doubled_dims(MAX_DIM)))
+    sol = _solution(params.omega, *_doubling(params, tol, _doubled_dims(MAX_DIM)))
     if not sol.converged:
         raise NotConverged(
             f"not converged to {tol:.1e} within max_dim {MAX_DIM} "

@@ -603,8 +603,10 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(tmp_path, monkeypa
     def no_point(*args, **kwargs):
         raise AssertionError("a point ran")
 
-    for name in ("solve_rabi_ground", "convergence_table", "minimize_energy", "_sweep_point"):
-        monkeypatch.setattr(cli, name, no_point)
+    # each command imports its layers when it runs: patch where they are defined
+    for module, name in ((solver, "solve_rabi_ground"), (solver, "convergence_table"),
+                         (variational, "minimize_energy"), (cli, "_sweep_point")):
+        monkeypatch.setattr(module, name, no_point)
     out = tmp_path / "out.txt"
     flag = "--" + key.replace("_", "-")
     if form == "flag":
@@ -675,7 +677,7 @@ def test_out_that_is_not_a_regular_file_is_left_alone(tmp_path, monkeypatch, cap
         raise AssertionError("a point ran before --out was checked")
 
     monkeypatch.setattr(cli, "_sweep_point", no_point)
-    monkeypatch.setattr(cli, "solve_rabi_ground", no_point)
+    monkeypatch.setattr(solver, "solve_rabi_ground", no_point)
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     assert run_cli([command, "--lambda", "0", "--omega0", "1", "--out", str(fifo)]) == 1
@@ -850,29 +852,43 @@ def test_overflow_prints_one_line_in_a_real_process(tmp_path, args, error):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", [["balance"], ["balance", "--paper-literal"], ["variational"]],
-                         ids=["balance", "literal", "variational"])
+@pytest.mark.parametrize("command", [["solve", "--format", "json"], ["balance"],
+                                     ["balance", "--paper-literal"], ["variational"]],
+                         ids=["solve", "balance", "literal", "variational"])
 def test_tiny_scale_reports_the_unit_scale_times_the_scale(capsys, command):
-    # at omega = lam = omega0 = 2^-600, omega^2 and omega^3 underflow to 0;
-    # the bounds divide by one power of omega at a time, so the report is the
-    # one at scale 1, times 2^-600 for energies and 2^600 for Var(q sigma_x)
-    def run(scale):
-        point = ["--omega", repr(scale), "--lambda", repr(scale), "--omega0", repr(scale)]
+    # at omega = omega0 = 2^-600 and lam = 2^-600 or 2^-601, omega^2 and
+    # omega^3 underflow to 0; the bounds divide by one power of omega at a
+    # time and b1 multiplies by one at a time, so the report is the one at
+    # scale 1, times 2^-600 for energies and 2^600 for Var(q sigma_x), and
+    # the degeneracy threshold scales with omega, so the parity label stays;
+    # abs=0, as approx's default abs of 1e-12 would pass any value near 2^-600
+    def run(scale, coupling):
+        point = ["--omega", repr(scale), "--lambda", repr(coupling * scale),
+                 "--omega0", repr(scale)]
         assert run_cli([*command, *point]) == 0
         return json.loads(capsys.readouterr().out)
 
-    tiny, unit = run(2.0**-600), run(1.0)
-    if command[0] == "variational":
-        assert tiny["result"]["trial"] == unit["result"]["trial"]
-        assert tiny["result"]["energy"] == pytest.approx(unit["result"]["energy"] * 2.0**-600,
-                                                         rel=1e-12)
-        return
-    assert tiny["passed"] is True
-    props, want = tiny["report"]["properties"], unit["report"]["properties"]
-    for name, scale in (("p1", 2.0**-600), ("b2", 2.0**600)):
-        assert props[name]["satisfied"] is True
-        for edge in ("value", "lower", "upper"):
-            assert props[name][edge] == pytest.approx(want[name][edge] * scale, rel=1e-12)
+    def times(value, scale=2.0**-600):
+        return pytest.approx(value * scale, rel=1e-12, abs=0.0)
+
+    for coupling in (1.0, 0.5):  # b1 is 0.0 at scale 1 on the first, 5.6e-17 on the second
+        tiny, unit = run(2.0**-600, coupling), run(1.0, coupling)
+        if command[0] == "solve":
+            assert tiny["parity_label"] == unit["parity_label"] == "+1"
+            assert tiny["sector_gap"] == times(unit["sector_gap"])
+        elif command[0] == "variational":
+            assert tiny["result"]["trial"] == unit["result"]["trial"]
+            for key in ("energy", "b1_residual"):
+                assert tiny["result"][key] == times(unit["result"][key]), key
+        else:
+            assert tiny["passed"] is True
+            b1 = tiny["report"]["second_order"]["b1"]
+            assert b1 == times(unit["report"]["second_order"]["b1"])
+            props, want = tiny["report"]["properties"], unit["report"]["properties"]
+            for name, scale in (("p1", 2.0**-600), ("b2", 2.0**600)):
+                assert props[name]["satisfied"] is True
+                for edge in ("value", "lower", "upper"):
+                    assert props[name][edge] == times(want[name][edge], scale)
 
 
 @pytest.mark.parametrize("lam", ["1e160", "1e200"])
@@ -1134,6 +1150,48 @@ def test_the_cli_loads_no_dataclasses(args):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == "[]"
     assert bool(proc.stdout) == (args != [])
+
+
+# Importing the CLI loads no layer, so --help and a usage error load none;
+# each command imports the layers it calls, and json only where JSON is read
+# or printed.  Which of them loaded goes to stderr's last line.
+_LAYERS_CHILD = """
+import sys
+import rabi_balance.cli
+try:
+    code = rabi_balance.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+except SystemExit as exc:  # --help
+    code = exc.code
+sys.stdout.flush()
+names = ("json", "rabi_balance.balance", "rabi_balance.solver", "rabi_balance.variational")
+sys.stderr.write(f"\\n{[name for name in names if name in sys.modules]}\\n")
+sys.exit(code)
+"""
+_SOLVER = ["rabi_balance.solver"]
+_REPORT = ["rabi_balance.balance", "rabi_balance.solver"]
+_OPTIMIZER = ["rabi_balance.balance", "rabi_balance.solver", "rabi_balance.variational"]
+_GRID = ["sweep", "--lambda", "0:1:2", "--omega0", "1", "--jobs", "1"]
+
+
+@pytest.mark.parametrize("args, code, loaded", [
+    ([], 0, []),
+    (["--help"], 0, []),
+    (["solve", "--omega0", "1"], 1, []),
+    (["solve", *_POINT], 0, _SOLVER),
+    (["solve", *_POINT, "--format", "json"], 0, ["json", *_SOLVER]),
+    (["converge", *_POINT], 0, _SOLVER),
+    (["balance", *_POINT], 0, ["json", *_REPORT]),
+    (["balance", *_POINT, "--paper-literal"], 0, ["json", *_REPORT]),
+    (["variational", *_POINT], 0, ["json", *_OPTIMIZER]),
+    (_GRID, 0, _OPTIMIZER),
+    ([*_GRID, "--format", "json"], 0, ["json", *_OPTIMIZER]),
+], ids=["import", "help", "usage-error", "solve", "solve-json", "converge", "balance",
+        "balance-paper-literal", "variational", "sweep", "sweep-json"])
+def test_each_command_loads_only_the_layers_it_runs(args, code, loaded):
+    proc = _child(["-c", _LAYERS_CHILD, *args])
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.splitlines()[-1] == repr(loaded)
+    assert bool(proc.stdout) == (code == 0 and args != [])
 
 
 _LIBRARY_CHILD = """

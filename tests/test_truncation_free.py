@@ -4,7 +4,9 @@
   two the solver's own power-of-two chain scaling makes every rounding
   the same, so the solution and the trial optimum scale bit for bit.
 * Braak's G-function (``braak``): each sector energy is a zero of its
-  parity's G, and the lowest one.
+  parity's G, and the lowest one; the parity label names the sector whose
+  lowest zero lies lower by more than the degeneracy threshold, or reads
+  ``degenerate`` where both G's change sign within it.
 """
 
 import pytest
@@ -43,13 +45,16 @@ def _sector_energies(sol) -> dict[int, float]:
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
-@given(lam=st.floats(0.05, 3.0), omega0=st.floats(0.1, 5.0))
+@given(lam=st.floats(0.05, 6.0), omega0=st.floats(0.1, 5.0))
 @example(lam=3.0, omega0=0.7)  # a sector gap of 1.1e-8
+@example(lam=3.5, omega0=5.0)  # a sector gap of 2.0e-10: degenerate
+@example(lam=6.0, omega0=5.0)  # the longest G series of the box
 @example(lam=0.05, omega0=0.1)  # the -1 sector's lowest x is past the pole at 0
-@example(lam=3.0, omega0=0.1)  # both lowest x within 1e-4 below the pole at 0
+@example(lam=3.0, omega0=0.1)  # both lowest x within 1e-4 below the pole at 0; gap 1.5e-9: +1
 def test_sector_energies_are_the_lowest_zeros_of_braaks_g(lam, omega0):
     sol = solve_rabi_ground(ModelParams(omega=1.0, lam=lam, omega0=omega0))
-    for parity, energy in _sector_energies(sol).items():
+    energies = _sector_energies(sol)
+    for parity, energy in energies.items():
         sign = -parity  # G_- holds the +1 energies, G_+ the -1 energies
         delta = 1e-9 * max(1.0, abs(energy))
         x = energy + lam * lam
@@ -57,3 +62,13 @@ def test_sector_energies_are_the_lowest_zeros_of_braaks_g(lam, omega0):
         above = g_function(x + delta, lam, omega0, sign)
         assert (below < 0.0) != (above < 0.0), (parity, energy, below, above)
         assert sign_changes_below(x - delta, lam, omega0, sign) == [], (parity, energy)
+    x = energies[sol.parity] + lam * lam
+    tol = 1e-9  # solver.DEGENERACY_TOL times omega = 1
+    if sol.parity_label == "degenerate":  # both sectors' lowest zeros within tol of x
+        for sign in (+1, -1):
+            below = g_function(x - tol, lam, omega0, sign)
+            above = g_function(x + tol, lam, omega0, sign)
+            assert (below < 0.0) != (above < 0.0), (sign, sol.sector_gap)
+    else:  # the other sector's lowest zero lies above x + tol
+        assert sol.parity_label == f"{sol.parity:+d}"
+        assert sign_changes_below(x + tol, lam, omega0, sol.parity) == [], sol.sector_gap
