@@ -29,17 +29,27 @@ only to read or print JSON; ``solve`` and ``converge`` load the solver,
 those and the trial optimizer, whose simplex alone loads numpy, at its
 first energy (exponential and sinh are numpy's), with one BLAS thread
 unless the environment sets a count; only a sweep on more than one
-worker imports the process pool.
+worker imports the process pool.  At exit the process freezes its
+objects (``gc.freeze``), so the interpreter's final garbage collections
+skip the walk over memory the OS frees anyway; output is complete by
+then, and nothing is frozen while a command runs.
 """
 
 from __future__ import annotations
 
+import atexit
+import gc
 import os
 
 # An idle OpenBLAS worker thread costs CPU from the moment numpy loads, and
 # no command uses it: set before the trial simplex imports numpy.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+# The interpreter's final collections walk every tracked object only to free
+# memory the OS takes back anyway; frozen at exit, they skip them.  Output is
+# written before main returns, and nothing is frozen while a command runs.
+atexit.register(gc.freeze)
 
 import argparse
 import contextlib

@@ -39,7 +39,15 @@ three vertices are ordered by a stable insertion sort, NaN last.  The
 energy it calls is the closed form on Python floats, rounded as on
 numpy float64 scalars; the exponential and sinh stay numpy's, because
 ``math.exp`` and ``math.sinh`` round some arguments differently, and one
-last-bit change in the energy can change the simplex path.
+last-bit change in the energy can change the simplex path.  numpy's
+own results depend on the CPU it dispatches to: with numpy 2.4.6 on an
+AVX-512 x86 CPU, ``np.exp`` and ``np.sinh`` differ from ``math.exp``
+and ``math.sinh`` in the last bit on some inputs, and with those
+features disabled (``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+AVX512_SPR"``) they agree with them.  So the optimum columns
+(``e_var``, ``beta_star``, ``gamma_star`` and what follows from them)
+can move by more than round-off from one CPU to another, where the
+simplex path branches on a last-bit difference.
 """
 
 from __future__ import annotations
@@ -296,12 +304,15 @@ def minimize_energy(params: ModelParams, exact: GroundSolution) -> VariationalRe
     ``exact`` is the solver's ground state at ``params``, which the caller
     solves; the result's ``gap`` is the optimum's energy above it.
     Multi-start: the origin plus the displaced-oscillator guess
-    beta = -lam/omega at gamma in {0, +0.3, -0.3}.  Raises
+    beta = -lam/omega at gamma in {0, +0.3, -0.3}; at lam = 0 the guess
+    at gamma 0 is the origin, which runs once.  Raises
     OptimizerStalled (carrying the best point) if no start converges
     within the evaluation budget.
     """
     beta_guess = min(max(-params.lam / params.omega, -BETA_MAX), BETA_MAX)
-    starts = [(0.0, 0.0)] + [(beta_guess, g) for g in START_OFFSETS]
+    # at lam = 0 the guess (-0.0, 0.0) is the origin's simplex: 0.0 == -0.0
+    # and both hash alike, so the dict keeps one start, the origin, in order
+    starts = list(dict.fromkeys([(0.0, 0.0)] + [(beta_guess, g) for g in START_OFFSETS]))
     bounds = ((-BETA_MAX, BETA_MAX), (-GAMMA_MAX, GAMMA_MAX))
 
     best = None

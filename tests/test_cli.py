@@ -1237,3 +1237,23 @@ def test_cli_starts_numpy_with_one_blas_thread(monkeypatch, preset, imports, exp
     proc = _child(["-c", _BLAS_CHILD.format(imports=imports, names=_BLAS_VARS)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == repr(expected)
+
+
+_FREEZE_CHILD = """
+import atexit
+import gc
+atexit.register(lambda: print(gc.get_freeze_count()))
+{imports}
+"""
+
+
+@pytest.mark.parametrize("imports, frozen", [
+    ("import rabi_balance.cli", True),
+    ("import rabi_balance\nfrom rabi_balance import solve_rabi_ground", False),
+], ids=["cli", "library"])
+def test_cli_freezes_its_objects_at_exit_and_the_library_does_not(imports, frozen):
+    # atexit runs handlers last in, first out: the child's handler, registered
+    # before the import, runs after the CLI's and sees what it froze
+    proc = _child(["-c", _FREEZE_CHILD.format(imports=imports)])
+    assert proc.returncode == 0, proc.stderr
+    assert (int(proc.stdout.splitlines()[-1]) > 0) == frozen

@@ -9,6 +9,15 @@ degenerate omega0 = 0 line, weak coupling and Fock dimensions 32-128.
 Byte identity holds across runs and ``--jobs`` (criterion 12), but not
 across eigensolver changes, which move state-derived columns by
 round-off; this test bounds that drift.
+
+The optimum columns (``e_var``, ``beta_star``, ``gamma_star``) also
+depend on the CPU: the trial simplex's energy calls numpy's ``exp`` and
+``sinh``, whose last bit depends on the SIMD code numpy dispatches to.
+The reference agrees with numpy 2.4.6 on an AVX-512 x86 CPU.  With
+those features disabled (``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+AVX512_SPR"``), the simplex takes another path at lambda=3 omega0=0 and
+this test fails on ``beta_star``; so a failure on a runner without
+AVX-512 is not by itself a regression.
 """
 
 import csv

@@ -349,6 +349,22 @@ def test_energy_formula_rounds_as_the_float64_formula():
                 p, beta, gamma)
 
 
+@pytest.mark.parametrize("lam, runs", [(0.0, 3), (0.5, 4), (1e-300, 4)])
+def test_each_distinct_start_runs_once(monkeypatch, lam, runs):
+    # at lam = 0 the guess at gamma 0 is (-0.0, 0.0), the origin's simplex
+    calls = []
+
+    def counted(func, x0, *args):
+        calls.append(x0)
+        return _nelder_mead(func, x0, *args)
+
+    monkeypatch.setattr(variational, "_nelder_mead", counted)
+    p = ModelParams(omega=1.0, lam=lam, omega0=1.0)
+    minimize_energy(p, solve_rabi_ground(p))
+    assert len(calls) == runs
+    assert calls[0] == (0.0, 0.0) and len(set(calls)) == runs
+
+
 def test_optimizer_stall_carries_best_effort(monkeypatch):
     monkeypatch.setattr(variational, "MAXFEV", 1)
     p = ModelParams(omega=1.0, lam=0.5, omega0=1.0)
