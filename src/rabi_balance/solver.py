@@ -34,11 +34,13 @@ Sturm counts, ch. 7).
 One doubling ladder solves both sectors at Fock dimension 16, 32, ...
 until the global minimum moves by less than ``tol`` (or, where ``tol``
 is below its rounding, by less than ROUNDING_ULPS ulps); a fixed ``dim``
-is the same ladder over ``dim // 2`` and ``dim``.  Every level is solved
-once; the solution holds the winning sector's eigenvector at the last
-level as a tuple of floats, ``phi``.  It caches no state: the
-``QuantumState`` ``boson_state`` and its spin-boson lift ``state`` are
-made from ``phi`` on each read, and only they import ``fock``.
+is the same ladder over ``dim // 2`` and ``dim``.  Each sector's chain
+is built once per solve and extended by the new levels' entries only,
+and every level is solved once; the solution holds the winning
+sector's eigenvector at the last level as a tuple of floats, ``phi``.
+It caches no state: the ``QuantumState`` ``boson_state`` and its
+spin-boson lift ``state`` are made from ``phi`` on each read, and only
+they import ``fock``.
 """
 
 from __future__ import annotations
@@ -271,9 +273,12 @@ def _lowest_pair(a: list, b: list,
     # A coupling below eps sqrt|a_i a_i+1| is negligible, as in LAPACK's
     # tridiagonal solvers: the chain splits there, and each block is solved
     # alone, which keeps the relative accuracy of a decoupled level.  (As
-    # |a_i| < 1, the first test only screens out the common case fast.)
+    # |a_i| < 1, the first test screens out the common case; the scan runs
+    # only where the smallest coupling passes it, as c * c grows with |c|.)
     tiny = _EPS * _EPS
-    cuts = [i + 1 for i, c in enumerate(b) if c * c <= tiny and c * c <= tiny * abs(a[i] * a[i + 1])]
+    least = min(map(abs, b), default=0.0)
+    cuts = [] if least * least > tiny else [
+        i + 1 for i, c in enumerate(b) if c * c <= tiny and c * c <= tiny * abs(a[i] * a[i + 1])]
     best = None
     for lo, hi in zip([0, *cuts], [*cuts, n]):
         if hi - lo == 1:
@@ -307,12 +312,16 @@ def _doubling(params: ModelParams, tol: float, dims: Iterable[int]):
     """
     rows: list[tuple[int, float, float]] = []
     sectors: dict[int, tuple[float, list] | None] = {+1: None, -1: None}
+    chains = {p: ([], []) for p in (+1, -1)}  # each sector's chain, extended level by level
+    built = 0
     previous = math.nan
     for dim in dims:
-        sectors = {
-            p: _lowest_pair(*sector_chain(dim, params, p), start=sectors[p])
-            for p in (+1, -1)
-        }
+        for p, (a, b) in chains.items():
+            more_a, more_b = sector_chain(dim, params, p, built)
+            a += more_a
+            b += more_b
+        built = dim
+        sectors = {p: _lowest_pair(a, b, start=sectors[p]) for p, (a, b) in chains.items()}
         energy = min(e for e, _ in sectors.values())
         rows.append((dim, energy, energy - previous))
         if abs(energy - previous) < max(tol, ROUNDING_ULPS * math.ulp(energy)):

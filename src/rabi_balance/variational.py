@@ -122,18 +122,26 @@ def _energy_formula(params: ModelParams):
     ``math.exp`` and ``math.sinh`` differ from them in the last bit on
     some inputs and would move the simplex path.  numpy is imported here,
     not with the module, and its two functions are bound once per call.
+
+    ``2.0 * lam`` and ``0.5 * omega0`` are taken once per point and
+    ``beta**2`` once per evaluation.  That keeps every rounding: Python
+    evaluates ``2.0 * lam * beta * stretch`` left to right, as
+    ``((2.0 * lam) * beta) * stretch``, so the hoisted product is the
+    first rounding it made anyway, and a repeated ``beta**2`` rounds alike.
     """
     import numpy as np
 
-    omega, lam, omega0 = float(params.omega), float(params.lam), float(params.omega0)
+    omega = float(params.omega)
+    two_lam, half_omega0 = 2.0 * float(params.lam), 0.5 * float(params.omega0)
     exp, sinh = np.exp, np.sinh
 
     def energy(beta: float, gamma: float) -> float:
         stretch = float(exp(gamma))
+        beta_sq = beta**2
         return (
-            omega * (beta**2 * stretch**2 + float(sinh(gamma)) ** 2)
-            + 2.0 * lam * beta * stretch
-            - 0.5 * omega0 * float(exp(-2.0 * beta**2))
+            omega * (beta_sq * stretch**2 + float(sinh(gamma)) ** 2)
+            + two_lam * beta * stretch
+            - half_omega0 * float(exp(-2.0 * beta_sq))
         )
 
     return energy

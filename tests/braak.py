@@ -11,7 +11,10 @@ the regular spectrum of H = omega a^dag a + g (a + a^dag) sigma_x
 with g = lam and Delta = omega0 / 2 in this package's terms.  The zeros
 of G_- are the package's parity +1 energies and those of G_+ its parity
 -1 energies.  G has a pole at each integer x >= 0, and its terms decay
-geometrically once n passes x + 4 g^2 or so.  Standard library only.
+geometrically once n passes x + 4 g^2 or so.  At Delta = 0 every pole
+term vanishes: G has no pole and no zero, and the spectrum is that of two
+displaced oscillators, x = n in both parities, Braak's exceptional
+eigenvalues.  Standard library only.
 """
 
 import math
@@ -20,20 +23,40 @@ STEPS_PER_UNIT = 64  # scan samples per unit of x between G's poles
 
 
 def g_function(x: float, lam: float, omega0: float, sign: int) -> float:
-    """G_sign(x) at omega = 1, for lam > 0 and x not a nonnegative integer.
+    """G_sign(x) at omega = 1, for lam > 0 and x not a nonnegative integer unless omega0 = 0.
 
     The running term t_n = K_n g^n obeys n t_n = g f_{n-1} t_{n-1} - g^2 t_{n-2},
-    which keeps K_n's growth and g^n's decay from overflowing apart.
+    which keeps K_n's growth and g^n's decay from overflowing apart.  At
+    Delta = 0 the pole terms Delta / (x - n) and Delta^2 / (x - n) are 0,
+    also at x = n, where the quotient would be 0 / 0.
     """
     delta = 0.5 * omega0
     terms = int(max(x, 0.0) + 4.0 * lam * lam) + 100
     previous, term = 0.0, 1.0
     total = []
     for n in range(terms):
-        total.append(term * (1.0 - sign * delta / (x - n)))
-        f_n = 2.0 * lam + (n - x + delta * delta / (x - n)) / (2.0 * lam)
+        pole, shift = (delta / (x - n), delta * delta / (x - n)) if delta else (0.0, 0.0)
+        total.append(term * (1.0 - sign * pole))
+        f_n = 2.0 * lam + (n - x + shift) / (2.0 * lam)
         previous, term = term, (lam * f_n * term - lam * lam * previous) / (n + 1)
     return math.fsum(total)
+
+
+def brackets_an_eigenvalue(lo: float, hi: float, lam: float, omega0: float, sign: int) -> bool:
+    """Whether (x - n) G_sign(x) changes sign between lo and hi, n the pole nearest them.
+
+    For hi - lo < 1 at most one pole of G, n, lies between them, and it is
+    simple, so the factor takes it out: a sign change brackets a zero of
+    G, a regular eigenvalue, or x = n where G's residue there vanishes,
+    Braak's exceptional one.  At Delta = 0 every x = n is one.  As Delta
+    falls to 0, the lowest zero of each G closes in on the pole at 0
+    (to within about Delta exp(-2 g^2)); where floats cannot part them,
+    the product still changes sign once, as it does in the limit.
+    """
+    n = max(0, round(0.5 * (lo + hi)))  # G's poles are the integers x >= 0
+    below = (lo - n) * g_function(lo, lam, omega0, sign)
+    above = (hi - n) * g_function(hi, lam, omega0, sign)
+    return (below < 0.0) != (above < 0.0)
 
 
 def sign_changes_below(x_end: float, lam: float, omega0: float, sign: int) -> list[float]:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 import json
 import multiprocessing
 import os
@@ -1257,3 +1258,75 @@ def test_cli_freezes_its_objects_at_exit_and_the_library_does_not(imports, froze
     proc = _child(["-c", _FREEZE_CHILD.format(imports=imports)])
     assert proc.returncode == 0, proc.stderr
     assert (int(proc.stdout.splitlines()[-1]) > 0) == frozen
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic collector disabled for the test, as ``main`` runs a command; then restored."""
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    yield
+    if collecting:
+        gc.enable()
+
+
+@pytest.mark.parametrize("task", [
+    (1.0, 0.0, 1.0, None, 1e-10),
+    (1.0, 0.5, 0.0, None, 1e-10),
+    (1.0, 0.3, 2.0, None, 1e-10),
+    (1.0, 5.0, 1.0, None, 1e-10),
+    (1.0, 10.0, 1.0, None, 1e-10),  # NotConverged within MAX_DIM
+], ids=["lam0", "omega0-0", "weak", "strong", "not-converged"])
+def test_a_sweep_point_makes_no_cyclic_garbage(collector_off, task):
+    # main runs its command with the collector off: that frees everything a
+    # point makes only if nothing it makes is cyclic
+    try:
+        cli._sweep_point(task)
+    except NotConverged:
+        assert task[1] == 10.0
+    assert gc.collect() == 0
+
+
+def test_a_pooled_sweep_makes_no_cyclic_garbage(collector_off):
+    import concurrent.futures.process  # noqa: F401  its first import makes cyclic garbage
+
+    gc.collect()
+    tasks = [(1.0, lam, 1.0, None, 1e-10) for lam in (0.0, 0.5, 1.0, 2.0)]
+    assert len(list(cli._pool_map(tasks, 2))) == 4
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("argv, code", [
+    (["sweep", "--lambda", "0:1:2", "--omega0", "1", "--jobs", "1"], 0),
+    (["sweep", "--lambda", "0:1:2", "--omega0", "1", "--jobs", "0"], 1),
+    (["sweep", "--lambda", "10", "--omega0", "1", "--jobs", "1"], 2),
+], ids=["exit-0", "exit-1", "exit-2"])
+def test_main_runs_with_the_collector_off_and_restores_it(monkeypatch, capsys, argv, code,
+                                                          collecting):
+    seen = []
+    sweep_point = cli._sweep_point
+
+    def recording(task):
+        seen.append(gc.isenabled())
+        return sweep_point(task)
+
+    monkeypatch.setattr(cli, "_sweep_point", recording)
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        assert run_cli(argv) == code
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == ([False, False] if code == 0 else [False] if code == 2 else [])
+    capsys.readouterr()
+
+
+def test_help_restores_the_collector(capsys):
+    assert gc.isenabled()
+    with pytest.raises(SystemExit):
+        run_cli(["--help"])
+    assert gc.isenabled()
+    assert "rabi-balance" in capsys.readouterr().out

@@ -151,6 +151,28 @@ def test_each_level_is_solved_once(monkeypatch, lam, dim, levels):
     assert solved == levels
 
 
+@pytest.mark.parametrize("lam, dim", [
+    (0.0, None), (1e-300, None), (0.5, None), (6.0, None), (0.5, 64),
+])
+def test_each_level_solves_the_chain_built_afresh(monkeypatch, lam, dim):
+    # the ladder extends each sector's chain by the new levels' entries;
+    # every level must see the chain sector_chain builds from level 0
+    params = ModelParams(omega=1.0, lam=lam, omega0=1.0)
+    chains = []
+    lowest_pair = solver._lowest_pair
+
+    def recording(diag, off, start=None):
+        chains.append(repr((diag, off)))  # repr: bit for bit, the sign of a zero included
+        return lowest_pair(diag, off, start)
+
+    monkeypatch.setattr(solver, "_lowest_pair", recording)
+    sol = solve_rabi_ground(params, dim=dim)
+    levels = [16 * 2**k for k in range(len(chains) // 2)] if dim is None else [dim // 2, dim]
+    assert len(chains) == 2 * len(levels) and levels[-1] == sol.dim_used
+    expected = [repr(sector_chain(level, params, p)) for level in levels for p in (+1, -1)]
+    assert chains == expected
+
+
 def _sturm_count(diag, off, sigma):
     """Eigenvalues of the chain below sigma: negative pivots of its LDL^T, on floats."""
     count, q = 0, 1.0

@@ -6,7 +6,9 @@
 * Braak's G-function (``braak``): each sector energy is a zero of its
   parity's G, and the lowest one; the parity label names the sector whose
   lowest zero lies lower by more than the degeneracy threshold, or reads
-  ``degenerate`` where both G's change sign within it.
+  ``degenerate`` where both G's change sign within it.  At omega0 = 0 the
+  G's have no pole term and no zero, and both sectors' lowest level is
+  the exceptional x = 0.
 """
 
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from rabi_balance import ModelParams, minimize_energy, solve_rabi_ground
 
-from braak import g_function, sign_changes_below
+from braak import brackets_an_eigenvalue, sign_changes_below
 
 
 @pytest.mark.parametrize("c", [0.25, 2.0, 8.0])
@@ -45,12 +47,17 @@ def _sector_energies(sol) -> dict[int, float]:
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
-@given(lam=st.floats(0.05, 6.0), omega0=st.floats(0.1, 5.0))
+@given(lam=st.floats(0.05, 6.0), omega0=st.floats(0.0, 5.0))
 @example(lam=3.0, omega0=0.7)  # a sector gap of 1.1e-8
 @example(lam=3.5, omega0=5.0)  # a sector gap of 2.0e-10: degenerate
 @example(lam=6.0, omega0=5.0)  # the longest G series of the box
 @example(lam=0.05, omega0=0.1)  # the -1 sector's lowest x is past the pole at 0
 @example(lam=3.0, omega0=0.1)  # both lowest x within 1e-4 below the pole at 0; gap 1.5e-9: +1
+@example(lam=3.0, omega0=1e-3)  # the +1 sector's x, -7.2e-9, within the check window of the pole
+@example(lam=1.0, omega0=1e-12)  # both zeros nearer the pole than the window: degenerate
+@example(lam=0.5, omega0=0.0)  # no pole terms: x = 0 in both sectors, exactly
+@example(lam=6.0, omega0=0.0)
+@example(lam=0.05, omega0=5e-324)  # the zeros sit closer to the pole than any float
 def test_sector_energies_are_the_lowest_zeros_of_braaks_g(lam, omega0):
     sol = solve_rabi_ground(ModelParams(omega=1.0, lam=lam, omega0=omega0))
     energies = _sector_energies(sol)
@@ -58,17 +65,17 @@ def test_sector_energies_are_the_lowest_zeros_of_braaks_g(lam, omega0):
         sign = -parity  # G_- holds the +1 energies, G_+ the -1 energies
         delta = 1e-9 * max(1.0, abs(energy))
         x = energy + lam * lam
-        below = g_function(x - delta, lam, omega0, sign)
-        above = g_function(x + delta, lam, omega0, sign)
-        assert (below < 0.0) != (above < 0.0), (parity, energy, below, above)
+        assert brackets_an_eigenvalue(x - delta, x + delta, lam, omega0, sign), (parity, energy)
+        # at omega0 = 0, G has no zero, and x >= -omega0 / 2 = 0 bounds every level
         assert sign_changes_below(x - delta, lam, omega0, sign) == [], (parity, energy)
     x = energies[sol.parity] + lam * lam
     tol = 1e-9  # solver.DEGENERACY_TOL times omega = 1
+    if omega0 == 0.0:  # both parities hold x = 0: two displaced oscillators
+        assert sol.parity_label == "degenerate"
     if sol.parity_label == "degenerate":  # both sectors' lowest zeros within tol of x
         for sign in (+1, -1):
-            below = g_function(x - tol, lam, omega0, sign)
-            above = g_function(x + tol, lam, omega0, sign)
-            assert (below < 0.0) != (above < 0.0), (sign, sol.sector_gap)
+            assert brackets_an_eigenvalue(x - tol, x + tol, lam, omega0, sign), (
+                sign, sol.sector_gap)
     else:  # the other sector's lowest zero lies above x + tol
         assert sol.parity_label == f"{sol.parity:+d}"
         assert sign_changes_below(x + tol, lam, omega0, sol.parity) == [], sol.sector_gap
