@@ -1,7 +1,7 @@
 """Command-line front end: solve, balance, variational, sweep, converge.
 
 Each command takes only the flags and config keys that change its
-answer, as ``_OPTIONS`` lists them; any other is a usage error.  Exit
+answer, as its ``--help`` lists them; any other is a usage error.  Exit
 codes are part of the contract: 0 on success, 1 on usage or config
 errors or a module the command needs that cannot be imported (numpy, on
 a Python without it, for the trial simplex), 2 on numerical non-success
@@ -14,7 +14,8 @@ at 17 significant digits, LF line endings, rows in grid order with the
 first swept axis slowest.  The worker pool only changes wall time,
 never content.  On failure no partial output file is left behind.
 
-Every balance number a command prints comes from one evaluator,
+Implementation notes (``--help`` prints the paragraphs above).  Every
+balance number a command prints comes from one evaluator,
 ``balance.sector_report``, with no operator bundle and no
 ``QuantumState`` built (``--paper-literal`` adds the printed variants
 ``balance.literal_variants`` reads off its report): the ``balance``
@@ -298,8 +299,6 @@ def _json(obj) -> str:
 def _emit(text: str, out_path: str | None):
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     tmp = out_path + ".tmp"
     try:
@@ -600,7 +599,8 @@ _FLAGS = {  # argparse keywords of each key's flag
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="rabi-balance", description=__doc__)
+    parser = _Parser(prog="rabi-balance", description=__doc__.partition("\n\nImplementation")[0],
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_txt, keys) in _OPTIONS.items():
         p = sub.add_parser(name, help=help_txt)

@@ -37,7 +37,8 @@ compare the two, with and without the printed variants
 force, ``b7_terms``) also serve states of no definite parity.
 
 The runtime modules never import this one, and no CLI command loads it;
-the package root resolves its public names on first access.
+its names are imported from here.  The package root resolves only the
+three the benchmark imports from it, and exports none of them.
 """
 
 from __future__ import annotations

@@ -380,22 +380,14 @@ def solve_rabi_ground(
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if dim is not None:
-        if dim < 4:
-            raise ValueError(f"fixed dim must be >= 4, got {dim}")
-        sol = _solution(params.omega, *_doubling(params, tol, (dim // 2, dim)))
-        if not sol.converged:
-            raise NotConverged(
-                f"energy moved by {sol.energy_delta:.3e} between dim {dim // 2} and {dim}",
-                solution=sol,
-            )
-        return sol
-
-    sol = _solution(params.omega, *_doubling(params, tol, _doubled_dims(MAX_DIM)))
-    if not sol.converged:
+    if dim is not None and dim < 4:
+        raise ValueError(f"fixed dim must be >= 4, got {dim}")
+    dims = _doubled_dims(MAX_DIM) if dim is None else (dim // 2, dim)
+    sol = _solution(params.omega, *_doubling(params, tol, dims))
+    if not sol.converged:  # each ladder ends on a doubling: the last two dims are d // 2 and d
         raise NotConverged(
-            f"not converged to {tol:.1e} within max_dim {MAX_DIM} "
-            f"(last delta {sol.energy_delta:.3e})",
+            f"not converged to {tol:.1e}: energy moved by {sol.energy_delta:.3e} "
+            f"between dim {sol.dim_used // 2} and {sol.dim_used}",
             solution=sol,
         )
     return sol

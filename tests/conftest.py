@@ -10,7 +10,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from rabi_balance import BOSON, SPIN_BOSON, QuantumState
+from rabi_balance.fock import BOSON, QuantumState, SPIN_BOSON
 
 
 @pytest.fixture

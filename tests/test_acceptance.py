@@ -13,28 +13,27 @@ import numpy as np
 import pytest
 
 from rabi_balance import (
-    FockRep,
     ModelParams,
-    QuantumState,
-    SPIN_BOSON,
     TrialParams,
+    energy_closed_form,
+    minimize_energy,
+    solve_rabi_ground,
+    stationarity_equals_balance,
+)
+from rabi_balance.fock import BOSON, FockRep, QuantumState, SPIN_BOSON
+from rabi_balance.oracle import (
+    Observable,
     b1_kinetic_balance,
     b7_covariance_balance,
-    energy_closed_form,
+    b7_terms,
     energy_numeric,
     full_report,
-    minimize_energy,
     second_order_residual,
-    solve_rabi_ground,
     standard_observables,
-    stationarity_equals_balance,
     trial_state,
     wigner_origin,
 )
-from rabi_balance.oracle import b7_terms
 from rabi_balance.cli import main as cli_main
-from rabi_balance.fock import BOSON
-from rabi_balance.oracle import Observable
 
 _T0 = time.monotonic()
 

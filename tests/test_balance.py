@@ -7,25 +7,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabi_balance import (
-    BOSON,
     DimensionMismatch,
-    FockRep,
     ModelParams,
-    QuantumState,
-    SPIN_BOSON,
     TrialParams,
-    b1_kinetic_balance,
     balance_residuals,
-    b7_covariance_balance,
-    displaced_number,
-    embed_reduced_state,
-    first_order_residual,
-    fock_state,
-    full_report,
     literal_variants,
     report_passes,
-    second_order_residual,
     solve_rabi_ground,
+)
+from rabi_balance.fock import (
+    BOSON,
+    FockRep,
+    QuantumState,
+    SPIN_BOSON,
+    embed_reduced_state,
+    fock_state,
+)
+from rabi_balance.oracle import (
+    b1_kinetic_balance,
+    b7_covariance_balance,
+    displaced_number,
+    first_order_residual,
+    full_report,
+    second_order_residual,
     standard_observables,
     wigner_energy_bounds,
     wigner_origin,
@@ -204,7 +208,7 @@ def test_wigner_origin_trivial_states():
 
 
 def test_wigner_origin_coherent_state():
-    from rabi_balance import displacement
+    from rabi_balance.oracle import displacement
 
     rep = FockRep(40)
     st_c = QuantumState.from_vector(displacement(rep, 0.5).matrix[:, 0], BOSON)

@@ -18,7 +18,6 @@ import rabi_balance
 from rabi_balance import (
     ModelParams,
     NotConverged,
-    QuantumState,
     balance,
     cli,
     oracle,
@@ -27,6 +26,7 @@ from rabi_balance import (
     variational,
 )
 from rabi_balance.cli import SWEEP_COLUMNS, main
+from rabi_balance.fock import QuantumState
 from rabi_balance.oracle import Observable
 
 
@@ -636,6 +636,21 @@ def test_help_lists_exactly_the_options_the_command_reads(capsys, command):
     assert listed == {key.replace("_", "-") for key in keys}
 
 
+def test_help_prints_the_user_paragraphs_of_the_docstring(capsys):
+    # the commands, the exit codes and the sweep's guarantees; the notes on
+    # imports, the collector and BLAS threads stay in the docstring
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    exit_codes = cli.__doc__.split("\n\n")[1]
+    assert exit_codes.startswith("Each command takes only") and "Exit\ncodes" in exit_codes
+    assert exit_codes in out
+    assert "Sweep output is reproducible byte for byte" in out
+    assert "gc.freeze" in cli.__doc__ and "gc.freeze" not in out
+    assert "BLAS" not in out
+
+
 def test_config_file_invalid_json_rejected(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text("{not json")
@@ -987,15 +1002,41 @@ ORACLE_NAMES = {
 }
 
 
-def test_oracle_names_resolve_from_the_package_root():
+RUNTIME_NAMES = {
+    # balance, errors, model, solver, variational: what a library user imports
+    "BalanceReport", "BoundCheck", "literal_variants", "report_passes", "sector_report",
+    "AmplitudeTooLarge", "ConfigError", "DimensionMismatch", "EigDecompositionFailure",
+    "NonHermitian", "NotConverged", "OptimizerStalled", "RabiError", "SectorRequired",
+    "SqueezeTooLarge",
+    "ModelParams",
+    "GroundSolution", "convergence_table", "solve_rabi_ground",
+    "TrialParams", "VariationalResult", "balance_residuals", "energy_closed_form",
+    "minimize_energy", "stationarity_equals_balance",
+}
+FOCK_NAMES = {
+    "BOSON", "SPIN_BOSON", "FockRep", "QuantumState", "embed_reduced_state",
+    "extract_reduced_state", "fock_state", "infer_sector",
+}
+# the benchmark imports these from the root until it imports them from their modules
+BENCH_ROOT_NAMES = {"FockRep", "build_full_hamiltonian", "full_report", "wigner_origin"}
+
+
+def test_the_root_exports_the_runtime_and_the_oracle_keeps_its_names():
     from rabi_balance import fock, model, oracle
 
-    assert len(rabi_balance.__all__) == len(set(rabi_balance.__all__)) == 54
-    defined = {name for name in rabi_balance.__all__
-               if getattr(getattr(rabi_balance, name), "__module__", None) == oracle.__name__}
-    assert defined == ORACLE_NAMES
-    for name in ORACLE_NAMES:
-        assert getattr(rabi_balance, name) is getattr(oracle, name)
+    assert len(rabi_balance.__all__) == len(RUNTIME_NAMES) == 25
+    assert set(rabi_balance.__all__) == RUNTIME_NAMES
+    runtime = {f"rabi_balance.{m}" for m in ("balance", "errors", "model", "solver", "variational")}
+    for name in RUNTIME_NAMES:
+        assert getattr(rabi_balance, name).__module__ in runtime, name
+    for name in BENCH_ROOT_NAMES:
+        home = fock if name in FOCK_NAMES else oracle
+        assert getattr(rabi_balance, name) is getattr(home, name)
+    for name in (ORACLE_NAMES | FOCK_NAMES) - BENCH_ROOT_NAMES:
+        assert not hasattr(rabi_balance, name), name
+    for home, names in ((fock, FOCK_NAMES), (oracle, ORACLE_NAMES)):
+        for name in names:  # defined there (BOSON and SPIN_BOSON are strings)
+            assert getattr(getattr(home, name), "__module__", home.__name__) == home.__name__
     # the runtime modules, fock included, neither define nor re-export an
     # operator, a dense construction or the spin-boson balance suite
     moved = ORACLE_NAMES | {"HERMITICITY_TOL", "SQUEEZE_MAX", "_generator", "_ladder_matrices",
@@ -1004,6 +1045,35 @@ def test_oracle_names_resolve_from_the_package_root():
                             "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "IDENTITY_2", "_check_dims"}
     for module in (fock, model, solver, variational, balance, cli):
         assert not moved & set(vars(module)), module.__name__
+
+
+# argv[1] is "block" or "plain": blocked, any import of numpy raises ImportError
+_STAR_CHILD = """
+import sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from rabi_balance import *
+
+params = ModelParams(1.0, 0.5, 1.0)
+sol = solve_rabi_ground(params)
+print(report_passes(sector_report(sol.phi, sol.parity, params, sol.energy)), sol.energy)
+print(sorted(name for name, module in sys.modules.items()
+             if module is not None and (name == "numpy" or name.startswith("rabi_balance"))))
+"""
+
+
+@pytest.mark.parametrize("mode", ["block", "plain"])
+def test_star_import_runs_the_runtime_without_numpy(mode):
+    # the root's public names are the runtime's, which run on Python floats:
+    # a star import then a solve and its balance report load neither numpy
+    # nor the test oracle, and work where numpy cannot be imported
+    proc = _child(["-c", _STAR_CHILD, mode])
+    assert proc.returncode == 0, proc.stderr
+    verdict, loaded = proc.stdout.splitlines()
+    assert verdict == "True -0.6332942354616302"
+    assert loaded == repr(["rabi_balance", "rabi_balance.balance", "rabi_balance.errors",
+                           "rabi_balance.model", "rabi_balance.solver",
+                           "rabi_balance.variational"])
 
 
 _POOL_CHILD = """
@@ -1226,7 +1296,7 @@ print([os.environ.get(var) for var in {names!r}])
 @pytest.mark.parametrize("preset, imports, expected", [
     (None, "import rabi_balance.cli", ["1", "1", "1"]),
     ("3", "import rabi_balance.cli", ["3", "1", "1"]),
-    (None, "import rabi_balance\nfrom rabi_balance import full_report", [None, None, None]),
+    (None, "import rabi_balance\nfrom rabi_balance.oracle import full_report", [None, None, None]),
 ], ids=["cli", "cli-preset", "library"])
 def test_cli_starts_numpy_with_one_blas_thread(monkeypatch, preset, imports, expected):
     # the CLI sets one BLAS thread before numpy loads, unless the environment

@@ -3,21 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabi_balance import (
-    AmplitudeTooLarge,
-    BOSON,
-    DimensionMismatch,
-    FockRep,
-    NonHermitian,
+from rabi_balance import AmplitudeTooLarge, DimensionMismatch, NonHermitian, SqueezeTooLarge
+from rabi_balance.fock import BOSON, FockRep, QuantumState, SPIN_BOSON, fock_state
+from rabi_balance.oracle import (
     Observable,
-    QuantumState,
-    SPIN_BOSON,
-    SqueezeTooLarge,
     build_ladder,
     build_quadratures,
     displacement,
     expectation,
-    fock_state,
     squeeze,
     variance,
 )

@@ -2,22 +2,23 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rabi_balance import (
+from rabi_balance import ModelParams, SectorRequired
+from rabi_balance.fock import (
+    BOSON,
     FockRep,
-    ModelParams,
     QuantumState,
     SPIN_BOSON,
-    SectorRequired,
-    build_full_hamiltonian,
-    build_parity_operator,
-    build_reduced_hamiltonian,
     embed_reduced_state,
-    expectation,
     extract_reduced_state,
     fock_state,
     infer_sector,
 )
-from rabi_balance.fock import BOSON
+from rabi_balance.oracle import (
+    build_full_hamiltonian,
+    build_parity_operator,
+    build_reduced_hamiltonian,
+    expectation,
+)
 from rabi_balance.model import sector_chain
 
 from conftest import padded_random_state

@@ -5,20 +5,23 @@ import pytest
 
 from rabi_balance import (
     EigDecompositionFailure,
-    FockRep,
     ModelParams,
     NotConverged,
+    convergence_table,
+    solve_rabi_ground,
+)
+from rabi_balance.fock import FockRep
+from rabi_balance.oracle import (
     Observable,
     build_full_hamiltonian,
     build_parity_operator,
     build_reduced_hamiltonian,
-    convergence_table,
     expectation,
-    solve_rabi_ground,
+    ground_state,
+    sector_matrix,
 )
 from rabi_balance import cli, solver
 from rabi_balance.model import sector_chain
-from rabi_balance.oracle import ground_state, sector_matrix
 
 
 def test_ground_state_of_diagonal_matrix_with_phase_fix():
@@ -119,6 +122,24 @@ def test_fixed_dim_half_delta_check():
     sol = solve_rabi_ground(p, dim=64)
     assert sol.converged
     assert abs(sol.energy_delta) < 1e-10
+
+
+@pytest.mark.parametrize("dim, max_dim, dims", [
+    (8, 256, "dim 4 and 8"),
+    (None, 32, "dim 16 and 32"),
+], ids=["fixed", "auto"])
+def test_not_converged_names_the_last_two_dims(monkeypatch, dim, max_dim, dims):
+    # one ladder call and one message for the fixed and the automatic ladder
+    monkeypatch.setattr(solver, "MAX_DIM", max_dim)
+    with pytest.raises(NotConverged) as err:
+        solve_rabi_ground(ModelParams(omega=1.0, lam=2.0, omega0=1.0), dim=dim)
+    delta = err.value.solution.energy_delta
+    assert str(err.value) == f"not converged to 1.0e-10: energy moved by {delta:.3e} between {dims}"
+
+
+def test_fixed_dim_below_four_is_rejected():
+    with pytest.raises(ValueError, match="fixed dim must be >= 4, got 3"):
+        solve_rabi_ground(ModelParams(omega=1.0, lam=0.5, omega0=1.0), dim=3)
 
 
 def test_convergence_table_shape_and_flags():

@@ -11,24 +11,25 @@ from scipy.optimize import minimize
 import rabi_balance
 from rabi_balance import (
     AmplitudeTooLarge,
-    FockRep,
     ModelParams,
     OptimizerStalled,
     SqueezeTooLarge,
     TrialParams,
     balance_residuals,
     energy_closed_form,
-    energy_numeric,
     minimize_energy,
     solve_rabi_ground,
     stationarity_equals_balance,
+)
+from rabi_balance.fock import BOSON, FockRep, QuantumState
+from rabi_balance.oracle import (
+    _unitary_from_generator,
+    energy_numeric,
     trial_property_compliance,
     trial_state,
     wigner_origin,
 )
 from rabi_balance import variational
-from rabi_balance.fock import BOSON, QuantumState
-from rabi_balance.oracle import _unitary_from_generator
 from rabi_balance.variational import (
     BETA_MAX,
     GAMMA_MAX,
@@ -387,7 +388,9 @@ def test_variational_bound_against_exact(rng):
 
 _RSS_CHILD = """
 import numpy as np
-from rabi_balance import FockRep, ModelParams, TrialParams, balance_residuals, trial_state
+from rabi_balance import ModelParams, TrialParams, balance_residuals
+from rabi_balance.fock import FockRep
+from rabi_balance.oracle import trial_state
 
 def peak_mb():
     # VmHWM is the peak RSS of this process image; ru_maxrss would start
