@@ -148,6 +148,9 @@ def _parse_axis(name: str, raw) -> float | AxisRange:
     if isinstance(raw, dict):
         if not {"min", "max", "count"} <= raw.keys():
             raise ConfigError(f"{name}: range object needs min/max/count")
+        extra = sorted(raw.keys() - {"min", "max", "count"})
+        if extra:
+            raise ConfigError(f"{name}: range object reads no keys {extra}")
         bounds = (_number(f"{name}: min", raw["min"]), _number(f"{name}: max", raw["max"]),
                   _number(f"{name}: count", raw["count"], int, "an integer"))
     elif isinstance(raw, str) and ":" in raw:
@@ -192,7 +195,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config: {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(file_vals, dict):
             raise ConfigError("config: top level must be a JSON object")
-        foreign = sorted(set(file_vals) - set(_OPTIONS[args.command][1]))
+        foreign = sorted(set(file_vals) - set(_COMMANDS[args.command][2]))
         if foreign:
             raise ConfigError(f"config: {args.command} reads no keys {foreign}")
 
@@ -321,14 +324,10 @@ def _solve(cfg: RunConfig, params: ModelParams) -> tuple[GroundSolution, int]:
 
 
 def _solution_dict(sol: GroundSolution) -> dict:
-    return {
-        "energy": sol.energy,
-        "parity_label": sol.parity_label,
-        "sector_gap": sol.sector_gap,
-        "dim_used": sol.dim_used,
-        "converged": sol.converged,
-        "energy_delta": sol.energy_delta,
-    }
+    """The solution's fields as ``solve`` prints them, in order: all but the vector and sector."""
+    info = sol._asdict()
+    del info["phi"], info["parity"]
+    return info
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -575,14 +574,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# The config keys, and so the flags (key k is --k, with - for _), each command reads.
+# Each command once: its function, its help line and the config keys it reads,
+# which are also its flags (key k is --k, with - for _).
 _POINT = ("omega", "lambda", "omega0", "dim", "tol", "out")
-_OPTIONS = {  # command: (help line, config keys)
-    "solve": ("ground energy, parity, and truncation info for one point", (*_POINT, "format")),
-    "balance": ("full balance/property report for one point (JSON)", (*_POINT, "paper_literal")),
-    "variational": ("trial-state optimum vs exact ground for one point (JSON)", _POINT),
-    "sweep": ("grid of points -> CSV or JSON rows", (*_POINT, "format", "jobs")),
-    "converge": ("dimension-doubling energy trace for one point", _POINT),
+_COMMANDS = {
+    "solve": (cmd_solve, "ground energy, parity, and truncation info for one point",
+              (*_POINT, "format")),
+    "balance": (cmd_balance, "full balance/property report for one point (JSON)",
+                (*_POINT, "paper_literal")),
+    "variational": (cmd_variational, "trial-state optimum vs exact ground for one point (JSON)",
+                    _POINT),
+    "sweep": (cmd_sweep, "grid of points -> CSV or JSON rows", (*_POINT, "format", "jobs")),
+    "converge": (cmd_converge, "dimension-doubling energy trace for one point", _POINT),
 }
 _FLAGS = {  # argparse keywords of each key's flag
     "omega": {"help": "oscillator frequency (scalar or min:max:count)"},
@@ -602,21 +605,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="rabi-balance", description=__doc__.partition("\n\nImplementation")[0],
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_txt, keys) in _OPTIONS.items():
+    for name, (_, help_txt, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_txt)
         for key in keys:
             p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
         p.add_argument("--config", help="flat JSON config file of these keys; flags override it")
     return parser
-
-
-_COMMANDS = {
-    "solve": cmd_solve,
-    "balance": cmd_balance,
-    "variational": cmd_variational,
-    "sweep": cmd_sweep,
-    "converge": cmd_converge,
-}
 
 
 def main(argv=None) -> int:
@@ -629,7 +623,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         cfg = build_config(args)
         try:
-            return _COMMANDS[args.command](cfg)
+            return _COMMANDS[args.command][0](cfg)
         except ImportError as exc:  # numpy, for the trial simplex, on a Python without it
             raise ConfigError(f"{args.command} needs the module {exc.name or exc}, "
                               "which cannot be imported") from exc

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SectorRequired
-from .model import SECTOR_TOL, check_sector
+from .model import check_sector
 
 BOSON = "boson"
 SPIN_BOSON = "spin_boson"
+SECTOR_TOL = 1e-8  # norm off the sector, or 1 - |<P>|, that still counts as in it
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -18,8 +18,9 @@ whose eigenvector phi lifts back to the full space as
     (1/sqrt 2) ( phi |+>_x  -  p cos(pi a^dag a) phi |->_x ),
 
 i.e. the spin of the Fock component n is slaved to sigma_z = (-1)^(n+1) p.
-That lift, its inverse, the sector inferred from <P> and the Pauli
-matrices are numpy arrays and live in ``fock``.
+That lift, its inverse and the sector inferred from <P> are numpy
+arrays and live in ``fock``; the Pauli matrices, like every operator,
+live in ``oracle``.
 
 In oscillator variables the coupling strength is F0 = sqrt(2 m omega) lam,
 so that F0 q = lam (a + a^dag) identically.
@@ -34,8 +35,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-
-SECTOR_TOL = 1e-8  # norm off the sector, or 1 - |<P>|, that still counts as in it
 
 
 def checked_make(cls, iterable):

@@ -54,10 +54,9 @@ from .errors import (AmplitudeTooLarge, DimensionMismatch, EigDecompositionFailu
 from .fock import (BOSON, SPIN_BOSON, FockRep, QuantumState, _frozen, embed_reduced_state,
                    extract_reduced_state, infer_sector)
 from .model import ModelParams, check_sector, sector_chain
-from .variational import TrialParams, _trial_amplitudes
+from .variational import GAMMA_MAX, TrialParams, _trial_amplitudes
 
 HERMITICITY_TOL = 1e-12
-SQUEEZE_MAX = 2.0
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -225,13 +224,13 @@ def displacement(rep: FockRep, beta: complex) -> Observable:
 def squeeze(rep: FockRep, gamma: float) -> Observable:
     """Truncated squeeze S(gamma) = exp(gamma (a^dag^2 - a^2) / 2).
 
-    gamma is real with |gamma| <= 2 (beyond that the Fock tail decays
-    too slowly for any practical truncation).  The generator preserves
-    parity, so entries with odd n - m vanish.
+    gamma is real with |gamma| <= the trial box's ``GAMMA_MAX`` = 2 (beyond
+    that the Fock tail decays too slowly for any practical truncation).
+    The generator preserves parity, so entries with odd n - m vanish.
     """
     gamma = float(gamma)
-    if abs(gamma) > SQUEEZE_MAX:
-        raise SqueezeTooLarge(f"|gamma| = {abs(gamma)} exceeds {SQUEEZE_MAX}")
+    if abs(gamma) > GAMMA_MAX:
+        raise SqueezeTooLarge(f"|gamma| = {abs(gamma)} exceeds {GAMMA_MAX}")
     u = _unitary_from_generator(rep.working_dim, "squeeze", gamma, 0.0)
     return Observable(u[: rep.dim, : rep.dim], hermitian=False)
 

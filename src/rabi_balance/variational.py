@@ -181,27 +181,31 @@ def balance_residuals(trial: TrialParams, params: ModelParams) -> tuple[float, f
     return report.second_order["b1"], report.second_order["b7"]
 
 
-def _nelder_mead(func, x0, bounds, xatol, fatol, maxfev):
-    """Bounded Nelder-Mead minimum of ``func(beta, gamma)``: (x, fun, nit, success).
+def _nelder_mead(func, x0):
+    """Nelder-Mead minimum of ``func(beta, gamma)`` in the trial box: (x, fun, nit, success).
 
+    The box (``BETA_MAX``, ``GAMMA_MAX``) and the stop rule (``XATOL``,
+    ``FATOL``, ``MAXFEV``) are the module's, read when the search starts.
     Operation for operation scipy 1.17's ``_minimize_neldermead`` without
     ``adaptive`` or ``maxiter``, so every iterate, and the returned x, fun,
     nit and success, equal those of ``scipy.optimize.minimize(lambda x:
-    func(*x), x0, method="Nelder-Mead", bounds=bounds, options={"xatol":
-    xatol, "fatol": fatol, "maxfev": maxfev})``: the same initial simplex, a
-    clip of every trial point into the (nonzero) bounds, the same branch
-    tests and a stable sort of the three vertices, NaN last (numpy's argsort
-    of more than three values is not stable on every CPU, hence two
-    variables only).  The budget is checked before each evaluation; running
-    out mid-iteration leaves the simplex as it stands, half-shrunk included,
-    and does not count the iteration.
+    func(*x), x0, method="Nelder-Mead", bounds=((-BETA_MAX, BETA_MAX),
+    (-GAMMA_MAX, GAMMA_MAX)), options={"xatol": XATOL, "fatol": FATOL,
+    "maxfev": MAXFEV})``: the same initial simplex, a clip of every trial
+    point into the box, the same branch tests and a stable sort of the
+    three vertices, NaN last (numpy's argsort of more than three values is
+    not stable on every CPU, hence two variables only).  The budget is
+    checked before each evaluation; running out mid-iteration leaves the
+    simplex as it stands, half-shrunk included, and does not count the
+    iteration.
 
     The two variables are unrolled: each vertex is a (beta, gamma) pair of
     Python floats with its value, and each trial point is built by the
     float expression scipy evaluates per coordinate (the reflection
     ``2 xbar - 1 worst`` is ``2 * xb - b2``, as multiplying by 1 is exact).
     """
-    (blo, bhi), (glo, ghi) = bounds
+    blo, bhi, glo, ghi = -BETA_MAX, BETA_MAX, -GAMMA_MAX, GAMMA_MAX
+    xatol, fatol, maxfev = XATOL, FATOL, MAXFEV
     b0, g0 = x0
     b0 = blo if b0 < blo else bhi if b0 > bhi else b0
     g0 = glo if g0 < glo else ghi if g0 > ghi else g0
@@ -321,23 +325,21 @@ def minimize_energy(params: ModelParams, exact: GroundSolution) -> VariationalRe
     # at lam = 0 the guess (-0.0, 0.0) is the origin's simplex: 0.0 == -0.0
     # and both hash alike, so the dict keeps one start, the origin, in order
     starts = list(dict.fromkeys([(0.0, 0.0)] + [(beta_guess, g) for g in START_OFFSETS]))
-    bounds = ((-BETA_MAX, BETA_MAX), (-GAMMA_MAX, GAMMA_MAX))
 
     best = None
     any_converged = False
     total_nit = 0
     energy = _energy_formula(params)
     for x0 in starts:
-        x, fun, nit, success = _nelder_mead(energy, x0, bounds, XATOL, FATOL, MAXFEV)
+        x, fun, nit, success = _nelder_mead(energy, x0)
         total_nit += nit
         any_converged = any_converged or success
         if best is None or fun < best[1]:
             best = (x, fun)
 
-    trial = TrialParams(float(best[0][0]), float(best[0][1]))
-    energy = float(best[1])
+    (beta, gamma), energy = best
     result = VariationalResult(
-        trial=trial,
+        trial=TrialParams(beta, gamma),
         energy=energy,
         exact_energy=exact.energy,
         gap=energy - exact.energy,

@@ -328,13 +328,15 @@ _MISSING = object()  # stands for a config path that does not exist
     (["solve"], [{"lambda": 0.5, "omega0": 1}], "config"),
     (["sweep", "--lambda", "a:b:2", "--omega0", "1"], None, "lambda"),
     (["sweep", "--omega0", "1"], {"lambda": {"min": 0, "max": 1}}, "lambda"),
+    (["sweep", "--omega0", "1"], {"lambda": {"min": 0, "max": 1, "count": 3, "step": 0.1}},
+     "lambda"),
     # the converge ladder starts at 16 levels and needs two to compare, so a
     # maximum below 32 solves none or one
     (["converge", "--lambda", "1", "--omega0", "1", "--dim", "8"], None, "dim"),
     (["converge", "--lambda", "1", "--omega0", "1", "--dim", "16"], None, "dim"),
     (["converge", "--lambda", "1", "--omega0", "1", "--dim", "31"], None, "dim"),
 ], ids=["dim-3", "no-omega0", "format-xml", "jobs-0", "config-missing", "config-array",
-        "range-text", "range-no-count", "converge-dim-8", "converge-dim-16",
+        "range-text", "range-no-count", "range-extra-key", "converge-dim-8", "converge-dim-16",
         "converge-dim-31"])
 def test_usage_errors_are_one_line_naming_their_key(tmp_path, capsys, argv, config, key):
     cfg = tmp_path / "run.json"

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabi_balance import AmplitudeTooLarge, DimensionMismatch, NonHermitian, SqueezeTooLarge
+from rabi_balance import (AmplitudeTooLarge, DimensionMismatch, NonHermitian, SqueezeTooLarge,
+                          TrialParams)
 from rabi_balance.fock import BOSON, FockRep, QuantumState, SPIN_BOSON, fock_state
 from rabi_balance.oracle import (
     Observable,
@@ -15,6 +18,7 @@ from rabi_balance.oracle import (
     variance,
 )
 from rabi_balance.model import ModelParams
+from rabi_balance.variational import GAMMA_MAX
 
 from conftest import coherent_vector, padded_random_state
 
@@ -149,6 +153,17 @@ def test_displacement_amplitude_guard():
 def test_squeeze_amplitude_guard():
     with pytest.raises(SqueezeTooLarge):
         squeeze(FockRep(40), 2.5)
+    # the limit is the trial box's: |gamma| = GAMMA_MAX passes both checks,
+    # and the next float up fails both with one message
+    for gamma in (GAMMA_MAX, -GAMMA_MAX):
+        squeeze(FockRep(40), gamma)
+        TrialParams(0.0, gamma)
+    over = math.nextafter(GAMMA_MAX, math.inf)
+    with pytest.raises(SqueezeTooLarge) as from_oracle:
+        squeeze(FockRep(40), over)
+    with pytest.raises(SqueezeTooLarge) as from_trial:
+        TrialParams(0.0, over)
+    assert str(from_oracle.value) == str(from_trial.value) == f"|gamma| = {over} exceeds 2.0"
 
 
 def test_fockrep_validation():

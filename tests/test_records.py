@@ -11,6 +11,7 @@ as a list.
 """
 
 import json
+import math
 import pickle
 
 import pytest
@@ -103,6 +104,8 @@ def test_model_params_reject_bad_fields(kwargs, message):
     (7.0, 0.0, AmplitudeTooLarge, "|beta| = 7.0 exceeds 6.0"),
     (-6.5, 3.0, AmplitudeTooLarge, "|beta| = 6.5 exceeds 6.0"),
     (0.0, -2.5, SqueezeTooLarge, "|gamma| = 2.5 exceeds 2.0"),
+    (0.0, math.nextafter(2.0, math.inf), SqueezeTooLarge,
+     "|gamma| = 2.0000000000000004 exceeds 2.0"),
 ])
 def test_trial_params_reject_bad_fields(beta, gamma, error, message):
     with pytest.raises(error) as info:

@@ -259,14 +259,15 @@ def _scipy_nelder_mead(func, x0, maxfev):
     return [float(v) for v in res.x], float(res.fun), int(res.nit), bool(res.success)
 
 
-def _same_run(func, x0, maxfev):
+def _same_run(monkeypatch, func, x0, maxfev):
     # repr equality is bit equality of the floats, -0.0 and NaN included
-    ours = _nelder_mead(func, x0, _BOX, 1e-8, 1e-10, maxfev)
+    monkeypatch.setattr(variational, "MAXFEV", maxfev)
+    ours = _nelder_mead(func, x0)
     ref = _scipy_nelder_mead(func, x0, maxfev)
     assert repr(ours) == repr(ref), (x0, maxfev)
 
 
-def test_nelder_mead_matches_scipy_on_the_trial_energy():
+def test_nelder_mead_matches_scipy_on_the_trial_energy(monkeypatch):
     # the starts of minimize_energy; lam = 0 and omega0 = 0 make vertex
     # energies tie, and maxfev 1, 7 and 40 end the search mid-iteration
     for omega in (0.5, 1.0, 2.0):
@@ -277,10 +278,10 @@ def test_nelder_mead_matches_scipy_on_the_trial_energy():
                 starts = [(0.0, 0.0)] + [(beta_guess, g) for g in START_OFFSETS]
                 for x0 in starts:
                     for maxfev in (1, 7, 40, 2000):
-                        _same_run(_energy_formula(p), x0, maxfev)
+                        _same_run(monkeypatch, _energy_formula(p), x0, maxfev)
 
 
-def test_nelder_mead_matches_scipy_at_the_box_edges_and_on_nan():
+def test_nelder_mead_matches_scipy_at_the_box_edges_and_on_nan(monkeypatch):
     # starts on an upper bound make the initial simplex reflect inward;
     # outside a disc the second objective is NaN, which sorts last
     energy = _energy_formula(ModelParams(omega=0.8, lam=1.3, omega0=2.0))
@@ -291,7 +292,7 @@ def test_nelder_mead_matches_scipy_at_the_box_edges_and_on_nan():
     for func in (energy, holed):
         for x0 in [(6.0, 2.0), (5.9, 1.99), (6.0, 0.0), (-6.0, -2.0), (-0.0, -0.0), (0.9, -0.3)]:
             for maxfev in (1, 2, 3, 4, 5, 13, 2000):
-                _same_run(func, x0, maxfev)
+                _same_run(monkeypatch, func, x0, maxfev)
 
 
 def _log_uniform(rng, lo, hi, zero_share=0.0):
@@ -299,7 +300,7 @@ def _log_uniform(rng, lo, hi, zero_share=0.0):
     return 0.0 if rng.uniform() < zero_share else float(10.0 ** rng.uniform(lo, hi))
 
 
-def test_nelder_mead_matches_scipy_on_seeded_random_models():
+def test_nelder_mead_matches_scipy_on_seeded_random_models(monkeypatch):
     # parameters over many decades (lam and omega0 sometimes 0; omega
     # must be positive), the starts of minimize_energy, budgets that end
     # the search in the initial simplex, mid-iteration and not at all, and
@@ -320,7 +321,7 @@ def test_nelder_mead_matches_scipy_on_seeded_random_models():
         beta_guess = float(np.clip(-p.lam / p.omega, -BETA_MAX, BETA_MAX))
         for x0 in [(0.0, 0.0)] + [(beta_guess, g) for g in START_OFFSETS]:
             for maxfev in (1, 2, 3, 7, 2000):
-                _same_run(func, x0, maxfev)
+                _same_run(monkeypatch, func, x0, maxfev)
 
 
 def _float64_energy(beta, gamma, params):
