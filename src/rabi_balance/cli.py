@@ -64,7 +64,7 @@ import itertools
 import math
 import sys
 from collections import namedtuple
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, NotConverged, OptimizerStalled, RabiError
 from .model import ModelParams, checked_make
@@ -117,20 +117,6 @@ class AxisRange(namedtuple("AxisRange", "min max count")):
         return [*(i * step + lo for i in range(div)), hi]
 
 
-class RunConfig(NamedTuple):
-    """Validated inputs of one CLI invocation."""
-
-    omega: float | AxisRange
-    lam: float | AxisRange
-    omega0: float | AxisRange
-    dim: int | None  # None = automatic dimension doubling
-    tol: float
-    output_format: str
-    output_path: str | None
-    jobs: int | None
-    paper_literal: bool
-
-
 def _number(name: str, raw, kind: type = float, what: str = "a number"):
     """``kind(raw)`` of a flag's text or a JSON number; no bool is a number, no float an int."""
     if isinstance(raw, bool) or (kind is int and isinstance(raw, float)):
@@ -169,88 +155,93 @@ def _parse_axis(name: str, raw) -> float | AxisRange:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _parse_dim(raw) -> int | None:
+def _required_axis(name: str, raw) -> float | AxisRange:
+    if raw is None:
+        raise ConfigError(f"{name}: required (flag --{name} or config key '{name}')")
+    return _parse_axis(name, raw)
+
+
+def _parse_dim(name: str, raw) -> int | None:
     if raw is None or raw == "auto":
         return None
-    dim = _number("dim", raw, int, "an integer or 'auto'")
+    dim = _number(name, raw, int, "an integer or 'auto'")
     if dim < 4:
-        raise ConfigError(f"dim: must be >= 4, got {dim}")
+        raise ConfigError(f"{name}: must be >= 4, got {dim}")
     if dim > MAX_FIXED_DIM:  # checked before any array is built
-        raise ConfigError(f"dim: must be <= {MAX_FIXED_DIM}, got {dim}")
+        raise ConfigError(f"{name}: must be <= {MAX_FIXED_DIM}, got {dim}")
     return dim
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file, and flags (flags win); only the command's own keys."""
-    file_vals: dict = {}
-    if args.config is not None:
-        import json
-
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_vals = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
-        except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
-            raise ConfigError(f"config: {args.config} is not valid JSON: {exc}") from exc
-        if not isinstance(file_vals, dict):
-            raise ConfigError("config: top level must be a JSON object")
-        foreign = sorted(set(file_vals) - set(_COMMANDS[args.command][2]))
-        if foreign:
-            raise ConfigError(f"config: {args.command} reads no keys {foreign}")
-
-    def pick(key, default=None):
-        flag_val = vars(args).get(key)  # None where the command has no such flag
-        return file_vals.get(key, default) if flag_val is None else flag_val
-
-    omega_raw = pick("omega", 1.0)
-    lam_raw = pick("lambda")
-    omega0_raw = pick("omega0")
-    if lam_raw is None:
-        raise ConfigError("lambda: required (flag --lambda or config key 'lambda')")
-    if omega0_raw is None:
-        raise ConfigError("omega0: required (flag --omega0 or config key 'omega0')")
-
-    tol = _number("tol", pick("tol", 1e-10))
+def _parse_tol(name: str, raw) -> float:
+    tol = _number(name, raw)
     if not (math.isfinite(tol) and tol > 0.0):
-        raise ConfigError(f"tol: must be finite and > 0, got {tol}")
+        raise ConfigError(f"{name}: must be finite and > 0, got {tol}")
+    return tol
 
-    fmt = pick("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format: must be csv or json, got {fmt!r}")
 
-    jobs = pick("jobs")
-    if jobs is not None:
-        jobs = _number("jobs", jobs, int, "an integer")
-        if jobs < 1:
-            raise ConfigError(f"jobs: must be >= 1, got {jobs}")
+def _parse_format(name: str, raw) -> str:
+    if raw not in ("csv", "json"):
+        raise ConfigError(f"{name}: must be csv or json, got {raw!r}")
+    return raw
 
-    literal = pick("paper_literal", False)
-    if not isinstance(literal, bool):  # bool("false") is True
+
+def _parse_jobs(name: str, raw) -> int | None:
+    if raw is None:
+        return None
+    jobs = _number(name, raw, int, "an integer")
+    if jobs < 1:
+        raise ConfigError(f"{name}: must be >= 1, got {jobs}")
+    return jobs
+
+
+def _parse_literal(name: str, raw) -> bool:
+    if not isinstance(raw, bool):  # bool("false") is True
         import json
 
-        raise ConfigError(f"paper_literal: expected true or false, got {json.dumps(literal)}")
+        raise ConfigError(f"{name}: expected true or false, got {json.dumps(raw)}")
+    return raw
 
-    out = pick("out")
-    if out is not None:
-        if not isinstance(out, str):
-            raise ConfigError(f"out: expected a path, got {out!r}")
-        if not os.path.isdir(os.path.dirname(out) or "."):
-            raise ConfigError(f"out: directory of {out} does not exist")
-        if os.path.exists(out) and not os.path.isfile(out):  # os.replace would replace it
-            raise ConfigError(f"out: cannot write {out}: not a regular file")
 
-    return RunConfig(
-        omega=_parse_axis("omega", omega_raw),
-        lam=_parse_axis("lambda", lam_raw),
-        omega0=_parse_axis("omega0", omega0_raw),
-        dim=_parse_dim(pick("dim")),
-        tol=tol,
-        output_format=fmt,
-        output_path=out,
-        jobs=jobs,
-        paper_literal=literal,
-    )
+def _parse_out(name: str, raw) -> str | None:
+    if raw is None:
+        return None
+    if not isinstance(raw, str):
+        raise ConfigError(f"{name}: expected a path, got {raw!r}")
+    if not os.path.isdir(os.path.dirname(raw) or "."):
+        raise ConfigError(f"{name}: directory of {raw} does not exist")
+    if os.path.exists(raw) and not os.path.isfile(raw):  # os.replace would replace it
+        raise ConfigError(f"{name}: cannot write {raw}: not a regular file")
+    return raw
+
+
+def _read_config(path: str, command: str) -> dict:
+    """The config file's keys, each one the command reads."""
+    import json
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            file_vals = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
+        raise ConfigError(f"config: {path} is not valid JSON: {exc}") from exc
+    if not isinstance(file_vals, dict):
+        raise ConfigError("config: top level must be a JSON object")
+    foreign = sorted(set(file_vals) - set(_COMMANDS[command][2]))
+    if foreign:
+        raise ConfigError(f"config: {command} reads no keys {foreign}")
+    return file_vals
+
+
+def build_config(args: argparse.Namespace) -> dict:
+    """Each key the command reads, parsed from its flag, else the config file, else the default."""
+    file_vals = {} if args.config is None else _read_config(args.config, args.command)
+    cfg = {}
+    for key in _COMMANDS[args.command][2]:
+        _, default, parse = _KEYS[key]
+        raw = getattr(args, key)
+        cfg[key] = parse(key, file_vals.get(key, default) if raw is None else raw)
+    return cfg
 
 
 def _check_axis(name: str, value: float) -> float:
@@ -266,13 +257,12 @@ def _check_axis(name: str, value: float) -> float:
     return value
 
 
-def _require_scalar(cfg: RunConfig, command: str) -> ModelParams:
-    vals = {}
-    for name, val in zip(AXIS_NAMES, (cfg.omega, cfg.lam, cfg.omega0)):
-        if isinstance(val, AxisRange):
+def _require_scalar(cfg: dict, command: str) -> ModelParams:
+    for name in AXIS_NAMES:
+        if isinstance(cfg[name], AxisRange):
             raise ConfigError(f"{name}: {command} needs a scalar, not a range")
-        vals[name] = _check_axis(name, val)
-    return ModelParams(omega=vals["omega"], lam=vals["lambda"], omega0=vals["omega0"])
+        _check_axis(name, cfg[name])
+    return ModelParams(omega=cfg["omega"], lam=cfg["lambda"], omega0=cfg["omega0"])
 
 
 def _fmt17(x: float) -> str:
@@ -314,11 +304,11 @@ def _emit(text: str, out_path: str | None):
         raise ConfigError(f"out: cannot write {out_path}: {exc}") from exc
 
 
-def _solve(cfg: RunConfig, params: ModelParams) -> tuple[GroundSolution, int]:
+def _solve(cfg: dict, params: ModelParams) -> tuple[GroundSolution, int]:
     from .solver import solve_rabi_ground
 
     try:
-        return solve_rabi_ground(params, tol=cfg.tol, dim=cfg.dim), 0
+        return solve_rabi_ground(params, tol=cfg["tol"], dim=cfg["dim"]), 0
     except NotConverged as exc:
         return exc.solution, 2
 
@@ -330,25 +320,25 @@ def _solution_dict(sol: GroundSolution) -> dict:
     return info
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(cfg: dict) -> int:
     params = _require_scalar(cfg, "solve")
     sol, code = _solve(cfg, params)
     info = _solution_dict(sol)
-    if cfg.output_format == "json":
-        _emit(_json(info), cfg.output_path)
+    if cfg["format"] == "json":
+        _emit(_json(info), cfg["out"])
     else:
         lines = [f"{key} = {info[key]}" for key in info]
-        _emit("\n".join(lines) + "\n", cfg.output_path)
+        _emit("\n".join(lines) + "\n", cfg["out"])
     return code
 
 
-def cmd_balance(cfg: RunConfig) -> int:
+def cmd_balance(cfg: dict) -> int:
     from .balance import literal_variants, report_passes, sector_report
 
     params = _require_scalar(cfg, "balance")
     sol, code = _solve(cfg, params)
     report = sector_report(sol.phi, sol.parity, params, sol.energy)
-    if cfg.paper_literal:
+    if cfg["paper_literal"]:
         report = report._replace(properties={**report.properties,
                                              **literal_variants(params, report)})
     passed = report_passes(report) and sol.converged
@@ -358,11 +348,11 @@ def cmd_balance(cfg: RunConfig) -> int:
         "passed": passed,
         "report": report,
     }
-    _emit(_json(payload), cfg.output_path)
+    _emit(_json(payload), cfg["out"])
     return 0 if (code == 0 and passed) else 2
 
 
-def cmd_variational(cfg: RunConfig) -> int:
+def cmd_variational(cfg: dict) -> int:
     from .variational import minimize_energy, stationarity_equals_balance
 
     params = _require_scalar(cfg, "variational")
@@ -386,35 +376,35 @@ def cmd_variational(cfg: RunConfig) -> int:
             "b7_residual": b7_res,
         },
     }
-    _emit(_json(payload), cfg.output_path)
+    _emit(_json(payload), cfg["out"])
     return code
 
 
-def cmd_converge(cfg: RunConfig) -> int:
+def cmd_converge(cfg: dict) -> int:
     from .solver import MAX_DIM, START_DIM, convergence_table
 
     params = _require_scalar(cfg, "converge")
-    max_dim = cfg.dim if cfg.dim is not None else MAX_DIM
+    max_dim = cfg["dim"] or MAX_DIM
     if max_dim < 2 * START_DIM:  # the ladder starts at START_DIM and compares two levels
         raise ConfigError(f"dim: converge needs >= {2 * START_DIM}, got {max_dim}")
-    rows, ok = convergence_table(params, tol=cfg.tol, max_dim=max_dim)
+    rows, ok = convergence_table(params, tol=cfg["tol"], max_dim=max_dim)
     buf = io.StringIO()
     buf.write("dim,e_exact,delta\n")
     for dim, energy, delta in rows:
         delta_txt = "" if math.isnan(delta) else _fmt17(delta)
         buf.write(f"{dim},{_fmt17(energy)},{delta_txt}\n")
-    _emit(buf.getvalue(), cfg.output_path)
+    _emit(buf.getvalue(), cfg["out"])
     return 0 if ok else 2
 
 
-def _sweep_grid(cfg: RunConfig) -> list[tuple[float, float, float]]:
+def _sweep_grid(cfg: dict) -> list[tuple[float, float, float]]:
     """The validated grid, first swept axis slowest.
 
     Every axis value is checked before any point runs, so bad input fails
     as a config error rather than as a numerical one; a range's ends are
     checked before its values are built.
     """
-    raw = (cfg.omega, cfg.lam, cfg.omega0)
+    raw = [cfg[name] for name in AXIS_NAMES]
     ranges = [val for val in raw if isinstance(val, AxisRange)]
     if len(ranges) > 2:
         raise ConfigError("sweep: at most 2 of omega/lambda/omega0 may be ranges")
@@ -546,10 +536,10 @@ def _failure_text(exc: Exception) -> str:
     return str(exc)
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: dict) -> int:
     grid = _sweep_grid(cfg)
-    tasks = [(omega, lam, omega0, cfg.dim, cfg.tol) for omega, lam, omega0 in grid]
-    jobs = cfg.jobs if cfg.jobs is not None else (os.cpu_count() or 1)
+    tasks = [(omega, lam, omega0, cfg["dim"], cfg["tol"]) for omega, lam, omega0 in grid]
+    jobs = cfg["jobs"] or os.cpu_count() or 1
     rows: list[dict] = []
     try:
         serial = jobs == 1 or len(tasks) <= 1
@@ -565,7 +555,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             f"omega0={_fmt_short(omega0)}: {_failure_text(exc)}\n"
         )
         return 2
-    _emit(_render_sweep(rows, cfg.output_format), cfg.output_path)
+    _emit(_render_sweep(rows, cfg["format"]), cfg["out"])
     return 0
 
 
@@ -587,17 +577,20 @@ _COMMANDS = {
     "sweep": (cmd_sweep, "grid of points -> CSV or JSON rows", (*_POINT, "format", "jobs")),
     "converge": (cmd_converge, "dimension-doubling energy trace for one point", _POINT),
 }
-_FLAGS = {  # argparse keywords of each key's flag
-    "omega": {"help": "oscillator frequency (scalar or min:max:count)"},
-    "lambda": {"help": "coupling (scalar or min:max:count)"},
-    "omega0": {"help": "spin splitting (scalar or min:max:count)"},
-    "dim": {"help": "Fock dimension, integer or 'auto'"},
-    "tol": {"help": "truncation convergence tolerance"},
-    "out": {"help": "write output to this path instead of stdout"},
-    "format": {"choices": ("csv", "json"), "help": "output format"},
-    "jobs": {"help": "worker processes (default: all cores)"},
-    "paper_literal": {"action": "store_true", "default": None,  # None lets a config set it
-                      "help": "also report legacy printed coefficient variants"},
+# Each key once: its flag's argparse keywords, its default where neither the
+# flag nor the config file gives it, and its parser (name, raw) -> value.
+_KEYS = {
+    "omega": ({"help": "oscillator frequency (scalar or min:max:count)"}, 1.0, _parse_axis),
+    "lambda": ({"help": "coupling (scalar or min:max:count)"}, None, _required_axis),
+    "omega0": ({"help": "spin splitting (scalar or min:max:count)"}, None, _required_axis),
+    "dim": ({"help": "Fock dimension, integer or 'auto'"}, None, _parse_dim),
+    "tol": ({"help": "truncation convergence tolerance"}, 1e-10, _parse_tol),
+    "out": ({"help": "write output to this path instead of stdout"}, None, _parse_out),
+    "format": ({"choices": ("csv", "json"), "help": "output format"}, "csv", _parse_format),
+    "jobs": ({"help": "worker processes (default: all cores)"}, None, _parse_jobs),
+    "paper_literal": ({"action": "store_true", "default": None,  # None lets a config set it
+                       "help": "also report legacy printed coefficient variants"},
+                      False, _parse_literal),
 }
 
 
@@ -608,7 +601,7 @@ def _build_parser() -> _Parser:
     for name, (_, help_txt, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_txt)
         for key in keys:
-            p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
+            p.add_argument("--" + key.replace("_", "-"), **_KEYS[key][0])
         p.add_argument("--config", help="flat JSON config file of these keys; flags override it")
     return parser
 

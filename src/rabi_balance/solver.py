@@ -265,8 +265,11 @@ def _lowest_pair(a: list, b: list,
         if not math.isfinite(bound):
             raise OverflowError(f"{n}-level matrix has row sums beyond the float range")
     exp = math.frexp(bound)[1]
-    scale = math.ldexp(1.0, -exp)  # a power of two: the scaled chain is exact
-    a, b = [v * scale for v in a], [v * scale for v in b]
+    if exp >= -1023:  # scaled by a power of two, the chain is exact
+        scale = math.ldexp(1.0, -exp)
+        a, b = [v * scale for v in a], [v * scale for v in b]
+    else:  # a bound below 2**-1024, whose inverse overflows: scale each entry
+        a, b = [math.ldexp(v, -exp) for v in a], [math.ldexp(v, -exp) for v in b]
     x = [0.0] * n
     if start is not None:
         x[:len(start[1])] = start[1]
@@ -343,7 +346,8 @@ def _solution(omega: float, rows, sectors, converged: bool) -> GroundSolution:
     e_plus, phi_plus = sectors[+1]
     e_minus, phi_minus = sectors[-1]
     gap = e_minus - e_plus
-    if abs(gap) < DEGENERACY_TOL * omega:  # H -> cH keeps the label
+    # H -> cH keeps the label; <= keeps a zero gap degenerate if the tolerance underflows
+    if abs(gap) <= DEGENERACY_TOL * omega:
         # degenerate pair: report the +1 representative
         parity, label = +1, "degenerate"
         energy, phi = e_plus, phi_plus

@@ -638,6 +638,48 @@ def test_help_lists_exactly_the_options_the_command_reads(capsys, command):
     assert listed == {key.replace("_", "-") for key in keys}
 
 
+_DEFAULTS = {"omega": 1.0, "lambda": None, "omega0": None, "dim": None, "tol": 1e-10,
+             "out": None, "format": "csv", "jobs": None, "paper_literal": False}
+
+
+@pytest.mark.parametrize("command", sorted(_OWN_KEYS))
+def test_a_command_config_holds_exactly_its_own_keys(command):
+    args = cli._build_parser().parse_args([command, "--lambda", "0.5", "--omega0", "2"])
+    cfg = cli.build_config(args)
+    own = {"omega", "lambda", "omega0", "dim", "tol", "out", *_OWN_KEYS[command]}
+    assert cfg == {key: _DEFAULTS[key] for key in own} | {"lambda": 0.5, "omega0": 2.0}
+    for key in _DEFAULTS.keys() - own:
+        with pytest.raises(KeyError):
+            cfg[key]
+
+
+@pytest.mark.parametrize("key, err", [
+    ("omega", "omega: expected a number or min:max:count, got None"),
+    ("lambda", "lambda: required (flag --lambda or config key 'lambda')"),
+    ("omega0", "omega0: required (flag --omega0 or config key 'omega0')"),
+    ("dim", None),
+    ("tol", "tol: expected a number, got None"),
+    ("out", None),
+    ("format", "format: must be csv or json, got None"),
+    ("jobs", None),
+    ("paper_literal", "paper_literal: expected true or false, got null"),
+])
+def test_an_explicit_null_in_a_config_file(tmp_path, capsys, key, err):
+    # null is given, not absent: it reads as the default only where that is
+    # None, and omega's 1.0 does not replace it
+    command = "balance" if key == "paper_literal" else "sweep"  # the one reader of each key
+    cfg = tmp_path / "null.json"
+    runs = []
+    for config in ({"lambda": 0.5, "omega0": 1}, {"lambda": 0.5, "omega0": 1, key: None}):
+        cfg.write_text(json.dumps(config))
+        code = run_cli([command, "--config", str(cfg)])
+        runs.append((code, *capsys.readouterr()))
+    if err is None:
+        assert runs[1] == runs[0] and runs[0][0] == 0
+    else:
+        assert runs[1] == (1, "", f"error: {err}\n")
+
+
 def test_help_prints_the_user_paragraphs_of_the_docstring(capsys):
     # the commands, the exit codes and the sweep's guarantees; the notes on
     # imports, the collector and BLAS threads stay in the docstring
@@ -907,6 +949,21 @@ def test_tiny_scale_reports_the_unit_scale_times_the_scale(capsys, command):
                 assert props[name]["satisfied"] is True
                 for edge in ("value", "lower", "upper"):
                     assert props[name][edge] == times(want[name][edge], scale)
+
+
+@pytest.mark.parametrize("omega", ["1e-310", "5e-324"])
+def test_a_subnormal_omega_solves(capsys, omega):
+    # the chain's bound is below 2^-1024, whose inverse overflows, and
+    # 1e-9 omega underflows to 0, where a zero sector gap is still degenerate
+    point = ["--omega", omega, "--lambda", "0", "--omega0", "0"]
+    assert run_cli(["solve", "--format", "json", *point]) == 0
+    sol = json.loads(capsys.readouterr().out)
+    assert sol["energy"] == sol["sector_gap"] == 0.0 and sol["converged"] is True
+    assert sol["parity_label"] == "degenerate"
+    assert run_cli(["converge", *point]) == 0
+    assert capsys.readouterr().out == "dim,e_exact,delta\n16,0,\n32,0,0\n"
+    assert run_cli(["variational", *point]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["energy"] == 0.0
 
 
 @pytest.mark.parametrize("lam", ["1e160", "1e200"])

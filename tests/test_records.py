@@ -1,13 +1,12 @@
 """The records the CLI path passes around: immutable, checked and picklable.
 
 ``ModelParams``, ``BoundCheck``, ``BalanceReport``, ``GroundSolution``,
-``TrialParams``, ``VariationalResult``, ``AxisRange`` and ``RunConfig``
-are named tuples.  A field cannot be set, the three checked records
-raise the same exceptions with the same messages for bad fields, made
-directly or by ``_make`` and ``_replace``, every record survives a
-pickle round trip (a sweep's worker returns its results and errors that
-way), and the JSON a command prints shows a record as an object, never
-as a list.
+``TrialParams``, ``VariationalResult`` and ``AxisRange`` are named
+tuples.  A field cannot be set, the three checked records raise the same
+exceptions with the same messages for bad fields, made directly or by
+``_make`` and ``_replace``, every record survives a pickle round trip (a
+sweep's worker returns its results and errors that way), and the JSON a
+command prints shows a record as an object, never as a list.
 """
 
 import json
@@ -45,8 +44,7 @@ def _records():
         "GroundSolution": sol,
         "TrialParams": TrialParams(-0.3, 0.2),
         "VariationalResult": minimize_energy(PARAMS, exact=sol),
-        "AxisRange": cfg.lam,
-        "RunConfig": cfg,
+        "AxisRange": cfg["lambda"],
     }
 
 

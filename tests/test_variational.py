@@ -279,6 +279,10 @@ def test_nelder_mead_matches_scipy_on_the_trial_energy(monkeypatch):
                 for x0 in starts:
                     for maxfev in (1, 7, 40, 2000):
                         _same_run(monkeypatch, _energy_formula(p), x0, maxfev)
+    # a budget that runs out between a shrink's two evaluations
+    p = ModelParams(omega=1.0, lam=0.3, omega0=1.0)
+    for maxfev in (131, 132, 133):
+        _same_run(monkeypatch, _energy_formula(p), (0.0, 0.0), maxfev)
 
 
 def test_nelder_mead_matches_scipy_at_the_box_edges_and_on_nan(monkeypatch):
