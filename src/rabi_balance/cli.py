@@ -82,6 +82,9 @@ SWEEP_COLUMNS = [
 AXIS_NAMES = ("omega", "lambda", "omega0")
 MAX_GRID_POINTS = 10**6  # a sweep over more points is a config error
 MAX_FIXED_DIM = 2**16  # a larger --dim (for converge, the ladder's maximum) is a config error
+# a numerical failure, exit 2: the package's own, or a value beyond the float
+# range, as a float ``**`` that overflows or ``math.fsum`` of -inf and inf
+_FAILURES = (RabiError, ArithmeticError, ValueError)
 
 
 class AxisRange(namedtuple("AxisRange", "min max count")):
@@ -205,7 +208,11 @@ def _parse_literal(name: str, raw) -> bool:
 def _parse_out(name: str, raw) -> str | None:
     if raw is None:
         return None
-    if not isinstance(raw, str):
+    try:  # open() would reject a NUL or a lone surrogate only after the work
+        named = isinstance(raw, str) and b"\0" not in os.fsencode(raw)
+    except UnicodeEncodeError:
+        named = False
+    if not named:
         raise ConfigError(f"{name}: expected a path, got {raw!r}")
     if not os.path.isdir(os.path.dirname(raw) or "."):
         raise ConfigError(f"{name}: directory of {raw} does not exist")
@@ -304,13 +311,14 @@ def _emit(text: str, out_path: str | None):
         raise ConfigError(f"out: cannot write {out_path}: {exc}") from exc
 
 
-def _solve(cfg: dict, params: ModelParams) -> tuple[GroundSolution, int]:
+def _solve(cfg: dict, params: ModelParams) -> GroundSolution:
+    """The ground state, or the best effort (``converged`` false) where the ladder ran out."""
     from .solver import solve_rabi_ground
 
     try:
-        return solve_rabi_ground(params, tol=cfg["tol"], dim=cfg["dim"]), 0
+        return solve_rabi_ground(params, tol=cfg["tol"], dim=cfg["dim"])
     except NotConverged as exc:
-        return exc.solution, 2
+        return exc.solution
 
 
 def _solution_dict(sol: GroundSolution) -> dict:
@@ -322,21 +330,21 @@ def _solution_dict(sol: GroundSolution) -> dict:
 
 def cmd_solve(cfg: dict) -> int:
     params = _require_scalar(cfg, "solve")
-    sol, code = _solve(cfg, params)
+    sol = _solve(cfg, params)
     info = _solution_dict(sol)
     if cfg["format"] == "json":
         _emit(_json(info), cfg["out"])
     else:
         lines = [f"{key} = {info[key]}" for key in info]
         _emit("\n".join(lines) + "\n", cfg["out"])
-    return code
+    return 0 if sol.converged else 2
 
 
 def cmd_balance(cfg: dict) -> int:
     from .balance import literal_variants, report_passes, sector_report
 
     params = _require_scalar(cfg, "balance")
-    sol, code = _solve(cfg, params)
+    sol = _solve(cfg, params)
     report = sector_report(sol.phi, sol.parity, params, sol.energy)
     if cfg["paper_literal"]:
         report = report._replace(properties={**report.properties,
@@ -349,22 +357,18 @@ def cmd_balance(cfg: dict) -> int:
         "report": report,
     }
     _emit(_json(payload), cfg["out"])
-    return 0 if (code == 0 and passed) else 2
+    return 0 if passed else 2
 
 
 def cmd_variational(cfg: dict) -> int:
     from .variational import minimize_energy, stationarity_equals_balance
 
     params = _require_scalar(cfg, "variational")
-    code = 0
+    exact = _solve(cfg, params)
     try:
-        exact, code = _solve(cfg, params)
-        result = minimize_energy(params, exact=exact)
+        result, stalled = minimize_energy(params, exact=exact), False
     except OptimizerStalled as exc:
-        result = exc.result
-        code = 2
-    if result.gap < -1e-9:
-        code = 2  # trial energy below the exact floor: truncation trouble
+        result, stalled = exc.result, True
     grad, b1_res, b7_res = stationarity_equals_balance(params, result.trial)
     grad_norm = math.hypot(*grad)
     payload = {
@@ -377,7 +381,8 @@ def cmd_variational(cfg: dict) -> int:
         },
     }
     _emit(_json(payload), cfg["out"])
-    return code
+    # a trial energy below the exact one is truncation trouble
+    return 2 if stalled or not exact.converged or result.gap < -1e-9 else 0
 
 
 def cmd_converge(cfg: dict) -> int:
@@ -529,11 +534,12 @@ def _fmt_short(x: float) -> str:
 
 
 def _failure_text(exc: Exception) -> str:
-    if isinstance(exc, ArithmeticError):  # e.g. a Python float overflowing
-        args = exc.args  # a float ``**`` overflowing gives (errno, strerror): print strerror
-        text = args[1] if len(args) == 2 and isinstance(args[0], int) else str(exc)
-        return f"{type(exc).__name__}: {text}"
-    return str(exc)
+    """A package error by its message, any other as ``Type: message``."""
+    if isinstance(exc, RabiError):
+        return str(exc)
+    args = exc.args  # a float ``**`` overflowing gives (errno, strerror): print strerror
+    text = args[1] if len(args) == 2 and isinstance(args[0], int) else str(exc)
+    return f"{type(exc).__name__}: {text}"
 
 
 def cmd_sweep(cfg: dict) -> int:
@@ -545,7 +551,7 @@ def cmd_sweep(cfg: dict) -> int:
         serial = jobs == 1 or len(tasks) <= 1
         for row in map(_sweep_point, tasks) if serial else _pool_map(tasks, jobs):
             rows.append(row)
-    except (RabiError, ValueError, ArithmeticError) as exc:
+    except _FAILURES as exc:
         # both maps yield in grid order, so the point that raised is the
         # next one; a dead worker fails every point not yet finished, and
         # the first of those in grid order is named
@@ -623,7 +629,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (RabiError, ArithmeticError) as exc:
+    except _FAILURES as exc:
         sys.stderr.write(f"numerical failure: {_failure_text(exc)}\n")
         return 2
     finally:

@@ -321,31 +321,23 @@ def minimize_energy(params: ModelParams, exact: GroundSolution) -> VariationalRe
     OptimizerStalled (carrying the best point) if no start converges
     within the evaluation budget.
     """
-    beta_guess = min(max(-params.lam / params.omega, -BETA_MAX), BETA_MAX)
+    beta_guess = max(-params.lam / params.omega, -BETA_MAX)  # lam >= 0: never above 0
     # at lam = 0 the guess (-0.0, 0.0) is the origin's simplex: 0.0 == -0.0
     # and both hash alike, so the dict keeps one start, the origin, in order
     starts = list(dict.fromkeys([(0.0, 0.0)] + [(beta_guess, g) for g in START_OFFSETS]))
 
-    best = None
-    any_converged = False
-    total_nit = 0
     energy = _energy_formula(params)
-    for x0 in starts:
-        x, fun, nit, success = _nelder_mead(energy, x0)
-        total_nit += nit
-        any_converged = any_converged or success
-        if best is None or fun < best[1]:
-            best = (x, fun)
-
-    (beta, gamma), energy = best
+    runs = [_nelder_mead(energy, x0) for x0 in starts]
+    # min keeps the first of the least in start order, and a NaN replaces none
+    (beta, gamma), fun, _, _ = min(runs, key=lambda run: run[1])
     result = VariationalResult(
         trial=TrialParams(beta, gamma),
-        energy=energy,
+        energy=fun,
         exact_energy=exact.energy,
-        gap=energy - exact.energy,
-        iterations=total_nit,
+        gap=fun - exact.energy,
+        iterations=sum(run[2] for run in runs),
     )
-    if not any_converged:
+    if not any(run[3] for run in runs):
         raise OptimizerStalled(
             f"no start converged within {MAXFEV} evaluations", result=result
         )

@@ -757,6 +757,43 @@ def test_config_out_must_be_a_path(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: out: ")
 
 
+@pytest.mark.parametrize("out", ["a\0b.txt", "a\ud800b.txt"], ids=["nul", "surrogate"])
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_config_out_that_no_file_name_holds_is_usage_error(tmp_path, monkeypatch, capsys,
+                                                           command, out):
+    # open() raises ValueError on a NUL and on a lone surrogate, which would
+    # read as a numerical failure, and only once every point has run
+    def no_point(*args, **kwargs):
+        raise AssertionError("a point ran before out was checked")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_point)
+    monkeypatch.setattr(solver, "solve_rabi_ground", no_point)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"lambda": 0.5, "omega0": 1, "out": out}))
+    assert run_cli([command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out: expected a path, got {out!r}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_failed_write_is_usage_error_and_leaves_no_file(tmp_path, monkeypatch, capsys,
+                                                        command):
+    def full_disk(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    out = tmp_path / "out.txt"
+    assert run_cli([command, "--lambda", "0", "--omega0", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: out: cannot write {out}: ")
+    assert err[0].endswith("No space left on device")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("args, prefix", [
     # lam**2 and omega**2 on Python floats overflow in the balance report
     (["balance", "--lambda", "1e200", "--omega0", "1"], "numerical failure: "),
@@ -832,6 +869,23 @@ def test_variational_prints_its_result_when_every_start_stalls(monkeypatch, caps
     assert {"trial", "energy", "gap", "grad_norm"} <= set(data["result"])
 
 
+@pytest.mark.parametrize("point, solve_code", [
+    (["--lambda", "10", "--omega0", "1"], 2),  # the ladder does not converge by MAX_DIM
+    # converged at dim 32 to the loose tol, and the trial energy lies 0.24 below it
+    (["--lambda", "5", "--omega0", "1", "--tol", "10"], 0),
+], ids=["not-converged", "below-exact"])
+def test_variational_prints_its_result_where_the_exact_energy_fails_it(capsys, point,
+                                                                       solve_code):
+    assert run_cli(["solve", *point]) == solve_code
+    capsys.readouterr()
+    assert run_cli(["variational", *point]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    result = json.loads(captured.out)["result"]
+    assert {"trial", "energy", "gap", "grad_norm"} <= set(result)
+    assert (result["gap"] < -1e-9) == (solve_code == 0)
+
+
 def test_solve_out_file(tmp_path):
     out = tmp_path / "solve.txt"
     assert run_cli(["solve", "--lambda", "0", "--omega0", "1",
@@ -872,6 +926,7 @@ def _child(args, text=True):
 
 
 _RANGE_ERROR = "OverflowError: Numerical result out of range"
+_FSUM_ERROR = "ValueError: -inf + inf in fsum"
 
 
 @pytest.mark.parametrize("args, error", [
@@ -894,10 +949,16 @@ _RANGE_ERROR = "OverflowError: Numerical result out of range"
     (["variational", "--omega", "1e300", "--lambda", "0.5", "--omega0", "1"], _RANGE_ERROR),
     (["balance", "--omega", "1e-300", "--lambda", "1", "--omega0", "1"], _RANGE_ERROR),
     (["variational", "--omega", "1e-300", "--lambda", "1", "--omega0", "1"], _RANGE_ERROR),
+    # a balance sum of -inf and inf, a ValueError of math.fsum
+    (["balance", "--omega", "1e-300", "--lambda", "1e160", "--omega0", "0"], _FSUM_ERROR),
+    (["variational", "--omega", "1e-310", "--lambda", "1e154", "--omega0", "1e160"],
+     _FSUM_ERROR),
+    (["sweep", "--omega", "1e-300", "--lambda", "1e160", "--omega0", "0", "--tol", "1e300",
+      "--jobs", "1"], _FSUM_ERROR),
 ], ids=["balance", "sweep", "solve-omega", "converge-omega", "variational-omega",
         "solve-lambda", "sweep-omega", "sweep-omega-errno", "sweep-both-errno",
         "balance-both-errno", "variational-omega-errno", "balance-tiny-omega",
-        "variational-tiny-omega"])
+        "variational-tiny-omega", "balance-fsum", "variational-fsum", "sweep-fsum"])
 def test_overflow_prints_one_line_in_a_real_process(tmp_path, args, error):
     # pytest captures warnings in-process; only a real process shows
     # whether inf and NaN pass silently on their way to the error; the

@@ -13,10 +13,12 @@ how many do; about one in 16 adds an option the command does not read.
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -154,3 +156,16 @@ def test_cli_main_exits_cleanly_on_any_input():
     assert len(codes) == EXAMPLES
     reached = sum(code != 1 for code in codes)
     assert reached >= REACH_FLOOR, f"{reached} of {EXAMPLES} examples got past option checking"
+
+
+# A fixed scan of the decades the draws above miss: at omega 1e-300 and
+# lambda 1e160 a balance sum meets -inf and inf.  Every input is valid, so
+# none is a usage error.
+SCAN = (("1e-300", "1", "1e300"), ("0", "1e154", "1e160", "1e300"), ("0", "1e160"))
+
+
+@pytest.mark.parametrize("command", ["balance", "variational"])
+def test_cli_main_exits_cleanly_over_a_decade_scan(command):
+    for omega, lam, omega0 in itertools.product(*SCAN):
+        argv = [command, f"--omega={omega}", f"--lambda={lam}", f"--omega0={omega0}"]
+        assert _exit_code((argv, None)) != 1, argv
