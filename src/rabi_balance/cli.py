@@ -5,8 +5,10 @@ answer, as its ``--help`` lists them; any other is a usage error.  Exit
 codes are part of the contract: 0 on success, 1 on usage or config
 errors or a module the command needs that cannot be imported (numpy, on
 a Python without it, for the trial simplex), 2 on numerical non-success
-(truncation not converged, optimizer stalled, or a balance check
-failing).  Nothing else is returned.  JSON output is strict: NaN and
+(truncation not converged, optimizer stalled, a balance check failing,
+or an overflow or a sum that is not finite, whose one stderr line
+reads ``numerical failure: ...``, or from a sweep ``sweep failed at
+...``).  Nothing else is returned.  JSON output is strict: NaN and
 +-inf print as null.
 
 Sweep output is reproducible byte for byte: fixed column order, floats
@@ -311,16 +313,6 @@ def _emit(text: str, out_path: str | None):
         raise ConfigError(f"out: cannot write {out_path}: {exc}") from exc
 
 
-def _solve(cfg: dict, params: ModelParams) -> GroundSolution:
-    """The ground state, or the best effort (``converged`` false) where the ladder ran out."""
-    from .solver import solve_rabi_ground
-
-    try:
-        return solve_rabi_ground(params, tol=cfg["tol"], dim=cfg["dim"])
-    except NotConverged as exc:
-        return exc.solution
-
-
 def _solution_dict(sol: GroundSolution) -> dict:
     """The solution's fields as ``solve`` prints them, in order: all but the vector and sector."""
     info = sol._asdict()
@@ -329,8 +321,10 @@ def _solution_dict(sol: GroundSolution) -> dict:
 
 
 def cmd_solve(cfg: dict) -> int:
+    from .solver import solve_rabi_ground
+
     params = _require_scalar(cfg, "solve")
-    sol = _solve(cfg, params)
+    sol = solve_rabi_ground(params, tol=cfg["tol"], dim=cfg["dim"])
     info = _solution_dict(sol)
     if cfg["format"] == "json":
         _emit(_json(info), cfg["out"])
@@ -342,9 +336,10 @@ def cmd_solve(cfg: dict) -> int:
 
 def cmd_balance(cfg: dict) -> int:
     from .balance import literal_variants, report_passes, sector_report
+    from .solver import solve_rabi_ground
 
     params = _require_scalar(cfg, "balance")
-    sol = _solve(cfg, params)
+    sol = solve_rabi_ground(params, tol=cfg["tol"], dim=cfg["dim"])
     report = sector_report(sol.phi, sol.parity, params, sol.energy)
     if cfg["paper_literal"]:
         report = report._replace(properties={**report.properties,
@@ -361,14 +356,12 @@ def cmd_balance(cfg: dict) -> int:
 
 
 def cmd_variational(cfg: dict) -> int:
+    from .solver import solve_rabi_ground
     from .variational import minimize_energy, stationarity_equals_balance
 
     params = _require_scalar(cfg, "variational")
-    exact = _solve(cfg, params)
-    try:
-        result, stalled = minimize_energy(params, exact=exact), False
-    except OptimizerStalled as exc:
-        result, stalled = exc.result, True
+    exact = solve_rabi_ground(params, tol=cfg["tol"], dim=cfg["dim"])
+    result = minimize_energy(params, exact=exact)
     grad, b1_res, b7_res = stationarity_equals_balance(params, result.trial)
     grad_norm = math.hypot(*grad)
     payload = {
@@ -382,7 +375,8 @@ def cmd_variational(cfg: dict) -> int:
     }
     _emit(_json(payload), cfg["out"])
     # a trial energy below the exact one is truncation trouble
-    return 2 if stalled or not exact.converged or result.gap < -1e-9 else 0
+    bad = not result.converged or not exact.converged or result.gap < -1e-9 * params.omega
+    return 2 if bad else 0
 
 
 def cmd_converge(cfg: dict) -> int:
@@ -429,15 +423,21 @@ def _sweep_grid(cfg: dict) -> list[tuple[float, float, float]]:
 
 
 def _sweep_point(task) -> dict:
+    """One grid point's row; a search that falls short fails the point, and so the sweep."""
+    from . import variational
     from .balance import sector_report
     from .solver import solve_rabi_ground
-    from .variational import minimize_energy
 
     omega, lam, omega0, dim, tol = task
     params = ModelParams(omega=omega, lam=lam, omega0=omega0)
     sol = solve_rabi_ground(params, tol=tol, dim=dim)
+    if not sol.converged:  # each ladder ends on a doubling: the last two dims are d // 2 and d
+        raise NotConverged(f"not converged to {tol:.1e}: energy moved by {sol.energy_delta:.3e} "
+                           f"between dim {sol.dim_used // 2} and {sol.dim_used}")
     report = sector_report(sol.phi, sol.parity, params, sol.energy)
-    var = minimize_energy(params, exact=sol)
+    var = variational.minimize_energy(params, exact=sol)
+    if not var.converged:
+        raise OptimizerStalled(f"no start converged within {variational.MAXFEV} evaluations")
     props = report.properties
     b2 = props["b2"]
     return {

@@ -26,26 +26,11 @@ class EigDecompositionFailure(RabiError):
 
 
 class NotConverged(RabiError):
-    """Ground-state search exhausted its dimension budget.
-
-    Carries the best-effort solution (with ``converged=False``) so callers
-    can still inspect it.
-    """
-
-    def __init__(self, message, solution=None):
-        super().__init__(message)
-        self.solution = solution
+    """A sweep point's ground-state search exhausted its dimension budget."""
 
 
 class OptimizerStalled(RabiError):
-    """Trial-energy minimizer hit its evaluation budget before converging.
-
-    Carries the best result found so far.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
+    """No start of a sweep point's trial-energy search converged within its budget."""
 
 
 class SectorRequired(RabiError):

@@ -32,8 +32,8 @@ Sturm counts, ch. 7).
   exactly (``math.fsum``).
 
 One doubling ladder solves both sectors at Fock dimension 16, 32, ...
-until the global minimum moves by less than ``tol`` (or, where ``tol``
-is below its rounding, by less than ROUNDING_ULPS ulps); a fixed ``dim``
+until the global minimum moves by less than ``tol`` omega (or, where
+that is below its rounding, by less than ROUNDING_ULPS ulps); a fixed ``dim``
 is the same ladder over ``dim // 2`` and ``dim``.  Each sector's chain
 is built once per solve and extended by the new levels' entries only,
 and every level is solved once; the solution holds the winning
@@ -51,7 +51,7 @@ from collections import namedtuple
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .errors import EigDecompositionFailure, NotConverged
+from .errors import EigDecompositionFailure
 from .model import ModelParams, sector_chain
 
 if TYPE_CHECKING:
@@ -302,10 +302,10 @@ def _lowest_pair(a: list, b: list,
 
 
 def _doubling(params: ModelParams, tol: float, dims: Iterable[int]):
-    """Solve both sectors at each of ``dims`` until the energy moves < ``tol``.
+    """Solve both sectors at each of ``dims`` until the energy moves < ``tol`` omega.
 
-    Where ``tol`` is below the rounding of E (|E| above about 1e4 at the
-    default 1e-10), a move under ROUNDING_ULPS ulps of E also stops the
+    Where that is below the rounding of E (|E| above about 1e4 omega at
+    the default 1e-10), a move under ROUNDING_ULPS ulps of E also stops the
     ladder: a converged energy still wobbles by an ulp or two per level.
 
     Returns the rows (dim, energy, delta) of the levels solved, where
@@ -327,7 +327,7 @@ def _doubling(params: ModelParams, tol: float, dims: Iterable[int]):
         sectors = {p: _lowest_pair(a, b, start=sectors[p]) for p, (a, b) in chains.items()}
         energy = min(e for e, _ in sectors.values())
         rows.append((dim, energy, energy - previous))
-        if abs(energy - previous) < max(tol, ROUNDING_ULPS * math.ulp(energy)):
+        if abs(energy - previous) < max(tol * params.omega, ROUNDING_ULPS * math.ulp(energy)):
             return rows, sectors, True
         previous = energy
     return rows, sectors, False
@@ -377,24 +377,17 @@ def solve_rabi_ground(
     """Ground state of the full model with truncation convergence check.
 
     With ``dim=None`` the Fock dimension doubles from 16 until the
-    global ground energy changes by less than ``tol``, up to ``MAX_DIM``; otherwise the
+    global ground energy changes by less than ``tol`` omega, up to ``MAX_DIM``; otherwise the
     problem is solved at the fixed ``dim`` and the convergence check
-    compares against ``dim // 2``.  Raises NotConverged (carrying the
-    best-effort solution) when the budget is exhausted.
+    compares against ``dim // 2``.  Where the budget runs out, the result
+    is the best effort at the last dimension, with ``converged`` false.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if dim is not None and dim < 4:
         raise ValueError(f"fixed dim must be >= 4, got {dim}")
     dims = _doubled_dims(MAX_DIM) if dim is None else (dim // 2, dim)
-    sol = _solution(params.omega, *_doubling(params, tol, dims))
-    if not sol.converged:  # each ladder ends on a doubling: the last two dims are d // 2 and d
-        raise NotConverged(
-            f"not converged to {tol:.1e}: energy moved by {sol.energy_delta:.3e} "
-            f"between dim {sol.dim_used // 2} and {sol.dim_used}",
-            solution=sol,
-        )
-    return sol
+    return _solution(params.omega, *_doubling(params, tol, dims))
 
 
 def convergence_table(
@@ -405,7 +398,7 @@ def convergence_table(
     """Dimension-doubling trace: rows (dim, energy, delta), plus success flag.
 
     The first row has delta = nan.  Doubling stops at the first delta
-    below ``tol`` or once ``max_dim`` is exceeded.
+    below ``tol`` omega or once ``max_dim`` is exceeded.
     """
     rows, _, converged = _doubling(params, tol, _doubled_dims(max_dim))
     return rows, converged

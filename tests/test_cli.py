@@ -690,6 +690,7 @@ def test_help_prints_the_user_paragraphs_of_the_docstring(capsys):
     exit_codes = cli.__doc__.split("\n\n")[1]
     assert exit_codes.startswith("Each command takes only") and "Exit\ncodes" in exit_codes
     assert exit_codes in out
+    assert "``numerical failure: ...``" in exit_codes
     assert "Sweep output is reproducible byte for byte" in out
     assert "gc.freeze" in cli.__doc__ and "gc.freeze" not in out
     assert "BLAS" not in out
@@ -833,7 +834,8 @@ _HUGE = ["--omega", "1e100", "--lambda", "1e100", "--omega0", "1"]
 
 @pytest.mark.parametrize("args, code, path", [
     (["balance", *_HUGE], 2, ("report", "second_order", "b7")),
-    (["variational", *_HUGE], 2, ("result", "b7_residual")),
+    # the optimum lies 3.9e84 = 3.9e-16 omega below the exact energy: round-off, not a failure
+    (["variational", *_HUGE], 0, ("result", "b7_residual")),
     (["sweep", *_HUGE, "--format", "json", "--jobs", "1"], 0, (0, "res_b7")),
 ], ids=["balance", "variational", "sweep"])
 def test_json_output_is_strict_where_a_value_overflows(capsys, args, code, path):
@@ -867,6 +869,7 @@ def test_variational_prints_its_result_when_every_start_stalls(monkeypatch, caps
     data = json.loads(captured.out)
     assert set(data) == {"params", "result"}
     assert {"trial", "energy", "gap", "grad_norm"} <= set(data["result"])
+    assert data["result"]["converged"] is False
 
 
 @pytest.mark.parametrize("point, solve_code", [
@@ -953,8 +956,8 @@ _FSUM_ERROR = "ValueError: -inf + inf in fsum"
     (["balance", "--omega", "1e-300", "--lambda", "1e160", "--omega0", "0"], _FSUM_ERROR),
     (["variational", "--omega", "1e-310", "--lambda", "1e154", "--omega0", "1e160"],
      _FSUM_ERROR),
-    (["sweep", "--omega", "1e-300", "--lambda", "1e160", "--omega0", "0", "--tol", "1e300",
-      "--jobs", "1"], _FSUM_ERROR),
+    (["sweep", "--omega", "1e-10", "--lambda", "1e300", "--omega0", "1e308", "--jobs", "1"],
+     _FSUM_ERROR),
 ], ids=["balance", "sweep", "solve-omega", "converge-omega", "variational-omega",
         "solve-lambda", "sweep-omega", "sweep-omega-errno", "sweep-both-errno",
         "balance-both-errno", "variational-omega-errno", "balance-tiny-omega",
@@ -983,10 +986,10 @@ def test_tiny_scale_reports_the_unit_scale_times_the_scale(capsys, command):
     # scale 1, times 2^-600 for energies and 2^600 for Var(q sigma_x), and
     # the degeneracy threshold scales with omega, so the parity label stays;
     # abs=0, as approx's default abs of 1e-12 would pass any value near 2^-600
-    def run(scale, coupling):
+    def run(scale, coupling, code=0):
         point = ["--omega", repr(scale), "--lambda", repr(coupling * scale),
                  "--omega0", repr(scale)]
-        assert run_cli([*command, *point]) == 0
+        assert run_cli([*command, *point]) == code
         return json.loads(capsys.readouterr().out)
 
     def times(value, scale=2.0**-600):
@@ -1010,6 +1013,17 @@ def test_tiny_scale_reports_the_unit_scale_times_the_scale(capsys, command):
                 assert props[name]["satisfied"] is True
                 for edge in ("value", "lower", "upper"):
                     assert props[name][edge] == times(want[name][edge], scale)
+    # at lam = 10 the ladder does not converge by MAX_DIM at scale 1, and tol
+    # is in units of omega, so it does not at scale 2^-600 either
+    tiny, unit = run(2.0**-600, 10.0, code=2), run(1.0, 10.0, code=2)
+    if command[0] == "variational":
+        assert tiny["result"]["exact_energy"] == times(unit["result"]["exact_energy"])
+    else:
+        if command[0] == "balance":
+            tiny, unit = tiny["solution"], unit["solution"]
+        assert (tiny["converged"], tiny["dim_used"]) == (unit["converged"], unit["dim_used"])
+        assert (unit["converged"], unit["dim_used"]) == (False, 256)
+        assert tiny["energy"] == times(unit["energy"])
 
 
 @pytest.mark.parametrize("omega", ["1e-310", "5e-324"])

@@ -69,16 +69,19 @@ def test_every_record_survives_a_pickle_round_trip(name):
 
 
 def test_not_converged_pickles_with_a_read_solution():
-    # a pool worker's failure comes back pickled, and its solution still makes its states
+    # a pool worker's failure comes back pickled as its message; the solver's
+    # best effort (converged false) pickles too, and still makes its states
+    sol = solve_rabi_ground(ModelParams(omega=1.0, lam=8.0, omega0=1.0), dim=16)
+    amplitudes = sol.boson_state.amplitudes
+    back = pickle.loads(pickle.dumps(sol))
+    assert back == sol and not back.converged
+    assert (back.boson_state.amplitudes == amplitudes).all()
+    assert back.state.dim == 2 * len(amplitudes)
     with pytest.raises(NotConverged) as info:
-        solve_rabi_ground(ModelParams(omega=1.0, lam=8.0, omega0=1.0), dim=16)
+        cli._sweep_point((1.0, 8.0, 1.0, 16, 1e-10))
     exc = info.value
-    amplitudes = exc.solution.boson_state.amplitudes
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is NotConverged and str(back) == str(exc)
-    assert back.solution == exc.solution and not back.solution.converged
-    assert (back.solution.boson_state.amplitudes == amplitudes).all()
-    assert back.solution.state.dim == 2 * len(amplitudes)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -150,7 +153,7 @@ def test_records_print_as_json_objects(capsys):
     assert payload["params"] == {"omega": 1.0, "lam": 0.5, "omega0": 1.0, "mass": 1.0}
     result = payload["result"]
     assert set(result["trial"]) == {"beta", "gamma"}
-    assert set(result) == {"trial", "energy", "exact_energy", "gap", "iterations",
+    assert set(result) == {"trial", "energy", "exact_energy", "gap", "iterations", "converged",
                            "grad_norm", "b1_residual", "b7_residual"}
 
     assert main(["balance", "--lambda", "0.5", "--omega0", "1"]) == 0
