@@ -18,17 +18,17 @@ whose eigenvector phi lifts back to the full space as
     (1/sqrt 2) ( phi |+>_x  -  p cos(pi a^dag a) phi |->_x ),
 
 i.e. the spin of the Fock component n is slaved to sigma_z = (-1)^(n+1) p.
-That lift, its inverse and the sector inferred from <P> are numpy
-arrays and live in ``fock``; the Pauli matrices, like every operator,
-live in ``oracle``.
+That lift lives in ``fock``, and every operator in ``oracle``.
 
 In oscillator variables the coupling strength is F0 = sqrt(2 m omega) lam,
 so that F0 q = lam (a + a^dag) identically.
 
-``sector_chain`` gives H_p as two lists of floats, computed entry by
-entry in Python; the solver takes them as they are.  This module imports
-no numpy, so neither do the solver and the balance report that build on
-it.
+H(omega, lam, omega0) = omega H(1, lam / omega, omega0 / omega): the
+solver, the balance report and the trial search compute on that model in
+units of omega (``ModelParams.unit``; Braak, PRL 107, 100401 (2011)),
+and ``scaled`` takes what they return to omega.  ``sector_chain`` gives
+H_p as two lists of floats.  This module imports no numpy, so neither
+do the solver and the balance report that build on it.
 """
 
 from __future__ import annotations
@@ -73,6 +73,47 @@ class ModelParams(namedtuple("ModelParams", "omega lam omega0 mass")):
     def f0(self) -> float:
         """Static force amplitude sqrt(2 m omega) lam."""
         return math.sqrt(2.0 * self.mass * self.omega) * self.lam
+
+    def unit(self) -> ModelParams:
+        """The model in units of omega, (1, lam / omega, omega0 / omega, mass)."""
+        ratios = self.lam / self.omega, self.omega0 / self.omega
+        for name, ratio in zip(("lam", "omega0"), ratios):
+            if ratio == math.inf:
+                raise OverflowError(f"{name} / omega is beyond the float range")
+        return ModelParams(1.0, *ratios, self.mass)
+
+
+# The power k of omega in each quantity a command prints, by name: its value
+# at omega is omega**k times its value in units of omega.  Any other has k = 0.
+OMEGA_POWERS = {
+    **dict.fromkeys("energy exact_energy state_energy e_exact e_var delta gap sector_gap "
+                    "energy_delta grad_norm b1 res_b1 b1_residual p1 p4_identity p4 p4_literal "
+                    "wigner_energy wigner_energy_literal".split(), 1),
+    "p_sigma_x": 1.5, "q_sigma_x": 1.5,
+    **dict.fromkeys("b7 res_b7 b7_residual omega_num".split(), 3),
+    **dict.fromkeys("b2 b2_literal var_qsx b2_lo b2_hi".split(), -1),
+}
+
+
+def scaled(record, omega: float, k: float = 0):
+    """``record``, computed in units of omega, at ``omega``: each float times omega**k.
+
+    k is its key's in OMEGA_POWERS, else its record's (a bound's edges take
+    the bound's); a dict or named tuple is rebuilt, anything else kept.
+    One power of omega at a time, and sqrt(omega) for a half: exact at
+    powers of two, 0 stays 0, and an overflow is inf.
+    """
+    if isinstance(record, float):
+        for _ in range(int(abs(k))):
+            record = record * omega if k > 0 else record / omega
+        return record * math.sqrt(omega) if k % 1 else record
+    if isinstance(record, dict):
+        return {key: scaled(value, omega, OMEGA_POWERS.get(key, k))
+                for key, value in record.items()}
+    if hasattr(record, "_fields"):
+        return record._make(scaled(value, omega, OMEGA_POWERS.get(key, k))
+                            for key, value in zip(record._fields, record))
+    return record
 
 
 def check_sector(sector: int) -> int:

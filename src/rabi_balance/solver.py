@@ -8,11 +8,12 @@ dense matrix, no BLAS call and no numpy.  The methods are textbook
 (Parlett, *The Symmetric Eigenvalue Problem*: inverse iteration, ch. 4;
 Sturm counts, ch. 7).
 
-* A chain whose row sums leave the float range raises OverflowError
-  before the solve.  Any other chain is scaled by a power of two to norm
-  below 1, which is exact and keeps every square and pivot quotient in
-  range.  It splits where a coupling is negligible (|b_i| <= eps
-  sqrt|a_i a_i+1|, as in LAPACK), and each block is solved alone.
+* Each sector is solved in units of omega (``ModelParams.unit``), where
+  the chain's norm is at least 1.  A chain whose row sums leave the float
+  range raises OverflowError before the solve; any other is scaled by a
+  power of two to norm below 1, which is exact and keeps every square
+  and pivot quotient in range.  It splits where a coupling is negligible
+  (|b_i| <= eps sqrt|a_i a_i+1|, as in LAPACK); each block is solved alone.
 * Each iteration step is one LDL^T (Thomas) factor-and-solve of
   T - sigma I, whose negative pivots count the eigenvalues below sigma.
   Where sigma is an eigenvalue to working precision, the solve
@@ -32,15 +33,15 @@ Sturm counts, ch. 7).
   exactly (``math.fsum``).
 
 One doubling ladder solves both sectors at Fock dimension 16, 32, ...
-until the global minimum moves by less than ``tol`` omega (or, where
-that is below its rounding, by less than ROUNDING_ULPS ulps); a fixed ``dim``
-is the same ladder over ``dim // 2`` and ``dim``.  Each sector's chain
-is built once per solve and extended by the new levels' entries only,
-and every level is solved once; the solution holds the winning
-sector's eigenvector at the last level as a tuple of floats, ``phi``.
-It caches no state: the ``QuantumState`` ``boson_state`` and its
-spin-boson lift ``state`` are made from ``phi`` on each read, and only
-they import ``fock``.
+until the global minimum, in units of omega, moves by less than ``tol``
+(or, where that is below its rounding, by less than ROUNDING_ULPS ulps);
+a fixed ``dim`` is the same ladder over ``dim // 2`` and ``dim``.  Each
+sector's chain is built once per solve and extended by the new levels'
+entries only, and every level is solved once; the solution holds the
+winning sector's eigenvector at the last level as a tuple of floats,
+``phi``, and its energies at omega (``model.scaled``).  It caches no
+state: the ``QuantumState`` ``boson_state`` and its spin-boson lift
+``state`` are made from ``phi`` on each read, and only they import ``fock``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import EigDecompositionFailure
-from .model import ModelParams, sector_chain
+from .model import OMEGA_POWERS, ModelParams, scaled, sector_chain
 
 if TYPE_CHECKING:
     from .fock import QuantumState
@@ -265,11 +266,8 @@ def _lowest_pair(a: list, b: list,
         if not math.isfinite(bound):
             raise OverflowError(f"{n}-level matrix has row sums beyond the float range")
     exp = math.frexp(bound)[1]
-    if exp >= -1023:  # scaled by a power of two, the chain is exact
-        scale = math.ldexp(1.0, -exp)
-        a, b = [v * scale for v in a], [v * scale for v in b]
-    else:  # a bound below 2**-1024, whose inverse overflows: scale each entry
-        a, b = [math.ldexp(v, -exp) for v in a], [math.ldexp(v, -exp) for v in b]
+    scale = math.ldexp(1.0, -exp)  # scaled by a power of two, the chain is exact
+    a, b = [v * scale for v in a], [v * scale for v in b]
     x = [0.0] * n
     if start is not None:
         x[:len(start[1])] = start[1]
@@ -302,11 +300,12 @@ def _lowest_pair(a: list, b: list,
 
 
 def _doubling(params: ModelParams, tol: float, dims: Iterable[int]):
-    """Solve both sectors at each of ``dims`` until the energy moves < ``tol`` omega.
+    """Solve both sectors at each of ``dims`` until the energy moves < ``tol``.
 
-    Where that is below the rounding of E (|E| above about 1e4 omega at
-    the default 1e-10), a move under ROUNDING_ULPS ulps of E also stops the
-    ladder: a converged energy still wobbles by an ulp or two per level.
+    ``params`` is in units of omega.  Where ``tol`` is below the rounding
+    of E (|E| above about 1e4 at the default 1e-10), a move under
+    ROUNDING_ULPS ulps of E also stops the ladder: a converged energy still
+    wobbles by an ulp or two per level.
 
     Returns the rows (dim, energy, delta) of the levels solved, where
     energy is the lower sector energy and delta is nan on the first row;
@@ -327,7 +326,7 @@ def _doubling(params: ModelParams, tol: float, dims: Iterable[int]):
         sectors = {p: _lowest_pair(a, b, start=sectors[p]) for p, (a, b) in chains.items()}
         energy = min(e for e, _ in sectors.values())
         rows.append((dim, energy, energy - previous))
-        if abs(energy - previous) < max(tol * params.omega, ROUNDING_ULPS * math.ulp(energy)):
+        if abs(energy - previous) < max(tol, ROUNDING_ULPS * math.ulp(energy)):
             return rows, sectors, True
         previous = energy
     return rows, sectors, False
@@ -341,13 +340,12 @@ def _doubled_dims(max_dim: int) -> Iterator[int]:
         dim *= 2
 
 
-def _solution(omega: float, rows, sectors, converged: bool) -> GroundSolution:
+def _solution(rows, sectors, converged: bool) -> GroundSolution:
     dim, _, delta = rows[-1]
     e_plus, phi_plus = sectors[+1]
     e_minus, phi_minus = sectors[-1]
     gap = e_minus - e_plus
-    # H -> cH keeps the label; <= keeps a zero gap degenerate if the tolerance underflows
-    if abs(gap) <= DEGENERACY_TOL * omega:
+    if abs(gap) <= DEGENERACY_TOL:
         # degenerate pair: report the +1 representative
         parity, label = +1, "degenerate"
         energy, phi = e_plus, phi_plus
@@ -387,7 +385,7 @@ def solve_rabi_ground(
     if dim is not None and dim < 4:
         raise ValueError(f"fixed dim must be >= 4, got {dim}")
     dims = _doubled_dims(MAX_DIM) if dim is None else (dim // 2, dim)
-    return _solution(params.omega, *_doubling(params, tol, dims))
+    return scaled(_solution(*_doubling(params.unit(), tol, dims)), params.omega)
 
 
 def convergence_table(
@@ -400,5 +398,7 @@ def convergence_table(
     The first row has delta = nan.  Doubling stops at the first delta
     below ``tol`` omega or once ``max_dim`` is exceeded.
     """
-    rows, _, converged = _doubling(params, tol, _doubled_dims(max_dim))
-    return rows, converged
+    rows, _, converged = _doubling(params.unit(), tol, _doubled_dims(max_dim))
+    omega, k = params.omega, OMEGA_POWERS["energy"]
+    return [(dim, scaled(energy, omega, k), scaled(delta, omega, k))
+            for dim, energy, delta in rows], converged

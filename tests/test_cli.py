@@ -29,6 +29,8 @@ from rabi_balance.cli import SWEEP_COLUMNS, main
 from rabi_balance.fock import QuantumState
 from rabi_balance.oracle import Observable
 
+from conftest import assert_covariant, printed
+
 
 def run_cli(args):
     return main(args)
@@ -795,14 +797,71 @@ def test_failed_write_is_usage_error_and_leaves_no_file(tmp_path, monkeypatch, c
     assert list(tmp_path.iterdir()) == []
 
 
+def _in_units_of_omega(capsys, args):
+    """The output of ``args``'s point in units of omega (at omega 1, on the ratios), and omega."""
+    argv = list(args)
+    where = {flag: argv.index(flag) + 1 for flag in ("--omega", "--lambda", "--omega0")}
+    omega = float(argv[where["--omega"]])
+    argv[where["--omega"]] = "1"
+    for flag in ("--lambda", "--omega0"):
+        argv[where[flag]] = repr(float(argv[where[flag]]) / omega)
+    assert run_cli(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return printed(captured.out), omega
+
+
+class _FullStdout:
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    flush = write
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_failed_write_to_stdout_is_one_line(monkeypatch, capsys, command):
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    args = [command, "--lambda", "0", "--omega0", "1"]
+    assert run_cli(args + (["--jobs", "1"] if command == "sweep" else [])) == 1
+    assert capsys.readouterr().err == (
+        "error: cannot write to stdout: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_failed_write_to_stdout_is_one_line_in_a_real_process(buffered):
+    # buffered, the interpreter flushes stdout again at exit: that flush must
+    # neither print "Exception ignored" nor turn the exit code into 120
+    env = {key: val for key, val in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    src = str(Path(rabi_balance.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rabi_balance.cli", "solve", "--lambda", "1", "--omega0", "1"],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+        )
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: cannot write to stdout: [Errno 28] No space left on device\n")
+
+
 @pytest.mark.parametrize("args, prefix", [
-    # lam**2 and omega**2 on Python floats overflow in the balance report
+    # lam**2 on Python floats overflows in the balance report
     (["balance", "--lambda", "1e200", "--omega0", "1"], "numerical failure: "),
+    # the unit point (0, 1) at omega 1e300 is solved in units of omega: no failure
     (["sweep", "--lambda", "0", "--omega0", "1e300", "--omega", "1e300",
-      "--jobs", "1"], "sweep failed at omega=1"),
+      "--jobs", "1"], None),
 ], ids=["balance", "sweep"])
 def test_huge_finite_input_is_numerical_failure(tmp_path, capsys, args, prefix):
     out = tmp_path / "out.txt"
+    if prefix is None:
+        assert run_cli(args + ["--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert_covariant(printed(out.read_text()), *_in_units_of_omega(capsys, args),
+                         "close")
+        return
     assert run_cli(args + ["--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(prefix)
@@ -829,22 +888,24 @@ def _no_constant(name):
     raise ValueError(f"{name} is not JSON (RFC 8259)")
 
 
-_HUGE = ["--omega", "1e100", "--lambda", "1e100", "--omega0", "1"]
+_HUGE = ["--omega", "1e200", "--lambda", "1e200", "--omega0", "1"]
 
 
-@pytest.mark.parametrize("args, code, path", [
-    (["balance", *_HUGE], 2, ("report", "second_order", "b7")),
-    # the optimum lies 3.9e84 = 3.9e-16 omega below the exact energy: round-off, not a failure
-    (["variational", *_HUGE], 0, ("result", "b7_residual")),
-    (["sweep", *_HUGE, "--format", "json", "--jobs", "1"], 0, (0, "res_b7")),
+@pytest.mark.parametrize("args, path", [
+    (["balance", *_HUGE], ("report", "second_order", "b7")),
+    (["variational", *_HUGE], ("result", "b7_residual")),
+    (["sweep", *_HUGE, "--format", "json", "--jobs", "1"], (0, "res_b7")),
 ], ids=["balance", "variational", "sweep"])
-def test_json_output_is_strict_where_a_value_overflows(capsys, args, code, path):
-    # b7 overflows to inf at this point; strict JSON has no Infinity, so it prints null
-    assert run_cli(args) == code
-    value = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+def test_json_output_is_strict_where_a_value_overflows(capsys, args, path):
+    # b7 scales as omega^3 and overflows to inf at this point, while the checks,
+    # read in units of omega, pass; strict JSON has no Infinity, so it prints null
+    assert run_cli(args) == 0
+    data = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    value = data
     for key in path:
         value = value[key]
     assert value is None
+    assert_covariant(data, *_in_units_of_omega(capsys, args), "close")
 
 
 def test_balance_holds_the_wigner_band_at_any_displacement(capsys):
@@ -911,11 +972,17 @@ def test_console_script_entry_point():
 
 
 def test_failure_line_is_short_for_huge_inputs(capsys):
-    assert run_cli(["sweep", "--lambda", "0", "--omega0", "1e300", "--omega", "1e300",
+    # the unit point (0, 1) at omega 1e300 prints; a ratio beyond the float
+    # range fails in one short line that names it
+    args = ["sweep", "--lambda", "0", "--omega0", "1e300", "--omega", "1e300", "--jobs", "1"]
+    assert run_cli(args) == 0
+    out = printed(capsys.readouterr().out)
+    assert_covariant(out, *_in_units_of_omega(capsys, args), "close")
+    assert run_cli(["sweep", "--lambda", "0", "--omega0", "1e300", "--omega", "1e-300",
                     "--jobs", "1"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and len(err[0]) < 200
-    assert err[0].startswith("sweep failed at omega=1e+300 lambda=0 omega0=1e+300: ")
+    assert err == ["sweep failed at omega=1e-300 lambda=0 omega0=1e+300: "
+                   "OverflowError: omega0 / omega is beyond the float range"]
 
 
 def _child(args, text=True):
@@ -930,43 +997,57 @@ def _child(args, text=True):
 
 _RANGE_ERROR = "OverflowError: Numerical result out of range"
 _FSUM_ERROR = "ValueError: -inf + inf in fsum"
+_RATIO_ERROR = "OverflowError: {} / omega is beyond the float range"
 
 
 @pytest.mark.parametrize("args, error", [
     (["balance", "--lambda", "1e200", "--omega0", "1"], _RANGE_ERROR),
-    (["sweep", "--lambda", "0", "--omega0", "1e300", "--omega", "1e300", "--jobs", "1"],
-     "OverflowError: "),
-    # sector chains beyond the float range (omega n) or with row sums beyond it (lam sqrt(n))
-    (["solve", "--omega", "1e307", "--lambda", "0", "--omega0", "1"], "OverflowError: "),
-    (["converge", "--omega", "1e307", "--lambda", "0", "--omega0", "1"], "OverflowError: "),
-    (["variational", "--omega", "1e307", "--lambda", "1", "--omega0", "1"], "OverflowError: "),
+    # each point is solved in units of omega, where nothing overflows, and what
+    # it prints is that point's output scaled, as at omega 1: no failure
+    (["sweep", "--lambda", "0", "--omega0", "1e300", "--omega", "1e300", "--jobs", "1"], None),
+    (["solve", "--omega", "1e307", "--lambda", "0", "--omega0", "1"], None),
+    (["converge", "--omega", "1e307", "--lambda", "0", "--omega0", "1"], None),
+    (["variational", "--omega", "1e307", "--lambda", "1", "--omega0", "1"], None),
+    # a unit chain with row sums beyond the float range (lam sqrt(n))
     (["solve", "--lambda", "1e307", "--omega0", "1"], "OverflowError: "),
-    (["sweep", "--omega", "1e307", "--lambda", "0", "--omega0", "1", "--jobs", "1"],
-     "OverflowError: "),
-    # a float ** beyond the range (errno 34), also where lam / omega is 1e300
-    (["sweep", "--lambda", "0.5", "--omega0", "1", "--omega", "1e300", "--jobs", "1"],
-     _RANGE_ERROR),
-    (["sweep", "--omega", "1e200", "--lambda", "1e200", "--omega0", "1", "--jobs", "1"],
-     _RANGE_ERROR),
-    (["balance", "--omega", "1e200", "--lambda", "1e200", "--omega0", "1"], _RANGE_ERROR),
-    (["variational", "--omega", "1e300", "--lambda", "0.5", "--omega0", "1"], _RANGE_ERROR),
+    (["sweep", "--omega", "1e307", "--lambda", "0", "--omega0", "1", "--jobs", "1"], None),
+    (["sweep", "--lambda", "0.5", "--omega0", "1", "--omega", "1e300", "--jobs", "1"], None),
+    (["sweep", "--omega", "1e200", "--lambda", "1e200", "--omega0", "1", "--jobs", "1"], None),
+    (["balance", "--omega", "1e200", "--lambda", "1e200", "--omega0", "1"], None),
+    (["variational", "--omega", "1e300", "--lambda", "0.5", "--omega0", "1"], None),
+    # a float ** beyond the range (errno 34), where lam / omega is 1e300
     (["balance", "--omega", "1e-300", "--lambda", "1", "--omega0", "1"], _RANGE_ERROR),
     (["variational", "--omega", "1e-300", "--lambda", "1", "--omega0", "1"], _RANGE_ERROR),
     # a balance sum of -inf and inf, a ValueError of math.fsum
-    (["balance", "--omega", "1e-300", "--lambda", "1e160", "--omega0", "0"], _FSUM_ERROR),
+    (["balance", "--lambda", "1e154", "--omega0", "1e160"], _FSUM_ERROR),
+    (["variational", "--lambda", "1e154", "--omega0", "1e160"], _FSUM_ERROR),
+    (["sweep", "--lambda", "1e154", "--omega0", "1e160", "--tol", "1e300", "--jobs", "1"],
+     _FSUM_ERROR),
+    # a ratio beyond the float range, named
+    (["balance", "--omega", "1e-300", "--lambda", "1e160", "--omega0", "0"],
+     _RATIO_ERROR.format("lam")),
     (["variational", "--omega", "1e-310", "--lambda", "1e154", "--omega0", "1e160"],
-     _FSUM_ERROR),
+     _RATIO_ERROR.format("lam")),
     (["sweep", "--omega", "1e-10", "--lambda", "1e300", "--omega0", "1e308", "--jobs", "1"],
-     _FSUM_ERROR),
+     _RATIO_ERROR.format("lam")),
+    (["solve", "--omega", "1e-300", "--lambda", "1", "--omega0", "1e10"],
+     _RATIO_ERROR.format("omega0")),
 ], ids=["balance", "sweep", "solve-omega", "converge-omega", "variational-omega",
         "solve-lambda", "sweep-omega", "sweep-omega-errno", "sweep-both-errno",
         "balance-both-errno", "variational-omega-errno", "balance-tiny-omega",
-        "variational-tiny-omega", "balance-fsum", "variational-fsum", "sweep-fsum"])
-def test_overflow_prints_one_line_in_a_real_process(tmp_path, args, error):
+        "variational-tiny-omega", "balance-fsum", "variational-fsum", "sweep-fsum",
+        "balance-ratio", "variational-ratio", "sweep-ratio", "solve-ratio"])
+def test_overflow_prints_one_line_in_a_real_process(tmp_path, capsys, args, error):
     # pytest captures warnings in-process; only a real process shows
-    # whether inf and NaN pass silently on their way to the error; the
-    # line names the error in words, never as an (errno, strerror) tuple
-    proc = _child(["-m", "rabi_balance.cli", *args, "--out", str(tmp_path / "out.txt")])
+    # whether inf and NaN pass silently on their way to the error, or to
+    # output that prints them; the line names the error in words, never as
+    # an (errno, strerror) tuple
+    out = tmp_path / "out.txt"
+    proc = _child(["-m", "rabi_balance.cli", *args, "--out", str(out)])
+    if error is None:
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert_covariant(printed(out.read_text()), *_in_units_of_omega(capsys, args), "close")
+        return
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert error in proc.stderr
@@ -981,11 +1062,11 @@ def test_overflow_prints_one_line_in_a_real_process(tmp_path, args, error):
                          ids=["solve", "balance", "literal", "variational"])
 def test_tiny_scale_reports_the_unit_scale_times_the_scale(capsys, command):
     # at omega = omega0 = 2^-600 and lam = 2^-600 or 2^-601, omega^2 and
-    # omega^3 underflow to 0; the bounds divide by one power of omega at a
-    # time and b1 multiplies by one at a time, so the report is the one at
-    # scale 1, times 2^-600 for energies and 2^600 for Var(q sigma_x), and
-    # the degeneracy threshold scales with omega, so the parity label stays;
-    # abs=0, as approx's default abs of 1e-12 would pass any value near 2^-600
+    # omega^3 underflow to 0; every command computes in units of omega, so
+    # the report is the one at scale 1, times 2^-600 for energies and 2^600
+    # for Var(q sigma_x), and the degeneracy threshold is in units of omega,
+    # so the parity label stays; abs=0, as approx's default abs of 1e-12
+    # would pass any value near 2^-600
     def run(scale, coupling, code=0):
         point = ["--omega", repr(scale), "--lambda", repr(coupling * scale),
                  "--omega0", repr(scale)]
@@ -1028,8 +1109,8 @@ def test_tiny_scale_reports_the_unit_scale_times_the_scale(capsys, command):
 
 @pytest.mark.parametrize("omega", ["1e-310", "5e-324"])
 def test_a_subnormal_omega_solves(capsys, omega):
-    # the chain's bound is below 2^-1024, whose inverse overflows, and
-    # 1e-9 omega underflows to 0, where a zero sector gap is still degenerate
+    # solved in units of omega, where the chain and the degeneracy threshold
+    # are those of omega 1; 1 / omega overflows, and Var(q sigma_x) prints null
     point = ["--omega", omega, "--lambda", "0", "--omega0", "0"]
     assert run_cli(["solve", "--format", "json", *point]) == 0
     sol = json.loads(capsys.readouterr().out)
@@ -1039,6 +1120,9 @@ def test_a_subnormal_omega_solves(capsys, omega):
     assert capsys.readouterr().out == "dim,e_exact,delta\n16,0,\n32,0,0\n"
     assert run_cli(["variational", *point]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["energy"] == 0.0
+    assert run_cli(["balance", *point]) == 0
+    b2 = json.loads(capsys.readouterr().out)["report"]["properties"]["b2"]
+    assert b2 == {"lower": None, "satisfied": True, "upper": None, "value": None}
 
 
 @pytest.mark.parametrize("lam", ["1e160", "1e200"])

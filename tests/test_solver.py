@@ -132,7 +132,24 @@ def test_not_converged_names_the_last_two_dims(monkeypatch, dim, max_dim, dims):
     delta = solve_rabi_ground(ModelParams(omega=1.0, lam=2.0, omega0=1.0), dim=dim).energy_delta
     with pytest.raises(NotConverged) as err:
         cli._sweep_point((1.0, 2.0, 1.0, dim, 1e-10))
-    assert str(err.value) == f"not converged to 1.0e-10: energy moved by {delta:.3e} between {dims}"
+    assert str(err.value) == (f"not converged to 1.0e-10 omega: energy moved by {delta:.3e} "
+                              f"omega between {dims}")
+
+
+def test_not_converged_names_the_move_in_units_of_omega(capsys):
+    # tol and the energy move are in units of omega, so the failure line of the
+    # lam = 10 omega point reads the same at omega 2^-60 as at omega 1
+    def failure(omega):
+        argv = ["sweep", "--omega", repr(omega), "--lambda", repr(10 * omega),
+                "--omega0", repr(omega)]
+        assert cli.main([*argv, "--jobs", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("sweep failed at omega=")
+        return err[0].partition(": ")[2]
+
+    unit = failure(1.0)
+    assert unit.startswith("not converged to 1.0e-10 omega: energy moved by ")
+    assert failure(2.0**-60) == unit
 
 
 def test_fixed_dim_below_four_is_rejected():

@@ -1,8 +1,9 @@
 """Checks of the solver that need no second truncated diagonalization.
 
-* Exact scaling: H(c omega, c lam, c omega0) = c H, and for c a power of
-  two the solver's own power-of-two chain scaling makes every rounding
-  the same, so the solution and the trial optimum scale bit for bit.
+* Exact scaling: H(c omega, c lam, c omega0) = c H.  The solver and the
+  trial search compute in units of omega, on (1, lam / omega, omega0 /
+  omega), which for c a power of two is the same float model at every
+  c, so the solution and the trial optimum scale bit for bit.
 * Braak's G-function (``braak``): each sector energy is a zero of its
   parity's G, and the lowest one; the parity label names the sector whose
   lowest zero lies lower by more than the degeneracy threshold, or reads
