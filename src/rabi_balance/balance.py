@@ -56,6 +56,11 @@ from dense ``np.kron`` observables; it is the reference in the tests.
 ``sector_report`` works in units of omega (``ModelParams.unit``), so that
 every margin and tolerance below is one there, and ``model.scaled`` takes
 its report to omega; ``full_report`` works at omega itself.
+
+``full_report`` calls the bound helpers at omega itself, so a bound's
+lam^2/omega is computed as lam (lam / omega), and it divides by one
+power of omega at a time: omega^2 and omega^3 underflow to 0 at omega =
+2^-600, where the bounds themselves are finite.
 """
 
 from __future__ import annotations
@@ -117,7 +122,7 @@ def _property_bounds(params: ModelParams, p: int, energy: float, sz: float, cos_
                      x_sx: float, n_cos: float, n_sz: float) -> dict[str, BoundCheck]:
     """p1..p4 from <sigma_z>, <cos pi n>, <(a + a^dag) sigma_x>, <n cos pi n>, <n sigma_z>."""
     omega, omega0 = params.omega, params.omega0
-    shift = params.lam * params.lam / omega
+    shift = params.lam * (params.lam / omega)  # lam^2 / omega
     checks = {
         "p1": _bound(energy, -0.5 * omega0 - shift, -0.5 * omega0),
         "p2_identity": _identity(sz + p * cos_pin),
@@ -136,13 +141,13 @@ def _property_bounds(params: ModelParams, p: int, energy: float, sz: float, cos_
 def _b2_bound(params: ModelParams, var_qsx: float, c: float) -> BoundCheck:
     """Var(q sigma_x) in (1/2m omega)[1 - 2 lam^2/omega^2, 1] + c."""
     m, omega, lam = params.mass, params.omega, params.lam
-    spread = lam * lam / (m * omega**3)
+    spread = lam * (lam / omega) / (m * omega) / omega  # lam^2 / (m omega^3)
     return _bound(var_qsx, 0.5 / (m * omega) - spread + c, 0.5 / (m * omega) + c)
 
 
 def _b2_constant(params: ModelParams, sz: float, q_sx: float) -> float:
     m, omega, omega0 = params.mass, params.omega, params.omega0
-    return (-(0.5 * omega0) * (1.0 + sz) - 1.5 * params.f0 * q_sx) / (m * omega**2) - q_sx**2
+    return (-(0.5 * omega0) * (1.0 + sz) - 1.5 * params.f0 * q_sx) / (m * omega) / omega - q_sx**2
 
 
 def _wigner_band(params: ModelParams, value: float, shift: float) -> BoundCheck:
@@ -155,20 +160,19 @@ def literal_variants(params: ModelParams, report: BalanceReport) -> dict[str, Bo
     The p4 band [-omega0, omega0]; the b2 constant -(1 + <sigma_z>) - 3 F0
     <q sigma_x> - <q sigma_x>^2 over m omega^2, with <sigma_z> from p2_sign
     and <q sigma_x> from p3; the Wigner band shifted by 2 lam^2/omega.
-    ``params`` is in the report's units: ``params.unit()`` for a ``sector_report``.
-    The printed b2 constant is not homogeneous in omega, so its band at
-    omega is not 1/omega times the one in units of omega, which the
-    ``balance`` command reads, and prints times 1/omega.
+    The printed b2 constant is not homogeneous in omega, so these are read
+    at omega itself: ``params`` at its omega and ``report`` at the same
+    omega, as ``model.scaled`` gives a ``sector_report``.
     """
     props = report.properties
     m, omega, omega0 = params.mass, params.omega, params.omega0
     q_sx = props["p3"].value / math.sqrt(2.0 * m * omega)  # p3 is <(a + a^dag) sigma_x>
-    c = (-(1.0 + props["p2_sign"].value) - 3.0 * params.f0 * q_sx - q_sx**2) / (m * omega**2)
+    c = (-(1.0 + props["p2_sign"].value) - 3.0 * params.f0 * q_sx - q_sx**2) / (m * omega) / omega
     return {
         "p4_literal": _bound(props["p4"].value, -omega0, omega0),
         "b2_literal": _b2_bound(params, props["b2"].value, c),
         "wigner_energy_literal": _wigner_band(params, props["wigner_energy"].value,
-                                              2.0 * params.lam * params.lam / omega),
+                                              2.0 * params.lam * (params.lam / omega)),
     }
 
 
@@ -188,6 +192,8 @@ def report_passes(report: BalanceReport) -> bool:
         if not name.endswith("_literal")
     )
     return residuals_ok and props_ok
+
+
 
 
 def sector_report(phi, p: int, params: ModelParams, energy: float) -> BalanceReport:

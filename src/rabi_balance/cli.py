@@ -3,38 +3,48 @@
 Each command takes only the flags and config keys that change its
 answer, as its ``--help`` lists them; any other is a usage error.  Exit
 codes are part of the contract: 0 on success, 1 on usage or config
-errors, a failed write, or a module the command needs that cannot be
-imported (numpy, for the trial simplex), 2 on numerical non-success
-(truncation not converged, optimizer stalled, a balance check failing,
-or an overflow or a sum that is not finite, whose one stderr line
-reads ``numerical failure: ...``, or from a sweep ``sweep failed at
-...``).  Nothing else is returned.  JSON output is strict: NaN and
-+-inf print as null.
+errors, a write that fails, or a module the command needs that cannot
+be imported (numpy, on a Python without it, for the trial simplex), 2
+on numerical non-success (truncation not converged, optimizer stalled,
+a balance check failing, or an overflow or a sum that is not finite,
+whose one stderr line reads ``numerical failure: ...``, or from a sweep
+``sweep failed at ...``).  Nothing else is returned.  JSON output is
+strict: NaN and +-inf print as null.
 
 Sweep output is reproducible byte for byte: fixed column order, floats
 at 17 significant digits, LF line endings, rows in grid order with the
 first swept axis slowest.  The worker pool only changes wall time,
 never content.  On failure no partial output file is left behind.
 
-Implementation notes (``--help`` prints the paragraphs above).  Every
-command computes in units of omega, on ``ModelParams.unit()``, where
-each tolerance, margin and verdict is read, and prints through
-``model.scaled``, which multiplies each value by its power of omega.
-Every balance number comes from ``balance.sector_report`` on a sector
-vector, a tuple of floats: the ground state's for ``balance`` and a
-sweep point, the optimum trial's for the ``variational`` residuals.
-This module calls no numpy: range values are ``np.linspace``'s
-arithmetic on Python floats.  The import loads no layer, so ``--help``
-and a usage error load none, and each command loads the layers it runs;
-only the trial simplex loads numpy, with one BLAS thread unless the
-environment sets a count, and only a sweep on more than one worker
-imports the process pool.  ``main`` runs its command with the cyclic
-garbage collector off, as forked workers inherit, and then restores the
-caller's state: a command makes no reference cycles, so the passes,
-nearly all during numpy's import, would free only that import's 0.3 MB
-of cyclic garbage.  At exit the process freezes its objects
-(``gc.freeze``), so the interpreter's final collections skip the walk
-over memory the OS frees anyway; output is complete by then.
+Implementation notes (``--help`` prints the paragraphs above).  Each
+command computes on ``ModelParams.unit()``, the model in units of omega,
+where every tolerance, margin and verdict is read, and passes what it
+prints through ``model.scaled`` once, which multiplies each value by its
+power of omega.  Every balance number a command prints comes from one
+evaluator, ``balance.sector_report``, with no operator bundle and no
+``QuantumState`` built (``--paper-literal`` adds the printed variants
+``balance.literal_variants`` reads off its report at omega itself, as
+the paper's b2 constant is not homogeneous in omega): the ``balance``
+report and a sweep point's columns are that of the ground state's sector
+vector ``GroundSolution.phi``, a tuple of floats, and the
+``variational`` residuals that of the optimum trial's.  This module calls
+no numpy: range values are ``np.linspace``'s arithmetic on Python
+floats.  A process pays only for what it runs.  The import loads no
+layer, so ``--help`` and a usage error load none, and ``json`` loads
+only to read or print JSON; ``solve`` and ``converge`` load the solver,
+``balance`` the solver and the report, ``variational`` and ``sweep``
+those and the trial optimizer, whose simplex alone loads numpy, at its
+first energy (exponential and sinh are numpy's), with one BLAS thread
+unless the environment sets a count; only a sweep on more than one
+worker imports the process pool.  ``main`` runs its command with the
+cyclic garbage collector off, and pool workers forked from it inherit
+that: a command makes no reference cycles, so the collector's passes,
+nearly all of them during numpy's import, free nothing but that
+import's own cyclic garbage, about 0.3 MB left in place.  ``main``
+returns the collector to the state its caller had.  At exit the process
+freezes its objects (``gc.freeze``), so the interpreter's final garbage
+collections skip the walk over memory the OS frees anyway; output is
+complete by then, and nothing is frozen while a command runs.
 """
 
 from __future__ import annotations
@@ -43,21 +53,30 @@ import atexit
 import gc
 import os
 
-# no command uses a BLAS thread: set before the trial simplex imports numpy
+# An idle OpenBLAS worker thread costs CPU from the moment numpy loads, and
+# no command uses it: set before the trial simplex imports numpy.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-atexit.register(gc.freeze)  # see the module docstring; nothing is frozen while a command runs
+# The interpreter's final collections walk every tracked object only to free
+# memory the OS takes back anyway; frozen at exit, they skip them.  Output is
+# written before main returns, and nothing is frozen while a command runs.
+atexit.register(gc.freeze)
 
 import argparse
 import contextlib
+import io
 import itertools
 import math
 import sys
 from collections import namedtuple
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, NotConverged, OptimizerStalled, RabiError
 from .model import ModelParams, checked_make, scaled
+
+if TYPE_CHECKING:
+    from .solver import GroundSolution
 
 SWEEP_COLUMNS = [
     "omega", "lambda", "omega0", "dim_used", "e_exact", "parity_label",
@@ -241,8 +260,11 @@ def build_config(args: argparse.Namespace) -> dict:
 def _check_axis(name: str, value: float) -> float:
     """One axis value as ``ModelParams`` checks it; the error names the axis."""
     try:
-        ModelParams(**{"omega": 1.0, "lam": 0.0, "omega0": 0.0,
-                       "lam" if name == "lambda" else name: value})
+        ModelParams(
+            omega=value if name == "omega" else 1.0,
+            lam=value if name == "lambda" else 0.0,
+            omega0=value if name == "omega0" else 0.0,
+        )
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
     return value
@@ -301,7 +323,7 @@ def _emit(text: str, out_path: str | None):
         raise ConfigError(f"out: cannot write {out_path}: {exc}") from exc
 
 
-def _solution_dict(sol) -> dict:
+def _solution_dict(sol: GroundSolution) -> dict:
     """The solution's fields as ``solve`` prints them, in order: all but the vector and sector."""
     info = sol._asdict()
     del info["phi"], info["parity"]
@@ -312,11 +334,13 @@ def cmd_solve(cfg: dict) -> int:
     from .solver import solve_rabi_ground
 
     params = _require_scalar(cfg, "solve")
-    sol = solve_rabi_ground(params, tol=cfg["tol"], dim=cfg["dim"])
-    info = _solution_dict(sol)
-    text = _json(info) if cfg["format"] == "json" else "".join(
-        f"{key} = {val}\n" for key, val in info.items())
-    _emit(text, cfg["out"])
+    sol = solve_rabi_ground(params.unit(), tol=cfg["tol"], dim=cfg["dim"])
+    info = scaled(_solution_dict(sol), params.omega)
+    if cfg["format"] == "json":
+        _emit(_json(info), cfg["out"])
+    else:
+        lines = [f"{key} = {info[key]}" for key in info]
+        _emit("\n".join(lines) + "\n", cfg["out"])
     return 0 if sol.converged else 2
 
 
@@ -328,13 +352,18 @@ def cmd_balance(cfg: dict) -> int:
     unit = params.unit()
     sol = solve_rabi_ground(unit, tol=cfg["tol"], dim=cfg["dim"])
     report = sector_report(sol.phi, sol.parity, unit, sol.energy)
-    if cfg["paper_literal"]:
-        report = report._replace(properties={**report.properties,
-                                             **literal_variants(unit, report)})
     passed = report_passes(report) and sol.converged
-    payload = {"params": params, "solution": _solution_dict(sol), "passed": passed,
-               "report": report}
-    _emit(_json(scaled(payload, params.omega)), cfg["out"])
+    payload = scaled({
+        "params": params,
+        "solution": _solution_dict(sol),
+        "passed": passed,
+        "report": report,
+    }, params.omega)
+    if cfg["paper_literal"]:  # the printed constants, read at omega itself
+        report = payload["report"]
+        payload["report"] = report._replace(properties={**report.properties,
+                                                        **literal_variants(params, report)})
+    _emit(_json(payload), cfg["out"])
     return 0 if passed else 2
 
 
@@ -347,10 +376,18 @@ def cmd_variational(cfg: dict) -> int:
     exact = solve_rabi_ground(unit, tol=cfg["tol"], dim=cfg["dim"])
     result = minimize_energy(unit, exact=exact)
     grad, b1_res, b7_res = stationarity_equals_balance(unit, result.trial)
-    payload = {"params": params, "result": {**result._asdict(), "grad_norm": math.hypot(*grad),
-                                            "b1_residual": b1_res, "b7_residual": b7_res}}
+    grad_norm = math.hypot(*grad)
+    payload = {
+        "params": params,
+        "result": {
+            **result._asdict(),
+            "grad_norm": grad_norm,
+            "b1_residual": b1_res,
+            "b7_residual": b7_res,
+        },
+    }
     _emit(_json(scaled(payload, params.omega)), cfg["out"])
-    # a trial energy below the exact one is truncation trouble
+    # a trial energy below the exact one is truncation trouble (the gap is in units of omega)
     bad = not result.converged or not exact.converged or result.gap < -1e-9
     return 2 if bad else 0
 
@@ -362,10 +399,14 @@ def cmd_converge(cfg: dict) -> int:
     max_dim = cfg["dim"] or MAX_DIM
     if max_dim < 2 * START_DIM:  # the ladder starts at START_DIM and compares two levels
         raise ConfigError(f"dim: converge needs >= {2 * START_DIM}, got {max_dim}")
-    rows, ok = convergence_table(params, tol=cfg["tol"], max_dim=max_dim)
-    lines = [f"{dim},{_fmt17(energy)},{'' if math.isnan(delta) else _fmt17(delta)}\n"
-             for dim, energy, delta in rows]
-    _emit("".join(["dim,e_exact,delta\n", *lines]), cfg["out"])
+    rows, ok = convergence_table(params.unit(), tol=cfg["tol"], max_dim=max_dim)
+    buf = io.StringIO()
+    buf.write("dim,e_exact,delta\n")
+    for dim, energy, delta in rows:
+        row = scaled({"e_exact": energy, "delta": delta}, params.omega)
+        delta_txt = "" if math.isnan(delta) else _fmt17(row["delta"])
+        buf.write(f"{dim},{_fmt17(row['e_exact'])},{delta_txt}\n")
+    _emit(buf.getvalue(), cfg["out"])
     return 0 if ok else 2
 
 
@@ -415,33 +456,53 @@ def _sweep_point(task) -> dict:
     props = report.properties
     b2 = props["b2"]
     return scaled({
-        "omega": omega, "lambda": lam, "omega0": omega0, "dim_used": sol.dim_used,
-        "e_exact": sol.energy, "parity_label": sol.parity_label, "sector_gap": sol.sector_gap,
-        "e_var": var.energy, "beta_star": var.trial.beta, "gamma_star": var.trial.gamma,
-        "gap": var.gap, "res_b1": report.second_order["b1"], "res_b7": report.second_order["b7"],
+        "omega": omega,
+        "lambda": lam,
+        "omega0": omega0,
+        "dim_used": sol.dim_used,
+        "e_exact": sol.energy,
+        "parity_label": sol.parity_label,
+        "sector_gap": sol.sector_gap,
+        "e_var": var.energy,
+        "beta_star": var.trial.beta,
+        "gamma_star": var.trial.gamma,
+        "gap": var.gap,
+        "res_b1": report.second_order["b1"],
+        "res_b7": report.second_order["b7"],
         "res_force": report.first_order["force"],
         "w00_exact": -2 * sol.parity * props["p2_sign"].value,  # <sigma_z> = -p <cos pi n>
         "w00_trial": 2.0 * math.exp(-2.0 * var.trial.beta**2),
-        "var_qsx": b2.value, "b2_lo": b2.lower, "b2_hi": b2.upper,
+        "var_qsx": b2.value,
+        "b2_lo": b2.lower,
+        "b2_hi": b2.upper,
         "p1_ok": props["p1"].satisfied,
         "p2_ok": props["p2_identity"].satisfied and props["p2_sign"].satisfied,
         "p3_ok": props["p3"].satisfied,
         "p4_ok": props["p4_identity"].satisfied and props["p4"].satisfied,
-        "b2_ok": b2.satisfied, "w_bound_ok": props["wigner_energy"].satisfied,
+        "b2_ok": b2.satisfied,
+        "w_bound_ok": props["wigner_energy"].satisfied,
     }, omega)
 
 
 def _render_sweep(rows: list[dict], fmt: str) -> str:
     if fmt == "json":
         return _json(rows)
-
-    def cell(val) -> str:  # a float at 17 digits, a bool as 1 or 0, a count or a label as is
-        if isinstance(val, float):
-            return _fmt17(val)
-        return str(int(val)) if isinstance(val, bool) else str(val)
-
-    lines = [",".join(cell(row[col]) for col in SWEEP_COLUMNS) + "\n" for row in rows]
-    return "".join([",".join(SWEEP_COLUMNS) + "\n", *lines])
+    buf = io.StringIO()
+    buf.write(",".join(SWEEP_COLUMNS) + "\n")
+    for row in rows:
+        cells = []
+        for col in SWEEP_COLUMNS:
+            val = row[col]
+            if isinstance(val, bool):
+                cells.append("1" if val else "0")
+            elif isinstance(val, int):
+                cells.append(str(val))
+            elif isinstance(val, str):
+                cells.append(val)
+            else:
+                cells.append(_fmt17(val))
+        buf.write(",".join(cells) + "\n")
+    return buf.getvalue()
 
 
 class _WorkerDied(RabiError):
@@ -567,7 +628,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    # off while the command runs, and back to the caller's state: see the module docstring
+    # No command makes a reference cycle, so the collector would free only
+    # numpy's import garbage (see the module docstring); forked workers
+    # inherit the setting, and the caller gets its own back.
     collecting = gc.isenabled()
     gc.disable()
     try:

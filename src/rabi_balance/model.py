@@ -18,7 +18,9 @@ whose eigenvector phi lifts back to the full space as
     (1/sqrt 2) ( phi |+>_x  -  p cos(pi a^dag a) phi |->_x ),
 
 i.e. the spin of the Fock component n is slaved to sigma_z = (-1)^(n+1) p.
-That lift lives in ``fock``, and every operator in ``oracle``.
+That lift, its inverse and the sector inferred from <P> are numpy
+arrays and live in ``fock``; the Pauli matrices, like every operator,
+live in ``oracle``.
 
 In oscillator variables the coupling strength is F0 = sqrt(2 m omega) lam,
 so that F0 q = lam (a + a^dag) identically.
@@ -26,9 +28,12 @@ so that F0 q = lam (a + a^dag) identically.
 H(omega, lam, omega0) = omega H(1, lam / omega, omega0 / omega): the
 solver, the balance report and the trial search compute on that model in
 units of omega (``ModelParams.unit``; Braak, PRL 107, 100401 (2011)),
-and ``scaled`` takes what they return to omega.  ``sector_chain`` gives
-H_p as two lists of floats.  This module imports no numpy, so neither
-do the solver and the balance report that build on it.
+and ``scaled`` takes what they return to omega.
+
+``sector_chain`` gives H_p as two lists of floats, computed entry by
+entry in Python; the solver takes them as they are.  This module imports
+no numpy, so neither do the solver and the balance report that build on
+it.
 """
 
 from __future__ import annotations
@@ -85,13 +90,14 @@ class ModelParams(namedtuple("ModelParams", "omega lam omega0 mass")):
 
 # The power k of omega in each quantity a command prints, by name: its value
 # at omega is omega**k times its value in units of omega.  Any other has k = 0.
+# (``--paper-literal``'s variants are read at omega itself: see balance.literal_variants.)
 OMEGA_POWERS = {
     **dict.fromkeys("energy exact_energy state_energy e_exact e_var delta gap sector_gap "
-                    "energy_delta grad_norm b1 res_b1 b1_residual p1 p4_identity p4 p4_literal "
-                    "wigner_energy wigner_energy_literal".split(), 1),
+                    "energy_delta grad_norm b1 res_b1 b1_residual p1 p4_identity p4 "
+                    "wigner_energy".split(), 1),
     "p_sigma_x": 1.5, "q_sigma_x": 1.5,
     **dict.fromkeys("b7 res_b7 b7_residual omega_num".split(), 3),
-    **dict.fromkeys("b2 b2_literal var_qsx b2_lo b2_hi".split(), -1),
+    **dict.fromkeys("b2 var_qsx b2_lo b2_hi".split(), -1),
 }
 
 

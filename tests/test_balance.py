@@ -432,8 +432,8 @@ REPORT_TOL = 1e-12  # times max(1, |E|, |value|): the sums differ in order only
 def _assert_summary_matches_report(vec, p, params, energy=None):
     """sector_report of phi, scaled to omega, equals full_report of its lift.
 
-    With and without literal_variants, which reads the report in units of
-    omega at ``params.unit()``.  The same keys in the same order, every
+    With and without literal_variants, which reads either report at omega
+    itself, as the balance command does.  The same keys in the same order, every
     ``satisfied`` flag, every value and bound edge to REPORT_TOL, the same
     ``report_passes``, and W(0, 0) from p2.  ``full_report`` works at omega
     itself, so a wrong power of omega in ``model.OMEGA_POWERS`` fails here.
@@ -443,11 +443,11 @@ def _assert_summary_matches_report(vec, p, params, energy=None):
     want = full_report(embed_reduced_state(boson, p), FockRep(boson.dim), params,
                        sector=p, energy=energy, boson_state=boson)
     unit = sector_report(phi, p, params, want.state_energy)
+    got = scaled(unit, params.omega)
     for literal in (False, True):
         if literal:
             want = _with_literal_variants(params, want)
-            unit = _with_literal_variants(params.unit(), unit)
-        got = scaled(unit, params.omega)
+            got = _with_literal_variants(params, got)
         scale = max(1.0, abs(want.state_energy))
         assert got.state_energy == pytest.approx(want.state_energy, rel=1e-15, abs=0.0)
 
@@ -463,10 +463,8 @@ def _assert_summary_matches_report(vec, p, params, energy=None):
         assert list(got.properties) == list(want.properties)
         for name, need in want.properties.items():
             have = got.properties[name]
-            close(have.value, need.value, name)
-            if name == "b2_literal" and params.omega != 1.0:
-                continue  # its printed constant is not homogeneous in omega: see literal_variants
             assert have.satisfied == need.satisfied, (literal, name)
+            close(have.value, need.value, name)
             for edge in ("lower", "upper"):
                 a, b = getattr(have, edge), getattr(need, edge)
                 assert (a is None) == (b is None), (name, edge)

@@ -124,6 +124,27 @@ def test_balance_paper_literal_adds_diagnostics(capsys):
     assert data["passed"] is True
 
 
+def test_paper_literal_is_read_at_omega_itself(capsys):
+    # the paper's printed b2 constant is not homogeneous in omega, so the
+    # band printed at omega 2 is the dense oracle's at omega 2, not 1/omega
+    # times the one at omega 1
+    from rabi_balance.balance import literal_variants
+    from rabi_balance.fock import FockRep
+    from rabi_balance.oracle import full_report
+
+    params = ModelParams(omega=2.0, lam=1.0, omega0=2.0)
+    assert run_cli(["balance", "--omega", "2", "--lambda", "1", "--omega0", "2",
+                    "--paper-literal"]) == 0
+    props = json.loads(capsys.readouterr().out)["report"]["properties"]
+    sol = solve_rabi_ground(params)
+    want = literal_variants(params, full_report(sol.state, FockRep(sol.dim_used), params,
+                                                sector=sol.parity, energy=sol.energy))
+    for name, check in want.items():
+        assert props[name]["satisfied"] is check.satisfied, name
+        for edge in ("value", "lower", "upper"):
+            assert props[name][edge] == pytest.approx(getattr(check, edge), rel=1e-12), name
+
+
 @pytest.mark.parametrize("lam, omega0", [("0.5", "1"), ("3", "0.7"), ("6", "2"), ("1", "0")])
 def test_balance_and_sweep_print_the_same_numbers(capsys, lam, omega0):
     # one evaluator: the balance report and the sweep row of a point agree bit for bit

@@ -8,7 +8,9 @@ what they print, so this holds bit for bit at powers of two, far beyond
 where omega^k itself leaves the float range; a value beyond it prints as
 null.  At 1e-6 and 1e6, where lam / omega rounds, the verdicts and exit
 codes are compared.  ``test_balance`` checks the table against the dense
-physical oracle.
+physical oracle.  ``balance --paper-literal`` is left out: the paper's
+printed b2 constant is not homogeneous in omega, so its band is read at
+omega itself and is not covariant.
 """
 
 import pytest
@@ -21,7 +23,7 @@ UNIT_POINTS = [(0.5, 1.0), (2.0, 0.5), (6.0, 1.0), (1.0, 0.0), (3.0, 0.7), (1.7,
                (0.0, 3.0)]
 COMMANDS = {
     "solve": ["solve", "--format", "json"],
-    "balance": ["balance", "--paper-literal"],
+    "balance": ["balance"],
     "variational": ["variational"],
     "sweep": ["sweep", "--format", "json", "--jobs", "1"],
     "converge": ["converge"],
