@@ -53,14 +53,12 @@ columns and the trial residuals are read from it.  Its numbers are those
 of phi's spin-boson lift (``fock.embed_reduced_state``).
 ``oracle.full_report`` evaluates the same suite on any spin-boson state,
 from dense ``np.kron`` observables; it is the reference in the tests.
-``sector_report`` works in units of omega (``ModelParams.unit``), so that
-every margin and tolerance below is one there, and ``model.scaled`` takes
-its report to omega; ``full_report`` works at omega itself.
+Both work at the ``ModelParams`` they are given, in whose energy unit
+every margin and tolerance below is read.
 
-``full_report`` calls the bound helpers at omega itself, so a bound's
-lam^2/omega is computed as lam (lam / omega), and it divides by one
-power of omega at a time: omega^2 and omega^3 underflow to 0 at omega =
-2^-600, where the bounds themselves are finite.
+A bound's lam^2/omega is computed as lam (lam / omega), and it divides
+by one power of omega at a time: omega^2 and omega^3 underflow to 0 at
+omega = 2^-600, where the bounds themselves are finite.
 """
 
 from __future__ import annotations
@@ -160,9 +158,9 @@ def literal_variants(params: ModelParams, report: BalanceReport) -> dict[str, Bo
     The p4 band [-omega0, omega0]; the b2 constant -(1 + <sigma_z>) - 3 F0
     <q sigma_x> - <q sigma_x>^2 over m omega^2, with <sigma_z> from p2_sign
     and <q sigma_x> from p3; the Wigner band shifted by 2 lam^2/omega.
-    The printed b2 constant is not homogeneous in omega, so these are read
-    at omega itself: ``params`` at its omega and ``report`` at the same
-    omega, as ``model.scaled`` gives a ``sector_report``.
+    The printed b2 constant is not homogeneous in omega, so ``params`` and
+    ``report`` must be at the same omega: the ``balance`` command reads
+    them at omega itself, not in units of omega.
     """
     props = report.properties
     m, omega, omega0 = params.mass, params.omega, params.omega0
@@ -197,39 +195,36 @@ def report_passes(report: BalanceReport) -> bool:
 
 
 def sector_report(phi, p: int, params: ModelParams, energy: float) -> BalanceReport:
-    """The whole balance suite of a real sector vector, in units of omega, from O(N) sums.
+    """The whole balance suite of a real sector vector, from O(N) sums over it.
 
     ``phi`` is a real unit vector of sector ``p`` (a list or tuple of
-    floats); ``energy`` (at ``params``'s omega) enters p1 and the report's
-    scale.  The suite runs at ``params.unit()``, on energy / omega, and
-    ``model.scaled`` takes the report to omega: then its values are those
-    ``oracle.full_report`` gives for the lift of phi, up to round-off,
-    summed with ``math.fsum``.  In units of omega (omega = 1), on the lift,
-    with x = a + a^dag and y = a^dag - a,
+    floats); ``energy`` enters p1 and the report's scale.  The values are
+    those ``oracle.full_report`` gives for the lift of phi, up to
+    round-off, summed with ``math.fsum``.  On the lift, with x = a + a^dag
+    and y = a^dag - a,
 
         <q> = <p> = <sigma_x> = <sigma_y> = 0   (parity-odd), so the force is 0,
         <sigma_z> = -p <cos pi n>,   <n sigma_z> = -p <n cos pi n>,
-        <q sigma_x> = <x> / sqrt(2 m),
-        <p sigma_y> = p sqrt(2 m) sum_k (-1)^k sqrt(k+1) phi_k phi_k+1,
+        <q sigma_x> = <x> / sqrt(2 m omega),
+        <p sigma_y> = p sqrt(2 m omega) sum_k (-1)^k sqrt(k+1) phi_k phi_k+1,
 
     while <q^2> and <p^2> are the squared norms of q phi and p phi in the
     truncated space.  num, q sigma_x and sigma_z act on the sector as the
     real symmetric bands n, q and -p cos(pi n), so their first-order
-    residuals vanish on a real phi; p sigma_x acts as i sqrt(m / 2) y,
-    so its residual is sqrt(2 m) |H_p phi . y phi|.  The two
+    residuals vanish on a real phi; p sigma_x acts as i sqrt(m omega / 2) y,
+    so its residual is sqrt(2 m omega) |H_p phi . y phi|.  The two
     second-order residuals are |<[H, [H, A]]>| = 2 |H_p phi . [H_p, A] phi|
-    for A = q and n, with H_p the chain ``model.sector_chain``:
+    for A = q and omega n, with H_p the chain ``model.sector_chain``:
 
         [H_p, n] phi = off_k phi_k+1 - off_k-1 phi_k-1,
-        [H_p, x] phi = y phi - omega0 p cos(pi n) x phi,
+        [H_p, x] phi = omega y phi - omega0 p cos(pi n) x phi,
 
     in which the diagonal of H_p has cancelled.  b6 is 0, as (q sigma_x)^2
     acts as q^2.  The Wigner band is that of ``oracle.wigner_energy_bounds``:
     the sector +1 chain energy of phi, whatever p is.
     """
     p = check_sector(p)
-    energy, params = energy / params.omega, params.unit()
-    m, lam, omega0 = params.mass, params.lam, params.omega0
+    m, omega, lam, omega0 = params.mass, params.omega, params.lam, params.omega0
     fsum = math.fsum
     roots = [math.sqrt(k) for k in range(1, len(phi))]
     sq = [v * v for v in phi]
@@ -247,29 +242,30 @@ def sector_report(phi, p: int, params: ModelParams, energy: float) -> BalanceRep
     x_sq = fsum([v * v for v in x_phi])  # |x phi|^2
     y_sq = fsum([v * v for v in y_phi])  # |y phi|^2
 
-    scale = math.sqrt(2.0 * m)
+    scale = math.sqrt(2.0 * m * omega)
     f0 = params.f0
-    q_sq = x_sq / (2.0 * m)
-    kinetic = 0.25 * y_sq  # <p^2> / 2m, with <p^2> = (m / 2) y_sq
+    q_sq = x_sq / (2.0 * m * omega)
+    kinetic = 0.25 * omega * y_sq  # <p^2> / 2m, with <p^2> = (m omega / 2) y_sq
     q_sx = x_mean / scale
     p_sy = p * scale * alt_pairs
     sz = -p * cos_pin
-    b1 = abs(kinetic - 0.5 * f0 * q_sx - 0.5 * m * q_sq)
-    b7 = abs(m * f0 * q_sx + f0 * omega0 * p_sy + f0 * f0)
+    b1 = abs(kinetic - 0.5 * f0 * q_sx - 0.5 * (m * omega) * (omega * q_sq))
+    b7 = abs(m * omega**2 * f0 * q_sx + f0 * omega0 * p_sy + f0 * f0)
 
     props = _property_bounds(params, p, energy, sz=sz, cos_pin=cos_pin, x_sx=x_mean,
                              n_cos=n_cos, n_sz=-p * n_cos)
     props["b2"] = _b2_bound(params, q_sq - q_sx * q_sx, _b2_constant(params, sz, q_sx))
     props["b6_identity"] = _identity(0.0)
-    e_plus = n_mean - 0.5 * omega0 * cos_pin + lam * x_mean
-    wigner = e_plus - (n_mean + lam * x_mean + lam**2)
-    props["wigner_energy"] = _wigner_band(params, wigner, lam * lam)
+    ratio = lam / omega
+    e_plus = omega * n_mean - 0.5 * omega0 * cos_pin + lam * x_mean
+    wigner = e_plus - omega * (n_mean + ratio * x_mean + ratio**2)
+    props["wigner_energy"] = _wigner_band(params, wigner, lam * ratio)
 
     diag, off = sector_chain(len(phi), params, p)
     below = [0.0, *map(mul, off, phi)]  # off_k-1 phi_k-1
     above = [*map(mul, off, phi[1:]), 0.0]  # off_k phi_k+1
     h_phi = [d * v + b + a for d, v, b, a in zip(diag, phi, below, above)]
-    comm_x = [y - (omega0 * p if k % 2 == 0 else -omega0 * p) * x
+    comm_x = [omega * y - (omega0 * p if k % 2 == 0 else -omega0 * p) * x
               for k, (x, y) in enumerate(zip(x_phi, y_phi))]
     first = {
         "q": 0.0, "p": 0.0, "num": 0.0, "q_sigma_x": 0.0,
@@ -278,7 +274,8 @@ def sector_report(phi, p: int, params: ModelParams, energy: float) -> BalanceRep
     }
     second = {
         "q_sigma_x": 2.0 / scale * abs(fsum(map(mul, h_phi, comm_x))),
-        "omega_num": 2.0 * abs(fsum([h * (a - b) for h, a, b in zip(h_phi, above, below)])),
+        "omega_num": 2.0 * omega * abs(fsum([h * (a - b)
+                                             for h, a, b in zip(h_phi, above, below)])),
         "b1": b1,
         "b7": b7,
     }

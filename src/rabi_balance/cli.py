@@ -16,11 +16,11 @@ at 17 significant digits, LF line endings, rows in grid order with the
 first swept axis slowest.  The worker pool only changes wall time,
 never content.  On failure no partial output file is left behind.
 
-Implementation notes (``--help`` prints the paragraphs above).  Each
-command computes on ``ModelParams.unit()``, the model in units of omega,
-where every tolerance, margin and verdict is read, and passes what it
-prints through ``model.scaled`` once, which multiplies each value by its
-power of omega.  Every balance number a command prints comes from one
+Implementation notes (``--help`` prints the paragraphs above).  Only
+this module knows the unit of energy: each command gives the layers
+``ModelParams.unit()``, where every tolerance, margin and verdict is
+read in units of omega, and ``scaled`` takes each value it prints to
+omega.  Every balance number a command prints comes from one
 evaluator, ``balance.sector_report``, with no operator bundle and no
 ``QuantumState`` built (``--paper-literal`` adds the printed variants
 ``balance.literal_variants`` reads off its report at omega itself, as
@@ -73,7 +73,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, NotConverged, OptimizerStalled, RabiError
-from .model import ModelParams, checked_make, scaled
+from .model import ModelParams, checked_make
 
 if TYPE_CHECKING:
     from .solver import GroundSolution
@@ -91,6 +91,39 @@ MAX_FIXED_DIM = 2**16  # a larger --dim (for converge, the ladder's maximum) is 
 # a numerical failure, exit 2: the package's own, or a value beyond the float
 # range, as a float ``**`` that overflows or ``math.fsum`` of -inf and inf
 _FAILURES = (RabiError, ArithmeticError, ValueError)
+
+# The power k of omega in each quantity a command prints, by name: its value
+# at omega is omega**k times its value in units of omega.  Any other has k = 0.
+# (``--paper-literal``'s variants are read at omega itself: see balance.literal_variants.)
+OMEGA_POWERS = {
+    **dict.fromkeys("energy exact_energy state_energy e_exact e_var delta gap sector_gap "
+                    "energy_delta grad_norm b1 res_b1 b1_residual p1 p4_identity p4 "
+                    "wigner_energy".split(), 1),
+    "p_sigma_x": 1.5, "q_sigma_x": 1.5,
+    **dict.fromkeys("b7 res_b7 b7_residual omega_num".split(), 3),
+    **dict.fromkeys("b2 var_qsx b2_lo b2_hi".split(), -1),
+}
+
+
+def scaled(record, omega: float, k: float = 0):
+    """``record``, computed in units of omega, at ``omega``: each float times omega**k.
+
+    k is its key's in OMEGA_POWERS, else its record's (a bound's edges take
+    the bound's); a dict or named tuple is rebuilt, anything else kept.
+    One power of omega at a time, and sqrt(omega) for a half: exact at
+    powers of two, 0 stays 0, and an overflow is inf.
+    """
+    if isinstance(record, float):
+        for _ in range(int(abs(k))):
+            record = record * omega if k > 0 else record / omega
+        return record * math.sqrt(omega) if k % 1 else record
+    if isinstance(record, dict):
+        return {key: scaled(value, omega, OMEGA_POWERS.get(key, k))
+                for key, value in record.items()}
+    if hasattr(record, "_fields"):
+        return record._make(scaled(value, omega, OMEGA_POWERS.get(key, k))
+                            for key, value in zip(record._fields, record))
+    return record
 
 
 class AxisRange(namedtuple("AxisRange", "min max count")):
@@ -304,8 +337,15 @@ def _json(obj) -> str:
 
 def _emit(text: str, out_path: str | None):
     if out_path is None:
+        binary = getattr(sys.stdout, "buffer", None)  # None on a text stream, as a StringIO
         try:
-            sys.stdout.write(text)
+            sys.stdout.flush()  # what the text layer holds goes first
+            if binary is None:
+                sys.stdout.write(text)
+            else:  # an unbuffered binary layer may take part of a write: send the rest
+                data = memoryview(text.encode(sys.stdout.encoding))
+                while data:
+                    data = data[binary.write(data):]
             sys.stdout.flush()
         except OSError as exc:  # the flush at exit then sends what is left to devnull
             with contextlib.suppress(AttributeError, OSError), open(os.devnull, "wb") as null:
@@ -368,7 +408,7 @@ def cmd_balance(cfg: dict) -> int:
 
 
 def cmd_variational(cfg: dict) -> int:
-    from .solver import solve_rabi_ground
+    from .solver import ROUNDING_ULPS, solve_rabi_ground
     from .variational import minimize_energy, stationarity_equals_balance
 
     params = _require_scalar(cfg, "variational")
@@ -387,8 +427,10 @@ def cmd_variational(cfg: dict) -> int:
         },
     }
     _emit(_json(scaled(payload, params.omega)), cfg["out"])
-    # a trial energy below the exact one is truncation trouble (the gap is in units of omega)
-    bad = not result.converged or not exact.converged or result.gap < -1e-9
+    # a trial energy below the exact one, by more than 1e-9 omega and the ladder's
+    # rounding allowance, is truncation trouble
+    floor = max(1e-9, ROUNDING_ULPS * math.ulp(exact.energy))
+    bad = not result.converged or not exact.converged or result.gap < -floor
     return 2 if bad else 0
 
 

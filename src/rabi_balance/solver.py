@@ -8,12 +8,11 @@ dense matrix, no BLAS call and no numpy.  The methods are textbook
 (Parlett, *The Symmetric Eigenvalue Problem*: inverse iteration, ch. 4;
 Sturm counts, ch. 7).
 
-* Each sector is solved in units of omega (``ModelParams.unit``), where
-  the chain's norm is at least 1.  A chain whose row sums leave the float
-  range raises OverflowError before the solve; any other is scaled by a
-  power of two to norm below 1, which is exact and keeps every square
-  and pivot quotient in range.  It splits where a coupling is negligible
-  (|b_i| <= eps sqrt|a_i a_i+1|, as in LAPACK); each block is solved alone.
+* A chain whose row sums leave the float range raises OverflowError
+  before the solve.  Any other chain is scaled by a power of two to norm
+  below 1, which is exact and keeps every square and pivot quotient in
+  range.  It splits where a coupling is negligible (|b_i| <= eps
+  sqrt|a_i a_i+1|, as in LAPACK), and each block is solved alone.
 * Each iteration step is one LDL^T (Thomas) factor-and-solve of
   T - sigma I, whose negative pivots count the eigenvalues below sigma.
   Where sigma is an eigenvalue to working precision, the solve
@@ -33,15 +32,15 @@ Sturm counts, ch. 7).
   exactly (``math.fsum``).
 
 One doubling ladder solves both sectors at Fock dimension 16, 32, ...
-until the global minimum, in units of omega, moves by less than ``tol``
-(or, where that is below its rounding, by less than ROUNDING_ULPS ulps);
-a fixed ``dim`` is the same ladder over ``dim // 2`` and ``dim``.  Each
-sector's chain is built once per solve and extended by the new levels'
-entries only, and every level is solved once; the solution holds the
-winning sector's eigenvector at the last level as a tuple of floats,
-``phi``, and its energies at omega (``model.scaled``).  It caches no
-state: the ``QuantumState`` ``boson_state`` and its spin-boson lift
-``state`` are made from ``phi`` on each read, and only they import ``fock``.
+until the global minimum moves by less than ``tol`` (in the energy unit
+of ``params``, as is DEGENERACY_TOL; or, where that is below its
+rounding, by less than ROUNDING_ULPS ulps); a fixed ``dim`` is the same
+ladder over ``dim // 2`` and ``dim``.  Each sector's chain is built once
+per solve and extended by the new levels' entries only, and every level
+is solved once; the solution holds the winning sector's eigenvector at
+the last level as a tuple of floats, ``phi``.  It caches no state: the
+``QuantumState`` ``boson_state`` and its spin-boson lift ``state`` are
+made from ``phi`` on each read, and only they import ``fock``.
 """
 
 from __future__ import annotations
@@ -53,14 +52,14 @@ from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import EigDecompositionFailure
-from .model import OMEGA_POWERS, ModelParams, scaled, sector_chain
+from .model import ModelParams, sector_chain
 
 if TYPE_CHECKING:
     from .fock import QuantumState
 
 START_DIM = 16
 MAX_DIM = 256
-DEGENERACY_TOL = 1e-9  # sector gap, in units of omega, below which the ground is degenerate
+DEGENERACY_TOL = 1e-9  # sector gap below which the ground is degenerate
 ROUNDING_ULPS = 64  # a level change within this many ulps of E is rounding: converged
 
 # The chain is scaled to norm below 1; the tolerances below are in that scale.
@@ -80,7 +79,7 @@ class GroundSolution(namedtuple("GroundSolution", "energy phi parity parity_labe
     """Converged (or best-effort) ground state of the full model, as a named tuple.
 
     ``parity`` is the sector of the returned representative; at
-    degenerate points (sector gap < 1e-9 omega, e.g. omega0 = 0) the +1
+    degenerate points (|sector gap| <= DEGENERACY_TOL, e.g. omega0 = 0) the +1
     representative is returned and ``parity_label`` reads
     ``"degenerate"``.  ``phi`` is the real unit sector eigenvector as a
     tuple of floats, its entry of largest modulus positive.
@@ -266,8 +265,11 @@ def _lowest_pair(a: list, b: list,
         if not math.isfinite(bound):
             raise OverflowError(f"{n}-level matrix has row sums beyond the float range")
     exp = math.frexp(bound)[1]
-    scale = math.ldexp(1.0, -exp)  # scaled by a power of two, the chain is exact
-    a, b = [v * scale for v in a], [v * scale for v in b]
+    if exp >= -1023:  # scaled by a power of two, the chain is exact
+        scale = math.ldexp(1.0, -exp)
+        a, b = [v * scale for v in a], [v * scale for v in b]
+    else:  # a bound below 2**-1024, whose inverse overflows: scale each entry
+        a, b = [math.ldexp(v, -exp) for v in a], [math.ldexp(v, -exp) for v in b]
     x = [0.0] * n
     if start is not None:
         x[:len(start[1])] = start[1]
@@ -302,10 +304,9 @@ def _lowest_pair(a: list, b: list,
 def _doubling(params: ModelParams, tol: float, dims: Iterable[int]):
     """Solve both sectors at each of ``dims`` until the energy moves < ``tol``.
 
-    ``params`` is in units of omega.  Where ``tol`` is below the rounding
-    of E (|E| above about 1e4 at the default 1e-10), a move under
-    ROUNDING_ULPS ulps of E also stops the ladder: a converged energy still
-    wobbles by an ulp or two per level.
+    Where ``tol`` is below the rounding of E (|E| above about 1e4 at the
+    default 1e-10), a move under ROUNDING_ULPS ulps of E also stops the
+    ladder: a converged energy still wobbles by an ulp or two per level.
 
     Returns the rows (dim, energy, delta) of the levels solved, where
     energy is the lower sector energy and delta is nan on the first row;
@@ -375,7 +376,7 @@ def solve_rabi_ground(
     """Ground state of the full model with truncation convergence check.
 
     With ``dim=None`` the Fock dimension doubles from 16 until the
-    global ground energy changes by less than ``tol`` omega, up to ``MAX_DIM``; otherwise the
+    global ground energy changes by less than ``tol``, up to ``MAX_DIM``; otherwise the
     problem is solved at the fixed ``dim`` and the convergence check
     compares against ``dim // 2``.  Where the budget runs out, the result
     is the best effort at the last dimension, with ``converged`` false.
@@ -385,7 +386,7 @@ def solve_rabi_ground(
     if dim is not None and dim < 4:
         raise ValueError(f"fixed dim must be >= 4, got {dim}")
     dims = _doubled_dims(MAX_DIM) if dim is None else (dim // 2, dim)
-    return scaled(_solution(*_doubling(params.unit(), tol, dims)), params.omega)
+    return _solution(*_doubling(params, tol, dims))
 
 
 def convergence_table(
@@ -396,9 +397,7 @@ def convergence_table(
     """Dimension-doubling trace: rows (dim, energy, delta), plus success flag.
 
     The first row has delta = nan.  Doubling stops at the first delta
-    below ``tol`` omega or once ``max_dim`` is exceeded.
+    below ``tol`` or once ``max_dim`` is exceeded.
     """
-    rows, _, converged = _doubling(params.unit(), tol, _doubled_dims(max_dim))
-    omega, k = params.omega, OMEGA_POWERS["energy"]
-    return [(dim, scaled(energy, omega, k), scaled(delta, omega, k))
-            for dim, energy, delta in rows], converged
+    rows, _, converged = _doubling(params, tol, _doubled_dims(max_dim))
+    return rows, converged

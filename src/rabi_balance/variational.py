@@ -32,7 +32,7 @@ bounded Nelder-Mead simplex, which takes step for step the path of
 scipy's ``minimize(method="Nelder-Mead", bounds=...)`` and so returns
 the same optimum bit for bit, without importing ``scipy.optimize``.
 Its caller passes the solver's ground state, ``exact``, which the
-optimum is held against; it solves none itself.
+optimum is held against, at the same ``params``; it solves none itself.
 The simplex is a loop over two variables: each vertex is a (beta, gamma)
 pair of Python floats, trial points are clipped by comparisons and the
 three vertices are ordered by a stable insertion sort, NaN last.  The
@@ -57,7 +57,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import AmplitudeTooLarge, SqueezeTooLarge
-from .model import ModelParams, checked_make, scaled
+from .model import ModelParams, checked_make
 from .balance import sector_report
 
 if TYPE_CHECKING:
@@ -166,7 +166,7 @@ def energy_gradient(trial: TrialParams, params: ModelParams) -> tuple[float, flo
 
 
 def balance_residuals(trial: TrialParams, params: ModelParams) -> tuple[float, float]:
-    """(b1, b7) residuals of the sector +1 embedding of the trial state, in units of omega.
+    """(b1, b7) residuals of the sector +1 embedding of the trial state.
 
     ``balance.sector_report`` takes them from the trial's sector vector.
     Neither reads the energy, so the report gets NaN for it, and not the
@@ -316,16 +316,13 @@ def minimize_energy(params: ModelParams, exact: GroundSolution) -> VariationalRe
 
     ``exact`` is the solver's ground state at ``params``, which the caller
     solves; the result's ``gap`` is the optimum's energy above it.  The
-    search runs in units of omega (``ModelParams.unit``), where the stop
-    rule is read, and the result is scaled back.
+    stop rule's FATOL is in the energy unit of ``params``.
     Multi-start: the origin plus the displaced-oscillator guess
     beta = -lam/omega at gamma in {0, +0.3, -0.3}; at lam = 0 the guess
     at gamma 0 is the origin, which runs once.  ``converged`` is false
     where no start met the stop rule within ``MAXFEV`` evaluations.
     """
-    omega, params = params.omega, params.unit()
-    exact_energy = exact.energy / omega
-    beta_guess = max(-params.lam, -BETA_MAX)  # lam >= 0: never above 0
+    beta_guess = max(-params.lam / params.omega, -BETA_MAX)  # lam >= 0: never above 0
     # at lam = 0 the guess (-0.0, 0.0) is the origin's simplex: 0.0 == -0.0
     # and both hash alike, so the dict keeps one start, the origin, in order
     starts = list(dict.fromkeys([(0.0, 0.0)] + [(beta_guess, g) for g in START_OFFSETS]))
@@ -334,25 +331,24 @@ def minimize_energy(params: ModelParams, exact: GroundSolution) -> VariationalRe
     runs = [_nelder_mead(energy, x0) for x0 in starts]
     # min keeps the first of the least in start order, and a NaN replaces none
     (beta, gamma), fun, _, _ = min(runs, key=lambda run: run[1])
-    return scaled(VariationalResult(
+    return VariationalResult(
         trial=TrialParams(beta, gamma),
         energy=fun,
-        exact_energy=exact_energy,
-        gap=fun - exact_energy,
+        exact_energy=exact.energy,
+        gap=fun - exact.energy,
         iterations=sum(run[2] for run in runs),
         converged=any(run[3] for run in runs),
-    ), omega)
+    )
 
 
 def stationarity_equals_balance(
     params: ModelParams,
     trial: TrialParams,
 ) -> tuple[tuple[float, float], float, float]:
-    """(gradient, b1 residual, b7 residual) at one trial point, in units of omega.
+    """(gradient, b1 residual, b7 residual) at one trial point.
 
     At an interior optimum the gradient vanishes together with both
     residuals; away from it (lam > 0) they are nonzero together.
     """
-    params = params.unit()
     return (energy_gradient(trial, params), *balance_residuals(trial, params))
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from rabi_balance.fock import BOSON, QuantumState, SPIN_BOSON
-from rabi_balance.model import OMEGA_POWERS
+from rabi_balance.cli import OMEGA_POWERS
 
 
 @pytest.fixture
@@ -79,7 +79,7 @@ def assert_covariant(got, unit, omega, floats="exact", k=0, path=()):
 
     Every verdict (a bool or a text) is equal.  With ``floats`` "exact",
     so is every count, and each float is omega**k times the unit one, k
-    from ``model.OMEGA_POWERS`` by its key, bit for bit, or null (JSON) or
+    from ``cli.OMEGA_POWERS`` by its key, bit for bit, or null (JSON) or
     inf (CSV) where that overflows; "close" compares the floats to 1e-12;
     None compares verdicts only.  The given point itself is not compared.
     """

@@ -35,7 +35,8 @@ from rabi_balance.oracle import (
     wigner_origin,
 )
 from rabi_balance.balance import sector_report
-from rabi_balance.model import scaled, sector_chain
+from rabi_balance.cli import scaled
+from rabi_balance.model import sector_chain
 from rabi_balance.oracle import (
     FIRST_ORDER_SET,
     Observable,
@@ -430,50 +431,57 @@ REPORT_TOL = 1e-12  # times max(1, |E|, |value|): the sums differ in order only
 
 
 def _assert_summary_matches_report(vec, p, params, energy=None):
-    """sector_report of phi, scaled to omega, equals full_report of its lift.
+    """sector_report of phi equals full_report of its lift, both at omega, in two ways.
 
-    With and without literal_variants, which reads either report at omega
-    itself, as the balance command does.  The same keys in the same order, every
-    ``satisfied`` flag, every value and bound edge to REPORT_TOL, the same
-    ``report_passes``, and W(0, 0) from p2.  ``full_report`` works at omega
-    itself, so a wrong power of omega in ``model.OMEGA_POWERS`` fails here.
+    First sector_report at ``params`` itself.  Then as the commands compose
+    it: at ``params.unit()`` on E / omega, taken to omega by ``cli.scaled``,
+    with the verdict read on the unit report; ``full_report`` works at omega
+    itself, so a wrong power of omega in ``cli.OMEGA_POWERS`` fails here.
+    Each with and without literal_variants, which reads the report at omega
+    itself, as the balance command does.  The same keys in the same order,
+    every ``satisfied`` flag, every value and bound edge to REPORT_TOL, the
+    same ``report_passes``, and W(0, 0) from p2.
     """
     boson = QuantumState.from_vector(vec, BOSON)
     phi = boson.amplitudes.real.tolist()
-    want = full_report(embed_reduced_state(boson, p), FockRep(boson.dim), params,
-                       sector=p, energy=energy, boson_state=boson)
-    unit = sector_report(phi, p, params, want.state_energy)
-    got = scaled(unit, params.omega)
-    for literal in (False, True):
-        if literal:
-            want = _with_literal_variants(params, want)
-            got = _with_literal_variants(params, got)
-        scale = max(1.0, abs(want.state_energy))
-        assert got.state_energy == pytest.approx(want.state_energy, rel=1e-15, abs=0.0)
+    report = full_report(embed_reduced_state(boson, p), FockRep(boson.dim), params,
+                         sector=p, energy=energy, boson_state=boson)
+    at_omega = sector_report(phi, p, params, report.state_energy)
+    unit = sector_report(phi, p, params.unit(), report.state_energy / params.omega)
+    # (the report at omega, the one whose verdict is read, its energy's relative tolerance)
+    for report_at_omega, judged, energy_tol in ((at_omega, at_omega, 0.0),
+                                                (scaled(unit, params.omega), unit, 1e-15)):
+        for literal in (False, True):
+            want, got = report, report_at_omega
+            if literal:
+                want = _with_literal_variants(params, want)
+                got = _with_literal_variants(params, got)
+            scale = max(1.0, abs(want.state_energy))
+            assert got.state_energy == pytest.approx(want.state_energy, rel=energy_tol, abs=0.0)
 
-        def close(value, target, name):
-            assert abs(value - target) <= REPORT_TOL * max(scale, abs(target)), (
-                literal, name, value, target)
+            def close(value, target, name):
+                assert abs(value - target) <= REPORT_TOL * max(scale, abs(target)), (
+                    literal, name, value, target)
 
-        for group in ("first_order", "second_order"):
-            have, need = getattr(got, group), getattr(want, group)
-            assert list(have) == list(need), group
-            for name in need:
-                close(have[name], need[name], name)
-        assert list(got.properties) == list(want.properties)
-        for name, need in want.properties.items():
-            have = got.properties[name]
-            assert have.satisfied == need.satisfied, (literal, name)
-            close(have.value, need.value, name)
-            for edge in ("lower", "upper"):
-                a, b = getattr(have, edge), getattr(need, edge)
-                assert (a is None) == (b is None), (name, edge)
-                if b is not None:
-                    close(a, b, (name, edge))
-        assert report_passes(unit) == report_passes(want)
-        # the sweep's w00_exact: <sigma_z> = -p <cos pi n>, so W(0, 0) = -2 p <sigma_z>
-        close(-2 * p * got.properties["p2_sign"].value, wigner_origin(boson), "w00")
-        assert got.first_order["force"] == 0.0
+            for group in ("first_order", "second_order"):
+                have, need = getattr(got, group), getattr(want, group)
+                assert list(have) == list(need), group
+                for name in need:
+                    close(have[name], need[name], name)
+            assert list(got.properties) == list(want.properties)
+            for name, need in want.properties.items():
+                have = got.properties[name]
+                assert have.satisfied == need.satisfied, (literal, name)
+                close(have.value, need.value, name)
+                for edge in ("lower", "upper"):
+                    a, b = getattr(have, edge), getattr(need, edge)
+                    assert (a is None) == (b is None), (name, edge)
+                    if b is not None:
+                        close(a, b, (name, edge))
+            assert report_passes(judged) == report_passes(want)
+            # the sweep's w00_exact: <sigma_z> = -p <cos pi n>, so W(0, 0) = -2 p <sigma_z>
+            close(-2 * p * got.properties["p2_sign"].value, wigner_origin(boson), "w00")
+            assert got.first_order["force"] == 0.0
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.25, 0.5, 1.0, 2.0])

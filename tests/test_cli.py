@@ -1,6 +1,7 @@
 import concurrent.futures
 import gc
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -833,7 +834,7 @@ def _in_units_of_omega(capsys, args):
 
 
 class _FullStdout:
-    def write(self, text):
+    def write(self, text=""):
         raise OSError(28, "No space left on device")
 
     flush = write
@@ -849,23 +850,47 @@ def test_failed_write_to_stdout_is_one_line(monkeypatch, capsys, command):
         "error: cannot write to stdout: [Errno 28] No space left on device\n")
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-def test_failed_write_to_stdout_is_one_line_in_a_real_process(buffered):
-    # buffered, the interpreter flushes stdout again at exit: that flush must
-    # neither print "Exception ignored" nor turn the exit code into 120
+def _cli_env(buffered: bool) -> dict:
+    """A child's environment: the package under test, and stdout buffered or not."""
     env = {key: val for key, val in os.environ.items() if key != "PYTHONUNBUFFERED"}
     src = str(Path(rabi_balance.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_failed_write_to_stdout_is_one_line_in_a_real_process(buffered):
+    # buffered, the interpreter flushes stdout again at exit: that flush must
+    # neither print "Exception ignored" nor turn the exit code into 120
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "rabi_balance.cli", "solve", "--lambda", "1", "--omega0", "1"],
-            stdout=full, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=120, env=_cli_env(buffered),
         )
     assert (proc.returncode, proc.stderr) == (
         1, "error: cannot write to stdout: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_output_its_reader_cuts_short_is_a_failed_write(buffered):
+    # as "| head -c 100": the sweep's 230 kB of JSON overfill the pipe, the
+    # reader closes it after 100 bytes, and the write it cuts short fails;
+    # unbuffered, the binary layer takes only part of the write, which the
+    # text layer would drop without an error
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rabi_balance.cli", "sweep", "--lambda", "0", "--omega0",
+         "0:1:400", "--dim", "16", "--jobs", "1", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(buffered),
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert len(head) == 100
+    assert (proc.returncode, err.decode()) == (
+        1, "error: cannot write to stdout: [Errno 32] Broken pipe\n")
 
 
 @pytest.mark.parametrize("args, prefix", [
@@ -941,6 +966,15 @@ def test_balance_holds_the_wigner_band_at_any_displacement(capsys):
     assert band["satisfied"] is True
     assert band["lower"] == -25.5 and band["upper"] == -24.5
     assert band["value"] == pytest.approx(-25.0078, abs=1e-4)
+
+
+def test_a_gap_within_the_ladders_rounding_is_no_failure(capsys):
+    # E = -5e7 omega, where the ladder allows ROUNDING_ULPS ulps of E (4.8e-7):
+    # on an AVX-512 CPU the optimum lies one ulp (7.45e-9) below E, which a
+    # floor of 1e-9 omega alone read as a failure
+    assert run_cli(["variational", "--lambda", "1", "--omega0", "1e8"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["gap"] >= -solver.ROUNDING_ULPS * math.ulp(result["exact_energy"])
 
 
 def test_variational_prints_its_result_when_every_start_stalls(monkeypatch, capsys):

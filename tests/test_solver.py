@@ -152,6 +152,15 @@ def test_not_converged_names_the_move_in_units_of_omega(capsys):
     assert failure(2.0**-60) == unit
 
 
+@pytest.mark.parametrize("omega", [1e-310, 5e-324])
+def test_a_subnormal_omega_solves_at_omega_itself(omega):
+    # the chain's norm lies below 2**-1024, whose inverse overflows: each entry
+    # is scaled alone; the degeneracy threshold is in the energy unit of the
+    # params, so a sector gap of omega reads degenerate (at omega 1 it is +1)
+    sol = solve_rabi_ground(ModelParams(omega=omega, lam=0.0, omega0=omega))
+    assert (sol.energy, sol.parity_label, sol.converged) == (-0.5 * omega, "degenerate", True)
+
+
 def test_fixed_dim_below_four_is_rejected():
     with pytest.raises(ValueError, match="fixed dim must be >= 4, got 3"):
         solve_rabi_ground(ModelParams(omega=1.0, lam=0.5, omega0=1.0), dim=3)
