@@ -216,12 +216,13 @@ def sector_report(phi, p: int, params: ModelParams, energy: float) -> BalanceRep
     second-order residuals are |<[H, [H, A]]>| = 2 |H_p phi . [H_p, A] phi|
     for A = q and omega n, with H_p the chain ``model.sector_chain``:
 
-        [H_p, n] phi = off_k phi_k+1 - off_k-1 phi_k-1,
-        [H_p, x] phi = omega y phi - omega0 p cos(pi n) x phi,
+        [H_p, n] = -lam y,   [H_p, x] = omega y - omega0 p cos(pi n) x,
 
-    in which the diagonal of H_p has cancelled.  b6 is 0, as (q sigma_x)^2
-    acts as q^2.  The Wigner band is that of ``oracle.wigner_energy_bounds``:
-    the sector +1 chain energy of phi, whatever p is.
+    in which the diagonal of H_p has cancelled; so omega_num is 2 omega lam
+    times p_sigma_x's inner product.  b6 is 0, as (q sigma_x)^2 acts as q^2.
+    The Wigner value E+ - omega <n~>, with E+ the sector +1 chain energy of
+    phi whatever p is (``oracle.wigner_energy_bounds``), is -(omega0/2)
+    <cos pi n> - lam^2/omega on any sector vector: its band is |<cos pi n>| <= 1.
     """
     p = check_sector(p)
     m, omega, lam, omega0 = params.mass, params.omega, params.lam, params.omega0
@@ -230,7 +231,6 @@ def sector_report(phi, p: int, params: ModelParams, energy: float) -> BalanceRep
     sq = [v * v for v in phi]
     pairs = [r * u * v for r, u, v in zip(roots, phi, phi[1:])]  # sqrt(k+1) phi_k phi_k+1
     cos_pin = fsum([*sq[0::2], *(-w for w in sq[1::2])])
-    n_mean = fsum([k * w for k, w in enumerate(sq)])
     n_cos = fsum([k * w if k % 2 == 0 else -k * w for k, w in enumerate(sq)])
     x_mean = 2.0 * fsum(pairs)
     alt_pairs = fsum([*pairs[0::2], *(-w for w in pairs[1::2])])
@@ -257,25 +257,24 @@ def sector_report(phi, p: int, params: ModelParams, energy: float) -> BalanceRep
     props["b2"] = _b2_bound(params, q_sq - q_sx * q_sx, _b2_constant(params, sz, q_sx))
     props["b6_identity"] = _identity(0.0)
     ratio = lam / omega
-    e_plus = omega * n_mean - 0.5 * omega0 * cos_pin + lam * x_mean
-    wigner = e_plus - omega * (n_mean + ratio * x_mean + ratio**2)
+    wigner = -0.5 * omega0 * cos_pin - omega * ratio**2
     props["wigner_energy"] = _wigner_band(params, wigner, lam * ratio)
 
     diag, off = sector_chain(len(phi), params, p)
     below = [0.0, *map(mul, off, phi)]  # off_k-1 phi_k-1
     above = [*map(mul, off, phi[1:]), 0.0]  # off_k phi_k+1
     h_phi = [d * v + b + a for d, v, b, a in zip(diag, phi, below, above)]
+    h_y = abs(fsum(map(mul, h_phi, y_phi)))
     comm_x = [omega * y - (omega0 * p if k % 2 == 0 else -omega0 * p) * x
               for k, (x, y) in enumerate(zip(x_phi, y_phi))]
     first = {
         "q": 0.0, "p": 0.0, "num": 0.0, "q_sigma_x": 0.0,
-        "p_sigma_x": scale * abs(fsum(map(mul, h_phi, y_phi))),
+        "p_sigma_x": scale * h_y,
         "sigma_z": 0.0, "sigma_y": 0.0, "force": 0.0,
     }
     second = {
         "q_sigma_x": 2.0 / scale * abs(fsum(map(mul, h_phi, comm_x))),
-        "omega_num": 2.0 * omega * abs(fsum([h * (a - b)
-                                             for h, a, b in zip(h_phi, above, below)])),
+        "omega_num": 2.0 * omega * lam * h_y,
         "b1": b1,
         "b7": b7,
     }

@@ -18,12 +18,22 @@ those features disabled (``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
 AVX512_SPR"``), the simplex takes another path at lambda=3 omega0=0 and
 this test fails on ``beta_star``; so a failure on a runner without
 AVX-512 is not by itself a regression.
+
+glibc's dispatch does reach Python's ``math``, but no sweep byte: the
+same grid under ``GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA`` prints the same
+CSV bytes.  numpy's switch is left out, as it moves the optimum columns.
 """
 
 import csv
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import rabi_balance
 from rabi_balance.cli import SWEEP_COLUMNS, main
 
 REFERENCE = Path(__file__).parent / "data" / "reference-sweep.csv"
@@ -63,3 +73,27 @@ def test_sweep_matches_reference(tmp_path):
             assert math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_FLOOR), (
                 f"{where}: {col} {a!r} vs {b!r}"
             )
+
+
+# glibc's switch off its FMA code paths, for one child process: libm's exp and
+# sinh then round some arguments differently
+NO_FMA = {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-FMA"}
+EXP_SAMPLE = "import math; print(*(math.exp(-2 + k / 2500).hex() for k in range(10001)))"
+
+
+def _child(args, env=None):
+    src = str(Path(rabi_balance.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path, **(env or {})})
+    assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
+    return proc.stdout
+
+
+def test_sweep_bytes_do_not_depend_on_glibc_fma_dispatch():
+    # skipped where the switch leaves math.exp as it is (no FMA, or not glibc),
+    # so that it never passes without having switched anything
+    if _child(["-c", EXP_SAMPLE]) == _child(["-c", EXP_SAMPLE], NO_FMA):
+        pytest.skip("glibc.cpu.hwcaps=-FMA does not change math.exp here")
+    args = ["-m", "rabi_balance.cli", *ARGS]
+    assert _child(args, NO_FMA) == _child(args)

@@ -2,7 +2,7 @@
 
 H(c omega, c lam, c omega0) = c H, so at the point (lam, omega0) = omega
 (g, Delta) each printed quantity is omega^k times its value at omega = 1,
-with k from ``model.OMEGA_POWERS``, and every verdict and exit code is the
+with k from ``cli.OMEGA_POWERS``, and every verdict and exit code is the
 one at omega = 1.  The commands compute in units of omega and scale only
 what they print, so this holds bit for bit at powers of two, far beyond
 where omega^k itself leaves the float range; a value beyond it prints as

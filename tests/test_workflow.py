@@ -4,17 +4,29 @@ Each ``run:`` value of ``.github/workflows/tests.yml`` is pulled out with
 plain text handling (the test extra has no YAML parser): a one-line value,
 or the lines of a ``|`` block, those indented deeper than its key.  Each
 is checked with ``bash -n``, which parses a script without running it.
+
+The "README command-line examples" step is also run, as the runner runs
+it (``bash --noprofile --norc -eo pipefail``), on the package under test:
+``rabi-balance`` and ``python`` are shims to this interpreter, with the
+source tree on ``PYTHONPATH``, ahead of the rest of ``PATH``.  The
+install steps (``pip install ".[test]"`` and the no-numpy venv) are not
+run here, so neither is the installed console script itself.
 """
 
+import os
 import re
 import shutil
 import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+import rabi_balance
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 RUN_KEY = re.compile(r"^(\s*)(?:- )?run:(.*)$")
 
 
@@ -56,3 +68,23 @@ def test_run_block_parses_in_bash(block):
     proc = subprocess.run(["bash", "-n"], input=block, capture_output=True, text=True,
                           timeout=60)
     assert (proc.returncode, proc.stderr) == (0, ""), block
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="no bash")
+def test_readme_examples_step_runs(tmp_path):
+    step = run_blocks(TEXT.split("- name: README command-line examples", 1)[1])[0]
+    shims = tmp_path / "bin"
+    shims.mkdir()
+    for name, args in (("python", '"$@"'), ("rabi-balance", '-m rabi_balance.cli "$@"')):
+        shim = shims / name
+        shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" {args}\n', encoding="utf-8")
+        shim.chmod(0o755)
+    script = tmp_path / "step.sh"
+    script.write_text(step, encoding="utf-8")
+    src = str(Path(rabi_balance.__file__).resolve().parents[1])
+    env = {**os.environ, "PATH": os.pathsep.join([str(shims), os.environ.get("PATH", "")]),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "GITHUB_WORKSPACE": str(ROOT), "TMPDIR": str(tmp_path)}
+    proc = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", str(script)],
+                          capture_output=True, text=True, timeout=300, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
