@@ -500,7 +500,7 @@ def test_sector_summary_equals_full_report_on_both_sector_chains(lam, omega0):
 def test_sector_summary_equals_full_report_on_solved_ground_states():
     # omega 0.6 and 1.3 are not powers of two, and mass 2.3 scales out with omega.
     # Each ground vector also off the ground (1e-3 added to level 1, renormalized):
-    # there the residuals are about 1e-3, not round-off, so a wrong power of omega
+    # there most residuals are 1e-6 to 1e-2, not round-off, so a wrong power of omega
     # of a residual, or a wrong closed form of omega_num or the Wigner value, shows
     for omega, lam, omega0, mass in ((0.1, 0.3, 0.5, 1.0), (0.5, 1.7, 2.3, 1.0),
                                      (1.0, 6.0, 1.0, 1.0), (2.0, 3.0, 0.0, 1.0),
