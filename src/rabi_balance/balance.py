@@ -71,7 +71,7 @@ from .model import ModelParams, check_sector, sector_chain
 
 BOUND_MARGIN = 1e-9
 IDENTITY_TOL = 1e-8
-RESIDUAL_TOL = 1e-7  # times max(1, |E|), in report_passes
+RESIDUAL_TOL = 1e-7  # times s = max(1, |E|), or s^2 for a second commutator: report_passes
 
 
 class BoundCheck(NamedTuple):
@@ -175,23 +175,24 @@ def literal_variants(params: ModelParams, report: BalanceReport) -> dict[str, Bo
 
 
 def report_passes(report: BalanceReport) -> bool:
-    """All residuals below RESIDUAL_TOL * max(1, |E|) and all bounds satisfied.
+    """All residuals below their tolerance and all bounds satisfied.
 
-    The printed variants of ``literal_variants`` (``*_literal``) are not counted.
+    With s = max(1, |E|), a first-order residual is read against
+    RESIDUAL_TOL * s and a second-order one against RESIDUAL_TOL * s * s,
+    as round-off in a double commutator grows with the square of the
+    energy scale.  The printed variants of ``literal_variants``
+    (``*_literal``) are not counted.
     """
     scale = max(1.0, abs(report.state_energy))
-    residuals_ok = all(
-        r < RESIDUAL_TOL * scale
-        for r in (*report.first_order.values(), *report.second_order.values())
-    )
+    residuals_ok = (all(r < RESIDUAL_TOL * scale for r in report.first_order.values())
+                    and all(r < RESIDUAL_TOL * scale * scale
+                            for r in report.second_order.values()))
     props_ok = all(
         chk.satisfied
         for name, chk in report.properties.items()
         if not name.endswith("_literal")
     )
     return residuals_ok and props_ok
-
-
 
 
 def sector_report(phi, p: int, params: ModelParams, energy: float) -> BalanceReport:
@@ -250,7 +251,8 @@ def sector_report(phi, p: int, params: ModelParams, energy: float) -> BalanceRep
     p_sy = p * scale * alt_pairs
     sz = -p * cos_pin
     b1 = abs(kinetic - 0.5 * f0 * q_sx - 0.5 * (m * omega) * (omega * q_sq))
-    b7 = abs(m * omega**2 * f0 * q_sx + f0 * omega0 * p_sy + f0 * f0)
+    # a zero p_sy (phi on one level) gives a zero term, not inf * 0 where f0 omega0 overflows
+    b7 = abs(m * omega**2 * f0 * q_sx + (f0 * omega0 * p_sy if p_sy else 0.0) + f0 * f0)
 
     props = _property_bounds(params, p, energy, sz=sz, cos_pin=cos_pin, x_sx=x_mean,
                              n_cos=n_cos, n_sz=-p * n_cos)

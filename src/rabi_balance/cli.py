@@ -9,7 +9,7 @@ on numerical non-success (truncation not converged, optimizer stalled,
 a balance check failing, or an overflow or a sum that is not finite,
 whose one stderr line reads ``numerical failure: ...``, or from a sweep
 ``sweep failed at ...``).  Nothing else is returned.  JSON output is
-strict: NaN and +-inf print as null.
+strict: NaN and +-inf print as null.  In CSV, NaN is an empty cell.
 
 Sweep output is reproducible byte for byte: fixed column order, floats
 at 17 significant digits, LF line endings, rows in grid order with the
@@ -65,7 +65,6 @@ atexit.register(gc.freeze)
 
 import argparse
 import contextlib
-import io
 import itertools
 import math
 import sys
@@ -311,10 +310,6 @@ def _require_scalar(cfg: dict, command: str) -> ModelParams:
     return ModelParams(omega=cfg["omega"], lam=cfg["lambda"], omega0=cfg["omega0"])
 
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _clean(obj):
     """Records to dicts and NaN and +-inf to None, for strict JSON output (RFC 8259)."""
     if hasattr(obj, "_asdict"):  # a named tuple: before the tuple branch, or it prints as a list
@@ -333,6 +328,21 @@ def _json(obj) -> str:
     import json
 
     return json.dumps(_clean(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _cell(val) -> str:
+    if isinstance(val, bool):
+        return "1" if val else "0"
+    if isinstance(val, (int, str)):
+        return str(val)
+    return "" if math.isnan(val) else format(float(val), ".17g")
+
+
+def _csv(columns, rows) -> str:
+    """A header line, then one line per row: a bool as 1 or 0, an int or str as
+    it is, NaN as an empty cell and any other float at 17 significant digits."""
+    lines = [",".join(columns), *(",".join(_cell(row[col]) for col in columns) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(text: str, out_path: str | None):
@@ -442,13 +452,9 @@ def cmd_converge(cfg: dict) -> int:
     if max_dim < 2 * START_DIM:  # the ladder starts at START_DIM and compares two levels
         raise ConfigError(f"dim: converge needs >= {2 * START_DIM}, got {max_dim}")
     rows, ok = convergence_table(params.unit(), tol=cfg["tol"], max_dim=max_dim)
-    buf = io.StringIO()
-    buf.write("dim,e_exact,delta\n")
-    for dim, energy, delta in rows:
-        row = scaled({"e_exact": energy, "delta": delta}, params.omega)
-        delta_txt = "" if math.isnan(delta) else _fmt17(row["delta"])
-        buf.write(f"{dim},{_fmt17(row['e_exact'])},{delta_txt}\n")
-    _emit(buf.getvalue(), cfg["out"])
+    columns = ("dim", "e_exact", "delta")
+    _emit(_csv(columns, [scaled(dict(zip(columns, row)), params.omega) for row in rows]),
+          cfg["out"])
     return 0 if ok else 2
 
 
@@ -526,31 +532,6 @@ def _sweep_point(task) -> dict:
     }, omega)
 
 
-def _render_sweep(rows: list[dict], fmt: str) -> str:
-    if fmt == "json":
-        return _json(rows)
-    buf = io.StringIO()
-    buf.write(",".join(SWEEP_COLUMNS) + "\n")
-    for row in rows:
-        cells = []
-        for col in SWEEP_COLUMNS:
-            val = row[col]
-            if isinstance(val, bool):
-                cells.append("1" if val else "0")
-            elif isinstance(val, int):
-                cells.append(str(val))
-            elif isinstance(val, str):
-                cells.append(val)
-            else:
-                cells.append(_fmt17(val))
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
-
-
-class _WorkerDied(RabiError):
-    """A pool worker process died; the points it held have no result."""
-
-
 def _pool_map(tasks: list, jobs: int):
     """``map(_sweep_point, tasks)`` on ``min(jobs, len(tasks))`` worker processes.
 
@@ -582,7 +563,7 @@ def _pool_map(tasks: list, jobs: int):
                         failed = failed or fut.exception() is not None
                 yield done.pop(head).result()
     except BrokenProcessPool as exc:
-        raise _WorkerDied("a worker process died") from exc
+        raise RabiError("a worker process died") from exc
 
 
 def _fmt_short(x: float) -> str:
@@ -618,7 +599,7 @@ def cmd_sweep(cfg: dict) -> int:
             f"omega0={_fmt_short(omega0)}: {_failure_text(exc)}\n"
         )
         return 2
-    _emit(_render_sweep(rows, cfg["format"]), cfg["out"])
+    _emit(_json(rows) if cfg["format"] == "json" else _csv(SWEEP_COLUMNS, rows), cfg["out"])
     return 0
 
 
@@ -649,7 +630,7 @@ _KEYS = {
     "dim": ({"help": "Fock dimension, integer or 'auto'"}, None, _parse_dim),
     "tol": ({"help": "truncation convergence tolerance"}, 1e-10, _parse_tol),
     "out": ({"help": "write output to this path instead of stdout"}, None, _parse_out),
-    "format": ({"choices": ("csv", "json"), "help": "output format"}, "csv", _parse_format),
+    "format": ({"help": "output format, csv or json"}, "csv", _parse_format),
     "jobs": ({"help": "worker processes (default: all cores)"}, None, _parse_jobs),
     "paper_literal": ({"action": "store_true", "default": None,  # None lets a config set it
                        "help": "also report legacy printed coefficient variants"},

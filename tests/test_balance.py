@@ -299,6 +299,17 @@ def test_full_report_literal_keys_do_not_gate_passing():
     assert report_passes(rep_obj)  # literal diagnostics are informational
 
 
+def test_residual_tolerance_follows_the_commutator_order():
+    # with s = max(1, |E|) = 100, a residual of 1e-4 is within RESIDUAL_TOL s^2
+    # but not RESIDUAL_TOL s: it passes as a second-order residual only
+    p, sol, _ = _solved(lam=1.0, omega0=2.0)
+    report = sector_report(sol.phi, sol.parity, p, sol.energy)._replace(state_energy=-100.0)
+    assert report_passes(report)
+    assert report_passes(report._replace(second_order={**report.second_order, "b7": 1e-4}))
+    assert not report_passes(report._replace(first_order={**report.first_order,
+                                                          "p_sigma_x": 1e-4}))
+
+
 @pytest.mark.parametrize("lam, omega0",
                          [(0.5, 1.0), (2.0, 0.5), (1.0, 2.0), (0.7, 0.0), (0.0, 1.0)])
 def test_full_report_infers_what_it_is_not_given(lam, omega0):

@@ -347,6 +347,7 @@ _MISSING = object()  # stands for a config path that does not exist
     (["solve", "--lambda", "0.5", "--omega0", "1", "--dim", "3"], None, "dim"),
     (["solve", "--lambda", "0.5"], None, "omega0"),
     (["solve"], {"lambda": 0.5, "omega0": 1, "format": "xml"}, "format"),
+    (["sweep", "--lambda", "0.5", "--omega0", "1", "--format", "xml"], None, "format"),
     (["sweep", "--lambda", "0.5", "--omega0", "1", "--jobs", "0"], None, "jobs"),
     (["solve"], _MISSING, "config"),
     (["solve"], [{"lambda": 0.5, "omega0": 1}], "config"),
@@ -359,9 +360,9 @@ _MISSING = object()  # stands for a config path that does not exist
     (["converge", "--lambda", "1", "--omega0", "1", "--dim", "8"], None, "dim"),
     (["converge", "--lambda", "1", "--omega0", "1", "--dim", "16"], None, "dim"),
     (["converge", "--lambda", "1", "--omega0", "1", "--dim", "31"], None, "dim"),
-], ids=["dim-3", "no-omega0", "format-xml", "jobs-0", "config-missing", "config-array",
-        "range-text", "range-no-count", "range-extra-key", "converge-dim-8", "converge-dim-16",
-        "converge-dim-31"])
+], ids=["dim-3", "no-omega0", "format-xml", "format-xml-flag", "jobs-0", "config-missing",
+        "config-array", "range-text", "range-no-count", "range-extra-key", "converge-dim-8",
+        "converge-dim-16", "converge-dim-31"])
 def test_usage_errors_are_one_line_naming_their_key(tmp_path, capsys, argv, config, key):
     cfg = tmp_path / "run.json"
     if config is not None:
@@ -952,6 +953,28 @@ def test_json_output_is_strict_where_a_value_overflows(capsys, args, path):
         value = value[key]
     assert value is None
     assert_covariant(data, *_in_units_of_omega(capsys, args), "close")
+
+
+def test_balance_reads_a_double_commutator_against_the_square_of_the_scale(capsys):
+    # E = -2.5e299 omega: the q_sigma_x double commutator's round-off is
+    # 7e299, past RESIDUAL_TOL |E| but not RESIDUAL_TOL |E|^2, on a converged
+    # state with every property satisfied
+    assert run_cli(["balance", "--lambda", "1", "--omega0", "5e299"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["passed"] is True and data["solution"]["converged"] is True
+    assert all(chk["satisfied"] for chk in data["report"]["properties"].values())
+
+
+def test_a_one_level_state_has_a_finite_b7(capsys):
+    # phi on one level has p_sy = 0, while f0 omega0 overflows in units of
+    # omega: their product is 0, not inf * 0 = NaN
+    point = ["--omega", "1e-8", "--lambda", "0.5", "--omega0", "1e300"]
+    assert run_cli(["sweep", *point, "--jobs", "1"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["res_b7"] == "5.0000000000000009e-09"
+    assert run_cli(["balance", *point]) == 2  # its q_sigma_x residual overflows
+    b7 = json.loads(capsys.readouterr().out)["report"]["second_order"]["b7"]
+    assert b7 == 5.000000000000001e-09
 
 
 def test_balance_holds_the_wigner_band_at_any_displacement(capsys):

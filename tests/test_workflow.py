@@ -8,9 +8,12 @@ is checked with ``bash -n``, which parses a script without running it.
 The "README command-line examples" step is also run, as the runner runs
 it (``bash --noprofile --norc -eo pipefail``), on the package under test:
 ``rabi-balance`` and ``python`` are shims to this interpreter, with the
-source tree on ``PYTHONPATH``, ahead of the rest of ``PATH``.  The
-install steps (``pip install ".[test]"`` and the no-numpy venv) are not
-run here, so neither is the installed console script itself.
+source tree on ``PYTHONPATH``, ahead of the rest of ``PATH``.  So is the
+"Install without numpy" step, where a ``python3.13`` without numpy is
+installed: its venv and ``pip install`` lines are dropped, and the
+``python`` and ``rabi-balance`` of ``$RUNNER_TEMP/bare/bin`` are shims to
+that interpreter.  No install step runs here, so neither does the
+installed console script itself.
 """
 
 import os
@@ -70,21 +73,62 @@ def test_run_block_parses_in_bash(block):
     assert (proc.returncode, proc.stderr) == (0, ""), block
 
 
-@pytest.mark.skipif(shutil.which("bash") is None, reason="no bash")
-def test_readme_examples_step_runs(tmp_path):
-    step = run_blocks(TEXT.split("- name: README command-line examples", 1)[1])[0]
-    shims = tmp_path / "bin"
-    shims.mkdir()
+def step_named(name: str) -> str:
+    return run_blocks(TEXT.split(f"- name: {name}", 1)[1])[0]
+
+
+SRC = str(Path(rabi_balance.__file__).resolve().parents[1])
+# the package under test, installed or not
+ENV = {**os.environ,
+       "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
+def run_step(step: str, tmp_path: Path, shims: Path, python: str, **env) -> None:
+    """``step`` as the runner runs it, with ``python`` and ``rabi-balance`` in
+    ``shims``, ahead of the rest of ``PATH``, shims to ``python``."""
+    shims.mkdir(parents=True)
     for name, args in (("python", '"$@"'), ("rabi-balance", '-m rabi_balance.cli "$@"')):
         shim = shims / name
-        shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" {args}\n', encoding="utf-8")
+        shim.write_text(f'#!/bin/sh\nexec "{python}" {args}\n', encoding="utf-8")
         shim.chmod(0o755)
     script = tmp_path / "step.sh"
     script.write_text(step, encoding="utf-8")
-    src = str(Path(rabi_balance.__file__).resolve().parents[1])
-    env = {**os.environ, "PATH": os.pathsep.join([str(shims), os.environ.get("PATH", "")]),
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-           "GITHUB_WORKSPACE": str(ROOT), "TMPDIR": str(tmp_path)}
+    env = {**ENV, "PATH": os.pathsep.join([str(shims), os.environ.get("PATH", "")]),
+           "TMPDIR": str(tmp_path), **env}
     proc = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", str(script)],
                           capture_output=True, text=True, timeout=300, env=env, cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="no bash")
+def test_readme_examples_step_runs(tmp_path):
+    run_step(step_named("README command-line examples"), tmp_path, tmp_path / "bin",
+             sys.executable, GITHUB_WORKSPACE=str(ROOT))
+
+
+# the no-numpy step's lines that make its venv and install the package there
+INSTALL_LINES = ('python -m venv "$RUNNER_TEMP/bare"',
+                 '"$bin/python" -m pip install --no-deps .')
+
+
+def bare_python() -> str | None:
+    """The path of a ``python3.13`` that finds no numpy, or None."""
+    found = shutil.which("python3.13")
+    if found is None:
+        return None
+    probe = "import importlib.util, sys; print(importlib.util.find_spec('numpy') or sys.executable)"
+    proc = subprocess.run([found, "-c", probe], capture_output=True, text=True, timeout=60,
+                          env=ENV)
+    path = proc.stdout.strip()
+    return path if proc.returncode == 0 and os.path.isabs(path) else None
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="no bash")
+def test_no_numpy_step_runs(tmp_path):
+    python = bare_python()
+    if python is None:
+        pytest.skip("no python3.13 without numpy")
+    lines = step_named("Install without numpy").splitlines()
+    assert all(line in lines for line in INSTALL_LINES)
+    step = "\n".join(line for line in lines if line not in INSTALL_LINES) + "\n"
+    run_step(step, tmp_path, tmp_path / "bare" / "bin", python, RUNNER_TEMP=str(tmp_path))
