@@ -171,25 +171,16 @@ def _number(name: str, raw, kind: type = float, what: str = "a number"):
 
 
 def _parse_axis(name: str, raw) -> float | AxisRange:
-    """A flag's text or a config value as a scalar or a range; errors name the axis."""
-    if isinstance(raw, dict):
-        if not {"min", "max", "count"} <= raw.keys():
-            raise ConfigError(f"{name}: range object needs min/max/count")
-        extra = sorted(raw.keys() - {"min", "max", "count"})
-        if extra:
-            raise ConfigError(f"{name}: range object reads no keys {extra}")
-        bounds = (_number(f"{name}: min", raw["min"]), _number(f"{name}: max", raw["max"]),
-                  _number(f"{name}: count", raw["count"], int, "an integer"))
-    elif isinstance(raw, str) and ":" in raw:
-        parts = raw.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"{name}: ranges are written min:max:count, got {raw!r}")
-        try:
-            bounds = (float(parts[0]), float(parts[1]), int(parts[2]))
-        except ValueError as exc:
-            raise ConfigError(f"{name}: cannot parse range {raw!r}") from exc
-    else:
+    """A flag's text or a config value, a number or ``"min:max:count"``; errors name the axis."""
+    if not (isinstance(raw, str) and ":" in raw):
         return _number(name, raw, what="a number or min:max:count")
+    parts = raw.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"{name}: ranges are written min:max:count, got {raw!r}")
+    try:
+        bounds = (float(parts[0]), float(parts[1]), int(parts[2]))
+    except ValueError as exc:
+        raise ConfigError(f"{name}: cannot parse range {raw!r}") from exc
     try:
         return AxisRange(*bounds)
     except ConfigError as exc:
@@ -208,7 +199,7 @@ def _parse_dim(name: str, raw) -> int | None:
     dim = _number(name, raw, int, "an integer or 'auto'")
     if dim < 4:
         raise ConfigError(f"{name}: must be >= 4, got {dim}")
-    if dim > MAX_FIXED_DIM:  # checked before any array is built
+    if dim > MAX_FIXED_DIM:  # checked before any chain is built
         raise ConfigError(f"{name}: must be <= {MAX_FIXED_DIM}, got {dim}")
     return dim
 

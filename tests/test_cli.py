@@ -297,11 +297,6 @@ def test_sweep_range_values_are_validated_before_any_point(monkeypatch, capsys,
     assert len(err) == 1 and err[0].startswith(f"error: {axis}: ")
 
 
-def _config_range(text):
-    lo, hi, count = text.split(":")
-    return {"min": float(lo), "max": float(hi), "count": int(count)}
-
-
 @pytest.mark.parametrize("axes, message", [
     ({"lambda": "0:1:0", "omega0": "1:0:2"}, "lambda: range count must be >= 1, got 0"),
     ({"lambda": "1:0:2", "omega0": "1"}, "lambda: range min 1.0 exceeds max 0.0"),
@@ -315,7 +310,7 @@ def test_range_errors_name_their_axis(tmp_path, capsys, axes, message, form):
         argv = ["sweep"] + [f"--{name}={val}" for name, val in axes.items()]
     else:
         cfg = tmp_path / "grid.json"
-        cfg.write_text(json.dumps({name: _config_range(val) if ":" in val else float(val)
+        cfg.write_text(json.dumps({name: val if ":" in val else float(val)
                                    for name, val in axes.items()}))
         argv = ["sweep", "--config", str(cfg)]
     assert run_cli(argv) == 1
@@ -424,12 +419,8 @@ def test_sweep_rejects_an_oversized_grid_before_building_it(tmp_path, monkeypatc
     if form == "flags":
         argv = ["sweep"] + [f"--{name}={val}" for name, val in axes.items()]
     else:
-        def as_json(val):
-            lo, hi, count = val.split(":")
-            return {"min": float(lo), "max": float(hi), "count": int(count)}
-
         cfg = tmp_path / "grid.json"
-        cfg.write_text(json.dumps({name: as_json(val) if ":" in val else float(val)
+        cfg.write_text(json.dumps({name: val if ":" in val else float(val)
                                    for name, val in axes.items()}))
         argv = ["sweep", "--config", str(cfg)]
     assert run_cli(argv) == 1
@@ -466,9 +457,10 @@ def test_dim_above_the_cap_is_rejected_before_any_chain(tmp_path, monkeypatch, c
     ({"dim": True}, "dim"),
     ({"jobs": 2.7}, "jobs"),
     ({"jobs": True}, "jobs"),
-    ({"lambda": {"min": 0, "max": 1, "count": 2.5}}, "lambda: count"),
-    ({"lambda": {"min": 0, "max": 1, "count": True}}, "lambda: count"),
-    ({"lambda": {"min": False, "max": 1, "count": 2}}, "lambda: min"),
+    # a range is the text its flag takes, "min:max:count", in a config file too
+    ({"lambda": {"min": 0, "max": 1, "count": 3}}, "lambda"),
+    ({"omega": {"min": 1, "max": 2, "count": 3}}, "omega"),
+    ({"omega0": {"min": 0, "max": 1, "count": 3}}, "omega0"),
     ({"lambda": True}, "lambda"),
     ({"omega": True}, "omega"),
     ({"omega0": False}, "omega0"),
@@ -487,6 +479,18 @@ def test_config_value_of_the_wrong_json_type_is_rejected(tmp_path, monkeypatch, 
     assert run_cli([command, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {key}: "), err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_config_range_prints_what_its_flag_prints(tmp_path, capsys, fmt):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"lambda": "0:1:3", "omega0": 1, "format": fmt}))
+    assert run_cli(["sweep", "--config", str(cfg), "--jobs", "1"]) == 0
+    from_config = capsys.readouterr()
+    argv = ["sweep", "--lambda", "0:1:3", "--omega0", "1", "--format", fmt, "--jobs", "1"]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr() == from_config
+    assert from_config.out and from_config.err == ""
 
 
 def test_config_integer_of_too_many_digits_is_a_usage_error(tmp_path, capsys):

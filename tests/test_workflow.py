@@ -12,8 +12,10 @@ source tree on ``PYTHONPATH``, ahead of the rest of ``PATH``.  So is the
 "Install without numpy" step, where a ``python3.13`` without numpy is
 installed: its venv and ``pip install`` lines are dropped, and the
 ``python`` and ``rabi-balance`` of ``$RUNNER_TEMP/bare/bin`` are shims to
-that interpreter.  No install step runs here, so neither does the
-installed console script itself.
+that interpreter.  So are the "Bench selftest" and "Benchmark correctness
+gate" steps, from the repo root as on a runner, with ``python3`` a shim to
+this interpreter; both write only under ``.bench_work/``.  No install step
+runs here, so neither does the installed console script itself.
 """
 
 import os
@@ -83,11 +85,14 @@ ENV = {**os.environ,
        "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
-def run_step(step: str, tmp_path: Path, shims: Path, python: str, **env) -> None:
-    """``step`` as the runner runs it, with ``python`` and ``rabi-balance`` in
-    ``shims``, ahead of the rest of ``PATH``, shims to ``python``."""
+def run_step(step: str, tmp_path: Path, shims: Path, python: str, cwd: Path | None = None,
+             **env) -> None:
+    """``step`` as the runner runs it, in ``cwd`` (default ``tmp_path``), with
+    ``python``, ``python3`` and ``rabi-balance`` in ``shims``, ahead of the rest
+    of ``PATH``, shims to ``python``."""
     shims.mkdir(parents=True)
-    for name, args in (("python", '"$@"'), ("rabi-balance", '-m rabi_balance.cli "$@"')):
+    for name, args in (("python", '"$@"'), ("python3", '"$@"'),
+                       ("rabi-balance", '-m rabi_balance.cli "$@"')):
         shim = shims / name
         shim.write_text(f'#!/bin/sh\nexec "{python}" {args}\n', encoding="utf-8")
         shim.chmod(0o755)
@@ -96,7 +101,7 @@ def run_step(step: str, tmp_path: Path, shims: Path, python: str, **env) -> None
     env = {**ENV, "PATH": os.pathsep.join([str(shims), os.environ.get("PATH", "")]),
            "TMPDIR": str(tmp_path), **env}
     proc = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", str(script)],
-                          capture_output=True, text=True, timeout=300, env=env, cwd=tmp_path)
+                          capture_output=True, text=True, timeout=300, env=env, cwd=cwd or tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
@@ -132,3 +137,21 @@ def test_no_numpy_step_runs(tmp_path):
     assert all(line in lines for line in INSTALL_LINES)
     step = "\n".join(line for line in lines if line not in INSTALL_LINES) + "\n"
     run_step(step, tmp_path, tmp_path / "bare" / "bin", python, RUNNER_TEMP=str(tmp_path))
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="no bash")
+def test_bench_selftest_step_runs(tmp_path):
+    run_step(step_named("Bench selftest"), tmp_path, tmp_path / "bin", sys.executable, cwd=ROOT)
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="no bash")
+def test_benchmark_correctness_gate_step_runs(tmp_path):
+    """The gate's six ``bench/run.py`` runs each read ``correct: true``.
+
+    Like ``test_reference_sweep.py::test_sweep_matches_reference``, this
+    holds only where numpy runs AVX-512 code: elsewhere ``np.exp`` and
+    ``np.sinh`` round some arguments differently, the trial simplex stops
+    elsewhere, and the optimum columns miss the stored reference's pins.
+    """
+    run_step(step_named("Benchmark correctness gate"), tmp_path, tmp_path / "bin",
+             sys.executable, cwd=ROOT)
