@@ -138,14 +138,14 @@ def _property_bounds(params: ModelParams, p: int, energy: float, sz: float, cos_
 
 def _b2_bound(params: ModelParams, var_qsx: float, c: float) -> BoundCheck:
     """Var(q sigma_x) in (1/2m omega)[1 - 2 lam^2/omega^2, 1] + c."""
-    m, omega, lam = params.mass, params.omega, params.lam
-    spread = lam * (lam / omega) / (m * omega) / omega  # lam^2 / (m omega^3)
-    return _bound(var_qsx, 0.5 / (m * omega) - spread + c, 0.5 / (m * omega) + c)
+    omega, lam = params.omega, params.lam
+    spread = lam * (lam / omega) / omega / omega  # lam^2 / (m omega^3)
+    return _bound(var_qsx, 0.5 / omega - spread + c, 0.5 / omega + c)
 
 
 def _b2_constant(params: ModelParams, sz: float, q_sx: float) -> float:
-    m, omega, omega0 = params.mass, params.omega, params.omega0
-    return (-(0.5 * omega0) * (1.0 + sz) - 1.5 * params.f0 * q_sx) / (m * omega) / omega - q_sx**2
+    omega, omega0 = params.omega, params.omega0
+    return (-(0.5 * omega0) * (1.0 + sz) - 1.5 * params.f0 * q_sx) / omega / omega - q_sx**2
 
 
 def _wigner_band(params: ModelParams, value: float, shift: float) -> BoundCheck:
@@ -163,9 +163,9 @@ def literal_variants(params: ModelParams, report: BalanceReport) -> dict[str, Bo
     them at omega itself, not in units of omega.
     """
     props = report.properties
-    m, omega, omega0 = params.mass, params.omega, params.omega0
-    q_sx = props["p3"].value / math.sqrt(2.0 * m * omega)  # p3 is <(a + a^dag) sigma_x>
-    c = (-(1.0 + props["p2_sign"].value) - 3.0 * params.f0 * q_sx - q_sx**2) / (m * omega) / omega
+    omega, omega0 = params.omega, params.omega0
+    q_sx = props["p3"].value / math.sqrt(2.0 * omega)  # p3 is <(a + a^dag) sigma_x>
+    c = (-(1.0 + props["p2_sign"].value) - 3.0 * params.f0 * q_sx - q_sx**2) / omega / omega
     return {
         "p4_literal": _bound(props["p4"].value, -omega0, omega0),
         "b2_literal": _b2_bound(params, props["b2"].value, c),
@@ -226,7 +226,7 @@ def sector_report(phi, p: int, params: ModelParams, energy: float) -> BalanceRep
     <cos pi n> - lam^2/omega on any sector vector: its band is |<cos pi n>| <= 1.
     """
     p = check_sector(p)
-    m, omega, lam, omega0 = params.mass, params.omega, params.lam, params.omega0
+    omega, lam, omega0 = params.omega, params.lam, params.omega0
     fsum = math.fsum
     roots = [math.sqrt(k) for k in range(1, len(phi))]
     sq = [v * v for v in phi]
@@ -243,16 +243,16 @@ def sector_report(phi, p: int, params: ModelParams, energy: float) -> BalanceRep
     x_sq = fsum([v * v for v in x_phi])  # |x phi|^2
     y_sq = fsum([v * v for v in y_phi])  # |y phi|^2
 
-    scale = math.sqrt(2.0 * m * omega)
+    scale = math.sqrt(2.0 * omega)
     f0 = params.f0
-    q_sq = x_sq / (2.0 * m * omega)
+    q_sq = x_sq / (2.0 * omega)
     kinetic = 0.25 * omega * y_sq  # <p^2> / 2m, with <p^2> = (m omega / 2) y_sq
     q_sx = x_mean / scale
     p_sy = p * scale * alt_pairs
     sz = -p * cos_pin
-    b1 = abs(kinetic - 0.5 * f0 * q_sx - 0.5 * (m * omega) * (omega * q_sq))
+    b1 = abs(kinetic - 0.5 * f0 * q_sx - 0.5 * omega * (omega * q_sq))
     # a zero p_sy (phi on one level) gives a zero term, not inf * 0 where f0 omega0 overflows
-    b7 = abs(m * omega**2 * f0 * q_sx + (f0 * omega0 * p_sy if p_sy else 0.0) + f0 * f0)
+    b7 = abs(omega**2 * f0 * q_sx + (f0 * omega0 * p_sy if p_sy else 0.0) + f0 * f0)
 
     props = _property_bounds(params, p, energy, sz=sz, cos_pin=cos_pin, x_sx=x_mean,
                              n_cos=n_cos, n_sz=-p * n_cos)

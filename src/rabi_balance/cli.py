@@ -8,8 +8,10 @@ be imported (numpy, on a Python without it, for the trial simplex), 2
 on numerical non-success (truncation not converged, optimizer stalled,
 a balance check failing, or an overflow or a sum that is not finite,
 whose one stderr line reads ``numerical failure: ...``, or from a sweep
-``sweep failed at ...``).  Nothing else is returned.  JSON output is
-strict: NaN and +-inf print as null.  In CSV, NaN is an empty cell.
+``sweep failed at ...``).  An interrupt (Ctrl-C) prints the one line
+``interrupted`` and returns 130, the shell's code for SIGINT.  Nothing
+else is returned.  JSON output is strict: NaN and +-inf print as null.
+In CSV, NaN is an empty cell.
 
 Sweep output is reproducible byte for byte: fixed column order, floats
 at 17 significant digits, LF line endings, rows in grid order with the
@@ -359,9 +361,10 @@ def _emit(text: str, out_path: str | None):
             fh.write(text)
         os.replace(tmp, out_path)
     except OSError as exc:
+        raise ConfigError(f"out: cannot write {out_path}: {exc}") from exc
+    finally:  # a write cut short, by an error or an interrupt, leaves no .tmp
         with contextlib.suppress(OSError):
             os.remove(tmp)
-        raise ConfigError(f"out: cannot write {out_path}: {exc}") from exc
 
 
 def _solution_dict(sol: GroundSolution) -> dict:
@@ -527,16 +530,21 @@ def _pool_map(tasks: list, jobs: int):
     """``map(_sweep_point, tasks)`` on ``min(jobs, len(tasks))`` worker processes.
 
     Results come in grid order, at most ``jobs`` points run at a time,
-    and once a point has raised no further point starts: a failing
-    sweep ends when the points already running finish.  The pool
-    machinery is imported here, so a serial sweep never loads it.
+    and once a point has raised no further point starts: a failing or
+    interrupted sweep ends when the points already running finish.  The
+    workers ignore SIGINT, from their start, so a Ctrl-C to the process
+    group reaches the main process alone.  The pool machinery is imported
+    here, so a serial sweep never loads it.
     """
     import concurrent.futures
+    import signal
     from concurrent.futures.process import BrokenProcessPool
 
     jobs = min(jobs, len(tasks))  # the pool starts all its workers at once
     try:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=jobs, initializer=signal.signal,
+                initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
             todo = iter(enumerate(tasks))
             running: dict = {}  # future -> grid index
             done: dict = {}  # grid index -> finished future
@@ -544,8 +552,14 @@ def _pool_map(tasks: list, jobs: int):
             for head in range(len(tasks)):
                 while head not in done:
                     if not failed:
-                        for i, task in itertools.islice(todo, jobs - len(running)):
-                            running[pool.submit(_sweep_point, task)] = i
+                        # submit forks the workers: with SIGINT blocked, a Ctrl-C that
+                        # comes before a worker's initializer has run waits for main
+                        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                        try:
+                            for i, task in itertools.islice(todo, jobs - len(running)):
+                                running[pool.submit(_sweep_point, task)] = i
+                        finally:
+                            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                     finished, _ = concurrent.futures.wait(
                         running, return_when=concurrent.futures.FIRST_COMPLETED
                     )
@@ -571,10 +585,19 @@ def _failure_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {text}"
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: ``--jobs``'s default and its cap."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def cmd_sweep(cfg: dict) -> int:
     grid = _sweep_grid(cfg)
     tasks = [(omega, lam, omega0, cfg["dim"], cfg["tol"]) for omega, lam, omega0 in grid]
-    jobs = cfg["jobs"] or os.cpu_count() or 1
+    cpus = _usable_cpus()
+    jobs = min(cfg["jobs"] or cpus, cpus)
     rows: list[dict] = []
     try:
         serial = jobs == 1 or len(tasks) <= 1
@@ -622,7 +645,8 @@ _KEYS = {
     "tol": ({"help": "truncation convergence tolerance"}, 1e-10, _parse_tol),
     "out": ({"help": "write output to this path instead of stdout"}, None, _parse_out),
     "format": ({"help": "output format, csv or json"}, "csv", _parse_format),
-    "jobs": ({"help": "worker processes (default: all cores)"}, None, _parse_jobs),
+    "jobs": ({"help": "worker processes (default and cap: the usable CPUs)"}, None,
+             _parse_jobs),
     "paper_literal": ({"action": "store_true", "default": None,  # None lets a config set it
                        "help": "also report legacy printed coefficient variants"},
                       False, _parse_literal),
@@ -661,6 +685,9 @@ def main(argv=None) -> int:
     except _FAILURES as exc:
         sys.stderr.write(f"numerical failure: {_failure_text(exc)}\n")
         return 2
+    except KeyboardInterrupt:  # 130 = 128 + SIGINT, as the shell reports it
+        sys.stderr.write("interrupted\n")
+        return 130
     finally:
         if collecting:
             gc.enable()

@@ -22,8 +22,10 @@ That lift, its inverse and the sector inferred from <P> are numpy
 arrays and live in ``fock``; the Pauli matrices, like every operator,
 live in ``oracle``.
 
-In oscillator variables the coupling strength is F0 = sqrt(2 m omega) lam,
-so that F0 q = lam (a + a^dag) identically.
+In oscillator variables, with the oscillator mass m = 1 throughout (the
+balance relations carry a fixed power of m, as of omega), the position is
+q = (a + a^dag) / sqrt(2 m omega) and the coupling strength is
+F0 = sqrt(2 m omega) lam, so that F0 q = lam (a + a^dag) identically.
 
 H(omega, lam, omega0) = omega H(1, lam / omega, omega0 / omega)
 (Braak, PRL 107, 100401 (2011)): ``ModelParams.unit`` gives that model in
@@ -46,8 +48,8 @@ def checked_make(cls, iterable):
     return cls(*iterable)
 
 
-class ModelParams(namedtuple("ModelParams", "omega lam omega0 mass")):
-    """Model parameters; lam is the coupling, mass enters only via F0, q, p.
+class ModelParams(namedtuple("ModelParams", "omega lam omega0")):
+    """Model parameters: the frequency omega, the coupling lam and the splitting omega0.
 
     A named tuple whose fields are checked when it is made.  Negative lam
     is rejected: the spectrum is invariant under lam -> -lam (conjugation
@@ -56,16 +58,14 @@ class ModelParams(namedtuple("ModelParams", "omega lam omega0 mass")):
 
     __slots__ = ()
 
-    def __new__(cls, omega: float, lam: float, omega0: float, mass: float = 1.0):
+    def __new__(cls, omega: float, lam: float, omega0: float):
         if not omega > 0.0:
             raise ValueError(f"omega must be > 0, got {omega}")
         if lam < 0.0:
             raise ValueError(f"lam must be >= 0, got {lam}")
         if omega0 < 0.0:
             raise ValueError(f"omega0 must be >= 0, got {omega0}")
-        if not mass > 0.0:
-            raise ValueError(f"mass must be > 0, got {mass}")
-        self = super().__new__(cls, omega, lam, omega0, mass)
+        self = super().__new__(cls, omega, lam, omega0)
         for name, value in zip(self._fields, self):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -76,15 +76,15 @@ class ModelParams(namedtuple("ModelParams", "omega lam omega0 mass")):
     @property
     def f0(self) -> float:
         """Static force amplitude sqrt(2 m omega) lam."""
-        return math.sqrt(2.0 * self.mass * self.omega) * self.lam
+        return math.sqrt(2.0 * self.omega) * self.lam
 
     def unit(self) -> ModelParams:
-        """The model in units of omega, (1, lam / omega, omega0 / omega, mass)."""
+        """The model in units of omega, (1, lam / omega, omega0 / omega)."""
         ratios = self.lam / self.omega, self.omega0 / self.omega
         for name, ratio in zip(("lam", "omega0"), ratios):
             if ratio == math.inf:
                 raise OverflowError(f"{name} / omega is beyond the float range")
-        return ModelParams(1.0, *ratios, self.mass)
+        return ModelParams(1.0, *ratios)
 
 
 def check_sector(sector: int) -> int:

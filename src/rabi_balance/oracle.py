@@ -162,15 +162,15 @@ def build_ladder(rep: FockRep):
 
 
 def build_quadratures(rep: FockRep, params: ModelParams):
-    """Position/momentum pair for oscillator mass ``m`` and frequency ``omega``.
+    """Position/momentum pair for frequency ``omega`` (and mass m = 1).
 
     ``[q, p] = i`` holds on the leading (N-1) block; the last row and
     column are polluted by truncation.
     """
-    m, omega = params.mass, params.omega
+    omega = params.omega
     ann, cre, _, _ = _ladder_matrices(rep.dim)
-    q = (ann + cre) / np.sqrt(2.0 * m * omega)
-    p = 1j * np.sqrt(m * omega / 2.0) * (cre - ann)
+    q = (ann + cre) / np.sqrt(2.0 * omega)
+    p = 1j * np.sqrt(omega / 2.0) * (cre - ann)
     return Observable(q), Observable(p)
 
 
@@ -318,8 +318,8 @@ def standard_observables(rep: FockRep, params: ModelParams) -> dict[str, Observa
     the bundle once and hands it to every check.
     """
     ann, cre, num, par = _ladder_matrices(rep.dim)
-    q = (ann + cre).real * (1.0 / np.sqrt(2.0 * params.mass * params.omega))
-    p = 1j * np.sqrt(params.mass * params.omega / 2.0) * (cre - ann).real
+    q = (ann + cre).real * (1.0 / np.sqrt(2.0 * params.omega))
+    p = 1j * np.sqrt(params.omega / 2.0) * (cre - ann).real
     eye = np.eye(rep.dim)
 
     def spin_boson(boson, spin) -> Observable:
@@ -374,19 +374,18 @@ def second_order_residual(hamiltonian: Observable, observable: Observable,
 
 def force_balance(state: QuantumState, obs: dict, params: ModelParams) -> float:
     """|<F_q> + <F_e>|, the mean of dp/dt; zero on eigenstates.  ``obs`` is the bundle."""
-    f_q = -params.mass * params.omega**2 * expectation(state, obs["q"]).real
+    f_q = -params.omega**2 * expectation(state, obs["q"]).real
     f_e = -params.f0 * expectation(state, obs["sigma_x"]).real
     return float(abs(f_q + f_e))
 
 
 def b1_kinetic_balance(state: QuantumState, obs: dict, params: ModelParams) -> float:
     """|<p^2/2m> - (F0/2) <q sigma_x> - <m omega^2 q^2 / 2>|.  ``obs`` is the bundle."""
-    m = params.mass
     kinetic = variance(state, obs["p"]) + expectation(state, obs["p"]).real ** 2
-    kinetic /= 2.0 * m
+    kinetic /= 2.0
     q_sx = expectation(state, obs["q_sigma_x"]).real
     q_sq = variance(state, obs["q"]) + expectation(state, obs["q"]).real ** 2
-    potential = 0.5 * m * params.omega**2 * q_sq
+    potential = 0.5 * params.omega**2 * q_sq
     return abs(kinetic - 0.5 * params.f0 * q_sx - potential)
 
 
@@ -398,7 +397,7 @@ def b7_terms(state: QuantumState, obs: dict, params: ModelParams) -> dict[str, f
     symmetrized ordering changes nothing).  ``obs`` is the bundle.
     """
     f0 = params.f0
-    fq_fe = params.mass * params.omega**2 * f0 * expectation(state, obs["q_sigma_x"]).real
+    fq_fe = params.omega**2 * f0 * expectation(state, obs["q_sigma_x"]).real
     p_dfe = f0 * params.omega0 * expectation(state, obs["p_sigma_y"]).real
     return {"fq_fe": float(fq_fe), "p_dfe": float(p_dfe), "f0_sq": float(f0 * f0)}
 
@@ -418,7 +417,7 @@ def _property_checks(state: QuantumState, obs: dict, params: ModelParams, p: int
     checks = _property_bounds(
         params, p, energy, sz=sz,
         cos_pin=expectation(state, obs["parity_boson"]).real,
-        x_sx=q_sx * np.sqrt(2.0 * params.mass * params.omega),  # <(a + a^dag) sigma_x>
+        x_sx=q_sx * np.sqrt(2.0 * params.omega),  # <(a + a^dag) sigma_x>
         n_cos=expectation(state, obs["num_parity"]).real,
         n_sz=expectation(state, obs["num_sigma_z"]).real,
     )

@@ -16,10 +16,11 @@ is gamma-independent because squeezing preserves parity.
 On this family the stationarity conditions coincide with the balance
 relations of :mod:`rabi_balance.balance`:
 
-    dE/dgamma = -2 R_b1,    dE/dbeta = e^{gamma} R_b7 / (m omega lam),
+    dE/dgamma = -2 R_b1,    dE/dbeta = e^{gamma} R_b7 / (omega lam)
 
-so a vanishing gradient is equivalent (for lam > 0) to vanishing
-kinetic-balance and force-covariance residuals of the embedded state.
+(the mass m = 1, as in ``model``), so a vanishing gradient is equivalent
+(for lam > 0) to vanishing kinetic-balance and force-covariance residuals
+of the embedded state.
 ``stationarity_equals_balance`` evaluates both sides at a trial point
 on Python floats, the residuals from ``balance.sector_report`` of the
 trial's sector vector; numpy serves only the simplex energy

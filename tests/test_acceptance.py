@@ -135,7 +135,7 @@ def test_criterion_05_properties_and_bounds_on_grid(grid):
 
 def test_criterion_06_balance_oracle_equality():
     rng = np.random.default_rng(611)
-    p = ModelParams(omega=1.3, lam=0.7, omega0=0.9, mass=1.0)
+    p = ModelParams(omega=1.3, lam=0.7, omega0=0.9)
     obs = standard_observables(FockRep(64), p)
     h = obs["hamiltonian"]
     q2 = Observable(obs["q"].matrix @ obs["q"].matrix)
@@ -145,9 +145,9 @@ def test_criterion_06_balance_oracle_equality():
         v[:96] = rng.normal(size=96) + 1j * rng.normal(size=96)
         st = QuantumState.from_vector(v, SPIN_BOSON)
         d1 = abs(b1_kinetic_balance(st, obs, p)
-                 - 0.25 * p.mass * second_order_residual(h, q2, st))
+                 - 0.25 * second_order_residual(h, q2, st))
         d7 = abs(b7_covariance_balance(st, obs, p)
-                 - p.mass * p.omega * second_order_residual(h, obs["num"], st))
+                 - p.omega * second_order_residual(h, obs["num"], st))
         worst = max(worst, d1, d7)
     _verdict(6, "literal b1/b7 equal scaled double commutators on 100 states",
              worst < 1e-9, f"worst={worst:.2e}")

@@ -82,29 +82,27 @@ def test_residuals_vanish_on_any_eigenstate(rng):
 
 def test_b1_literal_equals_scaled_double_commutator_of_q_squared(rng):
     # the kinetic relation is generated by A = q^2: literal residual
-    # equals (m/4) |<[H, [H, q^2]]>| on arbitrary states
-    for mass in (1.0, 2.3):
-        p = ModelParams(omega=1.3, lam=0.7, omega0=0.9, mass=mass)
-        obs = standard_observables(FockRep(64), p)
-        q2 = Observable(obs["q"].matrix @ obs["q"].matrix)
-        for _ in range(10):
-            st_r = padded_random_state(rng, 128, 96)
-            lit = b1_kinetic_balance(st_r, obs, p)
-            orc = (mass / 4.0) * second_order_residual(obs["hamiltonian"], q2, st_r)
-            assert abs(lit - orc) < 1e-9
+    # equals (m/4) |<[H, [H, q^2]]>| on arbitrary states, with m = 1
+    p = ModelParams(omega=1.3, lam=0.7, omega0=0.9)
+    obs = standard_observables(FockRep(64), p)
+    q2 = Observable(obs["q"].matrix @ obs["q"].matrix)
+    for _ in range(10):
+        st_r = padded_random_state(rng, 128, 96)
+        lit = b1_kinetic_balance(st_r, obs, p)
+        orc = 0.25 * second_order_residual(obs["hamiltonian"], q2, st_r)
+        assert abs(lit - orc) < 1e-9
 
 
 def test_b7_literal_equals_scaled_double_commutator_of_number(rng):
     # the force-covariance relation is generated by A = omega n:
-    # literal residual equals m omega |<[H, [H, n]]>|
-    for mass in (1.0, 2.3):
-        p = ModelParams(omega=1.3, lam=0.7, omega0=0.9, mass=mass)
-        obs = standard_observables(FockRep(64), p)
-        for _ in range(10):
-            st_r = padded_random_state(rng, 128, 96)
-            lit = b7_covariance_balance(st_r, obs, p)
-            orc = mass * p.omega * second_order_residual(obs["hamiltonian"], obs["num"], st_r)
-            assert abs(lit - orc) < 1e-9
+    # literal residual equals m omega |<[H, [H, n]]>|, with m = 1
+    p = ModelParams(omega=1.3, lam=0.7, omega0=0.9)
+    obs = standard_observables(FockRep(64), p)
+    for _ in range(10):
+        st_r = padded_random_state(rng, 128, 96)
+        lit = b7_covariance_balance(st_r, obs, p)
+        orc = p.omega * second_order_residual(obs["hamiltonian"], obs["num"], st_r)
+        assert abs(lit - orc) < 1e-9
 
 
 def test_force_balance_equals_momentum_commutator(rng):
@@ -119,7 +117,7 @@ def test_force_balance_equals_momentum_commutator(rng):
 
 
 def test_b7_constant_term_is_f0_squared():
-    p = ModelParams(omega=1.0, lam=0.5, omega0=1.0, mass=2.0)
+    p = ModelParams(omega=1.0, lam=0.5, omega0=1.0)
     t = b7_terms(fock_state(32, 0, SPIN_BOSON), standard_observables(FockRep(16), p), p)
     assert t["f0_sq"] == pytest.approx(p.f0**2, rel=1e-15)
 
@@ -396,7 +394,7 @@ def test_full_report_residuals_equal_the_standalone_ones(rng):
 
 
 def test_bundle_is_exactly_hermitian():
-    p = ModelParams(omega=1.3, lam=0.7, omega0=0.9, mass=2.3)
+    p = ModelParams(omega=1.3, lam=0.7, omega0=0.9)
     for dim in (16, 256):
         for name, o in standard_observables(FockRep(dim), p).items():
             assert isinstance(o, Observable) and o.hermitian, name
@@ -407,12 +405,12 @@ def test_bundle_equals_the_kron_construction():
     # every observable, H included, equals its np.kron form entry by entry
     from rabi_balance.oracle import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _ladder_matrices
 
-    p = ModelParams(omega=1.3, lam=0.7, omega0=0.9, mass=2.3)
+    p = ModelParams(omega=1.3, lam=0.7, omega0=0.9)
     for dim in (16, 256):
         ann, cre, num, par = _ladder_matrices(dim)
         # real ladder entries scaled by the reciprocal, the rounding of the bundle's q
-        q = (ann + cre).real * (1.0 / np.sqrt(2.0 * p.mass * p.omega))
-        mom = 1j * np.sqrt(p.mass * p.omega / 2.0) * (cre - ann).real
+        q = (ann + cre).real * (1.0 / np.sqrt(2.0 * p.omega))
+        mom = 1j * np.sqrt(p.omega / 2.0) * (cre - ann).real
         eye = np.eye(dim)
         kron = {
             "q": (q, IDENTITY_2), "p": (mom, IDENTITY_2), "num": (num, IDENTITY_2),
@@ -509,14 +507,13 @@ def test_sector_summary_equals_full_report_on_both_sector_chains(lam, omega0):
 
 
 def test_sector_summary_equals_full_report_on_solved_ground_states():
-    # omega 0.6 and 1.3 are not powers of two, and mass 2.3 scales out with omega.
+    # omega 0.6 and 1.3 are not powers of two.
     # Each ground vector also off the ground (1e-3 added to level 1, renormalized):
     # there most residuals are 1e-6 to 1e-2, not round-off, so a wrong power of omega
     # of a residual, or a wrong closed form of omega_num or the Wigner value, shows
-    for omega, lam, omega0, mass in ((0.1, 0.3, 0.5, 1.0), (0.5, 1.7, 2.3, 1.0),
-                                     (1.0, 6.0, 1.0, 1.0), (2.0, 3.0, 0.0, 1.0),
-                                     (0.6, 1.7, 2.3, 1.0), (1.3, 0.7, 0.9, 2.3)):
-        params = ModelParams(omega=omega, lam=lam, omega0=omega0, mass=mass)
+    for omega, lam, omega0 in ((0.1, 0.3, 0.5), (0.5, 1.7, 2.3), (1.0, 6.0, 1.0),
+                               (2.0, 3.0, 0.0), (0.6, 1.7, 2.3), (1.3, 0.7, 0.9)):
+        params = ModelParams(omega=omega, lam=lam, omega0=omega0)
         sol = solve_rabi_ground(params)
         ground = sol.boson_state.amplitudes.real
         _assert_summary_matches_report(ground, sol.parity, params, sol.energy)

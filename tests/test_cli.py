@@ -1,10 +1,12 @@
 import concurrent.futures
+import contextlib
 import gc
 import json
 import math
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -220,7 +222,13 @@ def test_sweep_header_and_determinism(tmp_path):
     assert lam_col == ["0", "0", "1", "1"]
 
 
-def test_sweep_worker_pool_matches_serial(tmp_path):
+def _set_usable_cpus(monkeypatch, count):
+    # the CPUs this process may run on, as cli reads them: the cap of --jobs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_sweep_worker_pool_matches_serial(tmp_path, monkeypatch):
+    _set_usable_cpus(monkeypatch, 2)
     out_a = tmp_path / "serial.csv"
     out_b = tmp_path / "pool.csv"
     args = ["sweep", "--lambda", "0:1:2", "--omega0", "1"]
@@ -230,18 +238,75 @@ def test_sweep_worker_pool_matches_serial(tmp_path):
 
 
 def test_sweep_pool_has_no_more_workers_than_points(monkeypatch, capsys):
-    # threads stand in for processes; the pool records the size it was asked for
+    # threads stand in for processes, at most one per point; the pool records
+    # the size it was asked for.  A thread cannot take the workers' SIGINT
+    # initializer (signal.signal runs in the main thread only), so it is dropped.
     sizes = []
 
     class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
+        def __init__(self, max_workers=None, initializer=None, initargs=()):
             sizes.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
+            super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    _set_usable_cpus(monkeypatch, 64)
     assert run_cli(["sweep", "--lambda", "0:1:2", "--omega0", "1", "--jobs", "64"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
     assert sizes == [2]
+    _set_usable_cpus(monkeypatch, 2)
+    assert run_cli(["sweep", "--lambda", "0:1:4", "--omega0", "1", "--jobs", "64"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    assert sizes == [2, 2]
+
+
+_SLEEPING_SWEEP = """
+import os, sys, time
+from rabi_balance import cli
+
+def sleeping_point(task):
+    print("started", flush=True)
+    time.sleep(0.5)
+    return {}
+
+cli._sweep_point = sleeping_point
+os.sched_getaffinity = lambda pid: {0, 1}
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() == "forkserver",
+                    reason="a fork server's workers would not run the stand-in point")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_interrupted_sweep_prints_one_line_and_leaves_no_file(tmp_path, jobs):
+    # a terminal's Ctrl-C: SIGINT to the sweep's whole process group, pool workers included
+    out = tmp_path / "sweep.csv"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SLEEPING_SWEEP, "sweep", "--lambda", "0:1:100", "--omega0", "1",
+         "--jobs", jobs, "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_cli_env(True),
+        start_new_session=True,
+    )
+    try:
+        assert proc.stdout.readline() == "started\n"
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert (proc.returncode, err) == (130, "interrupted\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_interrupted_write_leaves_no_tmp_file(tmp_path, monkeypatch, capsys):
+    # the interrupt comes after the .tmp file is written, before it is renamed
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    out = tmp_path / "solve.txt"
+    assert run_cli(["solve", "--lambda", "0", "--omega0", "1", "--out", str(out)]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_agrees_with_solve(tmp_path):
@@ -535,6 +600,7 @@ def test_pooled_sweep_starts_no_point_after_a_failure(tmp_path, monkeypatch, cap
     monkeypatch.setenv("RABI_TEST_MARKERS", str(tmp_path))
     monkeypatch.setenv("RABI_TEST_FAILING", failing)
     monkeypatch.setattr(cli, "_sweep_point", _marking_point)
+    _set_usable_cpus(monkeypatch, 2)
     assert run_cli(["sweep", "--omega", "1:5:5", "--lambda", "0.5",
                     "--omega0", "1", "--jobs", "2"]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -563,6 +629,7 @@ def test_pooled_sweep_reports_a_dead_worker(tmp_path, monkeypatch, capsys):
     out = tmp_path / "sweep.csv"
     monkeypatch.setenv("RABI_TEST_MARKERS", str(markers))
     monkeypatch.setattr(cli, "_sweep_point", _dying_point)
+    _set_usable_cpus(monkeypatch, 2)
     assert run_cli(["sweep", "--omega", "1:5:5", "--lambda", "0.5",
                     "--omega0", "1", "--jobs", "2", "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()

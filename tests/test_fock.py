@@ -38,7 +38,7 @@ def test_ladder_matrix_elements_exact():
 
 def test_quadrature_commutator_on_leading_block():
     rep = FockRep(30)
-    params = ModelParams(omega=1.3, lam=0.0, omega0=0.0, mass=2.3)
+    params = ModelParams(omega=1.3, lam=0.0, omega0=0.0)
     q, p = build_quadratures(rep, params)
     comm = q.matrix @ p.matrix - p.matrix @ q.matrix
     # [q, p] = i exactly except in the last row/column, where the cut
@@ -48,7 +48,7 @@ def test_quadrature_commutator_on_leading_block():
 
 def test_f0_times_q_equals_lam_a_plus_adag():
     rep = FockRep(20)
-    params = ModelParams(omega=1.7, lam=0.6, omega0=0.9, mass=2.3)
+    params = ModelParams(omega=1.7, lam=0.6, omega0=0.9)
     q, _ = build_quadratures(rep, params)
     ann, cre, _, _ = build_ladder(rep)
     np.testing.assert_allclose(

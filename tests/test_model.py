@@ -31,13 +31,11 @@ def test_params_validation():
         ModelParams(omega=1.0, lam=-0.1, omega0=1.0)
     with pytest.raises(ValueError):
         ModelParams(omega=1.0, lam=0.1, omega0=-1.0)
-    with pytest.raises(ValueError):
-        ModelParams(omega=1.0, lam=0.1, omega0=1.0, mass=0.0)
 
 
 def test_f0_definition():
-    p = ModelParams(omega=1.7, lam=0.6, omega0=0.9, mass=2.3)
-    assert p.f0 == pytest.approx(np.sqrt(2 * 2.3 * 1.7) * 0.6, rel=1e-15)
+    p = ModelParams(omega=1.7, lam=0.6, omega0=0.9)
+    assert p.f0 == pytest.approx(np.sqrt(2 * 1.7) * 0.6, rel=1e-15)
 
 
 def test_uncoupled_spectrum():

@@ -92,8 +92,6 @@ def test_not_converged_pickles_with_a_read_solution():
     ({"lam": float("inf")}, "lam must be finite, got inf"),
     ({"omega0": -1.0}, "omega0 must be >= 0, got -1.0"),
     ({"omega0": float("inf")}, "omega0 must be finite, got inf"),
-    ({"mass": 0.0}, "mass must be > 0, got 0.0"),
-    ({"mass": float("inf")}, "mass must be finite, got inf"),
 ])
 def test_model_params_reject_bad_fields(kwargs, message):
     with pytest.raises(ValueError) as info:
@@ -133,8 +131,8 @@ def test_axis_range_rejects_bad_fields(bounds, message):
      "|beta| = 9.0 exceeds 6.0"),
     (lambda: AxisRange(0.0, 1.0, 3)._replace(count=0), lambda: AxisRange(0.0, 1.0, 0),
      "range count must be >= 1, got 0"),
-    (lambda: ModelParams._make([1.0, float("nan"), 1.0, 1.0]),
-     lambda: ModelParams(1.0, float("nan"), 1.0, 1.0), "lam must be finite, got nan"),
+    (lambda: ModelParams._make([1.0, float("nan"), 1.0]),
+     lambda: ModelParams(1.0, float("nan"), 1.0), "lam must be finite, got nan"),
 ], ids=["ModelParams._replace", "TrialParams._replace", "AxisRange._replace",
         "ModelParams._make"])
 def test_replace_and_make_check_like_construction(make, direct, message):
@@ -150,7 +148,7 @@ def test_replace_and_make_check_like_construction(make, direct, message):
 def test_records_print_as_json_objects(capsys):
     assert main(["variational", "--lambda", "0.5", "--omega0", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["params"] == {"omega": 1.0, "lam": 0.5, "omega0": 1.0, "mass": 1.0}
+    assert payload["params"] == {"omega": 1.0, "lam": 0.5, "omega0": 1.0}
     result = payload["result"]
     assert set(result["trial"]) == {"beta", "gamma"}
     assert set(result) == {"trial", "energy", "exact_energy", "gap", "iterations", "converged",

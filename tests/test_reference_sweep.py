@@ -73,7 +73,7 @@ def test_sweep_matches_reference(tmp_path):
         scale = max(1.0, abs(float(new["e_exact"])))
         for col in RESIDUALS:
             assert float(new[col]) < RESIDUAL_BOUND * scale, f"{where}: {col}"
-        for col in set(SWEEP_COLUMNS) - set(EXACT) - set(RESIDUALS):
+        for col in (c for c in SWEEP_COLUMNS if c not in EXACT + RESIDUALS):
             a, b = float(new[col]), float(ref[col])
             assert math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_FLOOR), (
                 f"{where}: {col} {a!r} vs {b!r}"

@@ -23,6 +23,8 @@ from rabi_balance.oracle import (
 from rabi_balance import cli, solver
 from rabi_balance.model import sector_chain
 
+from chain_oracle import lowest_pair
+
 
 def test_ground_state_of_diagonal_matrix_with_phase_fix():
     obs = Observable(np.diag([3.0, -2.0, 5.0]).astype(complex))
@@ -329,3 +331,25 @@ def test_solution_matches_dense_sector_oracle(lam, omega0):
     assert abs(sol.energy - energy) < 1e-12
     overlap = np.vdot(phi.amplitudes, sol.boson_state.amplitudes)
     assert abs(abs(overlap) - 1.0) < 1e-12
+
+
+# omega0/omega 1e10-1e14: the relative stop of inverse iteration leaves the
+# level-2 entry off by about 1e-13 omega0 / omega (ROADMAP item 13)
+_FAR_SPLITTING = pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the solver's vector "
+                                   "loses digits where omega0 >> omega")
+
+
+@pytest.mark.parametrize("lam, omega0", [
+    (0.5, 1.0), (0.143, 1.43), (1.0, 5.0), (2.0, 0.5), (4.0, 1.25), (6.0, 2.0),
+    *(pytest.param(1.0, omega0, marks=_FAR_SPLITTING) for omega0 in (1e10, 1e12, 1e14)),
+])
+def test_solution_matches_the_60_digit_chain_oracle(lam, omega0):
+    # the chain the ladder ends on, solved to 60 digits: the energy within
+    # 4 ulps, every component above 1e-12 within 1e-12 relative
+    params = ModelParams(omega=1.0, lam=lam, omega0=omega0)
+    sol = solve_rabi_ground(params)
+    energy, vec = lowest_pair(*sector_chain(sol.dim_used, params, sol.parity))
+    assert abs(sol.energy - float(energy)) <= 4 * math.ulp(float(energy))
+    for k, (got, want) in enumerate(zip(sol.phi, map(float, vec))):
+        if abs(want) > 1e-12:
+            assert abs(got - want) <= 1e-12 * abs(want), (k, got, want)

@@ -215,7 +215,7 @@ def test_stationarity_equals_balance_at_optimum():
 
 
 def test_gradient_components_are_scaled_balance_residuals():
-    # dE/dgamma = -2 R_b1 and |dE/dbeta| = e^gamma R_b7 / (m omega lam)
+    # dE/dgamma = -2 R_b1 and |dE/dbeta| = e^gamma R_b7 / (omega lam)
     # at any trial point, not only at stationarity
     p = ModelParams(omega=1.0, lam=0.5, omega0=1.0)
     t = TrialParams(-0.3, 0.2)
