@@ -143,9 +143,10 @@ def _b2_bound(params: ModelParams, var_qsx: float, c: float) -> BoundCheck:
     return _bound(var_qsx, 0.5 / omega - spread + c, 0.5 / omega + c)
 
 
-def _b2_constant(params: ModelParams, sz: float, q_sx: float) -> float:
+def _b2_constant(params: ModelParams, sz_up: float, q_sx: float) -> float:
+    """C of b2 from 1 + <sigma_z> (``sz_up``) and <q sigma_x>."""
     omega, omega0 = params.omega, params.omega0
-    return (-(0.5 * omega0) * (1.0 + sz) - 1.5 * params.f0 * q_sx) / omega / omega - q_sx**2
+    return (-(0.5 * omega0) * sz_up - 1.5 * params.f0 * q_sx) / omega / omega - q_sx**2
 
 
 def _wigner_band(params: ModelParams, value: float, shift: float) -> BoundCheck:
@@ -256,7 +257,10 @@ def sector_report(phi, p: int, params: ModelParams, energy: float) -> BalanceRep
 
     props = _property_bounds(params, p, energy, sz=sz, cos_pin=cos_pin, x_sx=x_mean,
                              n_cos=n_cos, n_sz=-p * n_cos)
-    props["b2"] = _b2_bound(params, q_sq - q_sx * q_sx, _b2_constant(params, sz, q_sx))
+    # 1 + <sigma_z> is twice the weight on the levels with sigma_z = (-1)^(n+1) p = +1,
+    # summed without the cancellation of 1 - p <cos pi n> where <sigma_z> is near -1
+    sz_up = 2.0 * fsum(sq[1::2] if p == +1 else sq[0::2])
+    props["b2"] = _b2_bound(params, q_sq - q_sx * q_sx, _b2_constant(params, sz_up, q_sx))
     props["b6_identity"] = _identity(0.0)
     ratio = lam / omega
     wigner = -0.5 * omega0 * cos_pin - omega * ratio**2

@@ -421,7 +421,7 @@ def _property_checks(state: QuantumState, obs: dict, params: ModelParams, p: int
         n_cos=expectation(state, obs["num_parity"]).real,
         n_sz=expectation(state, obs["num_sigma_z"]).real,
     )
-    checks["b2"] = _b2_bound(params, var_qsx, _b2_constant(params, sz, q_sx))
+    checks["b2"] = _b2_bound(params, var_qsx, _b2_constant(params, 1.0 + sz, q_sx))
     phi = extract_reduced_state(state, p)
     checks["b6_identity"] = _identity(float(var_qsx - variance(phi, obs["q_boson"])))
     return checks

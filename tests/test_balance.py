@@ -1,5 +1,6 @@
 import math
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from rabi_balance.oracle import (
     ground_state,
 )
 
+from chain_oracle import lowest_pair
 from conftest import padded_random_state
 
 
@@ -182,6 +184,33 @@ def test_b2_bounds_and_reduced_variance_identity():
     assert chk.upper - chk.lower == pytest.approx(p.lam**2 / p.omega**3, abs=1e-12)
     gap = props["b6_identity"].value  # Var(q sigma_x) minus Var(q) on the reduced state
     assert abs(gap) < 1e-12
+
+
+def _b2_upper_at_60_digits(params, p, vec):
+    """b2's upper edge 1/(2 omega) + C from a 60-digit sector vector, in decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        omega, lam, omega0 = map(Decimal, params)
+        root = (2 * omega).sqrt()
+        sz_up = 1 + p * sum(-v * v if k % 2 == 0 else v * v for k, v in enumerate(vec))
+        q_sx = 2 * sum(Decimal(k).sqrt() * u * v
+                       for k, (u, v) in enumerate(zip(vec, vec[1:]), start=1)) / root
+        c = (-(omega0 / 2) * sz_up - Decimal("1.5") * root * lam * q_sx) / omega / omega - q_sx**2
+        return 1 / (2 * omega) + c
+
+
+@pytest.mark.parametrize("omega, lam, omega0", [(3.0, 1.0, 1e8), (1.0, 1.0, 1e8), (1.0, 0.5, 1e6)])
+def test_b2_upper_edge_matches_the_60_digit_vector(omega, lam, omega0):
+    # where <sigma_z> is near -1, 1 + <sigma_z> is read from the weight on the
+    # sigma_z = +1 levels, not by cancellation: the edge is within 1e-12 of the
+    # one the 60-digit eigenvector of the same chain gives (the balance
+    # command's unit model)
+    params = ModelParams(omega=omega, lam=lam, omega0=omega0).unit()
+    sol = solve_rabi_ground(params)
+    _, vec = lowest_pair(*sector_chain(sol.dim_used, params, sol.parity))
+    want = float(_b2_upper_at_60_digits(params, sol.parity, vec))
+    got = sector_report(sol.phi, sol.parity, params, sol.energy).properties["b2"].upper
+    assert abs(got - want) <= 1e-12 * want, (got, want)
 
 
 def test_b2_printed_constant_is_dimensionally_broken():

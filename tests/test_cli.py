@@ -227,6 +227,14 @@ def _set_usable_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+@pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+def test_usable_cpus_without_an_affinity_call(monkeypatch, count, cpus):
+    # a platform with no sched_getaffinity: the CPU count, or 1 where it is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert cli._usable_cpus() == cpus
+
+
 def test_sweep_worker_pool_matches_serial(tmp_path, monkeypatch):
     _set_usable_cpus(monkeypatch, 2)
     out_a = tmp_path / "serial.csv"
@@ -257,6 +265,43 @@ def test_sweep_pool_has_no_more_workers_than_points(monkeypatch, capsys):
     assert run_cli(["sweep", "--lambda", "0:1:4", "--omega0", "1", "--jobs", "64"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 5
     assert sizes == [2, 2]
+
+
+# A sweep whose points cost nothing, so the child's peak RSS is what cmd_sweep
+# holds; stdout's last line is that peak in kB.  It is the child's own VmHWM:
+# Linux's ru_maxrss keeps, across exec, the peak of the process that forked it.
+_CHEAP_SWEEP = """
+import re, sys
+from rabi_balance import cli
+
+def cheap_point(task):
+    omega, lam, omega0, _, _ = task
+    row = {col: lam + k for k, col in enumerate(cli.SWEEP_COLUMNS)}
+    row.update(omega=omega, omega0=omega0, dim_used=32, parity_label="+1")
+    row.update(dict.fromkeys(cli.SWEEP_COLUMNS[-6:], True))
+    return row
+
+cli._sweep_point = cheap_point
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_sweep_runs_in_bounded_memory(tmp_path, fmt):
+    # aim 3: memory stays bounded over a sweep of any length, so ten times the
+    # points may not cost the sweep process a few MB more at its peak
+    peaks = []
+    for points in (10**3, 10**4):
+        proc = _child(["-c", _CHEAP_SWEEP, "sweep", "--lambda", f"0:1:{points}", "--omega0", "1",
+                       "--jobs", "1", "--format", fmt, "--out", str(tmp_path / f"sweep.{fmt}")])
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stdout.splitlines()[-1]))
+    assert peaks[1] - peaks[0] < 4 * 1024, peaks
 
 
 _SLEEPING_SWEEP = """
@@ -1537,6 +1582,17 @@ def test_a_python_without_numpy_gets_one_line_not_a_traceback(args, code, err):
     assert bool(proc.stdout) == (code == 0)
 
 
+def test_an_unimportable_module_is_one_line_in_process(monkeypatch, capsys):
+    # main's handler for what the child above meets, without a child
+    def needs_numpy(cfg):
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+
+    monkeypatch.setitem(cli._COMMANDS, "sweep", (needs_numpy, *cli._COMMANDS["sweep"][1:]))
+    assert run_cli(["sweep", *_POINT, "--jobs", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: sweep needs the module numpy, "
+                                       "which cannot be imported\n")
+
+
 # argv[1] is "block" or "plain", as for _NUMPY_CHILD; stdout's last line
 # says whether numpy loaded.
 _STATIONARITY_CHILD = """
@@ -1699,7 +1755,7 @@ def test_cli_freezes_its_objects_at_exit_and_the_library_does_not(imports, froze
 
 @pytest.fixture
 def collector_off():
-    """The cyclic collector disabled for the test, as ``main`` runs a command; then restored."""
+    """The cyclic collector off for the test, so ``gc.collect`` counts its cycles; then restored."""
     collecting = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -1716,8 +1772,8 @@ def collector_off():
     (1.0, 10.0, 1.0, None, 1e-10),  # NotConverged within MAX_DIM
 ], ids=["lam0", "omega0-0", "weak", "strong", "not-converged"])
 def test_a_sweep_point_makes_no_cyclic_garbage(collector_off, task):
-    # main runs its command with the collector off: that frees everything a
-    # point makes only if nothing it makes is cyclic
+    # with the collector off, as a caller may run main, reference counting
+    # alone frees everything a point makes only if nothing it makes is cyclic
     try:
         cli._sweep_point(task)
     except NotConverged:
@@ -1740,8 +1796,10 @@ def test_a_pooled_sweep_makes_no_cyclic_garbage(collector_off):
     (["sweep", "--lambda", "0:1:2", "--omega0", "1", "--jobs", "0"], 1),
     (["sweep", "--lambda", "10", "--omega0", "1", "--jobs", "1"], 2),
 ], ids=["exit-0", "exit-1", "exit-2"])
-def test_main_runs_with_the_collector_off_and_restores_it(monkeypatch, capsys, argv, code,
-                                                          collecting):
+def test_main_runs_with_the_callers_collector_setting(monkeypatch, capsys, argv, code,
+                                                       collecting):
+    # main neither switches the collector nor leaves it changed: each point
+    # runs with the caller's setting, on every exit code
     seen = []
     sweep_point = cli._sweep_point
 
@@ -1757,7 +1815,7 @@ def test_main_runs_with_the_collector_off_and_restores_it(monkeypatch, capsys, a
         assert gc.isenabled() == collecting
     finally:
         (gc.enable if was else gc.disable)()
-    assert seen == ([False, False] if code == 0 else [False] if code == 2 else [])
+    assert seen == [collecting] * {0: 2, 1: 0, 2: 1}[code]
     capsys.readouterr()
 
 

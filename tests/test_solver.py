@@ -52,6 +52,19 @@ def test_zero_splitting_ground_is_displaced_oscillator():
         assert sol.sector_gap < 1e-9
 
 
+@pytest.mark.parametrize("e_plus, e_minus", [(-0.5, -0.5 - 2 * solver.DEGENERACY_TOL), (0.0, -3.0)],
+                         ids=["just-past-degenerate", "far-below"])
+def test_a_lower_minus_sector_is_the_ground(e_plus, e_minus):
+    # omega0 >= 0 puts every model's ground in sector +1 or a degenerate pair,
+    # so the -1 branch is reached with sector pairs made for it
+    phi_plus, phi_minus = (1.0, 0.0), (0.6, 0.8)
+    rows = [(16, math.nan, math.nan), (32, e_minus, 0.0)]
+    sol = solver._solution(rows, {+1: (e_plus, phi_plus), -1: (e_minus, phi_minus)}, True)
+    assert (sol.parity, sol.parity_label, sol.energy, sol.phi) == (-1, "-1", e_minus, phi_minus)
+    assert sol.sector_gap == e_minus - e_plus < 0
+    assert (sol.dim_used, sol.converged, sol.energy_delta) == (32, True, 0.0)
+
+
 def test_scaling_of_ground_energy():
     # E(c omega, c lam, c omega0) = c E(omega, lam, omega0)
     base = solve_rabi_ground(ModelParams(omega=1.0, lam=0.6, omega0=0.9))
