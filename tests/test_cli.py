@@ -1,6 +1,7 @@
 import concurrent.futures
 import contextlib
 import gc
+import inspect
 import json
 import math
 import multiprocessing
@@ -267,21 +268,23 @@ def test_sweep_pool_has_no_more_workers_than_points(monkeypatch, capsys):
     assert sizes == [2, 2]
 
 
-# A sweep whose points cost nothing, so the child's peak RSS is what cmd_sweep
-# holds; stdout's last line is that peak in kB.  It is the child's own VmHWM:
-# Linux's ru_maxrss keeps, across exec, the peak of the process that forked it.
-_CHEAP_SWEEP = """
-import re, sys
-from rabi_balance import cli
-
-def cheap_point(task):
+def _full_row(task):
+    # a stand-in grid point's row, made at no cost: every column, of each type a row holds
     omega, lam, omega0, _, _ = task
     row = {col: lam + k for k, col in enumerate(cli.SWEEP_COLUMNS)}
     row.update(omega=omega, omega0=omega0, dim_used=32, parity_label="+1")
     row.update(dict.fromkeys(cli.SWEEP_COLUMNS[-6:], True))
     return row
 
-cli._sweep_point = cheap_point
+
+# A sweep whose points cost nothing, so the child's peak RSS is what cmd_sweep
+# holds; stdout's last line is that peak in kB.  It is the child's own VmHWM:
+# Linux's ru_maxrss keeps, across exec, the peak of the process that forked it.
+_CHEAP_SWEEP = """
+import re, sys
+from rabi_balance import cli
+""" + inspect.getsource(_full_row) + """
+cli._sweep_point = _full_row
 code = cli.main(sys.argv[1:])
 with open("/proc/self/status") as status:
     print(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
@@ -290,7 +293,6 @@ sys.exit(code)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_sweep_runs_in_bounded_memory(tmp_path, fmt):
     # aim 3: memory stays bounded over a sweep of any length, so ten times the
@@ -307,11 +309,11 @@ def test_a_sweep_runs_in_bounded_memory(tmp_path, fmt):
 _SLEEPING_SWEEP = """
 import os, sys, time
 from rabi_balance import cli
-
+""" + inspect.getsource(_full_row) + """
 def sleeping_point(task):
     print("started", flush=True)
     time.sleep(0.5)
-    return {}
+    return _full_row(task)
 
 cli._sweep_point = sleeping_point
 os.sched_getaffinity = lambda pid: {0, 1}
@@ -385,6 +387,58 @@ def test_sweep_failure_leaves_no_file(tmp_path):
                     "--dim", "8", "--jobs", "1", "--out", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_a_failed_sweep_publishes_none_of_its_rows(tmp_path, capsys, to_file, jobs, fmt):
+    # the first point's row is written before the second point fails, and is dropped
+    argv = ["sweep", "--lambda", "0:20:3", "--omega0", "1", "--jobs", jobs, "--format", fmt]
+    assert run_cli(argv + (["--out", str(tmp_path / f"sweep.{fmt}")] if to_file else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("sweep failed at omega=1 lambda=10 omega0=1: not converged")
+    assert list(tmp_path.iterdir()) == []
+
+
+# A sweep of stand-in points whose output outgrows the file-size limit
+# partway: the write that fails is one line with exit 1, not a point's failure.
+_OVERSIZED_SWEEP = """
+import resource, signal, sys
+from rabi_balance import cli
+""" + inspect.getsource(_full_row) + """
+cli._sweep_point = _full_row
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails with EFBIG
+resource.setrlimit(resource.RLIMIT_FSIZE, (50_000, 50_000))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file-size limit signal")
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_a_write_that_fails_partway_through_a_sweep_is_a_failed_write(tmp_path, to_file):
+    out = tmp_path / "sweep.json"
+    argv = ["-c", _OVERSIZED_SWEEP, "sweep", "--lambda", "0:1:1000", "--omega0", "1",
+            "--jobs", "1", "--format", "json"]
+    proc = _child(argv + (["--out", str(out)] if to_file else []))
+    where = f"out: cannot write {out}" if to_file else "cannot write to stdout"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"error: {where}: [Errno 27] File too large\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_json_rows_print_what_one_json_document_of_the_rows_prints(count):
+    rows = [{"nan": math.nan, "zero": -0.0, "int": k, "ok": k == 1, "label": "+1"}
+            for k in range(count)]
+    # the rows as one document, as a sweep printed them before it wrote them one by one
+    whole = json.dumps([cli._clean(row) for row in rows], indent=2, sort_keys=True,
+                       allow_nan=False) + "\n"
+    text = "".join(cli._json_rows(iter(rows)))
+    assert text == whole
+    assert (text.count("null"), text.count("-0.0")) == (count, count)
 
 
 @pytest.mark.parametrize("axis, values", [
@@ -633,7 +687,7 @@ def _marking_point(task):
     if omega == float(os.environ["RABI_TEST_FAILING"]):
         raise NotConverged("not converged (stand-in)")
     time.sleep(0.5)
-    return {}
+    return _full_row(task)
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() == "forkserver",
@@ -663,7 +717,7 @@ def _dying_point(task):
         os._exit(1)
     (Path(os.environ["RABI_TEST_MARKERS"]) / f"{task[0]:g}").touch()
     time.sleep(0.5)
-    return {}
+    return _full_row(task)
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() == "forkserver",
@@ -1755,9 +1809,12 @@ def test_cli_freezes_its_objects_at_exit_and_the_library_does_not(imports, froze
 
 @pytest.fixture
 def collector_off():
-    """The cyclic collector off for the test, so ``gc.collect`` counts its cycles; then restored."""
+    """The cyclic collector off for the test, so ``gc.collect`` counts its cycles; then restored.
+
+    Each test collects first in its own body: pytest drops a failed test's
+    ``sys.last_traceback`` only after the next test's fixtures are set up,
+    and that traceback's frames are cyclic garbage."""
     collecting = gc.isenabled()
-    gc.collect()
     gc.disable()
     yield
     if collecting:
@@ -1774,6 +1831,7 @@ def collector_off():
 def test_a_sweep_point_makes_no_cyclic_garbage(collector_off, task):
     # with the collector off, as a caller may run main, reference counting
     # alone frees everything a point makes only if nothing it makes is cyclic
+    gc.collect()
     try:
         cli._sweep_point(task)
     except NotConverged:
@@ -1784,7 +1842,7 @@ def test_a_sweep_point_makes_no_cyclic_garbage(collector_off, task):
 def test_a_pooled_sweep_makes_no_cyclic_garbage(collector_off):
     import concurrent.futures.process  # noqa: F401  its first import makes cyclic garbage
 
-    gc.collect()
+    gc.collect()  # after the import, and after pytest's clean-up of the test before
     tasks = [(1.0, lam, 1.0, None, 1e-10) for lam in (0.0, 0.5, 1.0, 2.0)]
     assert len(list(cli._pool_map(tasks, 2))) == 4
     assert gc.collect() == 0
