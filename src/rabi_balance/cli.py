@@ -18,7 +18,8 @@ at 17 significant digits, LF line endings, rows in grid order with the
 first swept axis slowest.  The worker pool only changes wall time,
 never content.  Each row is written as it is made, to a temporary file
 published after the last, so a sweep's memory does not grow with its
-grid, and on failure no partial output is printed or left behind.
+grid, serial or pooled, and on failure no partial output is printed or
+left behind.
 
 Implementation notes (``--help`` prints the paragraphs above).  Only
 this module knows the unit of energy: each command gives the layers
@@ -75,7 +76,7 @@ import contextlib
 import itertools
 import math
 import sys
-from collections import namedtuple
+from collections import deque, namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, NotConverged, OptimizerStalled, RabiError
@@ -369,13 +370,14 @@ def _writing(out_path: str | None):
 def _emit(chunks, out_path: str | None):
     """Write each text chunk of ``chunks`` as it comes, then publish them all.
 
-    The chunks go into ``<out_path>.tmp``, renamed to ``out_path`` after the
-    last, or into a temporary file copied to stdout in blocks after the last.
-    So if making a chunk raises (the error passes as it is) or a write fails
-    (a ``ConfigError``), nothing reaches ``out_path`` or stdout and no
-    ``.tmp`` is left.
+    The chunks go into ``<out_path>.<pid>.tmp``, renamed to ``out_path``
+    after the last, or into a temporary file copied to stdout in blocks
+    after the last.  So if making a chunk raises (the error passes as it
+    is) or a write fails (a ``ConfigError``), nothing reaches ``out_path``
+    or stdout and no ``.tmp`` is left; and two processes writing one
+    ``out_path`` each publish a whole output, the last one's standing.
     """
-    tmp = None if out_path is None else out_path + ".tmp"
+    tmp = None if out_path is None else f"{out_path}.{os.getpid()}.tmp"
     with _writing(out_path):
         if tmp is None:
             import tempfile
@@ -571,45 +573,39 @@ def _sweep_point(task) -> dict:
 def _pool_map(tasks, jobs: int):
     """``map(_sweep_point, tasks)`` on ``jobs`` worker processes, ``tasks`` any iterable.
 
-    Results come in grid order, at most ``jobs`` points run at a time,
-    and once a point has raised no further point starts: a failing or
-    interrupted sweep ends when the points already running finish.  The
-    workers ignore SIGINT, from their start, so a Ctrl-C to the process
-    group reaches the main process alone.  The pool machinery is imported
-    here, so a serial sweep never loads it.
+    Results come in grid order from a window of at most ``jobs`` points,
+    running or finished, that have not been yielded: so at most ``jobs``
+    points run and at most ``jobs`` rows wait at a time, however long a
+    point ahead of them takes.  Once a point in the window has raised, no
+    further point starts: a failing or interrupted sweep ends when the
+    points already running finish.  The workers ignore SIGINT, from their
+    start, so a Ctrl-C to the process group reaches the main process
+    alone.  The pool machinery is imported here, so a serial sweep never
+    loads it.
     """
     import concurrent.futures
     import signal
     from concurrent.futures.process import BrokenProcessPool
 
+    tasks = iter(tasks)
+    window = deque()  # futures of the points not yet yielded, in grid order
     try:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=jobs, initializer=signal.signal,
                 initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-            todo = enumerate(tasks)
-            running: dict = {}  # future -> grid index
-            done: dict = {}  # grid index -> finished future
-            failed = False
-            for head in itertools.count():
-                while head not in done:
-                    if not failed:
-                        # submit forks the workers: with SIGINT blocked, a Ctrl-C that
-                        # comes before a worker's initializer has run waits for main
-                        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-                        try:
-                            for i, task in itertools.islice(todo, jobs - len(running)):
-                                running[pool.submit(_sweep_point, task)] = i
-                        finally:
-                            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                    if not running:  # nothing left to submit or to run
-                        return
-                    finished, _ = concurrent.futures.wait(
-                        running, return_when=concurrent.futures.FIRST_COMPLETED
-                    )
-                    for fut in finished:
-                        done[running.pop(fut)] = fut
-                        failed = failed or fut.exception() is not None
-                yield done.pop(head).result()
+            while True:
+                if not any(fut.done() and fut.exception() for fut in window):
+                    # submit forks the workers: with SIGINT blocked, a Ctrl-C that
+                    # comes before a worker's initializer has run waits for main
+                    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                    try:
+                        window.extend(pool.submit(_sweep_point, task)
+                                      for task in itertools.islice(tasks, jobs - len(window)))
+                    finally:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                if not window:  # nothing left to submit or to yield
+                    return
+                yield window.popleft().result()
     except BrokenProcessPool as exc:
         raise RabiError("a worker process died") from exc
 

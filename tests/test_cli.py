@@ -280,16 +280,18 @@ def _full_row(task):
 # A sweep whose points cost nothing, so the child's peak RSS is what cmd_sweep
 # holds; stdout's last line is that peak in kB.  It is the child's own VmHWM:
 # Linux's ru_maxrss keeps, across exec, the peak of the process that forked it.
-_CHEAP_SWEEP = """
-import re, sys
-from rabi_balance import cli
-""" + inspect.getsource(_full_row) + """
-cli._sweep_point = _full_row
+_PRINT_PEAK = """
 code = cli.main(sys.argv[1:])
 with open("/proc/self/status") as status:
     print(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
 sys.exit(code)
 """
+_CHEAP_SWEEP = """
+import re, sys
+from rabi_balance import cli
+""" + inspect.getsource(_full_row) + """
+cli._sweep_point = _full_row
+""" + _PRINT_PEAK
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
@@ -301,6 +303,39 @@ def test_a_sweep_runs_in_bounded_memory(tmp_path, fmt):
     for points in (10**3, 10**4):
         proc = _child(["-c", _CHEAP_SWEEP, "sweep", "--lambda", f"0:1:{points}", "--omega0", "1",
                        "--jobs", "1", "--format", fmt, "--out", str(tmp_path / f"sweep.{fmt}")])
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stdout.splitlines()[-1]))
+    assert peaks[1] - peaks[0] < 4 * 1024, peaks
+
+
+def _slow_head_point(task):
+    # the stand-in row, but the first grid point (lambda = 0) takes a second:
+    # the points behind it that the other worker finishes meanwhile wait for it
+    if task[1] == 0.0:
+        time.sleep(1)
+    return _full_row(task)
+
+
+# _CHEAP_SWEEP on two usable CPUs, with the slow first point
+_SLOW_HEAD_SWEEP = """
+import os, re, sys, time
+from rabi_balance import cli
+""" + inspect.getsource(_full_row) + inspect.getsource(_slow_head_point) + """
+cli._sweep_point = _slow_head_point
+os.sched_getaffinity = lambda pid: {0, 1}
+""" + _PRINT_PEAK
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+@pytest.mark.skipif(multiprocessing.get_start_method() == "forkserver",
+                    reason="a fork server's workers would not run the stand-in point")
+def test_a_pooled_sweep_runs_in_bounded_memory(tmp_path):
+    # aim 3 for a pool: the rows finished behind a slow point wait for it, at
+    # most --jobs of them, so ten times the points cost no few MB more
+    peaks = []
+    for points in (10**3, 10**4):
+        proc = _child(["-c", _SLOW_HEAD_SWEEP, "sweep", "--lambda", f"0:1:{points}",
+                       "--omega0", "1", "--jobs", "2", "--out", str(tmp_path / "sweep.csv")])
         assert proc.returncode == 0, proc.stderr
         peaks.append(int(proc.stdout.splitlines()[-1]))
     assert peaks[1] - peaks[0] < 4 * 1024, peaks
@@ -342,6 +377,29 @@ def test_interrupted_sweep_prints_one_line_and_leaves_no_file(tmp_path, jobs):
             os.killpg(proc.pid, signal.SIGKILL)
     assert (proc.returncode, err) == (130, "interrupted\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sweeps_writing_one_out_file_publish_one_whole_output(tmp_path, monkeypatch, capsys):
+    # each process spools into a file of its own: a sweep that publishes while
+    # another still writes neither truncates that one's spool nor takes it away
+    monkeypatch.setattr(cli, "_sweep_point", _full_row)
+    argv = ["sweep", "--lambda", "0:1:2", "--omega0", "1", "--jobs", "1"]
+    assert run_cli(argv) == 0
+    slow_output = capsys.readouterr().out
+    out = tmp_path / "sweep.csv"
+    proc = subprocess.Popen([sys.executable, "-c", _SLEEPING_SWEEP, *argv, "--out", str(out)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=_cli_env(True))
+    try:
+        assert proc.stdout.readline() == "started\n"  # its spool is open
+        assert run_cli(["sweep", "--lambda", "2:3:2", "--omega0", "1", "--jobs", "1",
+                        "--out", str(out)]) == 0
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (0, "")
+    assert out.read_bytes() == slow_output.encode()  # the last published, whole
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
 
 def test_interrupted_write_leaves_no_tmp_file(tmp_path, monkeypatch, capsys):
@@ -736,6 +794,28 @@ def test_pooled_sweep_reports_a_dead_worker(tmp_path, monkeypatch, capsys):
                    "a worker process died"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["markers"]
     assert len(list(markers.iterdir())) < 4  # the pool stopped early
+
+
+# A sweep whose pool starts its workers by a fork server, the default start
+# method on Linux from Python 3.14: each worker imports the package afresh.
+_FORKSERVER_SWEEP = """
+import multiprocessing, os, sys
+from rabi_balance import cli
+multiprocessing.set_start_method("forkserver")
+os.sched_getaffinity = lambda pid: {0, 1}
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork server on this platform")
+def test_a_pool_started_by_a_fork_server_prints_the_serial_bytes(capsys):
+    argv = ["sweep", "--lambda", "0:1:4", "--omega0", "0:5:4"]
+    assert run_cli(argv + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    proc = _child(["-c", _FORKSERVER_SWEEP, *argv, "--jobs", "2"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == serial
 
 
 def test_sweep_point_builds_no_bundle_no_report_and_no_trial_state(monkeypatch):
