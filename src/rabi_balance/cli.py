@@ -176,6 +176,9 @@ def _number(name: str, raw, kind: type = float, what: str = "a number"):
         return kind(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: expected {what}, got {raw!r}") from exc
+    except OverflowError as exc:  # float() of a JSON integer beyond the float range
+        raise ConfigError(f"{name}: expected {what}, got an integer beyond the float range"
+                          ) from exc
 
 
 def _parse_axis(name: str, raw) -> float | AxisRange:
@@ -245,8 +248,8 @@ def _parse_literal(name: str, raw) -> bool:
 def _parse_out(name: str, raw) -> str | None:
     if raw is None:
         return None
-    try:  # open() would reject a NUL or a lone surrogate only after the work
-        named = isinstance(raw, str) and b"\0" not in os.fsencode(raw)
+    try:  # open() would reject a NUL or a lone surrogate, os.replace '', only after the work
+        named = isinstance(raw, str) and raw != "" and b"\0" not in os.fsencode(raw)
     except UnicodeEncodeError:
         named = False
     if not named:
@@ -370,14 +373,17 @@ def _writing(out_path: str | None):
 def _emit(chunks, out_path: str | None):
     """Write each text chunk of ``chunks`` as it comes, then publish them all.
 
-    The chunks go into ``<out_path>.<pid>.tmp``, renamed to ``out_path``
-    after the last, or into a temporary file copied to stdout in blocks
-    after the last.  So if making a chunk raises (the error passes as it
-    is) or a write fails (a ``ConfigError``), nothing reaches ``out_path``
-    or stdout and no ``.tmp`` is left; and two processes writing one
-    ``out_path`` each publish a whole output, the last one's standing.
+    The chunks go into ``.rabi-balance.<pid>.tmp`` in the directory of
+    ``out_path``, a name whose length does not grow with ``out_path``'s,
+    renamed to ``out_path`` after the last, or into a temporary file
+    copied to stdout in blocks after the last.  So if making a chunk
+    raises (the error passes as it is) or a write fails (a
+    ``ConfigError``), nothing reaches ``out_path`` or stdout and no
+    ``.tmp`` is left; and two processes writing one ``out_path`` each
+    publish a whole output, the last one's standing.
     """
-    tmp = None if out_path is None else f"{out_path}.{os.getpid()}.tmp"
+    tmp = None if out_path is None else os.path.join(os.path.dirname(out_path),
+                                                      f".rabi-balance.{os.getpid()}.tmp")
     with _writing(out_path):
         if tmp is None:
             import tempfile

@@ -93,21 +93,17 @@ def check_sector(sector: int) -> int:
     return int(sector)
 
 
-def sector_chain(dim: int, params: ModelParams, sector: int,
-                 start: int = 0) -> tuple[list[float], list[float]]:
+def sector_chain(dim: int, params: ModelParams, sector: int) -> tuple[list[float], list[float]]:
     """Diagonal and off-diagonal of the real symmetric chain H_p on levels 0..dim-1.
 
-    With ``start`` > 0, only what levels start..dim-1 add to the chain on
-    levels 0..start-1: their diagonal entries and the couplings that reach
-    them, so that the two extend the shorter chain to the longer one.
-    The number operator enters as the product sqrt(n) sqrt(n), as in
-    ``fock``, so every entry equals that of the complex ladder algebra.
-    An entry beyond the float range is inf; the solver rejects that chain.
+    The chain is built whole on each call.  The number operator enters as
+    the product sqrt(n) sqrt(n), as in ``fock``, so every entry equals
+    that of the complex ladder algebra.  An entry beyond the float range
+    is inf; the solver rejects that chain.
     """
     p = check_sector(sector)
-    roots = [math.sqrt(n) for n in range(start or 1, dim)]
+    roots = [math.sqrt(n) for n in range(1, dim)]
     half = 0.5 * params.omega0 * p  # (omega0 / 2) p cos(pi n) is +half at even n
-    squares = [r * r for r in roots] if start else [0.0, *(r * r for r in roots)]
-    diag = [params.omega * num - (-half if n % 2 else half)
-            for n, num in enumerate(squares, start)]
+    squares = [0.0, *(r * r for r in roots)]
+    diag = [params.omega * num - (-half if n % 2 else half) for n, num in enumerate(squares)]
     return diag, [params.lam * r for r in roots]

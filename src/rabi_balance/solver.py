@@ -10,9 +10,10 @@ Sturm counts, ch. 7).
 
 * A chain whose row sums leave the float range raises OverflowError
   before the solve.  Any other chain is scaled by a power of two to norm
-  below 1, which is exact and keeps every square and pivot quotient in
-  range.  It splits where a coupling is negligible (|b_i| <= eps
-  sqrt|a_i a_i+1|, as in LAPACK), and each block is solved alone.
+  below 1 by ``math.ldexp`` of each entry, which is exact and keeps every
+  square and pivot quotient in range.  It splits where a coupling is
+  negligible (|b_i| <= eps sqrt|a_i a_i+1|, as in LAPACK), and each
+  block is solved alone.
 * Each iteration step is one LDL^T (Thomas) factor-and-solve of
   T - sigma I, whose negative pivots count the eigenvalues below sigma.
   Where sigma is an eigenvalue to working precision, the solve
@@ -35,12 +36,13 @@ One doubling ladder solves both sectors at Fock dimension 16, 32, ...
 until the global minimum moves by less than ``tol`` (in the energy unit
 of ``params``, as is DEGENERACY_TOL; or, where that is below its
 rounding, by less than ROUNDING_ULPS ulps); a fixed ``dim`` is the same
-ladder over ``dim // 2`` and ``dim``.  Each sector's chain is built once
-per solve and extended by the new levels' entries only, and every level
-is solved once; the solution holds the winning sector's eigenvector at
-the last level as a tuple of floats, ``phi``.  It caches no state: the
-``QuantumState`` ``boson_state`` and its spin-boson lift ``state`` are
-made from ``phi`` on each read, and only they import ``fock``.
+ladder over ``dim // 2`` and ``dim``.  Each level solves the chain
+``sector_chain`` builds whole for it, and only each sector's lowest pair
+carries to the next level; the solution holds the winning sector's
+eigenvector at the last level as a tuple of floats, ``phi``.  It caches
+no state: the ``QuantumState`` ``boson_state`` and its spin-boson lift
+``state`` are made from ``phi`` on each read, and only they import
+``fock``.
 """
 
 from __future__ import annotations
@@ -264,12 +266,8 @@ def _lowest_pair(a: list, b: list,
         bound = max([(left + abs(d)) + right for d, left, right in zip(a, pad, pad[1:])])
         if not math.isfinite(bound):
             raise OverflowError(f"{n}-level matrix has row sums beyond the float range")
-    exp = math.frexp(bound)[1]
-    if exp >= -1023:  # scaled by a power of two, the chain is exact
-        scale = math.ldexp(1.0, -exp)
-        a, b = [v * scale for v in a], [v * scale for v in b]
-    else:  # a bound below 2**-1024, whose inverse overflows: scale each entry
-        a, b = [math.ldexp(v, -exp) for v in a], [math.ldexp(v, -exp) for v in b]
+    exp = math.frexp(bound)[1]  # scaled by a power of two, the chain is exact
+    a, b = [math.ldexp(v, -exp) for v in a], [math.ldexp(v, -exp) for v in b]
     x = [0.0] * n
     if start is not None:
         x[:len(start[1])] = start[1]
@@ -315,16 +313,10 @@ def _doubling(params: ModelParams, tol: float, dims: Iterable[int]):
     """
     rows: list[tuple[int, float, float]] = []
     sectors: dict[int, tuple[float, list] | None] = {+1: None, -1: None}
-    chains = {p: ([], []) for p in (+1, -1)}  # each sector's chain, extended level by level
-    built = 0
     previous = math.nan
     for dim in dims:
-        for p, (a, b) in chains.items():
-            more_a, more_b = sector_chain(dim, params, p, built)
-            a += more_a
-            b += more_b
-        built = dim
-        sectors = {p: _lowest_pair(a, b, start=sectors[p]) for p, (a, b) in chains.items()}
+        sectors = {p: _lowest_pair(*sector_chain(dim, params, p), start=start)
+                   for p, start in sectors.items()}
         energy = min(e for e, _ in sectors.values())
         rows.append((dim, energy, energy - previous))
         if abs(energy - previous) < max(tol, ROUNDING_ULPS * math.ulp(energy)):

@@ -342,8 +342,11 @@ def test_a_pooled_sweep_runs_in_bounded_memory(tmp_path):
 
 
 _SLEEPING_SWEEP = """
-import os, sys, time
+import os, signal, sys, time
 from rabi_balance import cli
+# a terminal's Ctrl-C raises KeyboardInterrupt, also where the test runner was
+# started with SIGINT ignored (as a background job), which this child inherits
+signal.signal(signal.SIGINT, signal.default_int_handler)
 """ + inspect.getsource(_full_row) + """
 def sleeping_point(task):
     print("started", flush=True)
@@ -687,10 +690,12 @@ def test_dim_above_the_cap_is_rejected_before_any_chain(tmp_path, monkeypatch, c
     ({"omega": True}, "omega"),
     ({"omega0": False}, "omega0"),
     ({"tol": True}, "tol"),
+    *(({key: 10**400}, key) for key in ("lambda", "omega", "omega0", "tol")),
 ])
 def test_config_value_of_the_wrong_json_type_is_rejected(tmp_path, monkeypatch, capsys,
                                                          values, key):
-    # bool("false") is True, int(40.9) is 40 and float(True) is 1: none may pass
+    # bool("false") is True, int(40.9) is 40, float(True) is 1 and float(10**400)
+    # raises OverflowError: none may pass
     def no_point(task):
         raise AssertionError("a point ran")
 
@@ -1033,17 +1038,20 @@ def test_config_out_must_be_a_path(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: out: ")
 
 
-@pytest.mark.parametrize("out", ["a\0b.txt", "a\ud800b.txt"], ids=["nul", "surrogate"])
+@pytest.mark.parametrize("out", ["a\0b.txt", "a\ud800b.txt", ""],
+                         ids=["nul", "surrogate", "empty"])
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_config_out_that_no_file_name_holds_is_usage_error(tmp_path, monkeypatch, capsys,
                                                            command, out):
     # open() raises ValueError on a NUL and on a lone surrogate, which would
-    # read as a numerical failure, and only once every point has run
+    # read as a numerical failure, and os.replace onto '' fails: each only
+    # once every point has run
     def no_point(*args, **kwargs):
         raise AssertionError("a point ran before out was checked")
 
     monkeypatch.setattr(cli, "_sweep_point", no_point)
     monkeypatch.setattr(solver, "solve_rabi_ground", no_point)
+    monkeypatch.chdir(tmp_path)  # where a spool for '' would go
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"lambda": 0.5, "omega0": 1, "out": out}))
     assert run_cli([command, "--config", str(cfg)]) == 1
@@ -1051,6 +1059,19 @@ def test_config_out_that_no_file_name_holds_is_usage_error(tmp_path, monkeypatch
     assert captured.out == ""
     assert captured.err == f"error: out: expected a path, got {out!r}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+def test_out_name_as_long_as_a_directory_entry_can_be_is_written(tmp_path, monkeypatch, capsys):
+    # NAME_MAX is 255 bytes: the spool's name must not be out's name plus a suffix
+    monkeypatch.setattr(cli, "_sweep_point", _full_row)
+    argv = ["sweep", "--lambda", "0:1:3", "--omega0", "1", "--jobs", "1"]
+    assert run_cli(argv) == 0
+    printed_out = capsys.readouterr().out
+    out = tmp_path / ("x" * 246 + ".csv")
+    assert run_cli([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_bytes() == printed_out.encode()
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])

@@ -19,7 +19,6 @@ from rabi_balance.oracle import (
     build_reduced_hamiltonian,
     expectation,
 )
-from rabi_balance.model import sector_chain
 
 from conftest import padded_random_state
 
@@ -161,13 +160,3 @@ def test_sector_argument_validated():
         embed_reduced_state(phi, 0)
     with pytest.raises(ValueError):
         embed_reduced_state(phi, 2)
-
-
-@pytest.mark.parametrize("sector", [+1, -1])
-@pytest.mark.parametrize("start, dim", [(1, 2), (1, 16), (5, 9), (16, 32), (7, 7)])
-def test_sector_chain_from_a_start_level_extends_the_shorter_chain(start, dim, sector):
-    params = ModelParams(omega=0.7, lam=0.3, omega0=1.9)
-    diag, off = sector_chain(start, params, sector)
-    more_diag, more_off = sector_chain(dim, params, sector, start)
-    assert len(more_diag) == len(more_off) == dim - start
-    assert repr((diag + more_diag, off + more_off)) == repr(sector_chain(dim, params, sector))

@@ -169,8 +169,8 @@ def test_not_converged_names_the_move_in_units_of_omega(capsys):
 
 @pytest.mark.parametrize("omega", [1e-310, 5e-324])
 def test_a_subnormal_omega_solves_at_omega_itself(omega):
-    # the chain's norm lies below 2**-1024, whose inverse overflows: each entry
-    # is scaled alone; the degeneracy threshold is in the energy unit of the
+    # the chain's norm lies below 2**-1024, whose inverse overflows: ldexp
+    # scales each entry without forming it; the degeneracy threshold is in the energy unit of the
     # params, so a sector gap of omega reads degenerate (at omega 1 it is +1)
     sol = solve_rabi_ground(ModelParams(omega=omega, lam=0.0, omega0=omega))
     assert (sol.energy, sol.parity_label, sol.converged) == (-0.5 * omega, "degenerate", True)
@@ -215,8 +215,8 @@ def test_each_level_is_solved_once(monkeypatch, lam, dim, levels):
     (0.0, None), (1e-300, None), (0.5, None), (6.0, None), (0.5, 64),
 ])
 def test_each_level_solves_the_chain_built_afresh(monkeypatch, lam, dim):
-    # the ladder extends each sector's chain by the new levels' entries;
-    # every level must see the chain sector_chain builds from level 0
+    # each level solves the chain sector_chain builds whole for it,
+    # bit for bit, with nothing carried from the level below but the start pair
     params = ModelParams(omega=1.0, lam=lam, omega0=1.0)
     chains = []
     lowest_pair = solver._lowest_pair
